@@ -131,25 +131,24 @@ def _resolve_max_len(pf: ProblemFile, args, m: int, bound: int | None) -> int:
     return default_truncation_length(m, pf.relations, bound)
 
 
-def _find_bound(pf: ProblemFile, args) -> int:
-    max_n = _opt_int(pf, "max_n", args.max_n, 12)
+def _find_bound(pf: ProblemFile, max_n: int) -> int:
     bound = find_admissibility_bound(pf.quiver, pf.relations, max_n=max_n)
     if bound is None:
         raise NotAdmissibleError(f"no admissibility bound up to {max_n}")
     return bound
 
 
-def _try_bound(pf: ProblemFile, args) -> int | None:
-    max_n = _opt_int(pf, "max_n", args.max_n, 12)
+def _try_bound(pf: ProblemFile, max_n: int) -> int | None:
     try:
-        return find_admissibility_bound(pf.quiver, pf.relations, max_n=max_n)
-    except ValueError:
+        return _find_bound(pf, max_n)
+    except ValueError:  # NotAdmissibleError included
         return None
 
 
 def run(command: str, pf: ProblemFile, args) -> dict:
     """Dispatch one command on a parsed problem file; returns the report."""
     out = {"input": _input_block(pf)}
+    max_n = _opt_int(pf, "max_n", args.max_n, 12)
 
     if command == "validate":
         out["checks"] = {"validate": "ok"}
@@ -191,7 +190,7 @@ def run(command: str, pf: ProblemFile, args) -> dict:
     if command == "homology":
         m = _require_m(pf, args)
         _require_degree_zero(pf)
-        max_len = _resolve_max_len(pf, args, m, _try_bound(pf, args))
+        max_len = _resolve_max_len(pf, args, m, _try_bound(pf, max_n))
         dg = ginzburg_from_relations(pf.quiver, pf.relations, m)
         out["m"] = m
         out["homology"] = _homology_block(homology_dims(dg, m, max_len))
@@ -213,7 +212,7 @@ def run(command: str, pf: ProblemFile, args) -> dict:
     if command == "vosnex":
         m = _require_m(pf, args)
         _require_degree_zero(pf)
-        max_len = _resolve_max_len(pf, args, m, _try_bound(pf, args))
+        max_len = _resolve_max_len(pf, args, m, _try_bound(pf, max_n))
         verdict = vosnex_equivalence_check(pf.quiver, pf.relations, m, max_len)
         out["m"] = m
         out["vosnex"] = {
@@ -227,7 +226,7 @@ def run(command: str, pf: ProblemFile, args) -> dict:
 
     if command == "ideal-dim":
         _require_degree_zero(pf)
-        bound = _find_bound(pf, args)
+        bound = _find_bound(pf, max_n)
         out["ideal"] = {
             "admissible_N": bound,
             "dim": algebra_dim(pf.quiver, pf.relations, bound),
@@ -236,14 +235,13 @@ def run(command: str, pf: ProblemFile, args) -> dict:
 
     if command == "admissibility":
         _require_degree_zero(pf)
-        max_n = _opt_int(pf, "max_n", args.max_n, 12)
         bound = find_admissibility_bound(pf.quiver, pf.relations, max_n=max_n)
         out["ideal"] = {"admissible_N": bound, "searched_up_to": max_n}
         return out
 
     if command == "system-of-relations":
         _require_degree_zero(pf)
-        bound = _find_bound(pf, args)
+        bound = _find_bound(pf, max_n)
         system = system_of_relations(pf.quiver, pf.relations, bound)
         out["ideal"] = {
             "admissible_N": bound,
@@ -255,7 +253,7 @@ def run(command: str, pf: ProblemFile, args) -> dict:
 
     if command == "ext2":
         _require_degree_zero(pf)
-        bound = _find_bound(pf, args)
+        bound = _find_bound(pf, max_n)
         out["ideal"] = {
             "admissible_N": bound,
             "ext2": ext2_dim(pf.quiver, pf.relations, bound),
@@ -264,8 +262,7 @@ def run(command: str, pf: ProblemFile, args) -> dict:
 
     if command == "split-ext-2":
         _require_degree_zero(pf)
-        bound = _find_bound(pf, args)
-        max_n = _opt_int(pf, "max_n", args.max_n, 12)
+        bound = _find_bound(pf, max_n)
         verdict = split_extension_check(pf.quiver, pf.relations, bound, search_cap=max_n)
         out["m"] = 2
         out["checks"] = {"split_extension": "ok" if verdict is None else verdict}
@@ -276,7 +273,7 @@ def run(command: str, pf: ProblemFile, args) -> dict:
         _require_degree_zero(pf)
         seed = _opt_int(pf, "seed", args.seed, 0)
         samples = _opt_int(pf, "d2_samples", None, 200)
-        bound = _try_bound(pf, args)
+        bound = _try_bound(pf, max_n)
         max_len = _resolve_max_len(pf, args, m, bound)
         dg = ginzburg_from_relations(pf.quiver, pf.relations, m)
         out["m"] = m
@@ -297,7 +294,6 @@ def run(command: str, pf: ProblemFile, args) -> dict:
             "ok" if bad is None else f"counterexample: {format_element(bad)}"
         )
         if m == 2 and bound is not None:
-            max_n = _opt_int(pf, "max_n", args.max_n, 12)
             try:
                 verdict = split_extension_check(
                     pf.quiver, pf.relations, bound, search_cap=max_n

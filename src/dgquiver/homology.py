@@ -15,8 +15,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import PathElement, Superpotential
-from .dg import DgAlgebra, apply_d, ginzburg_dg_algebra, ginzburg_from_relations
-from .linalg import RowSpace, SparseMatrix
+from .dg import (
+    DgAlgebra,
+    apply_d,
+    ginzburg_dg_algebra,
+    ginzburg_from_relations,
+    relation_dg_algebra,
+)
+from .linalg import SparseMatrix, rank
 from .quiver import GradedQuiver, Path
 
 
@@ -91,12 +97,7 @@ class HomologyReport:
 
 def _dims_from_complex(cx: TruncatedComplex, m: int) -> dict[int, int]:
     dims = {}
-    ranks = {}
-    for d, mx in cx.matrices.items():
-        space = RowSpace()
-        for row in mx.iter_rows():
-            space.add(row)
-        ranks[d] = space.rank
+    ranks = {d: rank(mx) for d, mx in cx.matrices.items()}
     for i in range(0, m):
         deg = -i
         kernel = cx.dim(deg) - ranks.get(deg, 0)
@@ -231,9 +232,10 @@ def vosnex_equivalence_check(
             "could not certify the quotient algebra finite-dimensional"
         )
     structural = q.is_acyclic() and not relations
-    # the relation dg-algebra is concentrated in degree 0 iff there are no
-    # relation arrows, and has finite total dimension iff the quiver is acyclic
-    degree_zero_finite = (not relations) and q.is_acyclic()
+    # read off the relation dg-algebra itself: concentrated in degree 0 when
+    # it has no arrow of nonzero degree, finite-dimensional when acyclic
+    b = relation_dg_algebra(q, relations).quiver
+    degree_zero_finite = all(a.degree == 0 for a in b.arrows) and b.is_acyclic()
     rep = homology_dims(ginzburg_from_relations(q, relations, m), m, max_len)
     return VosnexVerdict(
         acyclic_and_no_relations=structural,

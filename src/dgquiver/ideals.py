@@ -22,8 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import PathElement, format_element
-from .dg import Relation, validate_relations
-from .linalg import RowSpace, as_rational
+from .dg import Relation, _check_relations
+from .linalg import RowSpace, SparseMatrix, as_rational
 from .quiver import GradedQuiver, Path
 
 
@@ -39,6 +39,44 @@ def relations_in_r2(relations) -> list[str]:
         if ml is not None and ml < 2:
             bad.append(r.label)
     return bad
+
+
+def _two_sided_products(
+    q: GradedQuiver, relations, paths, max_len: int, *, truncate: bool,
+    boundary_only: bool = False,
+):
+    """Yield u * rho * v for each relation rho and each pair (u, v) of `paths`
+    with u ending where rho starts and v starting where rho ends.
+
+    With `truncate`, a product is kept when its shortest term has length
+    <= max_len and is cut to length <= max_len; otherwise every term must
+    fit and nothing is cut.  `boundary_only` skips the pairs with both u and
+    v trivial.  The order is fixed by `relations` and `paths`.
+    """
+    by_target: dict[str, list[Path]] = {v: [] for v in q.vertices}
+    by_source: dict[str, list[Path]] = {v: [] for v in q.vertices}
+    for p in paths:
+        by_target[q.target_of(p)].append(p)
+        by_source[q.source_of(p)].append(p)
+    for rel in relations:
+        body = rel.body.rebind(q)
+        ml = body.min_length() if truncate else body.max_length()
+        if ml is None:
+            continue  # zero relation spans nothing
+        room = max_len - ml
+        if room < 0:
+            continue
+        for u in by_target[rel.source]:
+            if len(u) > room:
+                continue
+            left = PathElement(q, {u: Fraction(1)}) * body
+            for v in by_source[rel.target]:
+                if len(u) + len(v) > room:
+                    continue
+                if boundary_only and len(u) + len(v) == 0:
+                    continue
+                prod = left * PathElement(q, {v: Fraction(1)})
+                yield prod.truncate(max_len) if truncate else prod
 
 
 class TruncatedIdealSpan:
@@ -58,32 +96,13 @@ class TruncatedIdealSpan:
         self.paths = quiver.enumerate_paths(bound - 1)
         self.index = {p: i for i, p in enumerate(self.paths)}
         self.space = RowSpace()
-        by_target: dict[str, list[Path]] = {v: [] for v in quiver.vertices}
-        by_source: dict[str, list[Path]] = {v: [] for v in quiver.vertices}
-        for p in self.paths:
-            by_target[quiver.target_of(p)].append(p)
-            by_source[quiver.source_of(p)].append(p)
-        for rel in self.relations:
-            body = rel.body.rebind(quiver)
-            ml = body.min_length()
-            if ml is None:
-                continue  # zero relation spans nothing
-            room = bound - 1 - ml
-            if room < 0:
-                continue
-            for u in by_target[rel.source]:
-                if len(u) > room:
-                    continue
-                left = PathElement(quiver, {u: Fraction(1)}) * body
-                for v in by_source[rel.target]:
-                    if len(u) + len(v) > room:
-                        continue
-                    if boundary_only and len(u) + len(v) == 0:
-                        continue
-                    prod = left * PathElement(quiver, {v: Fraction(1)})
-                    row = self._vector(prod.truncate(bound - 1))
-                    if row:
-                        self.space.add(row)
+        for prod in _two_sided_products(
+            quiver, self.relations, self.paths, bound - 1,
+            truncate=True, boundary_only=boundary_only,
+        ):
+            row = self._vector(prod)
+            if row:
+                self.space.add(row)
 
     def _vector(self, x: PathElement) -> dict[int, Fraction]:
         out = {}
@@ -122,24 +141,13 @@ class TruncatedIdealSpan:
         return [p for i, p in enumerate(self.paths) if i not in pivots]
 
 
-def _checked(q: GradedQuiver, relations) -> list[Relation]:
-    relations = list(relations)
-    problems = validate_relations(q, relations)
-    if problems:
-        raise ValueError("; ".join(problems))
-    return relations
-
-
 def bound_is_valid(q: GradedQuiver, relations, n: int) -> bool:
     """Operational admissibility test at n: every path of length exactly n
     lies in the ideal span truncated at bound n + 1."""
-    if n < 2:
+    try:
+        _require_bound(q, relations, n)
+    except NotAdmissibleError:
         return False
-    span = TruncatedIdealSpan(q, relations, n + 1)
-    for p in q.enumerate_paths(n):
-        if len(p) == n:
-            if not span.contains(PathElement(q, {p: Fraction(1)})):
-                return False
     return True
 
 
@@ -149,7 +157,7 @@ def find_admissibility_bound(q: GradedQuiver, relations, max_n: int = 12) -> int
     Requires every relation inside r^2; None distinguishes "nothing found up
     to the cap" from precondition failures, which raise.
     """
-    relations = _checked(q, relations)
+    relations = _check_relations(q, relations)
     bad = relations_in_r2(relations)
     if bad:
         raise ValueError(f"relations not inside r^2: {bad}")
@@ -161,9 +169,17 @@ def find_admissibility_bound(q: GradedQuiver, relations, max_n: int = 12) -> int
     return None
 
 
-def _require_bound(q: GradedQuiver, relations, n: int) -> None:
-    if not bound_is_valid(q, relations, n):
-        raise NotAdmissibleError(f"{n} is not a valid admissibility bound")
+def _require_bound(q: GradedQuiver, relations, n: int) -> TruncatedIdealSpan:
+    """The ideal span at bound n + 1, once n passes the operational test."""
+    if n >= 2:
+        span = TruncatedIdealSpan(q, relations, n + 1)
+        if all(
+            span.contains(PathElement(q, {p: Fraction(1)}))
+            for p in span.paths
+            if len(p) == n
+        ):
+            return span
+    raise NotAdmissibleError(f"{n} is not a valid admissibility bound")
 
 
 def generates_arrow_power(q: GradedQuiver, relations, n: int, max_expr_len: int) -> bool:
@@ -176,29 +192,9 @@ def generates_arrow_power(q: GradedQuiver, relations, n: int, max_expr_len: int)
         raise ValueError("max_expr_len must be at least n")
     paths = q.enumerate_paths(max_expr_len)
     index = {p: i for i, p in enumerate(paths)}
-    by_target: dict[str, list[Path]] = {v: [] for v in q.vertices}
-    by_source: dict[str, list[Path]] = {v: [] for v in q.vertices}
-    for p in paths:
-        by_target[q.target_of(p)].append(p)
-        by_source[q.source_of(p)].append(p)
     space = RowSpace()
-    for rel in relations:
-        body = rel.body.rebind(q)
-        ml = body.max_length()
-        if ml is None:
-            continue
-        room = max_expr_len - ml
-        if room < 0:
-            continue
-        for u in by_target[rel.source]:
-            if len(u) > room:
-                continue
-            left = PathElement(q, {u: Fraction(1)}) * body
-            for v in by_source[rel.target]:
-                if len(u) + len(v) > room:
-                    continue
-                prod = left * PathElement(q, {v: Fraction(1)})
-                space.add({index[p]: c for p, c in prod.terms.items()})
+    for prod in _two_sided_products(q, relations, paths, max_expr_len, truncate=False):
+        space.add({index[p]: c for p, c in prod.terms.items()})
     for p in paths:
         if len(p) == n:
             if not space.contains({index[p]: Fraction(1)}):
@@ -208,16 +204,18 @@ def generates_arrow_power(q: GradedQuiver, relations, n: int, max_expr_len: int)
 
 def algebra_dim(q: GradedQuiver, relations, n: int) -> int:
     """dim KQ/(R) computed as (#paths of length < n) - rank of the span."""
-    relations = _checked(q, relations)
-    _require_bound(q, relations, n)
-    span = TruncatedIdealSpan(q, relations, n)
+    relations = _check_relations(q, relations)
+    # Cutting the span at bound n + 1 to lengths < n gives the span at bound
+    # n, and the certified span holds every path of length n, so the two
+    # differences agree.
+    span = _require_bound(q, relations, n)
     return span.ambient_dim - span.rank
 
 
 def ideal_membership(q: GradedQuiver, relations, n: int, x: PathElement) -> bool:
     """Whether x lies in (R); x must be supported in length < n and n must
     be a valid admissibility bound."""
-    relations = _checked(q, relations)
+    relations = _check_relations(q, relations)
     _require_bound(q, relations, n)
     return TruncatedIdealSpan(q, relations, n).contains(x.rebind(q))
 
@@ -240,7 +238,7 @@ def system_of_relations(
     order is fixed for determinism; other orders may give different, equally
     valid minimal systems.
     """
-    relations = _checked(q, relations)
+    relations = _check_relations(q, relations)
     _require_bound(q, relations, n)
     if headroom is None:
         headroom = max(
@@ -269,18 +267,16 @@ def boundary_quotient_dim(q: GradedQuiver, relations, n: int) -> int:
     u, v of positive length; tails beyond the bound lie in r^{n+1}, which is
     already inside I r + r I.
     """
-    relations = _checked(q, relations)
-    _require_bound(q, relations, n)
-    full = TruncatedIdealSpan(q, relations, n + 1)
+    relations = _check_relations(q, relations)
+    full = _require_bound(q, relations, n)
     boundary = TruncatedIdealSpan(q, relations, n + 1, boundary_only=True)
     return full.rank - boundary.rank
 
 
 def boundary_image_vanishes(q: GradedQuiver, relations, n: int, x: PathElement) -> bool:
     """Whether x in I maps to zero in I/(I r + r I)."""
-    relations = _checked(q, relations)
-    _require_bound(q, relations, n)
-    full = TruncatedIdealSpan(q, relations, n + 1)
+    relations = _check_relations(q, relations)
+    full = _require_bound(q, relations, n)
     if not full.contains(x.rebind(q)):
         raise ValueError("element does not lie in the ideal")
     boundary = TruncatedIdealSpan(q, relations, n + 1, boundary_only=True)
@@ -292,10 +288,9 @@ def spans_boundary_quotient(q: GradedQuiver, relations, candidate, n: int) -> bo
 
     Each candidate body must lie in (R) (checked through the truncated span).
     """
-    relations = _checked(q, relations)
+    relations = _check_relations(q, relations)
     candidate = list(candidate)
-    _require_bound(q, relations, n)
-    full = TruncatedIdealSpan(q, relations, n + 1)
+    full = _require_bound(q, relations, n)
     for r in candidate:
         if not full.contains(r.body.rebind(q)):
             raise ValueError(f"candidate {r.label!r} is not in the ideal")
@@ -319,29 +314,6 @@ def ext2_dim(q: GradedQuiver, relations, n: int) -> int:
 # ---------- representation witnesses ----------
 
 
-def _zero_matrix(rows: int, cols: int):
-    return [[Fraction(0)] * cols for _ in range(rows)]
-
-
-def _identity(nn: int):
-    out = _zero_matrix(nn, nn)
-    for i in range(nn):
-        out[i][i] = Fraction(1)
-    return out
-
-
-def _matmul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = _zero_matrix(rows, cols)
-    for i in range(rows):
-        for k in range(inner):
-            if a[i][k]:
-                for j in range(cols):
-                    if b[k][j]:
-                        out[i][j] += a[i][k] * b[k][j]
-    return out
-
-
 def evaluate_in_representation(q: GradedQuiver, dims, matrices, x: PathElement):
     """Evaluate x in a representation assigning dims[v] to each vertex and a
     dims[s] x dims[t] matrix to each arrow (paths compose left to right).
@@ -357,7 +329,10 @@ def evaluate_in_representation(q: GradedQuiver, dims, matrices, x: PathElement):
             raise ValueError(
                 f"matrix for {name!r} is not {dims[a.source]} x {dims[a.target]}"
             )
-        mats[name] = mat
+        mats[name] = SparseMatrix(
+            dims[a.source], dims[a.target],
+            {(i, j): v for i, row in enumerate(mat) for j, v in enumerate(row)},
+        )
     x = x.rebind(q)
     sources = {q.source_of(p) for p in x.terms}
     targets = {q.target_of(p) for p in x.terms}
@@ -366,15 +341,18 @@ def evaluate_in_representation(q: GradedQuiver, dims, matrices, x: PathElement):
     if not x.terms:
         raise ValueError("cannot size the evaluation of the zero element")
     src, tgt = sources.pop(), targets.pop()
-    total = _zero_matrix(dims[src], dims[tgt])
+    unit = SparseMatrix(dims[src], dims[src], {(i, i): 1 for i in range(dims[src])})
+    total: dict[tuple[int, int], Fraction] = {}
     for p, c in x.terms.items():
-        acc = _identity(dims[src])
+        acc = unit
         for name in p.arrows:
-            acc = _matmul(acc, mats[name])
-        for i in range(dims[src]):
-            for j in range(dims[tgt]):
-                total[i][j] += c * acc[i][j]
-    return total
+            acc = acc.matmul(mats[name])
+        for ij, v in acc.entries.items():
+            total[ij] = total.get(ij, 0) + c * v
+    return [
+        [total.get((i, j), Fraction(0)) for j in range(dims[tgt])]
+        for i in range(dims[src])
+    ]
 
 
 def certifies_non_membership(q: GradedQuiver, relations, dims, matrices, x: PathElement) -> bool:
@@ -409,7 +387,7 @@ def split_extension_check(q: GradedQuiver, relations, n: int, search_cap: int = 
     from .dg import ginzburg_from_relations, reverse_arrow_name
     from .homology import h0_presentation
 
-    relations = _checked(q, relations)
+    relations = _check_relations(q, relations)
     _require_bound(q, relations, n)
     gamma = ginzburg_from_relations(q, relations, 2)
     big, h0_rels = h0_presentation(gamma)

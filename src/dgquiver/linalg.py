@@ -10,7 +10,7 @@ always means row span.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 Rational = Fraction
 
@@ -117,55 +117,12 @@ class SparseMatrix:
                 ent[(i, j)] = v
         self.entries = ent
 
-    @classmethod
-    def from_rows(cls, data: Iterable[Iterable], cols: int | None = None) -> SparseMatrix:
-        data = [list(r) for r in data]
-        if cols is None:
-            cols = len(data[0]) if data else 0
-        ent = {}
-        for i, r in enumerate(data):
-            if len(r) != cols:
-                raise ValueError("ragged rows")
-            for j, v in enumerate(r):
-                if v:
-                    ent[(i, j)] = as_rational(v)
-        return cls(len(data), cols, ent)
-
-    @classmethod
-    def identity(cls, n: int) -> SparseMatrix:
-        return cls(n, n, {(i, i): Fraction(1) for i in range(n)})
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.entries.get((i, j), Fraction(0))
-
-    def row(self, i: int) -> SparseRow:
-        return {j: v for (r, j), v in self.entries.items() if r == i}
-
     def iter_rows(self):
         by_row: dict[int, SparseRow] = {}
         for (i, j), v in self.entries.items():
             by_row.setdefault(i, {})[j] = v
         for i in range(self.rows):
             yield by_row.get(i, {})
-
-    def transpose(self) -> SparseMatrix:
-        return SparseMatrix(
-            self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()}
-        )
-
-    def scale_row(self, i: int, c) -> SparseMatrix:
-        c = as_rational(c)
-        ent = {
-            (r, j): (v * c if r == i else v) for (r, j), v in self.entries.items()
-        }
-        return SparseMatrix(self.rows, self.cols, ent)
-
-    def permute_rows(self, perm: list[int]) -> SparseMatrix:
-        inv = {old: new for new, old in enumerate(perm)}
-        return SparseMatrix(
-            self.rows, self.cols,
-            {(inv[i], j): v for (i, j), v in self.entries.items()},
-        )
 
     def matmul(self, other: SparseMatrix) -> SparseMatrix:
         if self.cols != other.rows:
@@ -208,17 +165,6 @@ def rank(m: SparseMatrix) -> int:
     for row in m.iter_rows():
         space.add(row)
     return space.rank
-
-
-def is_in_span(v: Iterable, basis: SparseMatrix) -> bool:
-    """True iff the vector `v` lies in the row span of `basis`."""
-    vec = list(v)
-    if len(vec) != basis.cols:
-        raise ValueError(f"vector length {len(vec)} != {basis.cols} columns")
-    space = RowSpace()
-    for row in basis.iter_rows():
-        space.add(row)
-    return space.contains({j: as_rational(x) for j, x in enumerate(vec) if x})
 
 
 def quotient_dim(ambient_dim: int, subspace: SparseMatrix) -> int:

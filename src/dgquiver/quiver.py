@@ -12,6 +12,7 @@ vertex order), so matrix constructions and reports are reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -69,11 +70,9 @@ class GradedQuiver:
         for a in self.arrows:
             self._arrow_by_name.setdefault(a.name, a)
         self._out: dict[str, list[Arrow]] = {v: [] for v in self.vertices}
-        self._in: dict[str, list[Arrow]] = {v: [] for v in self.vertices}
         for a in self.arrows:
-            if a.source in self._out and a.target in self._in:
+            if a.source in self._out and a.target in self._out:
                 self._out[a.source].append(a)
-                self._in[a.target].append(a)
 
     # ---------- structure ----------
 
@@ -108,9 +107,6 @@ class GradedQuiver:
     def arrows_from(self, v: str) -> list[Arrow]:
         return list(self._out[v])
 
-    def arrows_into(self, v: str) -> list[Arrow]:
-        return list(self._in[v])
-
     def vertex_index(self, v: str) -> int:
         try:
             return self._vertex_index[v]
@@ -120,9 +116,12 @@ class GradedQuiver:
     def degrees(self) -> list[int]:
         return [a.degree for a in self.arrows]
 
-    def is_acyclic(self) -> bool:
-        """True iff there is no cycle of positive length."""
+    def _longest_from(self) -> dict[str, int] | None:
+        """Length of the longest path starting at each vertex, from one
+        iterative depth-first walk; None if there is a cycle of positive
+        length."""
         color = {v: 0 for v in self.vertices}  # 0 new, 1 on stack, 2 done
+        far: dict[str, int] = {}
         for start in self.vertices:
             if color[start]:
                 continue
@@ -132,29 +131,27 @@ class GradedQuiver:
                 v, it = stack[-1]
                 adv = next(it, None)
                 if adv is None:
+                    # every successor is done, so its length is known
+                    far[v] = max((1 + far[a.target] for a in self._out[v]), default=0)
                     color[v] = 2
                     stack.pop()
                     continue
                 w = adv.target
                 if color[w] == 1:
-                    return False
+                    return None
                 if color[w] == 0:
                     color[w] = 1
                     stack.append((w, iter(self._out[w])))
-        return True
+        return far
+
+    def is_acyclic(self) -> bool:
+        """True iff there is no cycle of positive length."""
+        return self._longest_from() is not None
 
     def longest_path_length(self) -> int | None:
         """Length of the longest path, or None if the quiver has cycles."""
-        if not self.is_acyclic():
-            return None
-        memo: dict[str, int] = {}
-
-        def far(v: str) -> int:
-            if v not in memo:
-                memo[v] = max((1 + far(a.target) for a in self._out[v]), default=0)
-            return memo[v]
-
-        return max((far(v) for v in self.vertices), default=0)
+        far = self._longest_from()
+        return None if far is None else max(far.values(), default=0)
 
     # ---------- paths ----------
 
@@ -203,67 +200,51 @@ class GradedQuiver:
         base_ix = self._vertex_index[p.base] if p.is_trivial else -1
         return (len(p.arrows), p.arrows, base_ix)
 
-    def enumerate_paths(self, max_len: int, degree: int | None = None) -> list[Path]:
-        """All paths of length <= max_len, ordered by (length, arrow names).
+    def _walk(self, max_len: int, min_degree=-math.inf, max_degree=math.inf):
+        """Yield the paths of length 0, 1, ..., max_len as lists of
+        (path, degree), each list in `path_sort_key` order.
 
-        With `degree` given, keeps only paths of that total degree (the
-        ordering of the survivors is unchanged).
-        """
-        if max_len < 0:
-            raise ValueError("max_len must be >= 0")
-        out: list[Path] = [self.trivial_path(v) for v in self.vertices]
-        frontier = out[:]
-        for _ in range(max_len):
-            nxt = [
-                Path(arrows=p.arrows + (a.name,))
-                for p in frontier
-                for a in self._out[self.target_of(p)]
-            ]
-            nxt.sort(key=lambda p: p.arrows)
-            out.extend(nxt)
-            frontier = nxt
-            if not frontier:
-                break
-        if degree is None:
-            return out
-        return [p for p in out if self.degree_of(p) == degree]
-
-    def paths_by_degree(
-        self, max_len: int, min_degree: int, max_degree: int
-    ) -> dict[int, list[Path]]:
-        """Paths of length <= max_len grouped by total degree within a window.
-
-        Branches that cannot re-enter [min_degree, max_degree] are pruned;
-        with all arrow degrees <= 0 this makes deep windows cheap.
+        Branches whose degree cannot re-enter [min_degree, max_degree] are
+        pruned; with all arrow degrees <= 0 this makes deep windows cheap.
         """
         if max_len < 0:
             raise ValueError("max_len must be >= 0")
         degs = self.degrees()
         up = max(0, max(degs, default=0))     # max degree gain per extra arrow
         down = min(0, min(degs, default=0))   # max degree drop per extra arrow
-        buckets: dict[int, list[Path]] = {
-            d: [] for d in range(min_degree, max_degree + 1)
-        }
-        if min_degree <= 0 <= max_degree:
-            for v in self.vertices:
-                buckets[0].append(self.trivial_path(v))
-        frontier: list[tuple[Path, int]] = [(self.trivial_path(v), 0) for v in self.vertices]
+        level: list[tuple[Path, int]] = [(self.trivial_path(v), 0) for v in self.vertices]
+        yield level
         for length in range(1, max_len + 1):
             rem = max_len - length
             nxt: list[tuple[Path, int]] = []
-            for p, d in frontier:
+            for p, d in level:
                 for a in self._out[self.target_of(p)]:
                     nd = d + a.degree
                     if nd + rem * up < min_degree or nd + rem * down > max_degree:
                         continue
                     nxt.append((Path(arrows=p.arrows + (a.name,)), nd))
+            if not nxt:
+                return
             nxt.sort(key=lambda t: t[0].arrows)
-            for p, d in nxt:
+            yield nxt
+            level = nxt
+
+    def enumerate_paths(self, max_len: int) -> list[Path]:
+        """All paths of length <= max_len, ordered by (length, arrow names)."""
+        return [p for level in self._walk(max_len) for p, _ in level]
+
+    def paths_by_degree(
+        self, max_len: int, min_degree: int, max_degree: int
+    ) -> dict[int, list[Path]]:
+        """Paths of length <= max_len grouped by total degree within a window,
+        each group in `enumerate_paths` order."""
+        buckets: dict[int, list[Path]] = {
+            d: [] for d in range(min_degree, max_degree + 1)
+        }
+        for level in self._walk(max_len, min_degree, max_degree):
+            for p, d in level:
                 if min_degree <= d <= max_degree:
                     buckets[d].append(p)
-            frontier = nxt
-            if not frontier:
-                break
         return buckets
 
     # ---------- derived quivers ----------
@@ -274,10 +255,6 @@ class GradedQuiver:
             if a.name in self._arrow_by_name:
                 raise ValueError(f"generated arrow name {a.name!r} already in use")
         return GradedQuiver(self.vertices, self.arrows + extra)
-
-    def without_arrow(self, name: str) -> GradedQuiver:
-        self.arrow(name)
-        return GradedQuiver(self.vertices, tuple(a for a in self.arrows if a.name != name))
 
     def degree_part(self, degree: int) -> GradedQuiver:
         """Subquiver on all vertices and the arrows of the given degree."""

@@ -267,6 +267,16 @@ def test_vosnex_equivalence_loop_square_relation():
     assert v.as_tuple() == (False, False, False, False)
 
 
+def test_vosnex_equivalence_acyclic_zero_relation():
+    # the zero relation still adds a degree -1 arrow to the relation
+    # dg-algebra, so it is not concentrated in degree 0
+    q = GradedQuiver(["1", "2", "3"], [Arrow("a", "1", "2", 0), Arrow("b", "2", "3", 0)])
+    rels = [zero_relation(q, "z", "1", "3")]
+    assert [a.degree for a in relation_dg_algebra(q, rels).quiver.arrows] == [0, 0, -1]
+    v = vosnex_equivalence_check(q, rels, 3, 6)
+    assert v.as_tuple() == (False, False, False, False)
+
+
 def test_vosnex_equivalence_preconditions(square):
     q, rels = square
     with pytest.raises(ValueError):

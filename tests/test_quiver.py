@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgquiver import Arrow, GradedQuiver, Path
 
@@ -43,7 +45,7 @@ def test_enumerate_degree_filter_two_loops():
     # loops of degree -1 and -2; in degree -2 exactly the square of the
     # first and the second itself
     q = loops_quiver(("eps_star", -1), ("eps", -2))
-    got = {p.arrows for p in q.enumerate_paths(4, degree=-2)}
+    got = {p.arrows for p in q.enumerate_paths(4) if q.degree_of(p) == -2}
     assert got == {("eps",), ("eps_star", "eps_star")}
 
 
@@ -99,6 +101,17 @@ def test_longest_path_length():
     assert loops_quiver(("a", 0)).longest_path_length() is None
 
 
+def test_longest_path_length_deep_line():
+    # deeper than the interpreter's recursion limit
+    n = 3000
+    line = GradedQuiver(
+        [str(i) for i in range(n)],
+        [Arrow(f"a{i}", str(i), str(i + 1), 0) for i in range(n - 1)],
+    )
+    assert line.is_acyclic()
+    assert line.longest_path_length() == n - 1
+
+
 def test_compose_with_trivial_paths():
     q = GradedQuiver(["1", "2"], [Arrow("a", "1", "2", 0)])
     a = q.path(["a"])
@@ -121,11 +134,23 @@ def test_path_value_invariant():
         Path()
 
 
-def test_paths_by_degree_matches_filter():
-    q = GradedQuiver(
-        ["1", "2"],
-        [Arrow("a", "1", "2", 0), Arrow("s", "2", "1", -1), Arrow("t", "1", "1", -2)],
+@st.composite
+def small_quivers(draw):
+    """Up to three vertices and five arrows of degree 0, -1 or -2."""
+    vertices = [str(i) for i in range(draw(st.integers(1, 3)))]
+    ends = st.sampled_from(vertices)
+    specs = draw(st.lists(st.tuples(ends, ends, st.sampled_from([0, -1, -2])), max_size=5))
+    return GradedQuiver(
+        vertices, [Arrow(f"a{k}", s, t, d) for k, (s, t, d) in enumerate(specs)]
     )
-    buckets = q.paths_by_degree(5, -4, 0)
-    for d in range(-4, 1):
-        assert buckets[d] == q.enumerate_paths(5, degree=d)
+
+
+@given(small_quivers(), st.integers(0, 4), st.integers(-5, 1), st.integers(0, 4))
+@settings(max_examples=80, deadline=None)
+def test_paths_by_degree_matches_filter(q, max_len, lo, width):
+    paths = q.enumerate_paths(max_len)
+    assert paths == sorted(paths, key=q.path_sort_key)
+    buckets = q.paths_by_degree(max_len, lo, lo + width)
+    assert set(buckets) == set(range(lo, lo + width + 1))
+    for d, got in buckets.items():
+        assert got == [p for p in paths if q.degree_of(p) == d]
