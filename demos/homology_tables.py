@@ -11,7 +11,7 @@ from dgquiver import (
     PathElement,
     Relation,
     ginzburg_from_relations,
-    snex_table,
+    homology_dims,
 )
 
 q = GradedQuiver(["v"])
@@ -20,8 +20,8 @@ zero = [Relation("r1", "v", "v", PathElement.zero(q))]
 for label, relations in (("no relations", []), ("one zero relation", zero)):
     print(f"== {label} ==")
     for m in (3, 4, 5):
-        table = snex_table(ginzburg_from_relations(q, relations, m), m, m + 2)
-        dims = "  ".join(f"H^-{i}: {dim}" for i, dim in table.rows)
-        flag = "" if table.stabilized else "   (not stabilized!)"
+        rep = homology_dims(ginzburg_from_relations(q, relations, m), m, m + 2)
+        dims = "  ".join(f"H^-{i}: {dim}" for i, dim in rep.dims.items())
+        flag = "" if rep.stabilized else "   (not stabilized!)"
         print(f"  m = {m}:  {dims}{flag}")
     print()

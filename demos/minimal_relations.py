@@ -13,7 +13,6 @@ from dgquiver import (
     Relation,
     algebra_dim,
     boundary_image_vanishes,
-    boundary_quotient_dim,
     certifies_non_membership,
     evaluate_in_representation,
     ext2_dim,
@@ -33,8 +32,9 @@ relations = [
 n = find_admissibility_bound(q, relations, max_n=12)
 print("admissibility bound:", n)
 print("dim KQ/I:", algebra_dim(q, relations, n))
-print("dim I/(Ir + rI):", boundary_quotient_dim(q, relations, n))
-print("dim Ext^2(S, S):", ext2_dim(q, relations, n))
+ext2 = ext2_dim(q, relations, n)
+print("dim I/(Ir + rI):", ext2)
+print("dim Ext^2(S, S):", ext2)
 
 aab = P("a", "a", "b")
 print("class of a*a*b in I/(Ir + rI) vanishes:", boundary_image_vanishes(q, relations, n, aab))

@@ -42,7 +42,6 @@ from .dg import (
 from .dsl import ParseError, ProblemFile, parse, serialize
 from .homology import (
     HomologyReport,
-    SnexTable,
     TruncatedComplex,
     VosnexVerdict,
     build_truncated,
@@ -50,7 +49,6 @@ from .homology import (
     h0_presentation,
     homology_dims,
     preprojective_presentation,
-    snex_table,
     vosnex_equivalence_check,
 )
 from .ideals import (
@@ -58,7 +56,6 @@ from .ideals import (
     TruncatedIdealSpan,
     algebra_dim,
     boundary_image_vanishes,
-    boundary_quotient_dim,
     bound_is_valid,
     certifies_non_membership,
     evaluate_in_representation,

@@ -10,8 +10,11 @@ enumeration orders are deterministic.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
+from dataclasses import asdict, dataclass
+from typing import Callable, NamedTuple
 
 from .algebra import format_element
 from .dg import (
@@ -35,34 +38,22 @@ from .ideals import (
     system_of_relations,
 )
 
-COMMANDS = (
-    "validate",
-    "build-b",
-    "build-gamma",
-    "check-d2",
-    "homology",
-    "h0",
-    "vosnex",
-    "ideal-dim",
-    "admissibility",
-    "system-of-relations",
-    "ext2",
-    "split-ext-2",
-    "report",
-)
-
 
 class CommandError(Exception):
     pass
 
 
+def _arrow_list(arrows) -> list[dict]:
+    return [
+        {"name": a.name, "source": a.source, "target": a.target, "degree": a.degree}
+        for a in arrows
+    ]
+
+
 def _input_block(pf: ProblemFile) -> dict:
     return {
         "vertices": list(pf.quiver.vertices),
-        "arrows": [
-            {"name": a.name, "source": a.source, "target": a.target, "degree": a.degree}
-            for a in pf.quiver.arrows
-        ],
+        "arrows": _arrow_list(pf.quiver.arrows),
         "relations": [
             {
                 "label": r.label,
@@ -79,38 +70,11 @@ def _input_block(pf: ProblemFile) -> dict:
 
 def _dg_block(dg) -> dict:
     return {
-        "arrows": [
-            {"name": a.name, "source": a.source, "target": a.target, "degree": a.degree}
-            for a in dg.quiver.arrows
-        ],
+        "arrows": _arrow_list(dg.quiver.arrows),
         "differentials": {
             a.name: format_element(dg.d(a.name)) for a in dg.quiver.arrows
         },
     }
-
-
-def _homology_block(rep) -> dict:
-    return {
-        "L": rep.max_len,
-        "stabilized": rep.stabilized,
-        "dims": {str(i): rep.dims[i] for i in sorted(rep.dims)},
-        "vosnex": rep.vosnex,
-    }
-
-
-def _require_m(pf: ProblemFile, args) -> int:
-    m = args.m if args.m is not None else pf.m
-    if m is None:
-        raise CommandError("this command needs m (flag --m or an 'm =' line)")
-    return m
-
-
-def _require_degree_zero(pf: ProblemFile) -> None:
-    bad = [a.name for a in pf.quiver.arrows if a.degree != 0]
-    if bad:
-        raise CommandError(
-            f"this command needs all arrows in degree 0, got nonzero degrees on {bad}"
-        )
 
 
 def _opt_int(pf: ProblemFile, key: str, flag_value, fallback: int) -> int:
@@ -122,15 +86,6 @@ def _opt_int(pf: ProblemFile, key: str, flag_value, fallback: int) -> int:
     return fallback
 
 
-def _resolve_max_len(pf: ProblemFile, args, m: int, bound: int | None) -> int:
-    if args.max_len is not None:
-        return args.max_len
-    v = pf.options.get("max_len")
-    if isinstance(v, int):
-        return v
-    return default_truncation_length(m, pf.relations, bound)
-
-
 def _find_bound(pf: ProblemFile, max_n: int) -> int:
     bound = find_admissibility_bound(pf.quiver, pf.relations, max_n=max_n)
     if bound is None:
@@ -138,173 +93,185 @@ def _find_bound(pf: ProblemFile, max_n: int) -> int:
     return bound
 
 
-def _try_bound(pf: ProblemFile, max_n: int) -> int | None:
-    try:
-        return _find_bound(pf, max_n)
-    except ValueError:  # NotAdmissibleError included
-        return None
+@dataclass(frozen=True)
+class _Job:
+    """One command's input once the preconditions in its table row hold."""
+
+    pf: ProblemFile
+    args: argparse.Namespace
+    max_n: int
+    m: int | None
+    bound: int | None
+
+    def max_len(self, m: int) -> int:
+        default = default_truncation_length(m, self.pf.relations, self.bound)
+        return _opt_int(self.pf, "max_len", self.args.max_len, default)
+
+    def gamma(self):
+        return ginzburg_from_relations(self.pf.quiver, self.pf.relations, self.m)
 
 
-def run(command: str, pf: ProblemFile, args) -> dict:
-    """Dispatch one command on a parsed problem file; returns the report."""
-    out = {"input": _input_block(pf)}
-    max_n = _opt_int(pf, "max_n", args.max_n, 12)
+# ---------- report sections: each shared by its command and `report` ----------
 
-    if command == "validate":
-        out["checks"] = {"validate": "ok"}
-        return out
 
-    if command == "build-b":
-        _require_degree_zero(pf)
-        out["b"] = _dg_block(relation_dg_algebra(pf.quiver, pf.relations))
-        return out
+def _homology_block(dg, m: int, max_len: int) -> dict:
+    rep = homology_dims(dg, m, max_len)
+    return {
+        "L": rep.max_len,
+        "stabilized": rep.stabilized,
+        "dims": {str(i): rep.dims[i] for i in sorted(rep.dims)},
+        "vosnex": rep.vosnex,
+    }
 
-    if command == "build-gamma":
-        m = _require_m(pf, args)
-        _require_degree_zero(pf)
-        out["m"] = m
-        out["gamma"] = _dg_block(ginzburg_from_relations(pf.quiver, pf.relations, m))
-        return out
 
-    if command == "check-d2":
-        # m is optional here: without it only the relation dg-algebra is
-        # checked, with it the doubled dg-algebra as well
-        m = args.m if args.m is not None else pf.m
-        _require_degree_zero(pf)
-        max_len = _resolve_max_len(pf, args, m if m is not None else 2, None)
-        seed = _opt_int(pf, "seed", args.seed, 0)
-        samples = _opt_int(pf, "d2_samples", None, 200)
-        targets = [("b", relation_dg_algebra(pf.quiver, pf.relations))]
-        if m is not None:
-            out["m"] = m
-            targets.append(("gamma", ginzburg_from_relations(pf.quiver, pf.relations, m)))
-        checks = {}
-        for name, dg in targets:
-            bad = check_d_squared(dg, max_len=max_len, samples_per_degree=samples, seed=seed)
-            checks[f"d_squared_{name}"] = (
-                "ok" if bad is None else f"counterexample: {format_element(bad)}"
-            )
-        out["checks"] = checks
-        return out
+_IDEAL_ENTRIES = {
+    "dim": lambda pf, n: algebra_dim(pf.quiver, pf.relations, n),
+    "system_of_relations": lambda pf, n: [
+        {"label": r.label, "body": format_expression(r.body)}
+        for r in system_of_relations(pf.quiver, pf.relations, n)
+    ],
+    "ext2": lambda pf, n: ext2_dim(pf.quiver, pf.relations, n),
+}
 
-    if command == "homology":
-        m = _require_m(pf, args)
-        _require_degree_zero(pf)
-        max_len = _resolve_max_len(pf, args, m, _try_bound(pf, max_n))
-        dg = ginzburg_from_relations(pf.quiver, pf.relations, m)
-        out["m"] = m
-        out["homology"] = _homology_block(homology_dims(dg, m, max_len))
-        return out
 
-    if command == "h0":
-        m = _require_m(pf, args)
-        _require_degree_zero(pf)
-        dg = ginzburg_from_relations(pf.quiver, pf.relations, m)
-        quiver0, rels = h0_presentation(dg)
-        out["m"] = m
-        out["h0"] = {
+def _d2_verdict(job: _Job, dg, max_len: int) -> str:
+    seed = _opt_int(job.pf, "seed", job.args.seed, 0)
+    samples = _opt_int(job.pf, "d2_samples", None, 200)
+    bad = check_d_squared(dg, max_len=max_len, samples_per_degree=samples, seed=seed)
+    return "ok" if bad is None else f"counterexample: {format_element(bad)}"
+
+
+def _split_verdict(job: _Job) -> str:
+    """Raises NotAdmissibleError when the degree-0 homology ideal has no bound."""
+    pf = job.pf
+    verdict = split_extension_check(pf.quiver, pf.relations, job.bound, search_cap=job.max_n)
+    return "ok" if verdict is None else verdict
+
+
+# ---------- command bodies ----------
+
+
+def _check_d2(job: _Job) -> dict:
+    # without m only the relation dg-algebra is checked, with it the doubled
+    # dg-algebra as well
+    max_len = job.max_len(2 if job.m is None else job.m)
+    targets = [("b", relation_dg_algebra(job.pf.quiver, job.pf.relations))]
+    if job.m is not None:
+        targets.append(("gamma", job.gamma()))
+    return {
+        "checks": {f"d_squared_{name}": _d2_verdict(job, dg, max_len) for name, dg in targets}
+    }
+
+
+def _h0(job: _Job) -> dict:
+    quiver0, rels = h0_presentation(job.gamma())
+    return {
+        "h0": {
             "vertices": list(quiver0.vertices),
             "arrows": [a.name for a in quiver0.arrows],
             "relations": [format_element(r) for r in rels],
         }
-        return out
+    }
 
-    if command == "vosnex":
-        m = _require_m(pf, args)
-        _require_degree_zero(pf)
-        max_len = _resolve_max_len(pf, args, m, _try_bound(pf, max_n))
-        verdict = vosnex_equivalence_check(pf.quiver, pf.relations, m, max_len)
+
+def _vosnex(job: _Job) -> dict:
+    pf = job.pf
+    verdict = vosnex_equivalence_check(pf.quiver, pf.relations, job.m, job.max_len(job.m))
+    return {"vosnex": {**asdict(verdict), "all_equal": verdict.all_equal()}}
+
+
+def _ideal_command(key: str) -> Callable[[_Job], dict]:
+    entry = _IDEAL_ENTRIES[key]
+    return lambda job: {"ideal": {"admissible_N": job.bound, key: entry(job.pf, job.bound)}}
+
+
+def _admissibility(job: _Job) -> dict:
+    bound = find_admissibility_bound(job.pf.quiver, job.pf.relations, max_n=job.max_n)
+    return {"ideal": {"admissible_N": bound, "searched_up_to": job.max_n}}
+
+
+def _report(job: _Job) -> dict:
+    max_len = job.max_len(job.m)
+    dg = job.gamma()
+    out = {"gamma": _dg_block(dg), "homology": _homology_block(dg, job.m, max_len)}
+    ideal: dict = {"admissible_N": job.bound}
+    if job.bound is not None:
+        for key, entry in _IDEAL_ENTRIES.items():
+            ideal[key] = entry(job.pf, job.bound)
+    out["ideal"] = ideal
+    checks = {"d_squared": _d2_verdict(job, dg, max_len)}
+    if job.m == 2 and job.bound is not None:
+        try:
+            checks["split_extension"] = _split_verdict(job)
+        except NotAdmissibleError as exc:
+            checks["split_extension"] = f"inconclusive: {exc}"
+    out["checks"] = checks
+    return out
+
+
+class _Command(NamedTuple):
+    """`m`: "required", "optional" or None (not read); `bound`: "find" (exit 1
+    when there is none up to max_n), "try" (None when there is none) or None."""
+
+    m: str | None
+    degree_zero: bool
+    bound: str | None
+    body: Callable[[_Job], dict]
+
+
+COMMANDS = {
+    "validate": _Command(None, False, None, lambda job: {"checks": {"validate": "ok"}}),
+    "build-b": _Command(
+        None, True, None,
+        lambda job: {"b": _dg_block(relation_dg_algebra(job.pf.quiver, job.pf.relations))},
+    ),
+    "build-gamma": _Command("required", True, None, lambda job: {"gamma": _dg_block(job.gamma())}),
+    "check-d2": _Command("optional", True, None, _check_d2),
+    "homology": _Command(
+        "required", True, "try",
+        lambda job: {"homology": _homology_block(job.gamma(), job.m, job.max_len(job.m))},
+    ),
+    "h0": _Command("required", True, None, _h0),
+    "vosnex": _Command("required", True, "try", _vosnex),
+    "ideal-dim": _Command(None, True, "find", _ideal_command("dim")),
+    "admissibility": _Command(None, True, None, _admissibility),
+    "system-of-relations": _Command(None, True, "find", _ideal_command("system_of_relations")),
+    "ext2": _Command(None, True, "find", _ideal_command("ext2")),
+    "split-ext-2": _Command(
+        None, True, "find",
+        lambda job: {"m": 2, "checks": {"split_extension": _split_verdict(job)}},
+    ),
+    "report": _Command("required", True, "try", _report),
+}
+
+
+def run(command: str, pf: ProblemFile, args) -> dict:
+    """Dispatch one command on a parsed problem file; returns the report."""
+    spec = COMMANDS.get(command)
+    if spec is None:
+        raise CommandError(f"unknown command {command!r}")
+    out = {"input": _input_block(pf)}
+    max_n = _opt_int(pf, "max_n", args.max_n, 12)
+    m = bound = None
+    if spec.m is not None:
+        m = args.m if args.m is not None else pf.m
+        if m is None and spec.m == "required":
+            raise CommandError("this command needs m (flag --m or an 'm =' line)")
+    if spec.degree_zero:
+        bad = [a.name for a in pf.quiver.arrows if a.degree != 0]
+        if bad:
+            raise CommandError(
+                f"this command needs all arrows in degree 0, got nonzero degrees on {bad}"
+            )
+    if spec.bound == "find":
+        bound = _find_bound(pf, max_n)
+    elif spec.bound == "try":
+        with contextlib.suppress(ValueError):  # NotAdmissibleError included
+            bound = _find_bound(pf, max_n)
+    if m is not None:
         out["m"] = m
-        out["vosnex"] = {
-            "acyclic_and_no_relations": verdict.acyclic_and_no_relations,
-            "degree_zero_finite": verdict.degree_zero_finite,
-            "small_negative_vanishing": verdict.small_negative_vanishing,
-            "top_small_negative_zero": verdict.top_small_negative_zero,
-            "all_equal": verdict.all_equal(),
-        }
-        return out
-
-    if command == "ideal-dim":
-        _require_degree_zero(pf)
-        bound = _find_bound(pf, max_n)
-        out["ideal"] = {
-            "admissible_N": bound,
-            "dim": algebra_dim(pf.quiver, pf.relations, bound),
-        }
-        return out
-
-    if command == "admissibility":
-        _require_degree_zero(pf)
-        bound = find_admissibility_bound(pf.quiver, pf.relations, max_n=max_n)
-        out["ideal"] = {"admissible_N": bound, "searched_up_to": max_n}
-        return out
-
-    if command == "system-of-relations":
-        _require_degree_zero(pf)
-        bound = _find_bound(pf, max_n)
-        system = system_of_relations(pf.quiver, pf.relations, bound)
-        out["ideal"] = {
-            "admissible_N": bound,
-            "system_of_relations": [
-                {"label": r.label, "body": format_expression(r.body)} for r in system
-            ],
-        }
-        return out
-
-    if command == "ext2":
-        _require_degree_zero(pf)
-        bound = _find_bound(pf, max_n)
-        out["ideal"] = {
-            "admissible_N": bound,
-            "ext2": ext2_dim(pf.quiver, pf.relations, bound),
-        }
-        return out
-
-    if command == "split-ext-2":
-        _require_degree_zero(pf)
-        bound = _find_bound(pf, max_n)
-        verdict = split_extension_check(pf.quiver, pf.relations, bound, search_cap=max_n)
-        out["m"] = 2
-        out["checks"] = {"split_extension": "ok" if verdict is None else verdict}
-        return out
-
-    if command == "report":
-        m = _require_m(pf, args)
-        _require_degree_zero(pf)
-        seed = _opt_int(pf, "seed", args.seed, 0)
-        samples = _opt_int(pf, "d2_samples", None, 200)
-        bound = _try_bound(pf, max_n)
-        max_len = _resolve_max_len(pf, args, m, bound)
-        dg = ginzburg_from_relations(pf.quiver, pf.relations, m)
-        out["m"] = m
-        out["gamma"] = _dg_block(dg)
-        out["homology"] = _homology_block(homology_dims(dg, m, max_len))
-        ideal: dict = {"admissible_N": bound}
-        if bound is not None:
-            ideal["dim"] = algebra_dim(pf.quiver, pf.relations, bound)
-            ideal["system_of_relations"] = [
-                {"label": r.label, "body": format_expression(r.body)}
-                for r in system_of_relations(pf.quiver, pf.relations, bound)
-            ]
-            ideal["ext2"] = ext2_dim(pf.quiver, pf.relations, bound)
-        out["ideal"] = ideal
-        checks = {}
-        bad = check_d_squared(dg, max_len=max_len, samples_per_degree=samples, seed=seed)
-        checks["d_squared"] = (
-            "ok" if bad is None else f"counterexample: {format_element(bad)}"
-        )
-        if m == 2 and bound is not None:
-            try:
-                verdict = split_extension_check(
-                    pf.quiver, pf.relations, bound, search_cap=max_n
-                )
-                checks["split_extension"] = "ok" if verdict is None else verdict
-            except NotAdmissibleError as exc:
-                checks["split_extension"] = f"inconclusive: {exc}"
-        out["checks"] = checks
-        return out
-
-    raise CommandError(f"unknown command {command!r}")
+    out.update(spec.body(_Job(pf, args, max_n, m, bound)))
+    return out
 
 
 def emit_report(results: dict) -> str:
@@ -317,7 +284,7 @@ def main(argv=None) -> int:
         prog="dgquiver",
         description="exact computations on quivers with relations",
     )
-    ap.add_argument("command", choices=COMMANDS)
+    ap.add_argument("command", choices=list(COMMANDS))
     ap.add_argument("file", help="problem file")
     ap.add_argument("--m", type=int, default=None)
     ap.add_argument("--max-len", type=int, default=None, dest="max_len")

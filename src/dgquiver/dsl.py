@@ -154,6 +154,8 @@ def _parse_expr(cur: _Cursor) -> list[_RawTerm]:
         coeff = None
         t = cur.peek()
         if t is not None and t[0] == "number":
+            if "/" in t[1] and int(t[1].partition("/")[2]) == 0:
+                raise _LineError(cur.lineno, t[2], "zero denominator")
             coeff = Fraction(t[1])
             cur.next()
         path: list[str] = []

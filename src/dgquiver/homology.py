@@ -11,7 +11,7 @@ and the reports say which cutoff they used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from fractions import Fraction
 
 from .algebra import PathElement, Superpotential
@@ -158,30 +158,6 @@ def preprojective_presentation(q: GradedQuiver):
 
 
 @dataclass
-class SnexTable:
-    """Homology dimensions labelled by the shift they correspond to for the
-    canonical object of the associated cluster-type category."""
-
-    m: int
-    max_len: int
-    rows: list[tuple[int, int]]  # (i, dim H^{-i})
-    stabilized: bool
-    caveat: str | None = None
-
-
-def snex_table(dg: DgAlgebra, m: int, max_len: int) -> SnexTable:
-    rep = homology_dims(dg, m, max_len)
-    caveat = None
-    if not rep.stabilized:
-        caveat = (
-            f"dimensions at cutoff {max_len} and {max_len + 1} disagree; "
-            f"increase the cutoff"
-        )
-    rows = [(i, rep.dims[i]) for i in range(0, m)]
-    return SnexTable(m=m, max_len=max_len, rows=rows, stabilized=rep.stabilized, caveat=caveat)
-
-
-@dataclass
 class VosnexVerdict:
     """The four equivalent vanishing conditions, evaluated independently."""
 
@@ -192,21 +168,7 @@ class VosnexVerdict:
     top_small_negative_zero: bool      # dim at i = m-2 is zero
 
     def all_equal(self) -> bool:
-        vals = {
-            self.acyclic_and_no_relations,
-            self.degree_zero_finite,
-            self.small_negative_vanishing,
-            self.top_small_negative_zero,
-        }
-        return len(vals) == 1
-
-    def as_tuple(self):
-        return (
-            self.acyclic_and_no_relations,
-            self.degree_zero_finite,
-            self.small_negative_vanishing,
-            self.top_small_negative_zero,
-        )
+        return len(set(astuple(self))) == 1
 
 
 def vosnex_equivalence_check(
@@ -219,14 +181,12 @@ def vosnex_equivalence_check(
     relation body inside the square of the arrow ideal, and KQ/(relations)
     finite-dimensional (certified through an admissibility bound).
     """
-    from .ideals import NotAdmissibleError, find_admissibility_bound, relations_in_r2
+    from .ideals import NotAdmissibleError, find_admissibility_bound
 
     relations = list(relations)
     if m <= 2:
         raise ValueError("m > 2 required")
-    bad = relations_in_r2(relations)
-    if bad:
-        raise ValueError(f"relations not inside r^2: {bad}")
+    # raises ValueError when a relation is not inside r^2
     if find_admissibility_bound(q, relations, max_n=max(12, max_len)) is None:
         raise NotAdmissibleError(
             "could not certify the quotient algebra finite-dimensional"

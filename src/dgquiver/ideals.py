@@ -52,6 +52,10 @@ def _two_sided_products(
     <= max_len and is cut to length <= max_len; otherwise every term must
     fit and nothing is cut.  `boundary_only` skips the pairs with both u and
     v trivial.  The order is fixed by `relations` and `paths`.
+
+    `paths` must be ordered by non-decreasing length (as `enumerate_paths`
+    returns them): the loops stop at the first u, and the first v for a
+    given u, that leaves no room.
     """
     by_target: dict[str, list[Path]] = {v: [] for v in q.vertices}
     by_source: dict[str, list[Path]] = {v: [] for v in q.vertices}
@@ -68,11 +72,11 @@ def _two_sided_products(
             continue
         for u in by_target[rel.source]:
             if len(u) > room:
-                continue
+                break
             left = PathElement(q, {u: Fraction(1)}) * body
             for v in by_source[rel.target]:
                 if len(u) + len(v) > room:
-                    continue
+                    break
                 if boundary_only and len(u) + len(v) == 0:
                     continue
                 prod = left * PathElement(q, {v: Fraction(1)})
@@ -170,7 +174,14 @@ def find_admissibility_bound(q: GradedQuiver, relations, max_n: int = 12) -> int
 
 
 def _require_bound(q: GradedQuiver, relations, n: int) -> TruncatedIdealSpan:
-    """The ideal span at bound n + 1, once n passes the operational test."""
+    """The ideal span at bound n + 1, once the relations are checked against
+    q and n passes the operational test.
+
+    Its rows hold every path of length n, so it equals (R) restricted to the
+    paths of length <= n, and cutting it to lengths < n gives the span at
+    bound n with rank lower by the number of paths of length n.
+    """
+    relations = _check_relations(q, relations)
     if n >= 2:
         span = TruncatedIdealSpan(q, relations, n + 1)
         if all(
@@ -203,21 +214,17 @@ def generates_arrow_power(q: GradedQuiver, relations, n: int, max_expr_len: int)
 
 
 def algebra_dim(q: GradedQuiver, relations, n: int) -> int:
-    """dim KQ/(R) computed as (#paths of length < n) - rank of the span."""
-    relations = _check_relations(q, relations)
-    # Cutting the span at bound n + 1 to lengths < n gives the span at bound
-    # n, and the certified span holds every path of length n, so the two
-    # differences agree.
+    """dim KQ/(R) computed as (#paths of length < n) - rank of the span;
+    the certified span at bound n + 1 gives the same difference."""
     span = _require_bound(q, relations, n)
     return span.ambient_dim - span.rank
 
 
 def ideal_membership(q: GradedQuiver, relations, n: int, x: PathElement) -> bool:
-    """Whether x lies in (R); x must be supported in length < n and n must
-    be a valid admissibility bound."""
-    relations = _check_relations(q, relations)
-    _require_bound(q, relations, n)
-    return TruncatedIdealSpan(q, relations, n).contains(x.rebind(q))
+    """Whether x lies in (R); x must be supported in length <= n and n must
+    be a valid admissibility bound.  The answer is exact because r^n <= (R);
+    longer elements raise ValueError."""
+    return _require_bound(q, relations, n).contains(x.rebind(q))
 
 
 def system_of_relations(
@@ -238,15 +245,17 @@ def system_of_relations(
     order is fixed for determinism; other orders may give different, equally
     valid minimal systems.
     """
-    relations = _check_relations(q, relations)
-    _require_bound(q, relations, n)
+    span = _require_bound(q, relations, n)
+    relations = span.relations
     if headroom is None:
         headroom = max(
             (r.body.max_length() or 1 for r in relations), default=1
         )
     max_expr_len = n + headroom
+    # zero entries span nothing, and the span at bound n is the certified
+    # one without the paths of length n
     current = [r for r in relations if not r.body.is_zero()]
-    full_rank = TruncatedIdealSpan(q, current, n).rank
+    full_rank = span.rank - sum(1 for p in span.paths if len(p) == n)
     k = 0
     while k < len(current):
         candidate = current[:k] + current[k + 1:]
@@ -260,26 +269,24 @@ def system_of_relations(
     return current
 
 
-def boundary_quotient_dim(q: GradedQuiver, relations, n: int) -> int:
-    """dim I/(I r + r I) for I = (R), via spans truncated at bound n + 1.
+def _boundary_spans(q: GradedQuiver, relations, n: int):
+    """The certified span of I = (R) at bound n + 1 and the span of
+    I r + r I at the same bound.
 
     I r + r I is spanned by the products u * rho * v with at least one of
     u, v of positive length; tails beyond the bound lie in r^{n+1}, which is
     already inside I r + r I.
     """
-    relations = _check_relations(q, relations)
     full = _require_bound(q, relations, n)
-    boundary = TruncatedIdealSpan(q, relations, n + 1, boundary_only=True)
-    return full.rank - boundary.rank
+    boundary = TruncatedIdealSpan(q, full.relations, n + 1, boundary_only=True)
+    return full, boundary
 
 
 def boundary_image_vanishes(q: GradedQuiver, relations, n: int, x: PathElement) -> bool:
     """Whether x in I maps to zero in I/(I r + r I)."""
-    relations = _check_relations(q, relations)
-    full = _require_bound(q, relations, n)
+    full, boundary = _boundary_spans(q, relations, n)
     if not full.contains(x.rebind(q)):
         raise ValueError("element does not lie in the ideal")
-    boundary = TruncatedIdealSpan(q, relations, n + 1, boundary_only=True)
     return boundary.contains(x.rebind(q))
 
 
@@ -288,13 +295,11 @@ def spans_boundary_quotient(q: GradedQuiver, relations, candidate, n: int) -> bo
 
     Each candidate body must lie in (R) (checked through the truncated span).
     """
-    relations = _check_relations(q, relations)
     candidate = list(candidate)
-    full = _require_bound(q, relations, n)
+    full, boundary = _boundary_spans(q, relations, n)
     for r in candidate:
         if not full.contains(r.body.rebind(q)):
             raise ValueError(f"candidate {r.label!r} is not in the ideal")
-    boundary = TruncatedIdealSpan(q, relations, n + 1, boundary_only=True)
     space = RowSpace()
     # the boundary span plus the candidate images must fill the ideal span
     for row in boundary.space.rows():
@@ -308,7 +313,8 @@ def spans_boundary_quotient(q: GradedQuiver, relations, candidate, n: int) -> bo
 def ext2_dim(q: GradedQuiver, relations, n: int) -> int:
     """dim Ext^2 of the semisimple module over KQ/(R), which equals
     dim I/(I r + r I); the latter is what is computed."""
-    return boundary_quotient_dim(q, relations, n)
+    full, boundary = _boundary_spans(q, relations, n)
+    return full.rank - boundary.rank
 
 
 # ---------- representation witnesses ----------
@@ -387,8 +393,7 @@ def split_extension_check(q: GradedQuiver, relations, n: int, search_cap: int = 
     from .dg import ginzburg_from_relations, reverse_arrow_name
     from .homology import h0_presentation
 
-    relations = _check_relations(q, relations)
-    _require_bound(q, relations, n)
+    relations = _require_bound(q, relations, n).relations
     gamma = ginzburg_from_relations(q, relations, 2)
     big, h0_rels = h0_presentation(gamma)
     eps_names = {reverse_arrow_name(r.label) for r in relations}

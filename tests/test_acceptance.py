@@ -5,6 +5,7 @@ expected number here is exact integer arithmetic, no tolerances anywhere.
 """
 
 import random
+from dataclasses import astuple
 from fractions import Fraction
 from pathlib import Path
 
@@ -72,7 +73,7 @@ def test_criterion_2_acyclic_vanishing_equivalence():
         q = random_acyclic_quiver(rng)
         for m in (3, 4):
             verdict = vosnex_equivalence_check(q, [], m, m + 2)
-            assert verdict.as_tuple() == (True, True, True, True), (k, m)
+            assert astuple(verdict) == (True, True, True, True), (k, m)
             rep = homology_dims(ginzburg_from_relations(q, [], m), m, m + 2)
             assert rep.vosnex
     print("ACCEPTANCE 2 PASS: vanishing equivalence on 5 random acyclic quivers")

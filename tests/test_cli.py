@@ -167,3 +167,12 @@ def test_m_line_in_file_is_used(tmp_path):
     res = run_cli("homology", str(f))
     assert res.returncode == 0
     assert json.loads(res.stdout)["m"] == 3
+
+
+def test_zero_denominator_is_a_parse_error(tmp_path):
+    f = tmp_path / "zero_den.quiver"
+    f.write_text("vertex v\narrow a : v -> v\nrelation r : v -> v = 1/0 a*a\n")
+    res = run_cli("validate", str(f))
+    assert res.returncode == 2
+    assert res.stderr == f"{f}:line 3, column 23: zero denominator\n"
+    assert res.stdout == ""

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgquiver import PathElement, ProblemFile, parse, serialize
 from dgquiver.dsl import Diagnostic, ParseError
@@ -140,3 +142,49 @@ def test_round_trip_randomized():
 
 def test_diagnostic_str():
     assert str(Diagnostic(3, 7, "boom")) == "line 3, column 7: boom"
+
+
+def test_parse_zero_denominator_is_diagnosed():
+    text = "vertex v\narrow a : v -> v\nrelation r : v -> v = a*a*a - 1/0 a*a\n"
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    (diag,) = exc.value.diagnostics
+    assert (diag.line, diag.column, diag.message) == (3, 31, "zero denominator")
+
+
+_COEFF = st.tuples(st.integers(0, 30), st.integers(0, 4))
+_TERM = st.tuples(
+    st.sampled_from(["+", "-"]),
+    st.none() | _COEFF,
+    st.lists(st.sampled_from(["a", "b"]), min_size=1, max_size=3),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_TERM, min_size=1, max_size=4))
+def test_parse_relation_coefficients_fuzz(terms):
+    """A well-formed relation line with p/q coefficients parses, or raises
+    ParseError at the first zero denominator; never anything else."""
+    parts, zero_den_col = [], None
+    line = "relation r : v -> v = "
+    for k, (sign, coeff, path) in enumerate(terms):
+        if k:
+            parts.append(f"{sign} ")
+        elif sign == "-":
+            parts.append("-")
+        if coeff is not None:
+            p, den = coeff
+            if den == 0 and zero_den_col is None:
+                zero_den_col = len(line) + len("".join(parts)) + 1
+            parts.append(f"{p}/{den} ")
+        parts.append("*".join(path) + " ")
+    text = "vertex v\narrow a : v -> v\narrow b : v -> v\n" + line + "".join(parts) + "\n"
+    try:
+        pf = parse(text)
+    except ParseError as exc:
+        assert all(d.line >= 1 and d.column >= 1 for d in exc.diagnostics)
+        assert zero_den_col is not None, exc.diagnostics
+        assert exc.diagnostics[0] == Diagnostic(4, zero_den_col, "zero denominator")
+    else:
+        assert zero_den_col is None
+        assert len(pf.relations) == 1

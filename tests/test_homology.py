@@ -1,4 +1,5 @@
 import random
+from dataclasses import astuple
 
 import pytest
 
@@ -16,7 +17,6 @@ from dgquiver import (
     homology_dims,
     preprojective_presentation,
     relation_dg_algebra,
-    snex_table,
     vosnex_equivalence_check,
 )
 from dgquiver.homology import TruncationError, default_truncation_length
@@ -223,9 +223,9 @@ def test_preprojective_two_loops():
 def test_snex_table_acyclic_empty():
     q = random_acyclic_quiver(random.Random(5))
     for m in (3, 4):
-        table = snex_table(ginzburg_from_relations(q, [], m), m, m + 2)
-        assert table.stabilized and table.caveat is None
-        for i, dim in table.rows:
+        rep = homology_dims(ginzburg_from_relations(q, [], m), m, m + 2)
+        assert rep.stabilized and list(rep.dims) == list(range(m))
+        for i, dim in rep.dims.items():
             if 0 < i < m - 1:
                 assert dim == 0
 
@@ -233,15 +233,14 @@ def test_snex_table_acyclic_empty():
 def test_snex_table_lower_bound_from_relations(square):
     q, rels = square
     for m in (3, 4):
-        table = snex_table(ginzburg_from_relations(q, rels, m), m, m + 3)
-        dims = dict(table.rows)
-        assert dims[m - 2] >= len(rels)
+        rep = homology_dims(ginzburg_from_relations(q, rels, m), m, m + 3)
+        assert rep.dims[m - 2] >= len(rels)
 
 
 def test_snex_table_zero_relation_all_nonzero():
     m = 4
-    table = snex_table(one_vertex_zero_dg(m), m, m + 2)
-    for i, dim in table.rows:
+    rep = homology_dims(one_vertex_zero_dg(m), m, m + 2)
+    for i, dim in rep.dims.items():
         if 0 < i < m:
             assert dim > 0
 
@@ -249,14 +248,14 @@ def test_snex_table_zero_relation_all_nonzero():
 def test_vosnex_equivalence_acyclic_empty():
     q = random_acyclic_quiver(random.Random(9))
     v = vosnex_equivalence_check(q, [], 3, 6)
-    assert v.as_tuple() == (True, True, True, True)
+    assert astuple(v) == (True, True, True, True)
     assert v.all_equal()
 
 
 def test_vosnex_equivalence_square_m4(square):
     q, rels = square
     v = vosnex_equivalence_check(q, rels, 4, 8)
-    assert v.as_tuple() == (False, False, False, False)
+    assert astuple(v) == (False, False, False, False)
     assert v.all_equal()
 
 
@@ -264,7 +263,7 @@ def test_vosnex_equivalence_loop_square_relation():
     loop = GradedQuiver(["v"], [Arrow("a", "v", "v", 0)])
     rels = [Relation("r", "v", "v", element(loop, (1, ("a", "a"))))]
     v = vosnex_equivalence_check(loop, rels, 3, 6)
-    assert v.as_tuple() == (False, False, False, False)
+    assert astuple(v) == (False, False, False, False)
 
 
 def test_vosnex_equivalence_acyclic_zero_relation():
@@ -274,7 +273,7 @@ def test_vosnex_equivalence_acyclic_zero_relation():
     rels = [zero_relation(q, "z", "1", "3")]
     assert [a.degree for a in relation_dg_algebra(q, rels).quiver.arrows] == [0, 0, -1]
     v = vosnex_equivalence_check(q, rels, 3, 6)
-    assert v.as_tuple() == (False, False, False, False)
+    assert astuple(v) == (False, False, False, False)
 
 
 def test_vosnex_equivalence_preconditions(square):

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dgquiver import (
     Arrow,
@@ -10,9 +12,9 @@ from dgquiver import (
     NotAdmissibleError,
     PathElement,
     Relation,
+    TruncatedIdealSpan,
     algebra_dim,
     boundary_image_vanishes,
-    boundary_quotient_dim,
     bound_is_valid,
     certifies_non_membership,
     evaluate_in_representation,
@@ -26,8 +28,15 @@ from dgquiver import (
     split_extension_check,
     system_of_relations,
 )
+from dgquiver.ideals import _require_bound, _two_sided_products
 
-from conftest import element, random_acyclic_quiver, random_relations, zero_relation
+from conftest import (
+    element,
+    random_acyclic_quiver,
+    random_quiver,
+    random_relations,
+    zero_relation,
+)
 
 
 def loop_quiver():
@@ -117,7 +126,7 @@ def test_quaternion_oracle_agrees(quaternion):
     boundary_dim, quotient_dim = quaternion_oracle_dims()
     assert (boundary_dim, quotient_dim) == (2, 8)
     assert algebra_dim(q, rels, 5) == quotient_dim
-    assert boundary_quotient_dim(q, rels, 5) == boundary_dim
+    assert ext2_dim(q, rels, 5) == boundary_dim
 
 
 # ---------- admissibility bounds ----------
@@ -276,20 +285,13 @@ def test_system_drops_zero_entries(square):
 # ---------- the boundary quotient ----------
 
 
-def test_boundary_dim_empty_relations(square):
-    q, _ = square
-    assert boundary_quotient_dim(q, [], 3) == 0
-
-
 def test_boundary_dim_square(square):
     q, rels = square
-    assert boundary_quotient_dim(q, rels, 3) == 1
     assert ext2_dim(q, rels, 3) == 1
 
 
 def test_boundary_dim_quaternion(quaternion):
     q, rels = quaternion
-    assert boundary_quotient_dim(q, rels, 5) == 2
     assert ext2_dim(q, rels, 5) == 2
 
 
@@ -342,6 +344,7 @@ def test_membership_bound_independent(quaternion):
         element(q, (1, ("a", "b"))),
         element(q, (1, ("a", "a", "b"))),
         element(q, (1, ("b", "a", "b")), (2, ("a", "a"))),
+        element(q, (1, tuple("ababa")), (1, ("a", "b"))),  # length n is exact
     ]
     for x in probes:
         assert ideal_membership(q, rels, 5, x) == ideal_membership(q, rels, 7, x)
@@ -356,6 +359,23 @@ def test_system_output_properties(quaternion):
     for k in range(len(out)):
         candidate = out[:k] + out[k + 1:]
         assert not generates_arrow_power(q, candidate, 5, 8)
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=30, deadline=None)
+def test_certified_span_cut_to_bound_is_span_at_bound(seed):
+    # system_of_relations and algebra_dim read the span at bound n off the
+    # certified span at bound n + 1
+    rng = random.Random(seed)
+    q = random_quiver(rng)
+    rels = random_relations(rng, q, max_count=3)
+    n = find_admissibility_bound(q, rels, max_n=5)
+    assume(n is not None)
+    certified = _require_bound(q, rels, n)
+    at_n = TruncatedIdealSpan(q, rels, n)
+    length_n = sum(1 for p in certified.paths if len(p) == n)
+    assert certified.rank - length_n == at_n.rank
+    assert algebra_dim(q, rels, n) == at_n.ambient_dim - at_n.rank
 
 
 def test_system_at_least_ext2_randomized():
@@ -404,3 +424,31 @@ def test_h0_dimension_cross_check(quaternion):
             ranks[d] = space.rank
         h0 = cx.dim(0) - ranks[0] - ranks[-1]
         assert h0 == algebra_dim(q, rels, 5) == 8
+
+
+@given(st.integers(0, 2**32), st.integers(0, 4), st.booleans(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_two_sided_products_match_all_pairs_filter(seed, max_len, truncate, boundary_only):
+    rng = random.Random(seed)
+    q = random_quiver(rng)
+    rels = random_relations(rng, q, max_count=3)
+    paths = q.enumerate_paths(max_len)
+    want = []
+    for rel in rels:
+        body = rel.body.rebind(q)
+        ml = body.min_length() if truncate else body.max_length()
+        if ml is None:
+            continue
+        for u, v in itertools.product(paths, paths):
+            if (q.target_of(u), q.source_of(v)) != (rel.source, rel.target):
+                continue
+            if len(u) + len(v) + ml > max_len:
+                continue
+            if boundary_only and len(u) + len(v) == 0:
+                continue
+            prod = PathElement(q, {u: Fraction(1)}) * body * PathElement(q, {v: Fraction(1)})
+            want.append(prod.truncate(max_len) if truncate else prod)
+    got = _two_sided_products(
+        q, rels, paths, max_len, truncate=truncate, boundary_only=boundary_only
+    )
+    assert list(got) == want
