@@ -165,20 +165,19 @@ _TERM = st.tuples(
 def test_parse_relation_coefficients_fuzz(terms):
     """A well-formed relation line with p/q coefficients parses, or raises
     ParseError at the first zero denominator; never anything else."""
-    parts, zero_den_col = [], None
-    line = "relation r : v -> v = "
+    line, zero_den_col = "relation r : v -> v = ", None
     for k, (sign, coeff, path) in enumerate(terms):
         if k:
-            parts.append(f"{sign} ")
+            line += f"{sign} "
         elif sign == "-":
-            parts.append("-")
+            line += "-"
         if coeff is not None:
             p, den = coeff
             if den == 0 and zero_den_col is None:
-                zero_den_col = len(line) + len("".join(parts)) + 1
-            parts.append(f"{p}/{den} ")
-        parts.append("*".join(path) + " ")
-    text = "vertex v\narrow a : v -> v\narrow b : v -> v\n" + line + "".join(parts) + "\n"
+                zero_den_col = len(line) + 1
+            line += f"{p}/{den} "
+        line += "*".join(path) + " "
+    text = "vertex v\narrow a : v -> v\narrow b : v -> v\n" + line + "\n"
     try:
         pf = parse(text)
     except ParseError as exc:
