@@ -67,7 +67,7 @@ from .ideals import (
     split_extension_check,
     system_of_relations,
 )
-from .linalg import Rational, RowSpace, SparseMatrix, quotient_dim, rank
+from .linalg import RowSpace, SparseMatrix, rank
 from .quiver import Arrow, GradedQuiver, Path
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -90,11 +90,7 @@ class PathElement:
         _check_same_quiver(self, other)
         terms = dict(self.terms)
         for p, c in other.terms.items():
-            new = terms.get(p, 0) + c
-            if new:
-                terms[p] = new
-            else:
-                terms.pop(p, None)
+            terms[p] = terms.get(p, 0) + c
         return PathElement(self.quiver, terms)
 
     def __neg__(self) -> PathElement:
@@ -127,11 +123,7 @@ class PathElement:
                 p = q.compose(p1, p2)
                 if p is None:
                     continue  # non-composable pairs contribute zero
-                new = terms.get(p, 0) + c1 * c2
-                if new:
-                    terms[p] = new
-                else:
-                    terms.pop(p, None)
+                terms[p] = terms.get(p, 0) + c1 * c2
         return PathElement(q, terms)
 
     def __eq__(self, other) -> bool:
@@ -166,10 +158,6 @@ class PathElement:
         return PathElement(
             self.quiver, {p: c for p, c in self.terms.items() if len(p) <= max_len}
         )
-
-    def is_homogeneous(self) -> bool:
-        degs = {self.quiver.degree_of(p) for p in self.terms}
-        return len(degs) <= 1
 
     def degree(self) -> int | None:
         """Shared degree of all terms; None for the zero element.
@@ -268,9 +256,6 @@ class Superpotential:
     def matches_degree(self, d: int) -> bool:
         return self.degree is None or self.degree == d
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: self.quiver.path_sort_key(t[0]))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Superpotential)
@@ -329,11 +314,7 @@ def cyclic_reduce(x: PathElement) -> Superpotential:
             if rot is None:
                 continue  # self-negating periodic cycle: zero in the quotient
             canon = Path(arrows=rot)
-        new = terms.get(canon, 0) + sign * c
-        if new:
-            terms[canon] = new
-        else:
-            terms.pop(canon, None)
+        terms[canon] = terms.get(canon, 0) + sign * c
     return Superpotential(q, terms, degree=deg)
 
 
@@ -361,11 +342,7 @@ def cyclic_derivative(w: Superpotential, arrow: str) -> PathElement:
                     sign = -sign
                 rest = names[ell + 1:] + names[:ell]
                 rp = Path(arrows=rest) if rest else q.trivial_path(a.target)
-                new = terms.get(rp, 0) + sign * c
-                if new:
-                    terms[rp] = new
-                else:
-                    terms.pop(rp, None)
+                terms[rp] = terms.get(rp, 0) + sign * c
             prefix += degs[ell]
         out = out + PathElement(q, terms)
     return out

@@ -22,7 +22,7 @@ from .dg import (
     ginzburg_from_relations,
     relation_dg_algebra,
 )
-from .dsl import ParseError, ProblemFile, format_expression, parse
+from .dsl import ParseError, ProblemFile, parse
 from .homology import (
     default_truncation_length,
     h0_presentation,
@@ -59,7 +59,7 @@ def _input_block(pf: ProblemFile) -> dict:
                 "label": r.label,
                 "source": r.source,
                 "target": r.target,
-                "body": format_expression(r.body),
+                "body": format_element(r.body),
             }
             for r in pf.relations
         ],
@@ -127,7 +127,7 @@ def _homology_block(dg, m: int, max_len: int) -> dict:
 _IDEAL_ENTRIES = {
     "dim": lambda pf, n: algebra_dim(pf.quiver, pf.relations, n),
     "system_of_relations": lambda pf, n: [
-        {"label": r.label, "body": format_expression(r.body)}
+        {"label": r.label, "body": format_element(r.body)}
         for r in system_of_relations(pf.quiver, pf.relations, n)
     ],
     "ext2": lambda pf, n: ext2_dim(pf.quiver, pf.relations, n),

@@ -61,6 +61,24 @@ def reverse_arrow_name(label: str) -> str:
     return "eps_" + label
 
 
+def _dual_arrow(a: Arrow, m: int) -> Arrow:
+    """The reversed dual of `a`, of degree 1-m-|a|."""
+    return Arrow(dual_name(a.name), a.target, a.source, 1 - m - a.degree)
+
+
+def _mesh(big: GradedQuiver, generators) -> dict[str, PathElement]:
+    """Per vertex v, the sum over `generators` g of e_v [g, g*] e_v."""
+    mesh = {v: PathElement.zero(big) for v in big.vertices}
+    for g in generators:
+        x = PathElement.from_arrow(big, g.name)
+        xs = PathElement.from_arrow(big, dual_name(g.name))
+        comm = supercommutator(x, xs)
+        for v in big.vertices:
+            e = PathElement.idempotent(big, v)
+            mesh[v] = mesh[v] + e * comm * e
+    return mesh
+
+
 @dataclass(frozen=True)
 class Relation:
     """A labelled relation: an element of e_source * r * e_target.
@@ -180,11 +198,7 @@ def apply_d(dg: DgAlgebra, x: PathElement) -> PathElement:
                 for dp, dc in da.terms.items():
                     arrows = pre + dp.arrows + post
                     np = Path(arrows=arrows) if arrows else q.trivial_path(q.source_of(p))
-                    new = out.get(np, 0) + sign * c * dc
-                    if new:
-                        out[np] = new
-                    else:
-                        out.pop(np, None)
+                    out[np] = out.get(np, 0) + sign * c * dc
             prefix_deg += q.arrow(name).degree
     return PathElement(q, out)
 
@@ -244,24 +258,13 @@ def ginzburg_dg_algebra(
         raise ValueError(f"superpotential degree {w.degree} != 2 - m = {2 - m}")
     if convention not in ("standard", "keller"):
         raise ValueError(f"unknown convention {convention!r}")
-    duals = [
-        Arrow(dual_name(a.name), a.target, a.source, 1 - m - a.degree)
-        for a in q.arrows
-    ]
     loops = [Arrow(loop_name(v), v, v, -m) for v in q.vertices]
-    big = q.with_extra_arrows(duals + loops)
+    big = q.with_extra_arrows([_dual_arrow(a, m) for a in q.arrows] + loops)
 
     diff: dict[str, PathElement] = {}
     for a in q.arrows:
         diff[dual_name(a.name)] = cyclic_derivative(w, a.name).rebind(big)
-    mesh: dict[str, PathElement] = {v: PathElement.zero(big) for v in q.vertices}
-    for a in q.arrows:
-        x = PathElement.from_arrow(big, a.name)
-        xs = PathElement.from_arrow(big, dual_name(a.name))
-        comm = supercommutator(x, xs)
-        for v in q.vertices:
-            e = PathElement.idempotent(big, v)
-            mesh[v] = mesh[v] + e * comm * e
+    mesh = _mesh(big, q.arrows)
     t_sign = 1 if convention == "standard" else _sign(m - 1)
     for v in q.vertices:
         diff[loop_name(v)] = t_sign * mesh[v]
@@ -326,12 +329,7 @@ def replace_arrow(q: GradedQuiver, w: Superpotential, arrow: str, m: int):
     a = q.arrow(arrow)
     if arrow in w.arrows_used():
         raise ValueError(f"arrow {arrow!r} occurs in the superpotential")
-    replaced = tuple(
-        Arrow(dual_name(a.name), a.target, a.source, 1 - m - a.degree)
-        if b.name == arrow
-        else b
-        for b in q.arrows
-    )
+    replaced = tuple(_dual_arrow(a, m) if b.name == arrow else b for b in q.arrows)
     if len({b.name for b in replaced}) != len(replaced):
         raise ValueError(f"generated name {dual_name(arrow)!r} already in use")
     new_q = GradedQuiver(q.vertices, replaced)
@@ -521,12 +519,8 @@ def sub_dg_completion(q: GradedQuiver, w: Superpotential, m: int, omega):
         )
 
     inner = [a for a in q.arrows if a.name in omega]
-    b_duals = [
-        Arrow(dual_name(b.name), b.target, b.source, 1 - m - b.degree) for b in betas
-    ]
-    inner_duals = [
-        Arrow(dual_name(a.name), a.target, a.source, 1 - m - a.degree) for a in inner
-    ]
+    b_duals = [_dual_arrow(b, m) for b in betas]
+    inner_duals = [_dual_arrow(a, m) for a in inner]
     bstar_duals = [
         Arrow(dual_name(dual_name(b.name)), b.source, b.target, b.degree)
         for b in betas
@@ -568,15 +562,7 @@ def sub_dg_completion(q: GradedQuiver, w: Superpotential, m: int, omega):
         diff[dual_name(dual_name(b.name))] = cyclic_derivative(
             w_prime, dual_name(b.name)
         )
-    generators = inner + b_duals
-    mesh = {v: PathElement.zero(big) for v in q.vertices}
-    for g in generators:
-        x = PathElement.from_arrow(big, g.name)
-        xs = PathElement.from_arrow(big, dual_name(g.name))
-        comm = supercommutator(x, xs)
-        for v in q.vertices:
-            e = PathElement.idempotent(big, v)
-            mesh[v] = mesh[v] + e * comm * e
+    mesh = _mesh(big, inner + b_duals)
     for v in q.vertices:
         diff[loop_name(v)] = _sign(m + 1) * mesh[v]
     presentation = DgAlgebra(big, diff)

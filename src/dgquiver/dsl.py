@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import PathElement
+from .algebra import PathElement, format_element
 from .dg import Relation, validate_relations
 from .quiver import Arrow, GradedQuiver, Path
 
@@ -292,11 +292,7 @@ def parse(text: str) -> ProblemFile:
                 ok = False
                 continue
             c = rt.sign * (rt.coeff if rt.coeff is not None else Fraction(1))
-            new = terms.get(p, 0) + c
-            if new:
-                terms[p] = new
-            else:
-                terms.pop(p, None)
+            terms[p] = terms.get(p, 0) + c
         if not ok:
             continue
         relations.append(Relation(label, src, dst, PathElement(quiver, terms)))
@@ -306,24 +302,6 @@ def parse(text: str) -> ProblemFile:
     if diags:
         raise ParseError(diags)
     return ProblemFile(quiver=quiver, relations=relations, m=m_value, options=options)
-
-
-def _format_coeff_term(c: Fraction, body: str, first: bool) -> str:
-    neg = c < 0
-    mag = -c if neg else c
-    chunk = body if mag == 1 else f"{mag} {body}"
-    if first:
-        return f"-{chunk}" if neg else chunk
-    return f"- {chunk}" if neg else f"+ {chunk}"
-
-
-def format_expression(x: PathElement) -> str:
-    if x.is_zero():
-        return "0"
-    parts = []
-    for i, (p, c) in enumerate(x.sorted_terms()):
-        parts.append(_format_coeff_term(c, "*".join(p.arrows), i == 0))
-    return " ".join(parts)
 
 
 def serialize(pf: ProblemFile) -> str:
@@ -337,7 +315,7 @@ def serialize(pf: ProblemFile) -> str:
     for r in pf.relations:
         lines.append(
             f"relation {r.label} : {r.source} -> {r.target} = "
-            f"{format_expression(r.body)}"
+            f"{format_element(r.body)}"
         )
     if pf.m is not None:
         lines.append(f"m = {pf.m}")

@@ -300,14 +300,11 @@ def spans_boundary_quotient(q: GradedQuiver, relations, candidate, n: int) -> bo
     for r in candidate:
         if not full.contains(r.body.rebind(q)):
             raise ValueError(f"candidate {r.label!r} is not in the ideal")
-    space = RowSpace()
     # the boundary span plus the candidate images must fill the ideal span
-    for row in boundary.space.rows():
-        space.add(row)
     for r in candidate:
         if not r.body.is_zero():
-            space.add(boundary._vector(r.body.rebind(q)))
-    return space.rank == full.rank
+            boundary.space.add(boundary._vector(r.body.rebind(q)))
+    return boundary.rank == full.rank
 
 
 def ext2_dim(q: GradedQuiver, relations, n: int) -> int:

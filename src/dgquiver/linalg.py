@@ -1,18 +1,16 @@
 """Exact sparse linear algebra over the rationals.
 
-Everything downstream (ideal dimensions, homology ranks, membership tests)
-reduces to row spans of sparse matrices over Q.  Coefficients are
-`fractions.Fraction`, so all results are exact: no floating point anywhere,
-no modular shortcuts.  Matrices are row-major semantic objects and "span"
-always means row span.
+Everything downstream (ideal dimensions, homology ranks, membership tests,
+normal forms) reduces to one kernel, the echelon row span `RowSpace`.
+Coefficients are `fractions.Fraction`, so all results are exact: no floating
+point anywhere, no modular shortcuts.  Matrices are row-major semantic
+objects and "span" always means row span.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Mapping
-
-Rational = Fraction
 
 SparseRow = dict  # column index -> nonzero Fraction
 
@@ -28,12 +26,21 @@ def as_rational(x) -> Fraction:
 
 
 class RowSpace:
-    """A row span over Q, maintained in reduced row-echelon form.
+    """A row span W over Q, kept as an echelon basis.
 
-    Rows are sparse dicts {column: Fraction}.  Pivot rows are normalized to
-    leading coefficient 1 and fully back-substituted, so `reduce` computes a
-    canonical normal form modulo the span.  Insertion order is the only
-    source of state, hence results are deterministic.
+    Rows are sparse dicts {column: Fraction}.  Each pivot row has leading
+    coefficient 1 in its pivot column, and no other pivot row leads there;
+    older pivot rows are not cleared, yet every answer is canonical:
+
+    * the pivot set P is the set of leading columns of the nonzero vectors
+      of W, so it depends on W alone, not on the basis or insertion order;
+    * a nonzero w in W leads in a column of P, so v + W holds exactly one
+      vector with no entry on P, and that vector is what `reduce` returns.
+
+    Hence `rank`, `pivot_columns`, `contains` and `reduce` are functions of
+    W alone, and so are the normal forms and complement bases read from
+    them (`TruncatedIdealSpan.reduce`, `complement_basis`,
+    `split_extension_check`).
     """
 
     def __init__(self) -> None:
@@ -46,15 +53,12 @@ class RowSpace:
     def pivot_columns(self) -> list[int]:
         return sorted(self._pivots)
 
-    def rows(self) -> list[SparseRow]:
-        """The echelon basis rows, in insertion order of their pivots."""
-        return [dict(r) for r in self._pivots.values()]
-
     def reduce(self, row: Mapping[int, Fraction]) -> SparseRow:
         """Normal form of `row` modulo the span (empty dict iff contained)."""
         out = {c: as_rational(v) for c, v in row.items() if v}
-        # Eliminating a pivot column only introduces columns to its right,
-        # so sweeping ascending pivot columns terminates.
+        # A pivot row has no entry left of its pivot, so eliminating a pivot
+        # column only introduces columns to its right, and sweeping
+        # ascending pivot columns terminates.
         while True:
             hit = None
             for c in out:
@@ -82,19 +86,7 @@ class RowSpace:
             return False
         lead = min(res)
         inv = 1 / res[lead]
-        res = {c: v * inv for c, v in res.items()}
-        # keep reduced echelon form: clear the new pivot column everywhere
-        for prow in self._pivots.values():
-            coef = prow.get(lead)
-            if coef is None:
-                continue
-            for c, v in res.items():
-                new = prow.get(c, 0) - coef * v
-                if new:
-                    prow[c] = new
-                else:
-                    prow.pop(c, None)
-        self._pivots[lead] = res
+        self._pivots[lead] = {c: v * inv for c, v in res.items()}
         return True
 
 
@@ -165,10 +157,3 @@ def rank(m: SparseMatrix) -> int:
     for row in m.iter_rows():
         space.add(row)
     return space.rank
-
-
-def quotient_dim(ambient_dim: int, subspace: SparseMatrix) -> int:
-    """dim of ambient / (row span of subspace)."""
-    if subspace.cols != ambient_dim:
-        raise ValueError(f"subspace has {subspace.cols} columns, ambient {ambient_dim}")
-    return ambient_dim - rank(subspace)

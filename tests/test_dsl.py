@@ -187,3 +187,59 @@ def test_parse_relation_coefficients_fuzz(terms):
     else:
         assert zero_den_col is None
         assert len(pf.relations) == 1
+
+
+_ID = st.sampled_from(["v", "w", "a", "b", "deg", "m", "vertex", "arrow", "option"])
+_INT = st.builds(
+    lambda neg, n: f"- {n}" if neg else str(n), st.booleans(), st.integers(0, 12)
+)
+_NOISE = st.sampled_from(
+    [":", "->", "=", "-", "+", "*", "0", "7", "3/4", "2/0", "#", "!", "deg", "v", "x_1"]
+)
+_WELL_FORMED = st.one_of(
+    st.builds(lambda ids: ["vertex", *ids], st.lists(_ID, min_size=1, max_size=3)),
+    st.builds(
+        lambda name, src, dst, deg: ["arrow", name, ":", src, "->", dst]
+        + ([] if deg is None else ["deg", deg]),
+        _ID, st.sampled_from(["v", "w"]), st.sampled_from(["v", "w"]), st.none() | _INT,
+    ),
+    st.builds(lambda n: ["m", "=", n], _INT),
+    st.builds(lambda key, val: ["option", key, "=", val], _ID, _ID | _INT | _NOISE),
+)
+
+
+@st.composite
+def _statement_line(draw):
+    """A vertex, arrow, m or option line: well formed, with a few tokens
+    dropped, replaced or inserted, or the keyword and random tokens."""
+    tokens = draw(_WELL_FORMED)
+    kind = draw(st.sampled_from(["keep", "edit", "random"]))
+    if kind == "random":
+        tokens = tokens[:1] + draw(st.lists(_NOISE | _ID, max_size=7))
+    elif kind == "edit":
+        for _ in range(draw(st.integers(1, 3))):
+            k = draw(st.integers(0, len(tokens)))
+            op = draw(st.sampled_from(["drop", "replace", "insert"]))
+            if op == "insert" or k == len(tokens):
+                tokens = tokens[:k] + [draw(_NOISE | _ID)] + tokens[k:]
+            elif op == "replace":
+                tokens = tokens[:k] + [draw(_NOISE | _ID)] + tokens[k + 1:]
+            else:
+                tokens = tokens[:k] + tokens[k + 1:]
+    return draw(st.sampled_from([" ", "  ", "\t"])).join(tokens)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_statement_line(), min_size=1, max_size=5))
+def test_parse_statement_lines_fuzz(lines):
+    """Vertex, arrow, m and option lines built from random tokens parse, or
+    raise ParseError whose every diagnostic has a line and a column; a file
+    that parses survives a round trip through serialize."""
+    try:
+        pf = parse("\n".join(lines) + "\n")
+    except ParseError as exc:
+        assert exc.diagnostics
+        for d in exc.diagnostics:
+            assert 1 <= d.line <= len(lines) and d.column >= 1, d
+    else:
+        assert parse(serialize(pf)) == pf

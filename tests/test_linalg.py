@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
 
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgquiver import RowSpace, SparseMatrix, quotient_dim, rank
+from dgquiver import RowSpace, SparseMatrix, rank
 
 
 def test_rank_empty_matrix():
@@ -40,9 +41,12 @@ def test_is_in_span_scalar_multiple():
 
 
 def test_quotient_dim_examples():
-    assert quotient_dim(5, SparseMatrix(0, 5)) == 5
-    assert quotient_dim(3, SparseMatrix(3, 3, {(i, i): 1 for i in range(3)})) == 0
-    assert quotient_dim(2, SparseMatrix(1, 2, {(0, 0): 1, (0, 1): 1})) == 1
+    def quotient_dim(m):
+        return m.cols - rank(m)
+
+    assert quotient_dim(SparseMatrix(0, 5)) == 5
+    assert quotient_dim(SparseMatrix(3, 3, {(i, i): 1 for i in range(3)})) == 0
+    assert quotient_dim(SparseMatrix(1, 2, {(0, 0): 1, (0, 1): 1})) == 1
 
 
 def test_rowspace_normal_form_is_canonical():
@@ -96,10 +100,56 @@ def test_rank_invariant_under_scaling_and_permutation(m, rnd):
     assert rank(SparseMatrix(m.rows, m.cols, moved)) == r
 
 
-@given(small_matrix())
-@settings(max_examples=60, deadline=None)
-def test_quotient_plus_rank_is_ambient(m):
-    assert quotient_dim(m.cols, m) + rank(m) == m.cols
+@st.composite
+def sparse_rows_and_vector(draw):
+    """Rows of a random sparse rational matrix, sometimes scaled by 2^256,
+    plus one probe vector of the same width."""
+    cols = draw(st.integers(min_value=1, max_value=7))
+    entry = st.just(Fraction(0)) | small_fraction
+    scale = draw(st.sampled_from([Fraction(1), Fraction(2) ** 256]))
+    rows = draw(st.lists(
+        st.lists(entry, min_size=cols, max_size=cols), min_size=1, max_size=7
+    ))
+    vector = draw(st.lists(entry, min_size=cols, max_size=cols))
+    return [[x * scale for x in r] for r in rows], vector
+
+
+def _sparse(dense) -> dict:
+    return {j: x for j, x in enumerate(dense) if x}
+
+
+def _rowspace(rows) -> RowSpace:
+    space = RowSpace()
+    for r in rows:
+        space.add(_sparse(r))
+    return space
+
+
+@given(sparse_rows_and_vector(), st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_rowspace_matches_sympy_rref(data, rnd):
+    rows, v = data
+    rref, pivots = sympy.Matrix(
+        [[sympy.Rational(x.numerator, x.denominator) for x in r] for r in rows]
+    ).rref()
+    # v - sum over pivots p of v[p] * (the rref row leading in column p)
+    expect = [sympy.Rational(x.numerator, x.denominator) for x in v]
+    for k, p in enumerate(pivots):
+        coef = expect[p]
+        expect = [e - coef * rref[k, j] for j, e in enumerate(expect)]
+    expect = _sparse(Fraction(int(e.p), int(e.q)) for e in expect)
+
+    # the same span inserted in shuffled order, with combinations mixed in
+    shuffled = list(rows)
+    for _ in range(rnd.randint(0, 3)):
+        weights = [Fraction(rnd.randint(-3, 3), rnd.randint(1, 3)) for _ in rows]
+        shuffled.append([sum(w * r[j] for w, r in zip(weights, rows)) for j in range(len(v))])
+    rnd.shuffle(shuffled)
+
+    for space in (_rowspace(rows), _rowspace(shuffled)):
+        assert space.rank == len(pivots)
+        assert space.pivot_columns() == list(pivots)
+        assert space.reduce(_sparse(v)) == expect
 
 
 @given(st.integers(min_value=1, max_value=6))
