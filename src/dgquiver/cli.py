@@ -312,6 +312,9 @@ def main(argv=None) -> int:
     except (CommandError, NotAdmissibleError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (RecursionError, MemoryError) as exc:
+        print(f"error: {type(exc).__name__}: input too large for this run", file=sys.stderr)
+        return 1
 
     payload = emit_report(results)
     if args.output:

@@ -16,12 +16,14 @@ Three constructions are provided.
   sum of supercommutators [a, a*] projected to that vertex.
 
 The differential extends to products as a degree +1 derivation with the
-usual Koszul prefix sign; `check_d_squared` verifies d^2 = 0 on generators
-and on sampled products rather than assuming it.
+usual Koszul prefix sign by one kernel, `_d_path`, which `apply_d` and
+`homology.build_truncated` share; `check_d_squared` verifies d^2 = 0 on
+generators and on sampled products rather than assuming it.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -135,10 +137,11 @@ class DgAlgebra:
 
     The differential of each arrow must be homogeneous of degree |a| + 1
     with the same endpoints as a (checked here); d^2 = 0 is *not* assumed,
-    use `check_d_squared`.
+    use `check_d_squared`.  For `_d_path`, `_table` maps each arrow to its
+    degree parity and d(a) as (arrow tuple, int or Fraction) by length.
     """
 
-    __slots__ = ("quiver", "differential")
+    __slots__ = ("quiver", "differential", "_table")
 
     def __init__(self, quiver: GradedQuiver, differential=None):
         self.quiver = quiver
@@ -162,6 +165,11 @@ class DgAlgebra:
         if unknown:
             raise ValueError(f"differential given for unknown arrows {sorted(unknown)}")
         self.differential = diff
+        self._table = {}
+        for a in quiver.arrows:
+            terms = diff[a.name].terms.items()
+            terms = [(p.arrows, c.numerator if c.denominator == 1 else c) for p, c in terms]
+            self._table[a.name] = (a.degree % 2, sorted(terms, key=lambda t: len(t[0])))
 
     def d(self, arrow_name: str) -> PathElement:
         return self.differential[arrow_name]
@@ -180,26 +188,41 @@ class DgAlgebra:
         return f"DgAlgebra({self.quiver!r})"
 
 
+def _d_path(dg: DgAlgebra, arrows: tuple, max_len: int | None = None) -> dict:
+    """d of the path `arrows` as {arrow tuple: coefficient}, by the Leibniz
+    rule d(a_1...a_n) = sum_l (-1)^{|a_1|+...+|a_{l-1}|} a_1...d(a_l)...a_n.
+
+    With `max_len`, no term longer than max_len is formed: replacing a_l by
+    a term t gives a path of length n - 1 + len(t), and the terms of d(a_l)
+    come by ascending length, so the scan of d(a_l) stops at the first
+    term that is too long.  Values may be 0 where terms cancel.
+    """
+    room = math.inf if max_len is None else max_len - len(arrows) + 1
+    out: dict = {}
+    odd = 0
+    for ell, name in enumerate(arrows):
+        parity, terms = dg._table[name]
+        if terms:
+            pre, post = arrows[:ell], arrows[ell + 1:]
+            for t, dc in terms:
+                if len(t) > room:
+                    break
+                key, c = pre + t + post, -dc if odd else dc
+                out[key] = out[key] + c if key in out else c
+        odd ^= parity
+    return out
+
+
 def apply_d(dg: DgAlgebra, x: PathElement) -> PathElement:
-    """The differential of x, extended as a degree +1 derivation:
-    d(a_1...a_n) = sum_l (-1)^{|a_1|+...+|a_{l-1}|} a_1...d(a_l)...a_n."""
+    """The differential of x, extended as a degree +1 derivation (see
+    `_d_path`)."""
     q = dg.quiver
     x = x.rebind(q) if x.quiver is not q else x
     out: dict[Path, Fraction] = {}
     for p, c in x.terms.items():
-        if p.is_trivial:
-            continue
-        prefix_deg = 0
-        for ell, name in enumerate(p.arrows):
-            da = dg.differential[name]
-            if not da.is_zero():
-                sign = -1 if prefix_deg % 2 else 1
-                pre, post = p.arrows[:ell], p.arrows[ell + 1:]
-                for dp, dc in da.terms.items():
-                    arrows = pre + dp.arrows + post
-                    np = Path(arrows=arrows) if arrows else q.trivial_path(q.source_of(p))
-                    out[np] = out.get(np, 0) + sign * c * dc
-            prefix_deg += q.arrow(name).degree
+        for arrows, dc in _d_path(dg, p.arrows).items():
+            np = Path(arrows=arrows) if arrows else q.trivial_path(q.source_of(p))
+            out[np] = out.get(np, 0) + c * dc
     return PathElement(q, out)
 
 

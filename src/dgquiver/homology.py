@@ -4,6 +4,9 @@ The differential of every generator produced by the constructions lies in
 the ideal generated by the arrows, so d never shortens paths.  Paths longer
 than a cutoff L therefore span a dg-ideal and the quotient is an honest
 finite complex; its homology is the computable window used throughout.
+`build_truncated` computes each matrix row with the derivation kernel of
+`dg` at the cutoff, so a term longer than L, which is zero in that
+quotient, is never formed at all.
 Dimensions are recomputed at L and L+1 and reported together with a
 `stabilized` flag -- agreement is a convergence heuristic, not a theorem,
 and the reports say which cutoff they used.
@@ -12,12 +15,11 @@ and the reports say which cutoff they used.
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass, field
-from fractions import Fraction
 
-from .algebra import PathElement, Superpotential
+from .algebra import Superpotential
 from .dg import (
     DgAlgebra,
-    apply_d,
+    _d_path,
     ginzburg_dg_algebra,
     ginzburg_from_relations,
     relation_dg_algebra,
@@ -48,7 +50,12 @@ class TruncatedComplex:
 
 
 def build_truncated(dg: DgAlgebra, max_len: int, degrees) -> TruncatedComplex:
-    """Assemble the truncated complex on the requested degree window."""
+    """Assemble the truncated complex on the requested degree window.
+
+    Row i of the matrix in degree d is `_d_path` of the i-th basis path at
+    the cutoff max_len: a term longer than max_len lies in the dg-ideal of
+    long paths, which is zero in the quotient, so it is never formed.
+    """
     q = dg.quiver
     for a in q.arrows:
         da = dg.d(a.name)
@@ -61,22 +68,16 @@ def build_truncated(dg: DgAlgebra, max_len: int, degrees) -> TruncatedComplex:
     lo, hi = degrees[0], degrees[-1]
     buckets = q.paths_by_degree(max_len, lo, hi + 1)
     components = {d: buckets.get(d, []) for d in degrees}
-    index = {
-        d: {p: i for i, p in enumerate(buckets.get(d, []))}
-        for d in range(lo, hi + 2)
-    }
     cx = TruncatedComplex(dg, max_len, degrees, components)
     for d in degrees:
-        basis = components[d]
         target = buckets.get(d + 1, [])
-        entries: dict[tuple[int, int], Fraction] = {}
-        for i, p in enumerate(basis):
-            image = apply_d(dg, PathElement(q, {p: Fraction(1)}))
-            for tp, c in image.terms.items():
-                if len(tp) > max_len:
-                    continue  # the quotient by long paths
-                entries[(i, index[d + 1][tp])] = c
-        cx.matrices[d] = SparseMatrix(len(basis), len(target), entries)
+        # trivial paths all key (); after the check above no image is trivial
+        column = {p.arrows: j for j, p in enumerate(target)}
+        entries = {}
+        for i, p in enumerate(components[d]):
+            for tp, c in _d_path(dg, p.arrows, max_len).items():
+                entries[(i, column[tp])] = c
+        cx.matrices[d] = SparseMatrix(len(components[d]), len(target), entries)
     return cx
 
 

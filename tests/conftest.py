@@ -6,8 +6,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
-from dgquiver import Arrow, GradedQuiver, PathElement, Relation
+from dgquiver import (
+    Arrow,
+    DgAlgebra,
+    GradedQuiver,
+    PathElement,
+    Relation,
+    ginzburg_from_relations,
+    relation_dg_algebra,
+)
 
 
 def element(q, *weighted_paths):
@@ -113,3 +123,67 @@ def random_relations(
         else:
             rels.append(Relation(f"r{k}", src, tgt, body))
     return rels
+
+
+_COEFFS = st.sampled_from(
+    [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3, 4)]
+)
+
+
+@st.composite
+def small_dg_algebras(draw):
+    """A small dg path algebra with at least one nonzero differential.
+
+    Either the relation or the Ginzburg (m = 3) dg-algebra of a random
+    quiver with random relations, whose bodies take p/q coefficients and
+    may draw one path twice so that its terms cancel; or a random graded
+    quiver (degrees -1, 0, 1) with an arbitrary differential of degree +1,
+    where d of a product can cancel (d(u) = u p, d(w) = p w and |u| odd
+    give d(u w) = u p w - u p w).  d^2 = 0 is not required.
+    """
+    kind = draw(st.sampled_from(["relation", "ginzburg", "free"]))
+    nv = draw(st.integers(1, 2))
+    vertices = [f"v{i}" for i in range(nv)]
+    vertex = st.sampled_from(vertices)
+    degree = st.sampled_from([0]) if kind != "free" else st.sampled_from([-1, 0, 1])
+    arrows = [
+        Arrow(f"a{k}", draw(vertex), draw(vertex), draw(degree))
+        for k in range(draw(st.integers(1, 2 if kind == "ginzburg" else 3)))
+    ]
+    q = GradedQuiver(vertices, arrows)
+
+    def body(paths):
+        acc = PathElement.zero(q)
+        for p in draw(st.lists(st.sampled_from(paths), min_size=1, max_size=3)):
+            acc = acc + draw(_COEFFS) * PathElement(q, {p: Fraction(1)})
+        return acc
+
+    if kind == "free":
+        diff = {}
+        for a in arrows:
+            paths = [
+                p
+                for p in q.enumerate_paths(3)
+                if p.arrows
+                and q.degree_of(p) == a.degree + 1
+                and (q.source_of(p), q.target_of(p)) == (a.source, a.target)
+            ]
+            if paths and draw(st.booleans()):
+                diff[a.name] = body(paths)
+        dg = DgAlgebra(q, diff)
+    else:
+        pool = {}
+        for p in q.enumerate_paths(2 if kind == "ginzburg" else 3):
+            if len(p) >= 2:
+                pool.setdefault((q.source_of(p), q.target_of(p)), []).append(p)
+        assume(pool)
+        rels = []
+        for k in range(draw(st.integers(1, 2))):
+            ends = draw(st.sampled_from(sorted(pool)))
+            rels.append(Relation(f"r{k}", *ends, body(pool[ends])))
+        if kind == "relation":
+            dg = relation_dg_algebra(q, rels)
+        else:
+            dg = ginzburg_from_relations(q, rels, 3)
+    assume(any(not dg.d(name).is_zero() for name in dg.arrow_names()))
+    return dg

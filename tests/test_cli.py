@@ -3,6 +3,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from dgquiver import cli
+
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
@@ -176,3 +180,15 @@ def test_zero_denominator_is_a_parse_error(tmp_path):
     assert res.returncode == 2
     assert res.stderr == f"{f}:line 3, column 23: zero denominator\n"
     assert res.stdout == ""
+
+
+@pytest.mark.parametrize("exc", [RecursionError, MemoryError])
+def test_resource_errors_exit_1_without_traceback(monkeypatch, capsys, exc):
+    def run(*args):
+        raise exc()
+
+    monkeypatch.setattr(cli, "run", run)
+    code = cli.main(["homology", str(FIXTURES / "quaternion.quiver"), "--m", "3"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {exc.__name__}: ") and "Traceback" not in err

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from dgquiver import (
     Arrow,
@@ -30,8 +31,15 @@ from dgquiver import (
     superpotential_extension,
     verify_sub_dg,
 )
+from dgquiver.dg import _d_path
 
-from conftest import element, random_quiver, random_relations, zero_relation
+from conftest import (
+    element,
+    random_quiver,
+    random_relations,
+    small_dg_algebras,
+    zero_relation,
+)
 
 
 # ---------- relation dg-algebra ----------
@@ -218,6 +226,31 @@ def test_apply_d_leibniz_randomized(square):
             lhs = apply_d(dg, x * y)
             rhs = apply_d(dg, x) * y + sign * (x * apply_d(dg, y))
             assert lhs == rhs
+
+
+def test_apply_d_fraction_coefficient():
+    # d(eta x eta) = d(eta) x eta - eta x d(eta), with d(eta) = 1/2 x x
+    q = GradedQuiver(["v"], [Arrow("x", "v", "v", 0)])
+    half = element(q, (Fraction(1, 2), ("x", "x")))
+    dg = relation_dg_algebra(q, [Relation("r", "v", "v", half)])
+    big = dg.quiver
+    _, terms = dg._table["eta_r"]
+    assert terms == [(("x", "x"), Fraction(1, 2))]
+    x = element(big, (2, ("eta_r", "x", "eta_r")))
+    assert apply_d(dg, x) == element(
+        big, (1, ("x", "x", "x", "eta_r")), (-1, ("eta_r", "x", "x", "x"))
+    )
+
+
+@given(small_dg_algebras())
+@settings(max_examples=60, deadline=None)
+def test_bounded_kernel_is_the_unbounded_kernel_cut(dg):
+    for p in dg.quiver.enumerate_paths(3):
+        full = _d_path(dg, p.arrows)
+        for cutoff in range(len(p) + 4):
+            assert _d_path(dg, p.arrows, cutoff) == {
+                k: c for k, c in full.items() if len(k) <= cutoff
+            }
 
 
 # ---------- d squared ----------

@@ -2,9 +2,11 @@ import random
 from dataclasses import astuple
 
 import pytest
+from hypothesis import example, given, settings
 
 from dgquiver import (
     Arrow,
+    DgAlgebra,
     GradedQuiver,
     PathElement,
     Relation,
@@ -21,7 +23,13 @@ from dgquiver import (
 )
 from dgquiver.homology import TruncationError, default_truncation_length
 
-from conftest import element, random_acyclic_quiver, random_relations, zero_relation
+from conftest import (
+    element,
+    random_acyclic_quiver,
+    random_relations,
+    small_dg_algebras,
+    zero_relation,
+)
 
 
 def one_vertex_zero_dg(m):
@@ -74,8 +82,6 @@ def test_truncated_matrices_compose_to_zero(square, quaternion):
 
 def test_truncation_rejects_length_zero_differential():
     q = GradedQuiver(["v"], [Arrow("s", "v", "v", -1)])
-    from dgquiver import DgAlgebra
-
     dg = DgAlgebra(q, {"s": PathElement.idempotent(q, "v")})
     with pytest.raises(TruncationError):
         build_truncated(dg, 4, range(-1, 1))
@@ -435,6 +441,54 @@ def test_dense_oracle_agrees_on_random_input():
     rels = random_relations(rng, q, max_count=2, allow_zero=False)
     dg = ginzburg_from_relations(q, rels, 3)
     assert naive_truncated_dims(dg, 3, 5) == homology_dims(dg, 3, 5).dims
+
+
+def _cancelling_dg():
+    # d(u w) = u p w + (-1)^{|u|} u p w = 0
+    q = GradedQuiver(
+        ["v"],
+        [Arrow("u", "v", "v", -1), Arrow("w", "v", "v", 0), Arrow("p", "v", "v", 1)],
+    )
+    return DgAlgebra(
+        q,
+        {"u": element(q, (1, ("u", "p"))), "w": element(q, (1, ("p", "w")))},
+    )
+
+
+@given(small_dg_algebras())
+@example(_cancelling_dg())
+@settings(max_examples=40, deadline=None)
+def test_build_truncated_matrices_match_naive_d(dg):
+    # entry by entry, keyed by words, at cutoffs around the longest term
+    q = dg.quiver
+    deg = lambda w: sum(q.arrow(n).degree for n in w)
+    longest = max(
+        len(p) for name in dg.arrow_names() for p in dg.d(name).terms
+    )
+    degrees = range(-3, 2)
+    for cutoff in (longest - 1, longest, longest + 1):
+        cx = build_truncated(dg, cutoff, degrees)
+        words = naive_words(q, cutoff)
+        for d in degrees:
+            target = q.paths_by_degree(cutoff, d + 1, d + 1)[d + 1]
+            mx = cx.matrices[d]
+            assert (mx.rows, mx.cols) == (len(cx.components[d]), len(target))
+            assert {p.arrows for p in cx.components[d] if p.arrows} == {
+                w for w in words if deg(w) == d
+            }
+            assert {p.arrows for p in target if p.arrows} == {
+                w for w in words if deg(w) == d + 1
+            }
+            got = {}
+            for (i, j), c in mx.entries.items():
+                got.setdefault(cx.components[d][i].arrows, {})[target[j].arrows] = c
+            want = {}
+            for w in words:
+                if deg(w) == d:
+                    row = {w2: c for w2, c in naive_d(dg, w).items() if len(w2) <= cutoff}
+                    if row:
+                        want[w] = row
+            assert got == want, (cutoff, d)
 
 
 # ---------- randomized consistency ----------
