@@ -2,17 +2,19 @@
 
 Everything downstream (ideal dimensions, homology ranks, membership tests,
 normal forms) reduces to one kernel, the echelon row span `RowSpace`.
-Coefficients are `fractions.Fraction`, so all results are exact: no floating
-point anywhere, no modular shortcuts.  Matrices are row-major semantic
-objects and "span" always means row span.
+It eliminates fraction-free, in integers (Bareiss, Math. Comp. 22, 1968),
+and reports exact rationals: no floating point anywhere, no modular
+shortcuts.  Matrices are row-major semantic objects and "span" always
+means row span.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping
 
-SparseRow = dict  # column index -> nonzero Fraction
+SparseRow = dict  # column index -> nonzero int or Fraction
 
 
 def as_rational(x) -> Fraction:
@@ -25,17 +27,32 @@ def as_rational(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-class RowSpace:
-    """A row span W over Q, kept as an echelon basis.
+def _integral(row: Mapping) -> tuple[SparseRow, int]:
+    """(s * row, s) for s the lcm of the denominators; int rows keep s = 1."""
+    if all(type(v) is int for v in row.values()):
+        return {c: v for c, v in row.items() if v}, 1
+    out = {c: as_rational(v).as_integer_ratio() for c, v in row.items()}
+    s = lcm(*(d for _, d in out.values()))
+    return {c: n * (s // d) for c, (n, d) in out.items() if n}, s
 
-    Rows are sparse dicts {column: Fraction}.  Each pivot row has leading
-    coefficient 1 in its pivot column, and no other pivot row leads there;
-    older pivot rows are not cleared, yet every answer is canonical:
+
+class RowSpace:
+    """A row span W over Q, kept as an echelon basis of integer rows.
+
+    Rows are sparse dicts {column: value}.  Each pivot row is a primitive
+    integer row (its entries have gcd 1) with a positive leading entry in
+    its pivot column, and no other pivot row leads there; older pivot rows
+    are not cleared, yet every answer is canonical:
 
     * the pivot set P is the set of leading columns of the nonzero vectors
       of W, so it depends on W alone, not on the basis or insertion order;
     * a nonzero w in W leads in a column of P, so v + W holds exactly one
       vector with no entry on P, and that vector is what `reduce` returns.
+
+    Elimination never divides: a remainder r of v carries a scalar s > 0
+    with r - s*v in W, and the step r := a*r - b*p, with a*r[c] = b*p[c]
+    and gcd(a, b) = 1, sets s := a*s.  The final r has no entry on P, so it
+    is s times that vector, and `reduce` returns r / s.
 
     Hence `rank`, `pivot_columns`, `contains` and `reduce` are functions of
     W alone, and so are the normal forms and complement bases read from
@@ -53,45 +70,69 @@ class RowSpace:
     def pivot_columns(self) -> list[int]:
         return sorted(self._pivots)
 
-    def reduce(self, row: Mapping[int, Fraction]) -> SparseRow:
-        """Normal form of `row` modulo the span (empty dict iff contained)."""
-        out = {c: as_rational(v) for c, v in row.items() if v}
+    def _eliminate(self, row: Mapping) -> tuple[SparseRow, int]:
+        """Integer remainder r of `row`, free of P, and s with r - s*row in W."""
+        r, s = _integral(row)
+        pivots = self._pivots
         # A pivot row has no entry left of its pivot, so eliminating a pivot
         # column only introduces columns to its right, and sweeping
         # ascending pivot columns terminates.
         while True:
             hit = None
-            for c in out:
-                if c in self._pivots and (hit is None or c < hit):
+            for c in r:
+                if c in pivots and (hit is None or c < hit):
                     hit = c
             if hit is None:
-                return out
-            coef = out.pop(hit)
-            for c, v in self._pivots[hit].items():
+                return r, s
+            p = pivots[hit]
+            x, y = r.pop(hit), p[hit]
+            g = gcd(x, y)
+            a, b = y // g, x // g
+            if a != 1:
+                for c in r:
+                    r[c] *= a
+                s *= a
+            for c, v in p.items():
                 if c == hit:
                     continue
-                new = out.get(c, 0) - coef * v
+                new = r.get(c, 0) - b * v
                 if new:
-                    out[c] = new
+                    r[c] = new
                 else:
-                    out.pop(c, None)
+                    r.pop(c, None)
+            if a != 1:
+                # cancel the part of s that the whole remainder shares
+                g = gcd(s, *r.values())
+                if g != 1:
+                    r = {c: v // g for c, v in r.items()}
+                    s //= g
 
-    def contains(self, row: Mapping[int, Fraction]) -> bool:
-        return not self.reduce(row)
+    def reduce(self, row: Mapping) -> dict[int, Fraction]:
+        """Normal form of `row` modulo the span (empty dict iff contained)."""
+        r, s = self._eliminate(row)
+        return {c: Fraction(v, s) for c, v in r.items()}
 
-    def add(self, row: Mapping[int, Fraction]) -> bool:
+    def contains(self, row: Mapping) -> bool:
+        return not self._eliminate(row)[0]
+
+    def add(self, row: Mapping) -> bool:
         """Insert `row`; True iff the rank increased."""
-        res = self.reduce(row)
-        if not res:
+        r, _ = self._eliminate(row)
+        if not r:
             return False
-        lead = min(res)
-        inv = 1 / res[lead]
-        self._pivots[lead] = {c: v * inv for c, v in res.items()}
+        lead = min(r)
+        g = gcd(*r.values())
+        if r[lead] < 0:
+            g = -g
+        self._pivots[lead] = {c: v // g for c, v in r.items()}
         return True
 
 
 class SparseMatrix:
-    """Immutable sparse matrix over Q; zero entries are never stored."""
+    """Immutable sparse matrix over Q; zero entries are never stored.
+
+    `int` entries are stored as given, any other exact entry as `Fraction`.
+    """
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -104,29 +145,30 @@ class SparseMatrix:
         for (i, j), v in (entries or {}).items():
             if not (0 <= i < rows and 0 <= j < cols):
                 raise IndexError(f"entry ({i},{j}) outside {rows}x{cols}")
-            v = as_rational(v)
+            if type(v) is not int:
+                v = as_rational(v)
             if v:
                 ent[(i, j)] = v
         self.entries = ent
 
-    def iter_rows(self):
+    def _stored_rows(self) -> dict[int, SparseRow]:
+        """Row index -> row, for the rows with a stored entry only."""
         by_row: dict[int, SparseRow] = {}
         for (i, j), v in self.entries.items():
             by_row.setdefault(i, {})[j] = v
+        return by_row
+
+    def iter_rows(self):
+        by_row = self._stored_rows()
         for i in range(self.rows):
             yield by_row.get(i, {})
 
     def matmul(self, other: SparseMatrix) -> SparseMatrix:
         if self.cols != other.rows:
             raise ValueError("incompatible shapes for product")
-        by_row: dict[int, SparseRow] = {}
-        for (i, k), v in self.entries.items():
-            by_row.setdefault(i, {})[k] = v
-        other_rows: dict[int, SparseRow] = {}
-        for (k, j), v in other.entries.items():
-            other_rows.setdefault(k, {})[j] = v
+        other_rows = other._stored_rows()
         ent: dict[tuple[int, int], Fraction] = {}
-        for i, r in by_row.items():
+        for i, r in self._stored_rows().items():
             acc: SparseRow = {}
             for k, v in r.items():
                 for j, w in other_rows.get(k, {}).items():
@@ -154,6 +196,6 @@ class SparseMatrix:
 def rank(m: SparseMatrix) -> int:
     """Rank of `m` over Q, exact."""
     space = RowSpace()
-    for row in m.iter_rows():
+    for row in m._stored_rows().values():
         space.add(row)
     return space.rank

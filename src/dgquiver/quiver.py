@@ -148,11 +148,6 @@ class GradedQuiver:
         """True iff there is no cycle of positive length."""
         return self._longest_from() is not None
 
-    def longest_path_length(self) -> int | None:
-        """Length of the longest path, or None if the quiver has cycles."""
-        far = self._longest_from()
-        return None if far is None else max(far.values(), default=0)
-
     # ---------- paths ----------
 
     def trivial_path(self, v: str) -> Path:

@@ -146,7 +146,7 @@ def test_bound_quaternion(quaternion):
 
 def test_bound_acyclic_no_relations(square):
     q, _ = square
-    assert find_admissibility_bound(q, []) == q.longest_path_length() + 1 == 3
+    assert find_admissibility_bound(q, []) == max(q._longest_from().values()) + 1 == 3
 
 
 def test_bound_requires_r2(square):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -175,6 +176,139 @@ def test_huge_entry_singular_matrix_detected():
     entries = {(i, j): v for i, row in enumerate(rows + [combo]) for j, v in enumerate(row)}
     top = {(i, j): v for (i, j), v in entries.items() if i < 3}
     assert rank(SparseMatrix(4, 4, entries)) == rank(SparseMatrix(3, 4, top))
+
+
+def test_huge_entry_dense_singular_matrix_matches_sympy_rank():
+    # coefficient growth: fraction-free elimination of a dense 25 x 25
+    # integer matrix with entries up to 2^64 whose last row is a combination
+    # of the others.  sympy.Matrix.rank itself runs for minutes here, so the
+    # reference is its exact domain-matrix rank.
+    rng = random.Random(11)
+    n = 25
+    rows = [[rng.randint(-2**64, 2**64) for _ in range(n)] for _ in range(n - 1)]
+    weights = [rng.randint(-9, 9) for _ in rows]
+    rows.append([sum(w * r[j] for w, r in zip(weights, rows)) for j in range(n)])
+    m = SparseMatrix(n, n, {(i, j): v for i, r in enumerate(rows) for j, v in enumerate(r)})
+    assert rank(m) == sympy.Matrix(rows).to_DM().rank() == n - 1
+
+
+class _FractionRowSpace:
+    """The rational echelon kernel that `RowSpace` replaced, kept as the
+    slow oracle: pivot rows scaled to lead 1, elimination in `Fraction`."""
+
+    def __init__(self) -> None:
+        self._pivots = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self._pivots)
+
+    def pivot_columns(self) -> list[int]:
+        return sorted(self._pivots)
+
+    def reduce(self, row) -> dict:
+        out = {c: Fraction(v) for c, v in row.items() if v}
+        while True:
+            hit = None
+            for c in out:
+                if c in self._pivots and (hit is None or c < hit):
+                    hit = c
+            if hit is None:
+                return out
+            coef = out.pop(hit)
+            for c, v in self._pivots[hit].items():
+                if c == hit:
+                    continue
+                new = out.get(c, 0) - coef * v
+                if new:
+                    out[c] = new
+                else:
+                    out.pop(c, None)
+
+    def contains(self, row) -> bool:
+        return not self.reduce(row)
+
+    def add(self, row) -> bool:
+        res = self.reduce(row)
+        if not res:
+            return False
+        lead = min(res)
+        inv = 1 / res[lead]
+        self._pivots[lead] = {c: v * inv for c, v in res.items()}
+        return True
+
+
+@st.composite
+def row_stream(draw):
+    """Rows with p/q entries and zeros, some negated, half scaled by 2^256,
+    some combinations of earlier rows; integral entries sometimes passed as
+    `int`.  Plus probe vectors of the same width."""
+    cols = draw(st.integers(min_value=1, max_value=8))
+    entry = st.just(Fraction(0)) | small_fraction
+    dense = st.lists(entry, min_size=cols, max_size=cols)
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=10))):
+        if rows and draw(st.booleans()):
+            weights = draw(st.lists(small_fraction, min_size=len(rows), max_size=len(rows)))
+            row = [sum(w * r[j] for w, r in zip(weights, rows)) for j in range(cols)]
+        else:
+            row = draw(dense)
+        if draw(st.booleans()):
+            row = [-x for x in row]
+        if draw(st.booleans()):
+            row = [x * 2**256 for x in row]
+        rows.append(row)
+    probes = draw(st.lists(dense, min_size=1, max_size=3))
+    as_int = draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    return rows, probes, as_int
+
+
+def _typed(dense, as_int: bool) -> dict:
+    """All entries of a dense row, zeros included, as a column dict."""
+    return {j: int(x) if as_int and x.denominator == 1 else x for j, x in enumerate(dense)}
+
+
+@given(row_stream())
+@settings(max_examples=120, deadline=None)
+def test_rowspace_matches_fraction_oracle_after_every_add(data):
+    rows, probes, as_int = data
+    space, oracle = RowSpace(), _FractionRowSpace()
+    for row, flag in zip(rows, as_int):
+        row = _typed(row, flag)
+        assert space.add(row) == oracle.add(row)
+        assert space.rank == oracle.rank
+        assert space.pivot_columns() == oracle.pivot_columns()
+        for c, p in space._pivots.items():  # primitive integer, positive lead
+            assert min(p) == c and p[c] > 0 and math.gcd(*p.values()) == 1
+            assert all(type(x) is int and x for x in p.values())
+        assert space.contains(row) and not space.reduce(row)
+        for v in [row] + [_sparse(p) for p in probes]:
+            got = space.reduce(v)
+            assert got == oracle.reduce(v)
+            assert all(type(x) is Fraction for x in got.values())
+            assert space.contains(v) == oracle.contains(v)
+
+
+def test_sparse_matrix_entry_types():
+    m = SparseMatrix(2, 3, {
+        (0, 0): 3, (0, 1): Fraction(1, 2), (0, 2): "2/3",
+        (1, 0): 0, (1, 1): Fraction(0), (1, 2): "-4",
+    })
+    assert m.entries == {(0, 0): 3, (0, 1): Fraction(1, 2), (0, 2): Fraction(2, 3), (1, 2): -4}
+    assert type(m.entries[(0, 0)]) is int
+    assert all(type(m.entries[ij]) is Fraction for ij in [(0, 1), (0, 2), (1, 2)])
+
+    as_int = SparseMatrix(1, 2, {(0, 0): 3})
+    as_frac = SparseMatrix(1, 2, {(0, 0): Fraction(3)})
+    assert as_int == as_frac
+    for ij in [(0, 0), (0, 1)]:
+        assert as_int.entries.get(ij, Fraction(0)) == as_frac.entries.get(ij, Fraction(0))
+
+    ints = {(0, 0): 2, (0, 1): -1, (1, 1): 5, (2, 0): 7}
+    a, b = SparseMatrix(3, 2, ints), SparseMatrix(2, 3, {(0, 2): 4, (1, 0): -3})
+    fa = SparseMatrix(3, 2, {ij: Fraction(v) for ij, v in ints.items()})
+    assert a.matmul(b) == fa.matmul(b)
+    assert b.matmul(a) == b.matmul(fa)
 
 
 def test_matmul_and_zero_check():
