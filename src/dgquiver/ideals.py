@@ -6,7 +6,9 @@ about (R) asked of elements supported in length < N reduces to finite linear
 algebra: the span of the truncations of u*rho*v to length < N equals
 (R) intersected with the paths of length < N, because any discarded tail
 lies in r^N and hence in the ideal.  No Groebner machinery is used or
-needed.
+needed.  The rows u*rho*v are built on arrow tuples in integers, each
+relation scaled by the lcm of its denominators (see `_two_sided_products`),
+so building a span forms no path-algebra product.
 
 The bound search is the operational test "every path of length N lies in
 the truncated span at bound N+1".  For genuinely admissible ideals this
@@ -20,6 +22,7 @@ certified through a representation witness, which needs no bound at all.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .algebra import PathElement, format_element
 from .dg import Relation, _check_relations
@@ -42,45 +45,59 @@ def relations_in_r2(relations) -> list[str]:
 
 
 def _two_sided_products(
-    q: GradedQuiver, relations, paths, max_len: int, *, truncate: bool,
+    q: GradedQuiver, relations, paths, index, max_len: int, *, truncate: bool,
     boundary_only: bool = False,
 ):
-    """Yield u * rho * v for each relation rho and each pair (u, v) of `paths`
-    with u ending where rho starts and v starting where rho ends.
+    """Yield u * rho * v as an integer row {index[word]: coefficient} for each
+    relation rho and each pair (u, v) of `paths` with u ending where rho
+    starts and v starting where rho ends; `index` maps arrow tuples to columns.
 
-    With `truncate`, a product is kept when its shortest term has length
-    <= max_len and is cut to length <= max_len; otherwise every term must
-    fit and nothing is cut.  `boundary_only` skips the pairs with both u and
-    v trivial.  The order is fixed by `relations` and `paths`.
+    Each body is read once as (arrow tuple, int) terms by ascending length,
+    scaled by the lcm of its denominators, which leaves the span unchanged.
+    For fixed u and v distinct terms t give distinct words u t v, so a row
+    needs no accumulation.  With `truncate`, a product is kept when its
+    shortest term has length <= max_len and is cut to length <= max_len (the
+    scan over the terms stops at the first longer one); otherwise every term
+    must fit and nothing is cut.  `boundary_only` skips the pairs with both u
+    and v trivial.  The order is fixed by `relations` and `paths`.
 
-    `paths` must be ordered by non-decreasing length (as `enumerate_paths`
-    returns them): the loops stop at the first u, and the first v for a
-    given u, that leaves no room.
+    The relations must pass `validate_relations` over q, and `paths` must be
+    ordered by non-decreasing length (as `enumerate_paths` returns them): the
+    loops stop at the first u, and the first v for a given u, that leaves no
+    room.
     """
-    by_target: dict[str, list[Path]] = {v: [] for v in q.vertices}
-    by_source: dict[str, list[Path]] = {v: [] for v in q.vertices}
+    by_target: dict[str, list[tuple]] = {v: [] for v in q.vertices}
+    by_source: dict[str, list[tuple]] = {v: [] for v in q.vertices}
     for p in paths:
-        by_target[q.target_of(p)].append(p)
-        by_source[q.source_of(p)].append(p)
+        by_target[q.target_of(p)].append(p.arrows)
+        by_source[q.source_of(p)].append(p.arrows)
     for rel in relations:
-        body = rel.body.rebind(q)
-        ml = body.min_length() if truncate else body.max_length()
-        if ml is None:
+        terms = sorted(rel.body.terms.items(), key=lambda t: len(t[0]))
+        if not terms:
             continue  # zero relation spans nothing
-        room = max_len - ml
-        if room < 0:
-            continue
+        s = lcm(*(c.denominator for _, c in terms))
+        terms = [(p.arrows, c.numerator * (s // c.denominator)) for p, c in terms]
+        room = max_len - len(terms[0 if truncate else -1][0])
         for u in by_target[rel.source]:
             if len(u) > room:
                 break
-            left = PathElement(q, {u: Fraction(1)}) * body
             for v in by_source[rel.target]:
                 if len(u) + len(v) > room:
                     break
-                if boundary_only and len(u) + len(v) == 0:
+                if boundary_only and not (u or v):
                     continue
-                prod = left * PathElement(q, {v: Fraction(1)})
-                yield prod.truncate(max_len) if truncate else prod
+                cap = max_len - len(u) - len(v)
+                row = {}
+                for t, c in terms:
+                    if len(t) > cap:
+                        break
+                    row[index[u + t + v]] = c
+                yield row
+
+
+def _columns(paths) -> dict:
+    """Column of each path by arrow tuple; a trivial path is keyed by its vertex."""
+    return {p.arrows or p.base: i for i, p in enumerate(paths)}
 
 
 class TruncatedIdealSpan:
@@ -88,30 +105,30 @@ class TruncatedIdealSpan:
 
     Rows are the length-truncations of u * rho * v over all generator
     relations rho and all path pairs (u, v); when r^bound <= (R), the row
-    span equals (R) restricted to the paths of length < bound.
+    span equals (R) restricted to the paths of length < bound.  The
+    relations are checked with `validate_relations`; an invalid one raises
+    ValueError.
     """
 
     def __init__(self, quiver: GradedQuiver, relations, bound: int, *, boundary_only: bool = False):
         if bound < 1:
             raise ValueError("bound must be >= 1")
         self.quiver = quiver
-        self.relations = list(relations)
+        self.relations = _check_relations(quiver, relations)
         self.bound = bound
         self.paths = quiver.enumerate_paths(bound - 1)
-        self.index = {p: i for i, p in enumerate(self.paths)}
+        self.index = _columns(self.paths)
         self.space = RowSpace()
-        for prod in _two_sided_products(
-            quiver, self.relations, self.paths, bound - 1,
+        for row in _two_sided_products(
+            quiver, self.relations, self.paths, self.index, bound - 1,
             truncate=True, boundary_only=boundary_only,
         ):
-            row = self._vector(prod)
-            if row:
-                self.space.add(row)
+            self.space.add(row)
 
     def _vector(self, x: PathElement) -> dict[int, Fraction]:
         out = {}
         for p, c in x.terms.items():
-            i = self.index.get(p)
+            i = self.index.get(p.arrows or p.base)
             if i is None:
                 raise ValueError("element supported beyond the bound")
             out[i] = c
@@ -181,15 +198,11 @@ def _require_bound(q: GradedQuiver, relations, n: int) -> TruncatedIdealSpan:
     paths of length <= n, and cutting it to lengths < n gives the span at
     bound n with rank lower by the number of paths of length n.
     """
-    relations = _check_relations(q, relations)
-    if n >= 2:
-        span = TruncatedIdealSpan(q, relations, n + 1)
-        if all(
-            span.contains(PathElement(q, {p: Fraction(1)}))
-            for p in span.paths
-            if len(p) == n
-        ):
-            return span
+    span = TruncatedIdealSpan(q, relations, max(n, 1) + 1)  # checks relations
+    if n >= 2 and all(
+        span.space.contains({i: 1}) for i, p in enumerate(span.paths) if len(p) == n
+    ):
+        return span
     raise NotAdmissibleError(f"{n} is not a valid admissibility bound")
 
 
@@ -201,16 +214,13 @@ def generates_arrow_power(q: GradedQuiver, relations, n: int, max_expr_len: int)
     """
     if max_expr_len < n:
         raise ValueError("max_expr_len must be at least n")
+    relations = _check_relations(q, relations)
     paths = q.enumerate_paths(max_expr_len)
-    index = {p: i for i, p in enumerate(paths)}
+    index = _columns(paths)
     space = RowSpace()
-    for prod in _two_sided_products(q, relations, paths, max_expr_len, truncate=False):
-        space.add({index[p]: c for p, c in prod.terms.items()})
-    for p in paths:
-        if len(p) == n:
-            if not space.contains({index[p]: Fraction(1)}):
-                return False
-    return True
+    for row in _two_sided_products(q, relations, paths, index, max_expr_len, truncate=False):
+        space.add(row)
+    return all(space.contains({i: 1}) for i, p in enumerate(paths) if len(p) == n)
 
 
 def algebra_dim(q: GradedQuiver, relations, n: int) -> int:

@@ -158,11 +158,6 @@ class SparseMatrix:
             by_row.setdefault(i, {})[j] = v
         return by_row
 
-    def iter_rows(self):
-        by_row = self._stored_rows()
-        for i in range(self.rows):
-            yield by_row.get(i, {})
-
     def matmul(self, other: SparseMatrix) -> SparseMatrix:
         if self.cols != other.rows:
             raise ValueError("incompatible shapes for product")

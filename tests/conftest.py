@@ -100,8 +100,10 @@ def random_relations(
     min_count: int = 1,
     allow_zero: bool = True,
     max_path_len: int = 3,
+    coeffs=(1, 1, 2, -1),
 ):
-    """Relations with bodies inside r^2 (or zero bodies), valid over q."""
+    """Relations with bodies inside r^2 (or zero bodies), valid over q; each
+    term's coefficient is drawn from `coeffs`."""
     pool: dict[tuple[str, str], list] = {}
     for p in q.enumerate_paths(max_path_len):
         if len(p) >= 2:
@@ -117,7 +119,7 @@ def random_relations(
         chosen = rng.sample(paths, min(len(paths), rng.randint(1, 2)))
         body = PathElement.zero(q)
         for p in chosen:
-            body = body + PathElement(q, {p: Fraction(rng.choice([1, 1, 2, -1]))})
+            body = body + PathElement(q, {p: Fraction(rng.choice(coeffs))})
         if body.is_zero():
             rels.append(zero_relation(q, f"r{k}", src, tgt))
         else:

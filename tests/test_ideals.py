@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -28,7 +30,9 @@ from dgquiver import (
     split_extension_check,
     system_of_relations,
 )
-from dgquiver.ideals import _require_bound, _two_sided_products
+from dgquiver.dg import validate_relations
+from dgquiver.ideals import _columns, _require_bound, _two_sided_products
+from dgquiver.linalg import RowSpace
 
 from conftest import (
     element,
@@ -410,31 +414,26 @@ def test_h0_dimension_cross_check(quaternion):
     # dim H^0 of the truncated complex equals the ideal-theoretic dimension
     # once the cutoff clears the admissibility bound
     from dgquiver import build_truncated
-    from dgquiver.linalg import RowSpace
+    from dgquiver.linalg import rank
 
     q, rels = quaternion
     dg = ginzburg_from_relations(q, rels, 3)
     for cutoff in (5, 7):
         cx = build_truncated(dg, cutoff, range(-1, 1))
-        ranks = {}
-        for d, mx in cx.matrices.items():
-            space = RowSpace()
-            for row in mx.iter_rows():
-                space.add(row)
-            ranks[d] = space.rank
+        ranks = {d: rank(mx) for d, mx in cx.matrices.items()}
         h0 = cx.dim(0) - ranks[0] - ranks[-1]
         assert h0 == algebra_dim(q, rels, 5) == 8
 
 
-@given(st.integers(0, 2**32), st.integers(0, 4), st.booleans(), st.booleans())
-@settings(max_examples=60, deadline=None)
-def test_two_sided_products_match_all_pairs_filter(seed, max_len, truncate, boundary_only):
-    rng = random.Random(seed)
-    q = random_quiver(rng)
-    rels = random_relations(rng, q, max_count=3)
-    paths = q.enumerate_paths(max_len)
-    want = []
-    for rel in rels:
+# p/q coefficients, so that the per-relation scale of the integer rows shows
+PQ_COEFFS = (1, -1, 2, Fraction(1, 2), Fraction(-3, 4), Fraction(2, 3))
+
+
+def _oracle_products(q, relations, paths, max_len, *, truncate, boundary_only=False):
+    """u * rho * v as `PathElement` products over all pairs (u, v) of paths,
+    each cut to length <= max_len with `truncate`; the slow oracle for the
+    integer rows of `_two_sided_products`.  Yields (relation, product)."""
+    for rel in relations:
         body = rel.body.rebind(q)
         ml = body.min_length() if truncate else body.max_length()
         if ml is None:
@@ -447,8 +446,107 @@ def test_two_sided_products_match_all_pairs_filter(seed, max_len, truncate, boun
             if boundary_only and len(u) + len(v) == 0:
                 continue
             prod = PathElement(q, {u: Fraction(1)}) * body * PathElement(q, {v: Fraction(1)})
-            want.append(prod.truncate(max_len) if truncate else prod)
-    got = _two_sided_products(
+            yield rel, prod.truncate(max_len) if truncate else prod
+
+
+def _oracle_space(q, relations, paths, max_len, *, truncate, boundary_only=False):
+    index = {p: i for i, p in enumerate(paths)}
+    space = RowSpace()
+    for _, prod in _oracle_products(
+        q, relations, paths, max_len, truncate=truncate, boundary_only=boundary_only
+    ):
+        space.add({index[p]: c for p, c in prod.terms.items()})
+    return space
+
+
+@given(st.integers(0, 2**32), st.integers(0, 4), st.booleans(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_two_sided_products_match_all_pairs_filter(seed, max_len, truncate, boundary_only):
+    rng = random.Random(seed)
+    q = random_quiver(rng)
+    rels = random_relations(rng, q, max_count=3, coeffs=PQ_COEFFS)
+    paths = q.enumerate_paths(max_len)
+    index = {p: i for i, p in enumerate(paths)}
+    want = []
+    for rel, prod in _oracle_products(
         q, rels, paths, max_len, truncate=truncate, boundary_only=boundary_only
+    ):
+        scale = math.lcm(*(c.denominator for c in rel.body.terms.values()))
+        want.append({index[p]: c * scale for p, c in prod.terms.items()})
+    got = list(_two_sided_products(
+        q, rels, paths, _columns(paths), max_len,
+        truncate=truncate, boundary_only=boundary_only,
+    ))
+    assert got == want
+    assert all(type(c) is int for row in got for c in row.values())
+
+
+@given(st.integers(0, 2**32), st.integers(1, 4), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_span_matches_path_element_oracle(seed, bound, boundary_only):
+    rng = random.Random(seed)
+    q = random_quiver(rng)
+    rels = random_relations(rng, q, max_count=3, coeffs=PQ_COEFFS)
+    span = TruncatedIdealSpan(q, rels, bound, boundary_only=boundary_only)
+    paths = q.enumerate_paths(bound - 1)
+    index = {p: i for i, p in enumerate(paths)}
+    oracle = _oracle_space(
+        q, rels, paths, bound - 1, truncate=True, boundary_only=boundary_only
     )
-    assert list(got) == want
+    assert span.paths == paths
+    assert span.rank == oracle.rank
+    assert span.space.pivot_columns() == oracle.pivot_columns()
+    pivots = set(oracle.pivot_columns())
+    assert span.complement_basis() == [p for i, p in enumerate(paths) if i not in pivots]
+    for _ in range(5):
+        support = rng.sample(paths, rng.randint(1, min(4, len(paths))))
+        x = PathElement(q, {p: rng.choice(PQ_COEFFS) for p in support})
+        nf = oracle.reduce({index[p]: c for p, c in x.terms.items()})
+        assert span.reduce(x) == PathElement(q, {paths[i]: c for i, c in nf.items()})
+        assert span.contains(x) == (not nf)
+
+    n = rng.randint(1, 3)
+    max_expr_len = min(4, n + rng.randint(0, 2))
+    all_paths = q.enumerate_paths(max_expr_len)
+    generated = _oracle_space(q, rels, all_paths, max_expr_len, truncate=False)
+    want = all(
+        generated.contains({i: 1}) for i, p in enumerate(all_paths) if len(p) == n
+    )
+    assert generates_arrow_power(q, rels, n, max_expr_len) == want
+
+
+def test_span_construction_validates_relations(square):
+    # the integer kernel assumes every term runs from rel.source to
+    # rel.target and has positive length; invalid relations must raise
+    # rather than lose the terms that do not compose
+    q, (rel,) = square
+    rho = rel.body
+    for rels in (
+        [Relation("wrong_source", "v2", "v4", rho)],
+        [Relation("wrong_target", "v1", "v3", rho)],
+        [Relation("trivial", "v1", "v1", PathElement.idempotent(q, "v1"))],
+        [rel, rel],
+    ):
+        msg = re.escape("; ".join(validate_relations(q, rels)))
+        with pytest.raises(ValueError, match=msg):
+            TruncatedIdealSpan(q, rels, 4)
+        with pytest.raises(ValueError, match=msg):
+            TruncatedIdealSpan(q, rels, 4, boundary_only=True)
+        with pytest.raises(ValueError, match=msg):
+            generates_arrow_power(q, rels, 3, 4)
+        for n in (1, 3):
+            with pytest.raises(ValueError, match=msg):
+                _require_bound(q, rels, n)
+
+
+def test_require_bound_validates_once(quaternion, monkeypatch):
+    from dgquiver import ideals
+
+    q, rels = quaternion
+    calls = []
+    check = ideals._check_relations
+    monkeypatch.setattr(
+        ideals, "_check_relations", lambda *a: calls.append(1) or check(*a)
+    )
+    _require_bound(q, rels, 5)
+    assert len(calls) == 1
