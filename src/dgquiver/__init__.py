@@ -10,7 +10,6 @@ from .algebra import (
     cyclic_derivative,
     cyclic_reduce,
     format_element,
-    homogeneous_degree,
     supercommutator,
 )
 from .dg import (

@@ -181,15 +181,6 @@ class PathElement:
         return PathElement(quiver, dict(self.terms))
 
 
-def homogeneous_degree(x: PathElement):
-    """Common degree of the terms of x, "any" for 0, None if inhomogeneous."""
-    try:
-        d = x.degree()
-    except NotHomogeneousError:
-        return None
-    return "any" if d is None else d
-
-
 def supercommutator(x: PathElement, y: PathElement) -> PathElement:
     """[x,y] = xy - (-1)^{|x||y|} yx for homogeneous x, y."""
     _check_same_quiver(x, y)
@@ -326,7 +317,7 @@ def cyclic_derivative(w: Superpotential, arrow: str) -> PathElement:
     """
     q = w.quiver
     a = q.arrow(arrow)
-    out = PathElement.zero(q)
+    terms: dict[Path, Fraction] = {}
     for p, c in w.terms.items():
         if p.is_trivial:
             continue  # no occurrences
@@ -334,7 +325,6 @@ def cyclic_derivative(w: Superpotential, arrow: str) -> PathElement:
         degs = [q.arrow(n).degree for n in names]
         wdeg = sum(degs)
         prefix = 0
-        terms: dict[Path, Fraction] = {}
         for ell, n in enumerate(names):
             if n == arrow:
                 sign = -1 if ((wdeg - 1) * prefix) % 2 else 1
@@ -344,21 +334,10 @@ def cyclic_derivative(w: Superpotential, arrow: str) -> PathElement:
                 rp = Path(arrows=rest) if rest else q.trivial_path(a.target)
                 terms[rp] = terms.get(rp, 0) + sign * c
             prefix += degs[ell]
-        out = out + PathElement(q, terms)
-    return out
+    return PathElement(q, terms)
 
 
 # ---------- plain-text formatting ----------
-
-
-def format_rational(c: Fraction) -> str:
-    return str(c)
-
-
-def format_path(x: PathElement, p: Path) -> str:
-    if p.is_trivial:
-        return f"e_{p.base}"
-    return "*".join(p.arrows)
 
 
 def format_element(x: PathElement) -> str:
@@ -369,9 +348,9 @@ def format_element(x: PathElement) -> str:
     for i, (p, c) in enumerate(x.sorted_terms()):
         neg = c < 0
         mag = -c if neg else c
-        body = format_path(x, p)
+        body = "*".join(p.arrows) if p.arrows else f"e_{p.base}"
         if mag != 1:
-            body = f"{format_rational(mag)} {body}"
+            body = f"{mag} {body}"
         if i == 0:
             chunks.append(f"-{body}" if neg else body)
         else:

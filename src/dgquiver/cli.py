@@ -78,12 +78,12 @@ def _dg_block(dg) -> dict:
 
 
 def _opt_int(pf: ProblemFile, key: str, flag_value, fallback: int) -> int:
-    if flag_value is not None:
-        return flag_value
-    v = pf.options.get(key)
-    if isinstance(v, int):
-        return v
-    return fallback
+    """The flag, else the file's `option key = ...`, else the fallback; a
+    file value that is not an integer is an error even when a flag is given."""
+    v = pf.options.get(key, fallback)
+    if not isinstance(v, int):
+        raise CommandError(f"option {key} = {v} is not an integer")
+    return v if flag_value is None else flag_value
 
 
 def _find_bound(pf: ProblemFile, max_n: int) -> int:

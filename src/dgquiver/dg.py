@@ -69,16 +69,19 @@ def _dual_arrow(a: Arrow, m: int) -> Arrow:
 
 
 def _mesh(big: GradedQuiver, generators) -> dict[str, PathElement]:
-    """Per vertex v, the sum over `generators` g of e_v [g, g*] e_v."""
-    mesh = {v: PathElement.zero(big) for v in big.vertices}
+    """Per vertex v, the sum over `generators` g of e_v [g, g*] e_v.
+
+    Every term of [g, g*] is a cycle, because g* runs from t(g) back to
+    s(g); so e_v x e_v keeps exactly the terms of x that start at v, and
+    each term is filed under its start vertex.
+    """
+    mesh: dict[str, dict[Path, Fraction]] = {v: {} for v in big.vertices}
     for g in generators:
         x = PathElement.from_arrow(big, g.name)
         xs = PathElement.from_arrow(big, dual_name(g.name))
-        comm = supercommutator(x, xs)
-        for v in big.vertices:
-            e = PathElement.idempotent(big, v)
-            mesh[v] = mesh[v] + e * comm * e
-    return mesh
+        for p, c in supercommutator(x, xs).terms.items():
+            mesh[big.source_of(p)][p] = c
+    return {v: PathElement(big, terms) for v, terms in mesh.items()}
 
 
 @dataclass(frozen=True)
@@ -258,11 +261,13 @@ def superpotential_extension(q: GradedQuiver, relations, m: int):
         for r in relations
     ]
     big = q.with_extra_arrows(extra)
-    acc = PathElement.zero(big)
+    # each body term runs from r.source to r.target, so eps_r composes with it
+    terms: dict[Path, Fraction] = {}
     for r in relations:
-        eps = PathElement.from_arrow(big, reverse_arrow_name(r.label))
-        acc = acc + eps * r.body.rebind(big)
-    return big, cyclic_reduce(acc)
+        eps = (reverse_arrow_name(r.label),)
+        for p, c in r.body.terms.items():
+            terms[Path(arrows=eps + p.arrows)] = c
+    return big, cyclic_reduce(PathElement(big, terms))
 
 
 def ginzburg_dg_algebra(
@@ -427,20 +432,17 @@ def sub_dg_algebra(dg: DgAlgebra, sub_arrows) -> DgAlgebra:
 
 def map_element(mapping, x: PathElement, target: GradedQuiver) -> PathElement:
     """Extend an arrow -> (coefficient, arrow) assignment multiplicatively."""
-    out = PathElement.zero(target)
+    terms: dict[Path, Fraction] = {}
     for p, c in x.terms.items():
-        if p.is_trivial:
-            out = out + PathElement(target, {target.trivial_path(p.base): c})
-            continue
-        coeff = as_rational(c)
         names = []
         for n in p.arrows:
             cf, nn = mapping[n]
-            coeff *= as_rational(cf)
+            c *= as_rational(cf)
             names.append(nn)
-        if coeff:
-            out = out + PathElement(target, {target.path(names): coeff})
-    return out
+        if c:
+            key = target.path(names) if names else target.trivial_path(p.base)
+            terms[key] = terms.get(key, 0) + c
+    return PathElement(target, terms)
 
 
 def check_dg_isomorphism(mapping, dga: DgAlgebra, dgb: DgAlgebra) -> str | None:
@@ -553,11 +555,12 @@ def sub_dg_completion(q: GradedQuiver, w: Superpotential, m: int, omega):
         q.vertices, tuple(inner + b_duals + inner_duals + bstar_duals + loops)
     )
 
-    # Superpotential of the doubled presentation: each cycle of w, rotated to
-    # start at its unique outside arrow, with that arrow renamed to the
-    # double dual and the coefficient scaled by (-1)^{m-1}.
+    # Superpotential of the doubled presentation: each cycle of w with its
+    # unique outside arrow renamed in place to the double dual, which has
+    # the same degree, and the coefficient scaled by (-1)^{m-1};
+    # cyclic_reduce picks the canonical rotation and its sign.
     beta_names = {b.name for b in betas}
-    acc = PathElement.zero(big)
+    terms: dict[Path, Fraction] = {}
     for p, c in w.terms.items():
         hits = [i for i, n in enumerate(p.arrows) if n in beta_names]
         if len(hits) != 1:
@@ -566,15 +569,9 @@ def sub_dg_completion(q: GradedQuiver, w: Superpotential, m: int, omega):
                 "outside omega"
             )
         i = hits[0]
-        rotated = p.arrows[i:] + p.arrows[:i]
-        u, v = p.arrows[:i], p.arrows[i:]
-        du = sum(q.arrow(n).degree for n in u)
-        dv = sum(q.arrow(n).degree for n in v)
-        sign = -1 if (du * dv) % 2 else 1  # uv -> vu rotation sign
-        names = (dual_name(dual_name(rotated[0])),) + rotated[1:]
-        coeff = as_rational(c) * sign * _sign(m - 1)
-        acc = acc + PathElement(big, {big.path(names): coeff})
-    w_prime = cyclic_reduce(acc)
+        names = p.arrows[:i] + (dual_name(dual_name(p.arrows[i])),) + p.arrows[i + 1:]
+        terms[big.path(names)] = _sign(m - 1) * c
+    w_prime = cyclic_reduce(PathElement(big, terms))
 
     diff: dict[str, PathElement] = {}
     for b in betas:  # the sub-dg-algebra differential, d(b*) = del_b w

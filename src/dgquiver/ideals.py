@@ -237,9 +237,7 @@ def ideal_membership(q: GradedQuiver, relations, n: int, x: PathElement) -> bool
     return _require_bound(q, relations, n).contains(x.rebind(q))
 
 
-def system_of_relations(
-    q: GradedQuiver, relations, n: int, headroom: int | None = None
-) -> list[Relation]:
+def system_of_relations(q: GradedQuiver, relations, n: int) -> list[Relation]:
     """A subset of the input generating the same ideal, from which no single
     entry can be dropped.
 
@@ -251,17 +249,14 @@ def system_of_relations(
     same truncated span (the quaternion-type ideal is the standard trap).
 
     The exact-generation search allows expressions of term length up to
-    n + headroom (headroom defaults to the longest relation term).  Input
-    order is fixed for determinism; other orders may give different, equally
-    valid minimal systems.
+    n plus the longest relation term: a product u * rho * v with a term of
+    length n has |u| + |v| < n, so every term of it fits.  Input order is
+    fixed for determinism; other orders may give different, equally valid
+    minimal systems.
     """
     span = _require_bound(q, relations, n)
     relations = span.relations
-    if headroom is None:
-        headroom = max(
-            (r.body.max_length() or 1 for r in relations), default=1
-        )
-    max_expr_len = n + headroom
+    max_expr_len = n + max((r.body.max_length() or 1 for r in relations), default=1)
     # zero entries span nothing, and the span at bound n is the certified
     # one without the paths of length n
     current = [r for r in relations if not r.body.is_zero()]

@@ -15,7 +15,6 @@ from dgquiver import (
     cyclic_derivative,
     cyclic_reduce,
     format_element,
-    homogeneous_degree,
     supercommutator,
 )
 
@@ -117,11 +116,12 @@ def test_multiply_associative_and_distributive(x, y, z):
 
 def test_homogeneous_degree_cases():
     q = loops(("a", -1), ("e", -2))
-    assert homogeneous_degree(PathElement.from_arrow(q, "a")) == -1
-    assert homogeneous_degree(PathElement.idempotent(q, "v")) == 0
+    assert PathElement.from_arrow(q, "a").degree() == -1
+    assert PathElement.idempotent(q, "v").degree() == 0
     mixed = element(q, (1, ("a",)), (1, ("e",)))
-    assert homogeneous_degree(mixed) is None
-    assert homogeneous_degree(PathElement.zero(q)) == "any"
+    with pytest.raises(NotHomogeneousError):
+        mixed.degree()
+    assert PathElement.zero(q).degree() is None
 
 
 # ---------- supercommutator ----------

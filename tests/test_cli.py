@@ -192,3 +192,32 @@ def test_resource_errors_exit_1_without_traceback(monkeypatch, capsys, exc):
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
     assert err.startswith(f"error: {exc.__name__}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "option, argv",
+    [
+        ("max_len = abc", ["homology", "--m", "3"]),
+        ("max_len = abc", ["homology", "--m", "3", "--max-len", "4"]),
+        ("max_n = 1/2", ["ideal-dim"]),
+        ("max_n = 1/2", ["ideal-dim", "--max-n", "4"]),
+        ("seed = x", ["check-d2", "--m", "2"]),
+        ("d2_samples = 1/2", ["check-d2", "--m", "2"]),
+    ],
+)
+def test_non_integer_integer_option_is_an_error(tmp_path, capsys, option, argv):
+    f = tmp_path / "bad_option.quiver"
+    f.write_text(f"vertex v\noption {option}\n")
+    command, *flags = argv
+    assert cli.main([command, str(f), *flags]) == 1
+    out, err = capsys.readouterr()
+    key, _, value = option.partition(" = ")
+    assert out == "" and err == f"error: option {key} = {value} is not an integer\n"
+
+
+def test_free_form_option_is_allowed(tmp_path):
+    f = tmp_path / "note.quiver"
+    f.write_text("vertex v\noption note = hello\n")
+    res = run_cli("homology", str(f), "--m", "3")
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["input"]["options"] == {"note": "hello"}

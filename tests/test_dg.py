@@ -3,23 +3,28 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgquiver import (
     Arrow,
     DgAlgebra,
     GradedQuiver,
+    Path,
     PathElement,
     Relation,
     Superpotential,
     apply_d,
     check_d_squared,
     check_dg_isomorphism,
+    cyclic_derivative,
     cyclic_reduce,
+    describe_generators,
     dual_name,
     ginzburg_dg_algebra,
     ginzburg_from_relations,
     keller_comparison,
     loop_name,
+    map_element,
     normalize_arrow_degrees,
     relation_arrow_name,
     relation_dg_algebra,
@@ -28,10 +33,11 @@ from dgquiver import (
     reverse_arrow_name,
     sub_dg_algebra,
     sub_dg_completion,
+    supercommutator,
     superpotential_extension,
     verify_sub_dg,
 )
-from dgquiver.dg import _d_path
+from dgquiver.dg import _d_path, _dual_arrow, _sign
 
 from conftest import (
     element,
@@ -477,3 +483,261 @@ def test_d_squared_randomized_suite():
         assert check_d_squared(b, max_len=4, samples_per_degree=8, seed=trial) is None
         g = ginzburg_from_relations(q, rels, m)
         assert check_d_squared(g, max_len=4, samples_per_degree=8, seed=trial) is None
+
+
+# ---------- one-pass constructions against the term-by-term oracle ----------
+#
+# The `_oracle_*` functions build the constructions term by term: `_mesh`
+# as e_v [g, g*] e_v for every vertex v, each sum as one PathElement
+# addition per term, and the superpotential of `sub_dg_completion` by
+# rotating each cycle to start at its outside arrow with a hand-written
+# rotation sign.  They are slow and plain on purpose.
+
+
+def _oracle_mesh(big, generators):
+    mesh = {v: PathElement.zero(big) for v in big.vertices}
+    for g in generators:
+        x = PathElement.from_arrow(big, g.name)
+        xs = PathElement.from_arrow(big, dual_name(g.name))
+        comm = supercommutator(x, xs)
+        for v in big.vertices:
+            e = PathElement.idempotent(big, v)
+            mesh[v] = mesh[v] + e * comm * e
+    return mesh
+
+
+def _oracle_cyclic_derivative(w, arrow):
+    q = w.quiver
+    a = q.arrow(arrow)
+    out = PathElement.zero(q)
+    for p, c in w.terms.items():
+        if p.is_trivial:
+            continue
+        names = p.arrows
+        degs = [q.arrow(n).degree for n in names]
+        wdeg = sum(degs)
+        prefix = 0
+        terms = {}
+        for ell, n in enumerate(names):
+            if n == arrow:
+                sign = -1 if ((wdeg - 1) * prefix) % 2 else 1
+                if a.degree % 2:
+                    sign = -sign
+                rest = names[ell + 1:] + names[:ell]
+                rp = Path(arrows=rest) if rest else q.trivial_path(a.target)
+                terms[rp] = terms.get(rp, 0) + sign * c
+            prefix += degs[ell]
+        out = out + PathElement(q, terms)
+    return out
+
+
+def _oracle_superpotential_extension(q, relations, m):
+    extra = [
+        Arrow(reverse_arrow_name(r.label), r.target, r.source, 2 - m)
+        for r in relations
+    ]
+    big = q.with_extra_arrows(extra)
+    acc = PathElement.zero(big)
+    for r in relations:
+        eps = PathElement.from_arrow(big, reverse_arrow_name(r.label))
+        acc = acc + eps * r.body.rebind(big)
+    return big, cyclic_reduce(acc)
+
+
+def _oracle_ginzburg(q, w, m):
+    loops = [Arrow(loop_name(v), v, v, -m) for v in q.vertices]
+    big = q.with_extra_arrows([_dual_arrow(a, m) for a in q.arrows] + loops)
+    diff = {
+        dual_name(a.name): _oracle_cyclic_derivative(w, a.name).rebind(big)
+        for a in q.arrows
+    }
+    mesh = _oracle_mesh(big, q.arrows)
+    diff.update({loop_name(v): mesh[v] for v in q.vertices})
+    return DgAlgebra(big, diff)
+
+
+def _oracle_map_element(mapping, x, target):
+    out = PathElement.zero(target)
+    for p, c in x.terms.items():
+        if p.is_trivial:
+            out = out + PathElement(target, {target.trivial_path(p.base): c})
+            continue
+        coeff = Fraction(c)
+        names = []
+        for n in p.arrows:
+            cf, nn = mapping[n]
+            coeff *= Fraction(cf)
+            names.append(nn)
+        if coeff:
+            out = out + PathElement(target, {target.path(names): coeff})
+    return out
+
+
+def _oracle_sub_dg_completion(q, w, m, omega):
+    betas = [a for a in q.arrows if a.name not in omega]
+    inner = [a for a in q.arrows if a.name in omega]
+    b_duals = [_dual_arrow(b, m) for b in betas]
+    bstar_duals = [
+        Arrow(dual_name(dual_name(b.name)), b.source, b.target, b.degree)
+        for b in betas
+    ]
+    loops = [Arrow(loop_name(v), v, v, -m) for v in q.vertices]
+    big = GradedQuiver(
+        q.vertices,
+        tuple(inner + b_duals + [_dual_arrow(a, m) for a in inner] + bstar_duals + loops),
+    )
+    beta_names = {b.name for b in betas}
+    acc = PathElement.zero(big)
+    for p, c in w.terms.items():
+        (i,) = [i for i, n in enumerate(p.arrows) if n in beta_names]
+        rotated = p.arrows[i:] + p.arrows[:i]
+        u, v = p.arrows[:i], p.arrows[i:]
+        du = sum(q.arrow(n).degree for n in u)
+        dv = sum(q.arrow(n).degree for n in v)
+        sign = -1 if (du * dv) % 2 else 1  # uv -> vu rotation sign
+        names = (dual_name(dual_name(rotated[0])),) + rotated[1:]
+        acc = acc + PathElement(big, {big.path(names): c * sign * _sign(m - 1)})
+    w_prime = cyclic_reduce(acc)
+    diff = {
+        dual_name(b.name): _oracle_cyclic_derivative(w, b.name).rebind(big)
+        for b in betas
+    }
+    for a in inner:
+        diff[dual_name(a.name)] = _oracle_cyclic_derivative(w_prime, a.name)
+    for b in betas:
+        diff[dual_name(dual_name(b.name))] = _oracle_cyclic_derivative(
+            w_prime, dual_name(b.name)
+        )
+    mesh = _oracle_mesh(big, inner + b_duals)
+    for v in q.vertices:
+        diff[loop_name(v)] = _sign(m + 1) * mesh[v]
+    phi = {a.name: (1, a.name) for a in inner}
+    phi.update({dual_name(b.name): (1, dual_name(b.name)) for b in betas})
+    phi.update({dual_name(a.name): (_sign(m - 1), dual_name(a.name)) for a in inner})
+    phi.update({dual_name(dual_name(b.name)): (1, b.name) for b in betas})
+    phi.update({loop_name(v): (1, loop_name(v)) for v in q.vertices})
+    return DgAlgebra(big, diff), phi, w_prime
+
+
+def _assert_same_dg(new, old):
+    assert new == old
+    assert describe_generators(new) == describe_generators(old)
+
+
+def _assert_constructions_match_oracle(q, w, m, omega):
+    """ginzburg_dg_algebra, cyclic_derivative, sub_dg_completion and
+    map_element on (q, w, m, omega) equal the oracle's, term for term."""
+    gamma = ginzburg_dg_algebra(q, w, m)
+    _assert_same_dg(gamma, _oracle_ginzburg(q, w, m))
+    for a in q.arrows:
+        assert cyclic_derivative(w, a.name) == _oracle_cyclic_derivative(w, a.name)
+    pres, phi = sub_dg_completion(q, w, m, omega)
+    old_pres, old_phi, w_prime = _oracle_sub_dg_completion(q, w, m, omega)
+    _assert_same_dg(pres, old_pres)
+    assert phi == old_phi
+    for a in pres.quiver.arrows:
+        assert cyclic_derivative(w_prime, a.name) == _oracle_cyclic_derivative(
+            w_prime, a.name
+        )
+        x = pres.d(a.name)
+        assert map_element(phi, x, gamma.quiver) == _oracle_map_element(
+            phi, x, gamma.quiver
+        )
+    assert check_dg_isomorphism(phi, pres, gamma) is None
+
+
+PQ_COEFFS = (1, -1, 2, Fraction(1, 2), Fraction(-3, 4))
+
+
+@given(st.integers(0, 2**32), st.integers(2, 5))
+@settings(max_examples=60, deadline=None)
+def test_relation_constructions_match_term_by_term_oracle(seed, m):
+    rng = random.Random(seed)
+    q = random_quiver(rng)
+    rels = random_relations(rng, q, max_count=3, coeffs=PQ_COEFFS)
+    big, w = superpotential_extension(q, rels, m)
+    old_big, old_w = _oracle_superpotential_extension(q, rels, m)
+    assert big == old_big and w == old_w and w.degree == old_w.degree
+    gamma = ginzburg_from_relations(q, rels, m)
+    _assert_same_dg(gamma, _oracle_ginzburg(old_big, old_w, m))
+    _assert_constructions_match_oracle(big, w, m, [a.name for a in q.arrows])
+    sub, b, mapping = relation_sub_dg_correspondence(q, rels, m)
+    for name in sub.arrow_names():
+        x = sub.d(name)
+        assert map_element(mapping, x, b.quiver) == _oracle_map_element(
+            mapping, x, b.quiver
+        )
+    assert check_dg_isomorphism(mapping, sub, b) is None
+
+
+@st.composite
+def graded_superpotentials(draw):
+    """(q, w, m, omega): one vertex, inner arrows a_i of degrees -2..1 and
+    one outside arrow z_k per cycle of w, which is homogeneous of degree
+    2 - m.  Each z_k sits at a drawn position of its cycle but sorts after
+    every a_i, so the stored canonical rotation never starts with it; for
+    odd m each z_k has odd degree, as `sub_dg_completion` requires."""
+    m = draw(st.integers(2, 5))
+    inner = [
+        Arrow(f"a{i}", "v", "v", draw(st.integers(-2, 1)))
+        for i in range(draw(st.integers(1, 3)))
+    ]
+    outside, cycles = [], []
+    for k in range(draw(st.integers(1, 3))):
+        word = draw(st.lists(st.sampled_from(inner), min_size=1, max_size=3))
+        if m % 2 and sum(a.degree for a in word) % 2:
+            word.append(next(a for a in word if a.degree % 2))
+        z = Arrow(f"z{k}", "v", "v", 2 - m - sum(a.degree for a in word))
+        word.insert(draw(st.integers(0, len(word))), z)
+        outside.append(z)
+        cycles.append((draw(st.sampled_from(PQ_COEFFS)), tuple(a.name for a in word)))
+    q = GradedQuiver(["v"], inner + outside)
+    w = cyclic_reduce(element(q, *cycles))
+    return q, w, m, [a.name for a in inner]
+
+
+@given(graded_superpotentials())
+@settings(max_examples=80, deadline=None)
+def test_graded_constructions_match_term_by_term_oracle(data):
+    q, w, m, omega = data
+    assert all(p.arrows[0] in omega for p in w.terms)
+    _assert_constructions_match_oracle(q, w, m, omega)
+
+
+def _grid(n: int):
+    """The n x n commuting grid: its quiver and one relation per square."""
+    def vx(i, j):
+        return f"v{i}_{j}"
+
+    arrows = [Arrow(f"h{i}_{j}", vx(i, j), vx(i, j + 1)) for i in range(n) for j in range(n - 1)]
+    arrows += [Arrow(f"u{i}_{j}", vx(i, j), vx(i + 1, j)) for i in range(n - 1) for j in range(n)]
+    q = GradedQuiver([vx(i, j) for i in range(n) for j in range(n)], arrows)
+    rels = [
+        Relation(
+            f"s{i}_{j}", vx(i, j), vx(i + 1, j + 1),
+            element(q, (1, (f"h{i}_{j}", f"u{i}_{j + 1}")), (-1, (f"u{i}_{j}", f"h{i + 1}_{j}"))),
+        )
+        for i in range(n - 1)
+        for j in range(n - 1)
+    ]
+    return q, rels
+
+
+def test_ginzburg_products_are_linear_in_the_arrows(monkeypatch):
+    # the mesh needs the two products of [g, g*] per arrow g and nothing
+    # per vertex: a product e_v [g, g*] e_v per vertex makes the count
+    # grow with (arrows x vertices)
+    q, rels = _grid(4)
+    big, w = superpotential_extension(q, rels, 3)
+    assert (len(big.vertices), len(big.arrows)) == (16, 33)
+    calls = 0
+    mul = PathElement.__mul__
+
+    def counting_mul(self, other):
+        nonlocal calls
+        calls += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(PathElement, "__mul__", counting_mul)
+    ginzburg_dg_algebra(big, w, 3)
+    assert 0 < calls <= 2 * len(big.arrows)
