@@ -11,7 +11,8 @@ Grammar ('#' starts a comment, blank lines are skipped)::
 An expression is a signed sum of terms; a term is an optional rational
 coefficient (``p`` or ``p/q``) followed by a path, paths being arrow ids
 joined by ``*`` and composed left to right.  A bare ``0`` denotes the zero
-relation.  Arrow degrees default to 0.
+relation.  Arrow degrees default to 0.  An integer (a degree, m, or an
+option value) may carry a leading ``-``; other option values are kept as text.
 
 Parsing either returns a complete `ProblemFile` or raises `ParseError`
 carrying every collected diagnostic with line and column; there are no
@@ -52,15 +53,6 @@ class ProblemFile:
     m: int | None = None
     options: dict[str, int | str] = field(default_factory=dict)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ProblemFile)
-            and self.quiver == other.quiver
-            and self.relations == other.relations
-            and self.m == other.m
-            and self.options == other.options
-        )
-
 
 _TOKEN = re.compile(
     r"(?P<ws>\s+)"
@@ -99,8 +91,9 @@ class _Cursor:
         self.lineno = lineno
         self.pos = 0
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def peek(self, ahead=0):
+        k = self.pos + ahead
+        return self.tokens[k] if k < len(self.tokens) else None
 
     def next(self):
         t = self.peek()
@@ -123,6 +116,16 @@ class _LineError(Exception):
     def __init__(self, line, column, message):
         self.diagnostic = Diagnostic(line, column, message)
         super().__init__(message)
+
+
+def _signed_int(cur: _Cursor, what: str, name: str) -> int:
+    """An integer with an optional leading '-'; a fraction raises."""
+    if neg := cur.peek() is not None and cur.peek()[0] == "-":
+        cur.next()
+    num = cur.expect("number", what)
+    if "/" in num[1]:
+        raise _LineError(cur.lineno, num[2], f"{name} must be an integer")
+    return -int(num[1]) if neg else int(num[1])
 
 
 @dataclass
@@ -207,14 +210,7 @@ def parse(text: str) -> ProblemFile:
                     kw = cur.expect("id", "'deg'")
                     if kw[1] != "deg":
                         raise _LineError(lineno, kw[2], "expected 'deg'")
-                    neg = False
-                    if (t := cur.peek()) is not None and t[0] == "-":
-                        cur.next()
-                        neg = True
-                    num = cur.expect("number", "an integer degree")
-                    if "/" in num[1]:
-                        raise _LineError(lineno, num[2], "degree must be an integer")
-                    degree = -int(num[1]) if neg else int(num[1])
+                    degree = _signed_int(cur, "an integer degree", "degree")
                 if cur.peek() is not None:
                     raise _LineError(lineno, cur.column(), "trailing tokens")
                 arrows.append(Arrow(name, src, dst, degree))
@@ -228,31 +224,26 @@ def parse(text: str) -> ProblemFile:
                 raw_relations.append((lineno, label, src, dst, _parse_expr(cur)))
             elif head[0] == "id" and head[1] == "m":
                 cur.expect("=", "'='")
-                neg = False
-                if (t := cur.peek()) is not None and t[0] == "-":
-                    cur.next()
-                    neg = True
-                num = cur.expect("number", "an integer")
-                if "/" in num[1]:
-                    raise _LineError(lineno, num[2], "m must be an integer")
+                value = _signed_int(cur, "an integer", "m")
                 if m_line is not None:
                     raise _LineError(lineno, head[2], f"m already set on line {m_line}")
-                m_value = -int(num[1]) if neg else int(num[1])
-                m_line = lineno
+                m_value, m_line = value, lineno
                 if cur.peek() is not None:
                     raise _LineError(lineno, cur.column(), "trailing tokens")
             elif head[0] == "id" and head[1] == "option":
                 key = cur.expect("id", "an option key")[1]
                 cur.expect("=", "'='")
-                val = cur.next()
+                val, after = cur.peek(), cur.peek(1)
                 if val is None:
                     raise _LineError(lineno, cur.column(), "expected a value")
+                if val[0] == "number" and "/" not in val[1] or (
+                    val[0] == "-" and after is not None and after[0] == "number"
+                ):
+                    options[key] = _signed_int(cur, "a number", "a negative option value")
+                else:
+                    options[key] = cur.next()[1]
                 if cur.peek() is not None:
                     raise _LineError(lineno, cur.column(), "trailing tokens")
-                if val[0] == "number" and "/" not in val[1]:
-                    options[key] = int(val[1])
-                else:
-                    options[key] = val[1]
             else:
                 raise _LineError(
                     lineno, head[2],

@@ -25,7 +25,7 @@ from .dg import (
     relation_dg_algebra,
 )
 from .linalg import SparseMatrix, rank
-from .quiver import GradedQuiver, Path
+from .quiver import GradedQuiver, PathKey
 
 
 class TruncationError(ValueError):
@@ -35,14 +35,14 @@ class TruncationError(ValueError):
 
 @dataclass
 class TruncatedComplex:
-    """Per cohomological degree: a path basis of length <= max_len and the
-    matrix of d into the next degree (rows = source basis, columns = target
-    basis)."""
+    """Per cohomological degree: the keys (see `Path.key`) of the basis
+    paths of length <= max_len, and the matrix of d into the next degree
+    (rows = source basis, columns = target basis)."""
 
     dg: DgAlgebra
     max_len: int
     degrees: list[int]
-    components: dict[int, list[Path]]
+    components: dict[int, list[PathKey]]
     matrices: dict[int, SparseMatrix] = field(default_factory=dict)
 
     def dim(self, degree: int) -> int:
@@ -52,31 +52,34 @@ class TruncatedComplex:
 def build_truncated(dg: DgAlgebra, max_len: int, degrees) -> TruncatedComplex:
     """Assemble the truncated complex on the requested degree window.
 
+    Rows and columns are indexed by the path keys of `paths_by_degree`.
     Row i of the matrix in degree d is `_d_path` of the i-th basis path at
     the cutoff max_len: a term longer than max_len lies in the dg-ideal of
-    long paths, which is zero in the quotient, so it is never formed.
+    long paths, which is zero in the quotient, so it is never formed.  A
+    trivial path (keyed by its vertex name) has d = 0 and an empty row.
     """
     q = dg.quiver
     for a in q.arrows:
-        da = dg.d(a.name)
-        if not da.is_zero() and da.min_length() == 0:
+        if dg.d(a.name).min_length() == 0:
             raise TruncationError(
                 f"d({a.name}) has a length-0 term; length truncation is not "
                 f"a dg-quotient here"
             )
     degrees = sorted(set(degrees))
-    lo, hi = degrees[0], degrees[-1]
-    buckets = q.paths_by_degree(max_len, lo, hi + 1)
-    components = {d: buckets.get(d, []) for d in degrees}
+    if not degrees:
+        raise ValueError("the degree window is empty")
+    buckets = q.paths_by_degree(max_len, degrees[0], degrees[-1] + 1)
+    components = {d: buckets[d] for d in degrees}
     cx = TruncatedComplex(dg, max_len, degrees, components)
     for d in degrees:
-        target = buckets.get(d + 1, [])
-        # trivial paths all key (); after the check above no image is trivial
-        column = {p.arrows: j for j, p in enumerate(target)}
+        target = buckets[d + 1]
+        # after the check above every image has positive length
+        column = {key: j for j, key in enumerate(target)}
         entries = {}
-        for i, p in enumerate(components[d]):
-            for tp, c in _d_path(dg, p.arrows, max_len).items():
-                entries[(i, column[tp])] = c
+        for i, key in enumerate(components[d]):
+            if type(key) is tuple:
+                for word, c in _d_path(dg, key, max_len).items():
+                    entries[(i, column[word])] = c
         cx.matrices[d] = SparseMatrix(len(components[d]), len(target), entries)
     return cx
 

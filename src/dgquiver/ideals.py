@@ -50,7 +50,8 @@ def _two_sided_products(
 ):
     """Yield u * rho * v as an integer row {index[word]: coefficient} for each
     relation rho and each pair (u, v) of `paths` with u ending where rho
-    starts and v starting where rho ends; `index` maps arrow tuples to columns.
+    starts and v starting where rho ends; `index` maps path keys (`Path.key`)
+    to columns, and a product has positive length, so its key is its word.
 
     Each body is read once as (arrow tuple, int) terms by ascending length,
     scaled by the lcm of its denominators, which leaves the span unchanged.
@@ -95,11 +96,6 @@ def _two_sided_products(
                 yield row
 
 
-def _columns(paths) -> dict:
-    """Column of each path by arrow tuple; a trivial path is keyed by its vertex."""
-    return {p.arrows or p.base: i for i, p in enumerate(paths)}
-
-
 class TruncatedIdealSpan:
     """Row space of the two-sided ideal (R) cut to paths of length < bound.
 
@@ -117,7 +113,7 @@ class TruncatedIdealSpan:
         self.relations = _check_relations(quiver, relations)
         self.bound = bound
         self.paths = quiver.enumerate_paths(bound - 1)
-        self.index = _columns(self.paths)
+        self.index = {p.key: i for i, p in enumerate(self.paths)}
         self.space = RowSpace()
         for row in _two_sided_products(
             quiver, self.relations, self.paths, self.index, bound - 1,
@@ -126,13 +122,10 @@ class TruncatedIdealSpan:
             self.space.add(row)
 
     def _vector(self, x: PathElement) -> dict[int, Fraction]:
-        out = {}
-        for p, c in x.terms.items():
-            i = self.index.get(p.arrows or p.base)
-            if i is None:
-                raise ValueError("element supported beyond the bound")
-            out[i] = c
-        return out
+        try:
+            return {self.index[p.key]: c for p, c in x.terms.items()}
+        except KeyError:
+            raise ValueError("element supported beyond the bound") from None
 
     @property
     def rank(self) -> int:
@@ -216,7 +209,7 @@ def generates_arrow_power(q: GradedQuiver, relations, n: int, max_expr_len: int)
         raise ValueError("max_expr_len must be at least n")
     relations = _check_relations(q, relations)
     paths = q.enumerate_paths(max_expr_len)
-    index = _columns(paths)
+    index = {p.key: i for i, p in enumerate(paths)}
     space = RowSpace()
     for row in _two_sided_products(q, relations, paths, index, max_expr_len, truncate=False):
         space.add(row)

@@ -8,6 +8,10 @@ this one.
 Path enumeration is deterministic: paths are ordered by length, then
 lexicographically by their arrow-name sequences (trivial paths in declared
 vertex order), so matrix constructions and reports are reproducible.
+
+Row and column indices key a path by its arrow tuple and a trivial path by
+its vertex name, a `str` (`Path.key`, `paths_by_degree`), so the two never
+collide.  The path walk yields tuples; only `enumerate_paths` builds `Path`s.
 """
 
 from __future__ import annotations
@@ -22,6 +26,13 @@ class Arrow:
     source: str
     target: str
     degree: int = 0
+
+
+PathKey = tuple[str, ...] | str
+
+
+def _key(arrows: tuple[str, ...], vertex: str) -> PathKey:
+    return arrows or vertex
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,6 +57,11 @@ class Path:
     def is_trivial(self) -> bool:
         return not self.arrows
 
+    @property
+    def key(self) -> PathKey:
+        """The arrow tuple, or the base vertex name of a trivial path."""
+        return _key(self.arrows, self.base)
+
 
 class GradedQuiver:
     """Finite directed multigraph with integer degrees on arrows.
@@ -58,13 +74,7 @@ class GradedQuiver:
 
     def __init__(self, vertices, arrows=()):
         self.vertices: tuple[str, ...] = tuple(vertices)
-        arrs = []
-        for a in arrows:
-            if isinstance(a, Arrow):
-                arrs.append(a)
-            else:
-                arrs.append(Arrow(*a))
-        self.arrows: tuple[Arrow, ...] = tuple(arrs)
+        self.arrows = tuple(a if isinstance(a, Arrow) else Arrow(*a) for a in arrows)
         self._vertex_index = {v: i for i, v in enumerate(self.vertices)}
         self._arrow_by_name: dict[str, Arrow] = {}
         for a in self.arrows:
@@ -197,7 +207,8 @@ class GradedQuiver:
 
     def _walk(self, max_len: int, min_degree=-math.inf, max_degree=math.inf):
         """Yield the paths of length 0, 1, ..., max_len as lists of
-        (path, degree), each list in `path_sort_key` order.
+        (arrows, source, target, degree) tuples, each list in
+        `path_sort_key` order.
 
         Branches whose degree cannot re-enter [min_degree, max_degree] are
         pruned; with all arrow degrees <= 0 this makes deep windows cheap.
@@ -207,39 +218,39 @@ class GradedQuiver:
         degs = self.degrees()
         up = max(0, max(degs, default=0))     # max degree gain per extra arrow
         down = min(0, min(degs, default=0))   # max degree drop per extra arrow
-        level: list[tuple[Path, int]] = [(self.trivial_path(v), 0) for v in self.vertices]
+        level = [((), v, v, 0) for v in self.vertices]
         yield level
         for length in range(1, max_len + 1):
             rem = max_len - length
-            nxt: list[tuple[Path, int]] = []
-            for p, d in level:
-                for a in self._out[self.target_of(p)]:
+            nxt = []
+            for arrows, s, t, d in level:
+                for a in self._out[t]:
                     nd = d + a.degree
                     if nd + rem * up < min_degree or nd + rem * down > max_degree:
                         continue
-                    nxt.append((Path(arrows=p.arrows + (a.name,)), nd))
+                    nxt.append((arrows + (a.name,), s, a.target, nd))
             if not nxt:
                 return
-            nxt.sort(key=lambda t: t[0].arrows)
+            nxt.sort()  # the arrow tuples of one level are distinct
             yield nxt
             level = nxt
 
     def enumerate_paths(self, max_len: int) -> list[Path]:
         """All paths of length <= max_len, ordered by (length, arrow names)."""
-        return [p for level in self._walk(max_len) for p, _ in level]
+        walk = self._walk(max_len)
+        return [Path(a) if a else Path(base=s) for level in walk for a, s, _, _ in level]
 
     def paths_by_degree(
         self, max_len: int, min_degree: int, max_degree: int
-    ) -> dict[int, list[Path]]:
-        """Paths of length <= max_len grouped by total degree within a window,
-        each group in `enumerate_paths` order."""
-        buckets: dict[int, list[Path]] = {
-            d: [] for d in range(min_degree, max_degree + 1)
-        }
+    ) -> dict[int, list[PathKey]]:
+        """The keys (see `Path.key`) of the paths of length <= max_len,
+        grouped by total degree within a window, each group in
+        `enumerate_paths` order."""
+        buckets = {d: [] for d in range(min_degree, max_degree + 1)}
         for level in self._walk(max_len, min_degree, max_degree):
-            for p, d in level:
-                if min_degree <= d <= max_degree:
-                    buckets[d].append(p)
+            for arrows, s, _, d in level:
+                if d in buckets:
+                    buckets[d].append(_key(arrows, s))
         return buckets
 
     # ---------- derived quivers ----------

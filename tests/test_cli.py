@@ -215,6 +215,14 @@ def test_non_integer_integer_option_is_an_error(tmp_path, capsys, option, argv):
     assert out == "" and err == f"error: option {key} = {value} is not an integer\n"
 
 
+def test_negative_max_len_option_is_an_error(tmp_path, capsys):
+    f = tmp_path / "negative.quiver"
+    f.write_text("vertex v\narrow a : v -> v\noption max_len = -3\n")
+    assert cli.main(["homology", str(f), "--m", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: max_len must be >= 0\n"
+
+
 def test_free_form_option_is_allowed(tmp_path):
     f = tmp_path / "note.quiver"
     f.write_text("vertex v\noption note = hello\n")

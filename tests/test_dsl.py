@@ -76,6 +76,26 @@ def test_parse_degrees_and_options():
     assert pf.options == {"max_len": 7, "note": "hello"}
 
 
+def test_parse_negative_option_values():
+    # a '-' followed by a number is a negative int; other values as before
+    pf = parse(
+        "vertex v\n"
+        "option seed = -3\n"
+        "option max_len = - 12\n"
+        "option ratio = 3/4\n"
+        "option dash = -\n"
+    )
+    assert pf.options == {"seed": -3, "max_len": -12, "ratio": "3/4", "dash": "-"}
+    for line, message in [
+        ("option x = -3/4", "a negative option value must be an integer"),
+        ("option x = - y", "trailing tokens"),
+        ("option x = -3 4", "trailing tokens"),
+    ]:
+        with pytest.raises(ParseError) as exc:
+            parse(f"vertex v\n{line}\n")
+        assert [d.message for d in exc.value.diagnostics] == [message]
+
+
 def test_parse_zero_relation_and_coefficients():
     text = (
         "vertex v\n"
@@ -135,7 +155,9 @@ def test_round_trip_randomized():
             quiver=q,
             relations=rels,
             m=rng.choice([None, 2, 3, 4]),
-            options={} if rng.random() < 0.5 else {"max_len": rng.randint(3, 9)},
+            options={} if rng.random() < 0.5 else {
+                "max_len": rng.randint(3, 9), "seed": rng.randint(-9, 9)
+            },
         )
         assert parse(serialize(pf)) == pf, f"trial {trial}"
 

@@ -8,6 +8,7 @@ from dgquiver import (
     Arrow,
     DgAlgebra,
     GradedQuiver,
+    Path,
     PathElement,
     Relation,
     algebra_dim,
@@ -45,7 +46,7 @@ def test_truncated_components_empty_without_relations():
     for m in (3, 5):
         dg = ginzburg_from_relations(q, [], m)
         cx = build_truncated(dg, 6, range(-(m - 1), 1))
-        assert [p.arrows for p in cx.components[0]] == [()]
+        assert cx.components[0] == ["v"]  # the trivial path, keyed by its vertex
         for i in range(1, m - 1):
             assert cx.components[-i] == []
 
@@ -53,20 +54,43 @@ def test_truncated_components_empty_without_relations():
 def test_truncated_basis_one_vertex_zero_relation_m4():
     dg = one_vertex_zero_dg(4)
     cx = build_truncated(dg, 6, range(-3, 1))
-    got = {p.arrows for p in cx.components[-2]}
-    assert got == {("eps_r1",), ("eps_r1_star", "eps_r1_star")}
+    assert set(cx.components[-2]) == {("eps_r1",), ("eps_r1_star", "eps_r1_star")}
 
 
 def test_truncated_basis_one_vertex_zero_relation_m3():
     dg = one_vertex_zero_dg(3)
     cx = build_truncated(dg, 6, range(-2, 1))
-    got = {p.arrows for p in cx.components[-2]}
-    assert got == {
+    assert set(cx.components[-2]) == {
         ("eps_r1_star", "eps_r1_star"),
         ("eps_r1", "eps_r1_star"),
         ("eps_r1_star", "eps_r1"),
         ("eps_r1", "eps_r1"),
     }
+
+
+def test_build_truncated_rejects_an_empty_degree_window():
+    with pytest.raises(ValueError, match="degree window is empty"):
+        build_truncated(one_vertex_zero_dg(3), 4, [])
+
+
+def test_build_truncated_constructs_no_path(monkeypatch, quaternion):
+    # the walk hands build_truncated path keys; only enumerate_paths builds
+    # Path objects, one per path it returns
+    q, rels = quaternion
+    dg = ginzburg_from_relations(q, rels, 3)
+    calls = 0
+    post_init = Path.__post_init__
+
+    def counting_post_init(self):
+        nonlocal calls
+        calls += 1
+        post_init(self)
+
+    monkeypatch.setattr(Path, "__post_init__", counting_post_init)
+    build_truncated(dg, 5, range(-3, 1))
+    assert calls == 0
+    paths = dg.quiver.enumerate_paths(5)
+    assert calls == len(paths) > 0
 
 
 def test_truncated_matrices_compose_to_zero(square, quaternion):
@@ -455,8 +479,17 @@ def _cancelling_dg():
     )
 
 
+def _vertex_named_like_an_arrow_dg():
+    # the trivial path at "a" is keyed "a", the arrow a is keyed ("a",);
+    # a trivial key read as a word would give a row d(a) = a p
+    q = GradedQuiver(["a"], [("a", "a", "a", 0), ("p", "a", "a", 1)])
+    assert q.validate() == []
+    return DgAlgebra(q, {"a": element(q, (1, ("a", "p")))})
+
+
 @given(small_dg_algebras())
 @example(_cancelling_dg())
+@example(_vertex_named_like_an_arrow_dg())
 @settings(max_examples=40, deadline=None)
 def test_build_truncated_matrices_match_naive_d(dg):
     # entry by entry, keyed by words, at cutoffs around the longest term
@@ -473,15 +506,17 @@ def test_build_truncated_matrices_match_naive_d(dg):
             target = q.paths_by_degree(cutoff, d + 1, d + 1)[d + 1]
             mx = cx.matrices[d]
             assert (mx.rows, mx.cols) == (len(cx.components[d]), len(target))
-            assert {p.arrows for p in cx.components[d] if p.arrows} == {
-                w for w in words if deg(w) == d
-            }
-            assert {p.arrows for p in target if p.arrows} == {
-                w for w in words if deg(w) == d + 1
-            }
+            for keys, e in ((cx.components[d], d), (target, d + 1)):
+                # trivial paths are keyed by their vertex names, in degree 0
+                assert [k for k in keys if type(k) is str] == (
+                    list(q.vertices) if e == 0 else []
+                )
+                assert {k for k in keys if type(k) is tuple} == {
+                    w for w in words if deg(w) == e
+                }
             got = {}
             for (i, j), c in mx.entries.items():
-                got.setdefault(cx.components[d][i].arrows, {})[target[j].arrows] = c
+                got.setdefault(cx.components[d][i], {})[target[j]] = c
             want = {}
             for w in words:
                 if deg(w) == d:

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dgquiver import Arrow, GradedQuiver, Path
@@ -146,6 +146,7 @@ def small_quivers(draw):
 
 
 @given(small_quivers(), st.integers(0, 4), st.integers(-5, 1), st.integers(0, 4))
+@example(GradedQuiver(["a"], [("a", "a", "a", 0)]), 2, 0, 0)  # vertex named like its arrow
 @settings(max_examples=80, deadline=None)
 def test_paths_by_degree_matches_filter(q, max_len, lo, width):
     paths = q.enumerate_paths(max_len)
@@ -153,4 +154,4 @@ def test_paths_by_degree_matches_filter(q, max_len, lo, width):
     buckets = q.paths_by_degree(max_len, lo, lo + width)
     assert set(buckets) == set(range(lo, lo + width + 1))
     for d, got in buckets.items():
-        assert got == [p for p in paths if q.degree_of(p) == d]
+        assert got == [p.key for p in paths if q.degree_of(p) == d]
