@@ -1,10 +1,11 @@
 """Batch command line: parse a problem file, run a computation, emit JSON.
 
 Exit codes: 0 on success, 1 on a computation error (bad m, no admissibility
-bound, failed precondition), 2 on a parse error.  Diagnostics go to stderr,
-the JSON report to stdout or to --output.  Reports are byte-identical across
-runs: every randomized check takes its seed from --seed (default 0) and all
-enumeration orders are deterministic.
+bound, failed precondition) or an unreadable input or output file, 2 on a
+parse error.  Diagnostics go to stderr, the JSON report to stdout or to
+--output.  Reports are byte-identical across runs: every randomized check
+takes its seed from --seed (default 0) and all enumeration orders are
+deterministic.
 """
 
 from __future__ import annotations
@@ -296,7 +297,7 @@ def main(argv=None) -> int:
     try:
         with open(args.file, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -318,8 +319,12 @@ def main(argv=None) -> int:
 
     payload = emit_report(results)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(payload)
     return 0

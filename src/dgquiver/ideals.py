@@ -6,9 +6,9 @@ about (R) asked of elements supported in length < N reduces to finite linear
 algebra: the span of the truncations of u*rho*v to length < N equals
 (R) intersected with the paths of length < N, because any discarded tail
 lies in r^N and hence in the ideal.  No Groebner machinery is used or
-needed.  The rows u*rho*v are built on arrow tuples in integers, each
-relation scaled by the lcm of its denominators (see `_two_sided_products`),
-so building a span forms no path-algebra product.
+needed.  The rows u*rho*v are built in integers on the arrow tuples of
+the path walk (see `_two_sided_products`); a column is a path key, and the
+paths of length n take the columns of walk level n.
 
 The bound search is the operational test "every path of length N lies in
 the truncated span at bound N+1".  For genuinely admissible ideals this
@@ -27,7 +27,7 @@ from math import lcm
 from .algebra import PathElement, format_element
 from .dg import Relation, _check_relations
 from .linalg import RowSpace, SparseMatrix, as_rational
-from .quiver import GradedQuiver, Path
+from .quiver import GradedQuiver, Path, _key, _path_of
 
 
 class NotAdmissibleError(ValueError):
@@ -45,13 +45,14 @@ def relations_in_r2(relations) -> list[str]:
 
 
 def _two_sided_products(
-    q: GradedQuiver, relations, paths, index, max_len: int, *, truncate: bool,
+    q: GradedQuiver, relations, levels, index, max_len: int, *, truncate: bool,
     boundary_only: bool = False,
 ):
     """Yield u * rho * v as an integer row {index[word]: coefficient} for each
-    relation rho and each pair (u, v) of `paths` with u ending where rho
-    starts and v starting where rho ends; `index` maps path keys (`Path.key`)
-    to columns, and a product has positive length, so its key is its word.
+    relation rho and each pair (u, v) of paths in the levels of `q._walk`
+    with u ending where rho starts and v starting where rho ends, both read
+    off the walk tuples.  `index` maps path keys (`Path.key`) to columns; a
+    product has positive length, so its key is its word.
 
     Each body is read once as (arrow tuple, int) terms by ascending length,
     scaled by the lcm of its denominators, which leaves the span unchanged.
@@ -60,18 +61,17 @@ def _two_sided_products(
     shortest term has length <= max_len and is cut to length <= max_len (the
     scan over the terms stops at the first longer one); otherwise every term
     must fit and nothing is cut.  `boundary_only` skips the pairs with both u
-    and v trivial.  The order is fixed by `relations` and `paths`.
-
-    The relations must pass `validate_relations` over q, and `paths` must be
-    ordered by non-decreasing length (as `enumerate_paths` returns them): the
-    loops stop at the first u, and the first v for a given u, that leaves no
-    room.
+    and v trivial.  The order is fixed by `relations` and the walk.  The
+    relations must pass `validate_relations` over q.  As the levels come by
+    length, the loops stop at the first u, and the first v for a given u,
+    that leaves no room.
     """
     by_target: dict[str, list[tuple]] = {v: [] for v in q.vertices}
     by_source: dict[str, list[tuple]] = {v: [] for v in q.vertices}
-    for p in paths:
-        by_target[q.target_of(p)].append(p.arrows)
-        by_source[q.source_of(p)].append(p.arrows)
+    for level in levels:
+        for arrows, source, target, _ in level:
+            by_target[target].append(arrows)
+            by_source[source].append(arrows)
     for rel in relations:
         terms = sorted(rel.body.terms.items(), key=lambda t: len(t[0]))
         if not terms:
@@ -96,6 +96,29 @@ def _two_sided_products(
                 yield row
 
 
+def _span(q: GradedQuiver, relations, max_len: int, *, truncate: bool, boundary_only: bool = False):
+    """(keys, index, sizes, space): the keys of the paths of length <= max_len
+    in walk order, their columns, the number of paths of each length 0..max_len
+    (0 past where the walk stopped) and the span of `_two_sided_products`."""
+    levels = list(q._walk(max_len))
+    keys = [_key(arrows, source) for level in levels for arrows, source, _, _ in level]
+    index = {key: i for i, key in enumerate(keys)}
+    space = RowSpace()
+    for row in _two_sided_products(
+        q, relations, levels, index, max_len, truncate=truncate, boundary_only=boundary_only
+    ):
+        space.add(row)
+    sizes = [len(level) for level in levels] + [0] * (max_len + 1 - len(levels))
+    return keys, index, sizes, space
+
+
+def _holds_length(space: RowSpace, sizes, n: int) -> bool:
+    """Whether every path of length n lies in the span, the `sizes[k]` paths
+    of each length k taking the columns length by length."""
+    start = sum(sizes[:n])
+    return all(space.contains({i: 1}) for i in range(start, start + sizes[n]))
+
+
 class TruncatedIdealSpan:
     """Row space of the two-sided ideal (R) cut to paths of length < bound.
 
@@ -103,7 +126,8 @@ class TruncatedIdealSpan:
     relations rho and all path pairs (u, v); when r^bound <= (R), the row
     span equals (R) restricted to the paths of length < bound.  The
     relations are checked with `validate_relations`; an invalid one raises
-    ValueError.
+    ValueError.  `paths` holds the column keys (`Path.key`) in walk order, by
+    length and then by arrow names, and `index` maps each key to its column.
     """
 
     def __init__(self, quiver: GradedQuiver, relations, bound: int, *, boundary_only: bool = False):
@@ -112,14 +136,9 @@ class TruncatedIdealSpan:
         self.quiver = quiver
         self.relations = _check_relations(quiver, relations)
         self.bound = bound
-        self.paths = quiver.enumerate_paths(bound - 1)
-        self.index = {p.key: i for i, p in enumerate(self.paths)}
-        self.space = RowSpace()
-        for row in _two_sided_products(
-            quiver, self.relations, self.paths, self.index, bound - 1,
-            truncate=True, boundary_only=boundary_only,
-        ):
-            self.space.add(row)
+        self.paths, self.index, self._sizes, self.space = _span(
+            quiver, self.relations, bound - 1, truncate=True, boundary_only=boundary_only,
+        )
 
     def _vector(self, x: PathElement) -> dict[int, Fraction]:
         try:
@@ -147,12 +166,12 @@ class TruncatedIdealSpan:
     def reduce(self, x: PathElement) -> PathElement:
         """Canonical normal form of x modulo the span."""
         res = self.space.reduce(self._vector(x.truncate(self.bound - 1)))
-        return PathElement(self.quiver, {self.paths[i]: c for i, c in res.items()})
+        return PathElement(self.quiver, {_path_of(self.paths[i]): c for i, c in res.items()})
 
     def complement_basis(self) -> list[Path]:
         """Paths whose classes form a basis of the quotient by the span."""
         pivots = set(self.space.pivot_columns())
-        return [p for i, p in enumerate(self.paths) if i not in pivots]
+        return [_path_of(key) for i, key in enumerate(self.paths) if i not in pivots]
 
 
 def bound_is_valid(q: GradedQuiver, relations, n: int) -> bool:
@@ -192,9 +211,7 @@ def _require_bound(q: GradedQuiver, relations, n: int) -> TruncatedIdealSpan:
     bound n with rank lower by the number of paths of length n.
     """
     span = TruncatedIdealSpan(q, relations, max(n, 1) + 1)  # checks relations
-    if n >= 2 and all(
-        span.space.contains({i: 1}) for i, p in enumerate(span.paths) if len(p) == n
-    ):
+    if n >= 2 and _holds_length(span.space, span._sizes, n):
         return span
     raise NotAdmissibleError(f"{n} is not a valid admissibility bound")
 
@@ -203,17 +220,16 @@ def generates_arrow_power(q: GradedQuiver, relations, n: int, max_expr_len: int)
     """Sound certificate that r^n <= (R): every path of length n must be an
     *exact* combination of products u * rho * v whose every term fits in
     length <= max_expr_len.  No truncation is involved, so a True answer is
-    a proof; a False answer may just mean max_expr_len was too small.
+    a proof; a False answer may just mean max_expr_len was too small.  n = 0
+    asks about the trivial paths, and n < 0 raises ValueError.
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if max_expr_len < n:
         raise ValueError("max_expr_len must be at least n")
     relations = _check_relations(q, relations)
-    paths = q.enumerate_paths(max_expr_len)
-    index = {p.key: i for i, p in enumerate(paths)}
-    space = RowSpace()
-    for row in _two_sided_products(q, relations, paths, index, max_expr_len, truncate=False):
-        space.add(row)
-    return all(space.contains({i: 1}) for i, p in enumerate(paths) if len(p) == n)
+    _, _, sizes, space = _span(q, relations, max_expr_len, truncate=False)
+    return _holds_length(space, sizes, n)
 
 
 def algebra_dim(q: GradedQuiver, relations, n: int) -> int:
@@ -253,7 +269,7 @@ def system_of_relations(q: GradedQuiver, relations, n: int) -> list[Relation]:
     # zero entries span nothing, and the span at bound n is the certified
     # one without the paths of length n
     current = [r for r in relations if not r.body.is_zero()]
-    full_rank = span.rank - sum(1 for p in span.paths if len(p) == n)
+    full_rank = span.rank - span._sizes[n]
     k = 0
     while k < len(current):
         candidate = current[:k] + current[k + 1:]
@@ -293,15 +309,13 @@ def spans_boundary_quotient(q: GradedQuiver, relations, candidate, n: int) -> bo
 
     Each candidate body must lie in (R) (checked through the truncated span).
     """
-    candidate = list(candidate)
     full, boundary = _boundary_spans(q, relations, n)
-    for r in candidate:
-        if not full.contains(r.body.rebind(q)):
-            raise ValueError(f"candidate {r.label!r} is not in the ideal")
     # the boundary span plus the candidate images must fill the ideal span
     for r in candidate:
-        if not r.body.is_zero():
-            boundary.space.add(boundary._vector(r.body.rebind(q)))
+        body = r.body.rebind(q)
+        if not full.contains(body):
+            raise ValueError(f"candidate {r.label!r} is not in the ideal")
+        boundary.space.add(boundary._vector(body))
     return boundary.rank == full.rank
 
 
@@ -427,18 +441,9 @@ def split_extension_check(q: GradedQuiver, relations, n: int, search_cap: int = 
     big_span = TruncatedIdealSpan(big, h0_relations, bound)
     for p in small_span.complement_basis():
         x = PathElement(q, {p: Fraction(1)})
-        lifted = x.rebind(big)
-        nf_big = big_span.reduce(lifted)
-        projected = PathElement(
-            q,
-            {
-                pp: c
-                for pp, c in nf_big.terms.items()
-                if not set(pp.arrows) & eps_names
-            },
-        )
-        back = small_span.reduce(projected)
-        if back != small_span.reduce(x):
+        nf_big = big_span.reduce(x.rebind(big)).terms.items()
+        projected = PathElement(q, {pp: c for pp, c in nf_big if not set(pp.arrows) & eps_names})
+        if small_span.reduce(projected) != small_span.reduce(x):
             return (
                 f"basis path {format_element(x)} is not fixed by projection "
                 f"after inclusion"

@@ -11,7 +11,9 @@ vertex order), so matrix constructions and reports are reproducible.
 
 Row and column indices key a path by its arrow tuple and a trivial path by
 its vertex name, a `str` (`Path.key`, `paths_by_degree`), so the two never
-collide.  The path walk yields tuples; only `enumerate_paths` builds `Path`s.
+collide.  The path walk yields tuples.  Two places build `Path`s from them:
+`enumerate_paths`, and the ideal spans' `reduce` and `complement_basis`; both
+go through `_path_of`, the key -> `Path` rule and the inverse of `_key`.
 """
 
 from __future__ import annotations
@@ -33,6 +35,10 @@ PathKey = tuple[str, ...] | str
 
 def _key(arrows: tuple[str, ...], vertex: str) -> PathKey:
     return arrows or vertex
+
+
+def _path_of(key: PathKey) -> Path:
+    return Path(key) if type(key) is tuple else Path(base=key)
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,37 +132,20 @@ class GradedQuiver:
     def degrees(self) -> list[int]:
         return [a.degree for a in self.arrows]
 
-    def _longest_from(self) -> dict[str, int] | None:
-        """Length of the longest path starting at each vertex, from one
-        iterative depth-first walk; None if there is a cycle of positive
-        length."""
-        color = {v: 0 for v in self.vertices}  # 0 new, 1 on stack, 2 done
-        far: dict[str, int] = {}
-        for start in self.vertices:
-            if color[start]:
-                continue
-            stack = [(start, iter(self._out[start]))]
-            color[start] = 1
-            while stack:
-                v, it = stack[-1]
-                adv = next(it, None)
-                if adv is None:
-                    # every successor is done, so its length is known
-                    far[v] = max((1 + far[a.target] for a in self._out[v]), default=0)
-                    color[v] = 2
-                    stack.pop()
-                    continue
-                w = adv.target
-                if color[w] == 1:
-                    return None
-                if color[w] == 0:
-                    color[w] = 1
-                    stack.append((w, iter(self._out[w])))
-        return far
-
     def is_acyclic(self) -> bool:
-        """True iff there is no cycle of positive length."""
-        return self._longest_from() is not None
+        """True iff there is no cycle of positive length: removing the
+        vertices with no incoming arrow, one at a time, removes them all."""
+        incoming = {v: 0 for v in self.vertices}
+        for arrows in self._out.values():
+            for a in arrows:
+                incoming[a.target] += 1
+        removed = [v for v, k in incoming.items() if not k]
+        for v in removed:  # grows as the loop removes vertices
+            for a in self._out[v]:
+                incoming[a.target] -= 1
+                if not incoming[a.target]:
+                    removed.append(a.target)
+        return len(removed) == len(incoming)
 
     # ---------- paths ----------
 
@@ -212,6 +201,8 @@ class GradedQuiver:
 
         Branches whose degree cannot re-enter [min_degree, max_degree] are
         pruned; with all arrow degrees <= 0 this makes deep windows cheap.
+        The walk stops at the first empty level, so it yields no level for
+        a length that no path has.
         """
         if max_len < 0:
             raise ValueError("max_len must be >= 0")
@@ -237,8 +228,7 @@ class GradedQuiver:
 
     def enumerate_paths(self, max_len: int) -> list[Path]:
         """All paths of length <= max_len, ordered by (length, arrow names)."""
-        walk = self._walk(max_len)
-        return [Path(a) if a else Path(base=s) for level in walk for a, s, _, _ in level]
+        return [_path_of(_key(a, s)) for level in self._walk(max_len) for a, s, _, _ in level]
 
     def paths_by_degree(
         self, max_len: int, min_degree: int, max_degree: int

@@ -229,3 +229,20 @@ def test_free_form_option_is_allowed(tmp_path):
     res = run_cli("homology", str(f), "--m", "3")
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout)["input"]["options"] == {"note": "hello"}
+
+
+def test_input_file_that_is_not_utf8_is_an_error(tmp_path, capsys):
+    f = tmp_path / "binary.quiver"
+    f.write_bytes(b"\xff\xfevertex v\n")
+    assert cli.main(["validate", str(f)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_output_into_a_missing_directory_is_an_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code = cli.main(["validate", str(FIXTURES / "quaternion.quiver"), "--output", str(target)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not target.parent.exists()

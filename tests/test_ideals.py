@@ -12,6 +12,7 @@ from dgquiver import (
     Arrow,
     GradedQuiver,
     NotAdmissibleError,
+    Path,
     PathElement,
     Relation,
     TruncatedIdealSpan,
@@ -150,7 +151,7 @@ def test_bound_quaternion(quaternion):
 
 def test_bound_acyclic_no_relations(square):
     q, _ = square
-    assert find_admissibility_bound(q, []) == max(q._longest_from().values()) + 1 == 3
+    assert find_admissibility_bound(q, []) == 3
 
 
 def test_bound_requires_r2(square):
@@ -377,7 +378,7 @@ def test_certified_span_cut_to_bound_is_span_at_bound(seed):
     assume(n is not None)
     certified = _require_bound(q, rels, n)
     at_n = TruncatedIdealSpan(q, rels, n)
-    length_n = sum(1 for p in certified.paths if len(p) == n)
+    length_n = sum(1 for p in q.enumerate_paths(n) if len(p) == n)
     assert certified.rank - length_n == at_n.rank
     assert algebra_dim(q, rels, n) == at_n.ambient_dim - at_n.rank
 
@@ -465,6 +466,7 @@ def test_two_sided_products_match_all_pairs_filter(seed, max_len, truncate, boun
     rng = random.Random(seed)
     q = random_quiver(rng)
     rels = random_relations(rng, q, max_count=3, coeffs=PQ_COEFFS)
+    levels = list(q._walk(max_len))
     paths = q.enumerate_paths(max_len)
     index = {p: i for i, p in enumerate(paths)}
     want = []
@@ -474,7 +476,7 @@ def test_two_sided_products_match_all_pairs_filter(seed, max_len, truncate, boun
         scale = math.lcm(*(c.denominator for c in rel.body.terms.values()))
         want.append({index[p]: c * scale for p, c in prod.terms.items()})
     got = list(_two_sided_products(
-        q, rels, paths, {p.key: i for i, p in enumerate(paths)}, max_len,
+        q, rels, levels, {p.key: i for i, p in enumerate(paths)}, max_len,
         truncate=truncate, boundary_only=boundary_only,
     ))
     assert got == want
@@ -499,7 +501,7 @@ def test_span_matches_path_element_oracle(seed, bound, boundary_only, quiver):
     oracle = _oracle_space(
         q, rels, paths, bound - 1, truncate=True, boundary_only=boundary_only
     )
-    assert span.paths == paths
+    assert span.paths == [p.key for p in paths]
     assert span.rank == oracle.rank
     assert span.space.pivot_columns() == oracle.pivot_columns()
     pivots = set(oracle.pivot_columns())
@@ -543,6 +545,55 @@ def test_span_construction_validates_relations(square):
         for n in (1, 3):
             with pytest.raises(ValueError, match=msg):
                 _require_bound(q, rels, n)
+
+
+def test_span_construction_builds_no_path(quaternion, monkeypatch):
+    # spans read the walk's tuples and keys; only validating the relations,
+    # which reads their terms, may build a Path or look up an endpoint
+    from dgquiver import ideals
+
+    q, rels = quaternion
+    calls = []
+    validating = False
+
+    def counted(fn):
+        def wrapper(*args):
+            if not validating:
+                calls.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    def check_uncounted(*args):
+        nonlocal validating
+        validating = True
+        try:
+            return check(*args)
+        finally:
+            validating = False
+
+    check = ideals._check_relations
+    monkeypatch.setattr(ideals, "_check_relations", check_uncounted)
+    monkeypatch.setattr(Path, "__post_init__", counted(Path.__post_init__))
+    monkeypatch.setattr(GradedQuiver, "target_of", counted(GradedQuiver.target_of))
+    monkeypatch.setattr(GradedQuiver, "source_of", counted(GradedQuiver.source_of))
+    for boundary_only in (False, True):
+        TruncatedIdealSpan(q, rels, 6, boundary_only=boundary_only)
+    _require_bound(q, rels, 5)
+    assert generates_arrow_power(q, rels, 5, 8)
+    assert calls == []
+
+
+def test_generates_arrow_power_length_checks(square):
+    q = loop_quiver()
+    rels = loop_square_relation(q)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        generates_arrow_power(q, [], -1, 3)
+    # n = 0 asks about the trivial paths, which no relation in r^2 reaches
+    assert not generates_arrow_power(q, rels, 0, 3)
+    assert generates_arrow_power(q, rels, 2, 3)
+    # the walk on the square stops at length 2, so r^3 = 0 holds vacuously
+    assert generates_arrow_power(square[0], [], 3, 4)
+    assert not generates_arrow_power(square[0], [], 2, 4)
 
 
 def test_require_bound_validates_once(quaternion, monkeypatch):
