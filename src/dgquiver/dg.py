@@ -99,26 +99,30 @@ class Relation:
     body: PathElement
 
 
-def validate_relations(q: GradedQuiver, relations) -> list[str]:
-    problems = []
+def _relation_problems(q: GradedQuiver, relations):
+    """Yield (i, message) for each problem of relations[i]; a duplicate label
+    is reported at its later occurrence."""
     seen = set()
-    for r in relations:
+    for i, r in enumerate(relations):
         if r.label in seen:
-            problems.append(f"duplicate relation label {r.label!r}")
+            yield i, f"duplicate relation label {r.label!r}"
         seen.add(r.label)
         for v in (r.source, r.target):
             if v not in q.vertices:
-                problems.append(f"relation {r.label!r} uses undeclared vertex {v!r}")
+                yield i, f"relation {r.label!r} uses undeclared vertex {v!r}"
                 break
         else:
             try:
                 body = r.body.rebind(q)
             except (KeyError, ValueError) as exc:
-                problems.append(f"relation {r.label!r}: {exc}")
+                yield i, f"relation {r.label!r}: {exc}"
                 continue
             for msg in is_relation_body(body, r.source, r.target):
-                problems.append(f"relation {r.label!r}: {msg}")
-    return problems
+                yield i, f"relation {r.label!r}: {msg}"
+
+
+def validate_relations(q: GradedQuiver, relations) -> list[str]:
+    return [msg for _, msg in _relation_problems(q, relations)]
 
 
 def _check_relations(q: GradedQuiver, relations) -> list[Relation]:
@@ -329,8 +333,11 @@ def check_d_squared(
     Returns the first violating element, or None when everything checks out.
     Sampling covers `samples_per_degree` random paths per length up to
     `max_len`; it guards the Leibniz signs, since generator-level d^2 = 0
-    alone does not exercise them.
+    alone does not exercise them.  A negative count raises ValueError.
     """
+    for name, value in (("max_len", max_len), ("samples_per_degree", samples_per_degree)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0")
     q = dg.quiver
     for a in q.arrows:
         x = PathElement.from_arrow(q, a.name)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import PathElement, format_element
-from .dg import Relation, validate_relations
+from .dg import Relation, _relation_problems
 from .quiver import Arrow, GradedQuiver, Path
 
 
@@ -180,7 +180,7 @@ def parse(text: str) -> ProblemFile:
     diags: list[Diagnostic] = []
     vertices: list[str] = []
     arrows: list[Arrow] = []
-    raw_relations = []  # (lineno, label, src, dst, [_RawTerm])
+    raw_relations = []  # (lineno, label column, label, src, dst, [_RawTerm])
     m_value: int | None = None
     m_line: int | None = None
     options: dict[str, int | str] = {}
@@ -215,13 +215,13 @@ def parse(text: str) -> ProblemFile:
                     raise _LineError(lineno, cur.column(), "trailing tokens")
                 arrows.append(Arrow(name, src, dst, degree))
             elif head[0] == "id" and head[1] == "relation":
-                label = cur.expect("id", "a relation id")[1]
+                _, label, label_col = cur.expect("id", "a relation id")
                 cur.expect(":", "':'")
                 src = cur.expect("id", "a source vertex")[1]
                 cur.expect("->", "'->'")
                 dst = cur.expect("id", "a target vertex")[1]
                 cur.expect("=", "'='")
-                raw_relations.append((lineno, label, src, dst, _parse_expr(cur)))
+                raw_relations.append((lineno, label_col, label, src, dst, _parse_expr(cur)))
             elif head[0] == "id" and head[1] == "m":
                 cur.expect("=", "'='")
                 value = _signed_int(cur, "an integer", "m")
@@ -260,7 +260,7 @@ def parse(text: str) -> ProblemFile:
         raise ParseError(diags)
 
     relations: list[Relation] = []
-    for lineno, label, src, dst, raw_terms in raw_relations:
+    for lineno, _, label, src, dst, raw_terms in raw_relations:
         terms: dict[Path, Fraction] = {}
         ok = True
         for rt in raw_terms:
@@ -288,8 +288,9 @@ def parse(text: str) -> ProblemFile:
             continue
         relations.append(Relation(label, src, dst, PathElement(quiver, terms)))
     if not diags:
-        for msg in validate_relations(quiver, relations):
-            diags.append(Diagnostic(1, 1, msg))
+        # every raw relation became a relation, so their indices agree
+        for i, msg in _relation_problems(quiver, relations):
+            diags.append(Diagnostic(*raw_relations[i][:2], msg))
     if diags:
         raise ParseError(diags)
     return ProblemFile(quiver=quiver, relations=relations, m=m_value, options=options)

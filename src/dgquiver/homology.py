@@ -20,6 +20,7 @@ from .algebra import Superpotential
 from .dg import (
     DgAlgebra,
     _d_path,
+    _require_degree_zero,
     ginzburg_dg_algebra,
     ginzburg_from_relations,
     relation_dg_algebra,
@@ -154,9 +155,7 @@ def preprojective_presentation(q: GradedQuiver):
     """H^0 presentation of the Ginzburg dg-algebra with m = 1 and zero
     superpotential: the doubled quiver modulo the mesh relations
     e_i (sum over arrows of [a, a*]) e_i."""
-    bad = [a.name for a in q.arrows if a.degree != 0]
-    if bad:
-        raise ValueError(f"arrows must be in degree 0, got {bad}")
+    _require_degree_zero(q)
     dg = ginzburg_dg_algebra(q, Superpotential.zero(q), 1)
     return h0_presentation(dg)
 

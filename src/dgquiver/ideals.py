@@ -11,9 +11,11 @@ the path walk (see `_two_sided_products`); a column is a path key, and the
 paths of length n take the columns of walk level n.
 
 The bound search is the operational test "every path of length N lies in
-the truncated span at bound N+1".  For genuinely admissible ideals this
-finds a correct bound; for pathological non-admissible inputs (already a
-single loop with the relation a^2 - a^3) the test can report a bound that
+the truncated span at bound N+1".  A function given N runs it once per call
+(`_require_bound`), and every other span of that call reads the columns of
+the certified span it returns.  For genuinely admissible ideals this finds a
+correct bound; for pathological non-admissible inputs (already a single
+loop with the relation a^2 - a^3) the test can report a bound that
 certifies nothing, which is why operations requiring admissibility refuse
 to run without a bound and why non-membership can alternatively be
 certified through a representation witness, which needs no bound at all.
@@ -96,27 +98,21 @@ def _two_sided_products(
                 yield row
 
 
-def _span(q: GradedQuiver, relations, max_len: int, *, truncate: bool, boundary_only: bool = False):
-    """(keys, index, sizes, space): the keys of the paths of length <= max_len
-    in walk order, their columns, the number of paths of each length 0..max_len
-    (0 past where the walk stopped) and the span of `_two_sided_products`."""
+def _span(q: GradedQuiver, relations, max_len: int, *, truncate: bool):
+    """(levels, index, space): the levels of `q._walk(max_len)`, the column of
+    each path key in walk order and the span of `_two_sided_products`."""
     levels = list(q._walk(max_len))
-    keys = [_key(arrows, source) for level in levels for arrows, source, _, _ in level]
-    index = {key: i for i, key in enumerate(keys)}
-    space = RowSpace()
-    for row in _two_sided_products(
-        q, relations, levels, index, max_len, truncate=truncate, boundary_only=boundary_only
-    ):
-        space.add(row)
-    sizes = [len(level) for level in levels] + [0] * (max_len + 1 - len(levels))
-    return keys, index, sizes, space
+    index = {_key(a, s): i for i, (a, s, _, _) in enumerate(t for level in levels for t in level)}
+    space = RowSpace(_two_sided_products(q, relations, levels, index, max_len, truncate=truncate))
+    return levels, index, space
 
 
-def _holds_length(space: RowSpace, sizes, n: int) -> bool:
-    """Whether every path of length n lies in the span, the `sizes[k]` paths
-    of each length k taking the columns length by length."""
-    start = sum(sizes[:n])
-    return all(space.contains({i: 1}) for i in range(start, start + sizes[n]))
+def _holds_length(space: RowSpace, levels, n: int) -> bool:
+    """Whether every path of length n lies in the span, the walk levels
+    taking the columns in turn (none of length n past where the walk stopped)."""
+    start = sum(map(len, levels[:n]))
+    stop = start + sum(map(len, levels[n:n + 1]))
+    return all(space.contains({i: 1}) for i in range(start, stop))
 
 
 class TruncatedIdealSpan:
@@ -127,18 +123,18 @@ class TruncatedIdealSpan:
     span equals (R) restricted to the paths of length < bound.  The
     relations are checked with `validate_relations`; an invalid one raises
     ValueError.  `paths` holds the column keys (`Path.key`) in walk order, by
-    length and then by arrow names, and `index` maps each key to its column.
+    length and then by arrow names, and `index` maps each key to its column;
+    `_levels` keeps the walk, so that other spans can share the columns.
     """
 
-    def __init__(self, quiver: GradedQuiver, relations, bound: int, *, boundary_only: bool = False):
+    def __init__(self, quiver: GradedQuiver, relations, bound: int):
         if bound < 1:
             raise ValueError("bound must be >= 1")
         self.quiver = quiver
-        self.relations = _check_relations(quiver, relations)
+        self.relations = relations = _check_relations(quiver, relations)
         self.bound = bound
-        self.paths, self.index, self._sizes, self.space = _span(
-            quiver, self.relations, bound - 1, truncate=True, boundary_only=boundary_only,
-        )
+        self._levels, self.index, self.space = _span(quiver, relations, bound - 1, truncate=True)
+        self.paths = list(self.index)
 
     def _vector(self, x: PathElement) -> dict[int, Fraction]:
         try:
@@ -210,9 +206,12 @@ def _require_bound(q: GradedQuiver, relations, n: int) -> TruncatedIdealSpan:
     paths of length <= n, and cutting it to lengths < n gives the span at
     bound n with rank lower by the number of paths of length n.
     """
-    span = TruncatedIdealSpan(q, relations, max(n, 1) + 1)  # checks relations
-    if n >= 2 and _holds_length(span.space, span._sizes, n):
-        return span
+    if n < 2:
+        _check_relations(q, relations)
+    else:
+        span = TruncatedIdealSpan(q, relations, n + 1)  # checks relations
+        if _holds_length(span.space, span._levels, n):
+            return span
     raise NotAdmissibleError(f"{n} is not a valid admissibility bound")
 
 
@@ -228,8 +227,8 @@ def generates_arrow_power(q: GradedQuiver, relations, n: int, max_expr_len: int)
     if max_expr_len < n:
         raise ValueError("max_expr_len must be at least n")
     relations = _check_relations(q, relations)
-    _, _, sizes, space = _span(q, relations, max_expr_len, truncate=False)
-    return _holds_length(space, sizes, n)
+    levels, _, space = _span(q, relations, max_expr_len, truncate=False)
+    return _holds_length(space, levels, n)
 
 
 def algebra_dim(q: GradedQuiver, relations, n: int) -> int:
@@ -266,17 +265,15 @@ def system_of_relations(q: GradedQuiver, relations, n: int) -> list[Relation]:
     span = _require_bound(q, relations, n)
     relations = span.relations
     max_expr_len = n + max((r.body.max_length() or 1 for r in relations), default=1)
-    # zero entries span nothing, and the span at bound n is the certified
-    # one without the paths of length n
+    # zero entries span nothing; a candidate's span at bound n is built on the
+    # certified span's columns of length < n, which come first (`_require_bound`)
     current = [r for r in relations if not r.body.is_zero()]
-    full_rank = span.rank - span._sizes[n]
+    rank_n = span.rank - sum(map(len, span._levels[n:]))
     k = 0
     while k < len(current):
         candidate = current[:k] + current[k + 1:]
-        if (
-            TruncatedIdealSpan(q, candidate, n).rank == full_rank
-            and generates_arrow_power(q, candidate, n, max_expr_len)
-        ):
+        rows = _two_sided_products(q, candidate, span._levels, span.index, n - 1, truncate=True)
+        if RowSpace(rows).rank == rank_n and generates_arrow_power(q, candidate, n, max_expr_len):
             current = candidate
         else:
             k += 1
@@ -284,16 +281,18 @@ def system_of_relations(q: GradedQuiver, relations, n: int) -> list[Relation]:
 
 
 def _boundary_spans(q: GradedQuiver, relations, n: int):
-    """The certified span of I = (R) at bound n + 1 and the span of
-    I r + r I at the same bound.
+    """The certified span of I = (R) at bound n + 1 and, as a `RowSpace` on
+    its columns, the span of I r + r I at the same bound.
 
     I r + r I is spanned by the products u * rho * v with at least one of
     u, v of positive length; tails beyond the bound lie in r^{n+1}, which is
     already inside I r + r I.
     """
     full = _require_bound(q, relations, n)
-    boundary = TruncatedIdealSpan(q, full.relations, n + 1, boundary_only=True)
-    return full, boundary
+    rows = _two_sided_products(
+        q, full.relations, full._levels, full.index, n, truncate=True, boundary_only=True
+    )
+    return full, RowSpace(rows)
 
 
 def boundary_image_vanishes(q: GradedQuiver, relations, n: int, x: PathElement) -> bool:
@@ -301,7 +300,7 @@ def boundary_image_vanishes(q: GradedQuiver, relations, n: int, x: PathElement) 
     full, boundary = _boundary_spans(q, relations, n)
     if not full.contains(x.rebind(q)):
         raise ValueError("element does not lie in the ideal")
-    return boundary.contains(x.rebind(q))
+    return boundary.contains(full._vector(x.rebind(q)))
 
 
 def spans_boundary_quotient(q: GradedQuiver, relations, candidate, n: int) -> bool:
@@ -315,7 +314,7 @@ def spans_boundary_quotient(q: GradedQuiver, relations, candidate, n: int) -> bo
         body = r.body.rebind(q)
         if not full.contains(body):
             raise ValueError(f"candidate {r.label!r} is not in the ideal")
-        boundary.space.add(boundary._vector(body))
+        boundary.add(full._vector(body))
     return boundary.rank == full.rank
 
 
@@ -402,7 +401,8 @@ def split_extension_check(q: GradedQuiver, relations, n: int, search_cap: int = 
     from .dg import ginzburg_from_relations, reverse_arrow_name
     from .homology import h0_presentation
 
-    relations = _require_bound(q, relations, n).relations
+    span = _require_bound(q, relations, n)
+    relations = span.relations
     gamma = ginzburg_from_relations(q, relations, 2)
     big, h0_rels = h0_presentation(gamma)
     eps_names = {reverse_arrow_name(r.label) for r in relations}
@@ -424,7 +424,9 @@ def split_extension_check(q: GradedQuiver, relations, n: int, search_cap: int = 
                     f"reversed arrow"
                 )
 
-    # (iii) inclusion followed by projection is the identity on a basis
+    # (iii) inclusion followed by projection is the identity on a basis.  Over
+    # q the span at any bound b >= n is the certified one plus every path of
+    # length n..b-1, so the certified span gives the basis and normal forms
     h0_relations = [
         Relation(f"h0_{k}", big.source_of(next(iter(rel.terms))),
                  big.target_of(next(iter(rel.terms))), rel)
@@ -436,14 +438,12 @@ def split_extension_check(q: GradedQuiver, relations, n: int, search_cap: int = 
         raise NotAdmissibleError(
             f"the degree-0 homology ideal admits no bound up to {search_cap}"
         )
-    bound = max(n, big_n)
-    small_span = TruncatedIdealSpan(q, relations, bound)
-    big_span = TruncatedIdealSpan(big, h0_relations, bound)
-    for p in small_span.complement_basis():
+    big_span = TruncatedIdealSpan(big, h0_relations, max(n, big_n))
+    for p in span.complement_basis():
         x = PathElement(q, {p: Fraction(1)})
         nf_big = big_span.reduce(x.rebind(big)).terms.items()
         projected = PathElement(q, {pp: c for pp, c in nf_big if not set(pp.arrows) & eps_names})
-        if small_span.reduce(projected) != small_span.reduce(x):
+        if span.reduce(projected) != span.reduce(x):
             return (
                 f"basis path {format_element(x)} is not fixed by projection "
                 f"after inclusion"

@@ -37,7 +37,8 @@ def _integral(row: Mapping) -> tuple[SparseRow, int]:
 
 
 class RowSpace:
-    """A row span W over Q, kept as an echelon basis of integer rows.
+    """A row span W over Q, kept as an echelon basis of integer rows;
+    `RowSpace(rows)` starts from the span of `rows`.
 
     Rows are sparse dicts {column: value}.  Each pivot row is a primitive
     integer row (its entries have gcd 1) with a positive leading entry in
@@ -60,8 +61,10 @@ class RowSpace:
     `split_extension_check`).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, rows=()) -> None:
         self._pivots: dict[int, SparseRow] = {}  # pivot column -> pivot row
+        for row in rows:
+            self.add(row)
 
     @property
     def rank(self) -> int:
@@ -190,7 +193,4 @@ class SparseMatrix:
 
 def rank(m: SparseMatrix) -> int:
     """Rank of `m` over Q, exact."""
-    space = RowSpace()
-    for row in m._stored_rows().values():
-        space.add(row)
-    return space.rank
+    return RowSpace(m._stored_rows().values()).rank

@@ -223,6 +223,21 @@ def test_negative_max_len_option_is_an_error(tmp_path, capsys):
     assert out == "" and err == "error: max_len must be >= 0\n"
 
 
+@pytest.mark.parametrize(
+    "flag, option, message",
+    [
+        (["--max-len", "-3"], "", "max_len must be >= 0"),
+        ([], "option d2_samples = -5\n", "samples_per_degree must be >= 0"),
+    ],
+)
+def test_check_d2_rejects_negative_counts(tmp_path, capsys, flag, option, message):
+    f = tmp_path / "negative.quiver"
+    f.write_text("vertex v\narrow a : v -> v\n" + option)
+    assert cli.main(["check-d2", str(f), "--m", "3", *flag]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
 def test_free_form_option_is_allowed(tmp_path):
     f = tmp_path / "note.quiver"
     f.write_text("vertex v\noption note = hello\n")

@@ -289,6 +289,16 @@ def test_check_d_squared_adversarial():
     assert bad == PathElement.from_arrow(q, "b")
 
 
+def test_check_d_squared_rejects_negative_counts(square):
+    # a negative count used to sample nothing and report d^2 = 0
+    dg = relation_dg_algebra(*square)
+    with pytest.raises(ValueError, match="max_len must be >= 0"):
+        check_d_squared(dg, max_len=-3)
+    with pytest.raises(ValueError, match="samples_per_degree must be >= 0"):
+        check_d_squared(dg, samples_per_degree=-5)
+    assert check_d_squared(dg, max_len=0, samples_per_degree=0) is None
+
+
 def test_dg_algebra_validates_degree_and_endpoints():
     q = GradedQuiver(["v", "w"], [Arrow("a", "v", "w", 0), Arrow("s", "v", "w", -1)])
     with pytest.raises(ValueError):

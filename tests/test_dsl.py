@@ -122,6 +122,25 @@ def test_parse_rejects_endpoint_mismatch():
         parse(text)
 
 
+def test_parse_reports_relation_problems_at_their_label():
+    text = """vertex a b c
+arrow x : a -> b
+arrow y : b -> c
+arrow z : a -> c
+
+relation r : a -> b = x*y
+relation r : a -> c = x*y - z
+relation s : a -> d = x*y
+"""
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert exc.value.diagnostics == [
+        Diagnostic(6, 10, "relation 'r': term ends at 'c', expected 'b'"),
+        Diagnostic(7, 10, "duplicate relation label 'r'"),
+        Diagnostic(8, 10, "relation 's' uses undeclared vertex 'd'"),
+    ]
+
+
 def test_parse_duplicate_m():
     with pytest.raises(ParseError) as exc:
         parse("vertex v\nm = 2\nm = 3\n")

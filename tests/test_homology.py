@@ -226,6 +226,12 @@ def test_preprojective_no_arrows():
     assert all(r.is_zero() for r in rels)
 
 
+def test_preprojective_requires_degree_zero_arrows():
+    q = GradedQuiver(["v"], [Arrow("a", "v", "v", -1)])
+    with pytest.raises(ValueError, match=r"requires all arrows in degree 0, got \['a'\]"):
+        preprojective_presentation(q)
+
+
 def test_preprojective_a2_mesh():
     q = GradedQuiver(["1", "2"], [Arrow("a", "1", "2", 0)])
     q0, rels = preprojective_presentation(q)

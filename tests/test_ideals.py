@@ -32,7 +32,7 @@ from dgquiver import (
     system_of_relations,
 )
 from dgquiver.dg import validate_relations
-from dgquiver.ideals import _require_bound, _two_sided_products
+from dgquiver.ideals import _boundary_spans, _require_bound, _two_sided_products
 from dgquiver.linalg import RowSpace
 
 from conftest import (
@@ -486,7 +486,8 @@ def test_two_sided_products_match_all_pairs_filter(seed, max_len, truncate, boun
 # The examples fix a quiver whose vertex is named like its arrow, with the
 # relation a*a - 3/4 a*a*a from seed 3: the trivial path at "a" and the
 # arrow a must take two distinct columns.  Otherwise the quiver is drawn
-# from the seed.
+# from the seed.  With `boundary_only` the span's rows are those of I r + r I
+# on its own columns, as `_boundary_spans` builds them.
 @given(st.integers(0, 2**32), st.integers(1, 4), st.booleans(), st.none())
 @example(3, 4, False, GradedQuiver(["a"], [("a", "a", "a", 0)]))
 @example(3, 4, True, GradedQuiver(["a"], [("a", "a", "a", 0)]))
@@ -495,7 +496,12 @@ def test_span_matches_path_element_oracle(seed, bound, boundary_only, quiver):
     rng = random.Random(seed)
     q = random_quiver(rng) if quiver is None else quiver
     rels = random_relations(rng, q, max_count=3, coeffs=PQ_COEFFS)
-    span = TruncatedIdealSpan(q, rels, bound, boundary_only=boundary_only)
+    span = TruncatedIdealSpan(q, rels, bound)
+    if boundary_only:
+        span.space = RowSpace(_two_sided_products(
+            q, span.relations, span._levels, span.index, bound - 1,
+            truncate=True, boundary_only=True,
+        ))
     paths = q.enumerate_paths(bound - 1)
     index = {p: i for i, p in enumerate(paths)}
     oracle = _oracle_space(
@@ -539,7 +545,7 @@ def test_span_construction_validates_relations(square):
         with pytest.raises(ValueError, match=msg):
             TruncatedIdealSpan(q, rels, 4)
         with pytest.raises(ValueError, match=msg):
-            TruncatedIdealSpan(q, rels, 4, boundary_only=True)
+            ext2_dim(q, rels, 3)
         with pytest.raises(ValueError, match=msg):
             generates_arrow_power(q, rels, 3, 4)
         for n in (1, 3):
@@ -576,8 +582,8 @@ def test_span_construction_builds_no_path(quaternion, monkeypatch):
     monkeypatch.setattr(Path, "__post_init__", counted(Path.__post_init__))
     monkeypatch.setattr(GradedQuiver, "target_of", counted(GradedQuiver.target_of))
     monkeypatch.setattr(GradedQuiver, "source_of", counted(GradedQuiver.source_of))
-    for boundary_only in (False, True):
-        TruncatedIdealSpan(q, rels, 6, boundary_only=boundary_only)
+    TruncatedIdealSpan(q, rels, 6)
+    assert ext2_dim(q, rels, 5) == 2
     _require_bound(q, rels, 5)
     assert generates_arrow_power(q, rels, 5, 8)
     assert calls == []
@@ -607,3 +613,84 @@ def test_require_bound_validates_once(quaternion, monkeypatch):
     )
     _require_bound(q, rels, 5)
     assert len(calls) == 1
+
+
+def _old_system_of_relations(q, relations, n):
+    """`system_of_relations` with each candidate ranked by a span of its own."""
+    max_expr_len = n + max((r.body.max_length() or 1 for r in relations), default=1)
+    current = [r for r in relations if not r.body.is_zero()]
+    rank_n = TruncatedIdealSpan(q, relations, n).rank
+    k = 0
+    while k < len(current):
+        candidate = current[:k] + current[k + 1:]
+        if (
+            TruncatedIdealSpan(q, candidate, n).rank == rank_n
+            and generates_arrow_power(q, candidate, n, max_expr_len)
+        ):
+            current = candidate
+        else:
+            k += 1
+    return current
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=40, deadline=None)
+def test_certified_span_columns_serve_every_span_of_a_call(seed):
+    # at a bound n that was found, the boundary span, each candidate span and
+    # the normal forms read off the certified span at bound n + 1 equal
+    # standalone constructions
+    rng = random.Random(seed)
+    q = random_quiver(rng)
+    rels = random_relations(rng, q, max_count=3, coeffs=PQ_COEFFS)
+    n = find_admissibility_bound(q, rels, max_n=4)
+    assume(n is not None)
+    span, boundary = _boundary_spans(q, rels, n)
+    paths = q.enumerate_paths(n)
+    oracle = _oracle_space(q, rels, paths, n, truncate=True, boundary_only=True)
+    assert (boundary.rank, boundary.pivot_columns()) == (oracle.rank, oracle.pivot_columns())
+
+    for k in range(len(rels)):
+        candidate = rels[:k] + rels[k + 1:]
+        rows = _two_sided_products(q, candidate, span._levels, span.index, n - 1, truncate=True)
+        assert RowSpace(rows).rank == TruncatedIdealSpan(q, candidate, n).rank
+    assert system_of_relations(q, rels, n) == _old_system_of_relations(q, rels, n)
+
+    below = [p for p in paths if len(p) < n]
+    xs = [
+        PathElement(q, {p: rng.choice(PQ_COEFFS) for p in rng.sample(below, min(4, len(below)))})
+        for _ in range(5)
+    ]
+    for b in (n, n + 1, n + 2):
+        other = TruncatedIdealSpan(q, rels, b)
+        assert span.complement_basis() == other.complement_basis()
+        assert [span.reduce(x) for x in xs] == [other.reduce(x) for x in xs]
+
+
+def test_ideal_call_walks_and_validates_once(quaternion, monkeypatch):
+    # the boundary and candidate spans read the certified span's columns, so
+    # one call walks the quiver and checks the relations once
+    from dgquiver import ideals
+
+    q, rels = quaternion
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ideals, "_check_relations", counted("check", ideals._check_relations))
+    monkeypatch.setattr(GradedQuiver, "_walk", counted("walk", GradedQuiver._walk))
+    monkeypatch.setattr(TruncatedIdealSpan, "__init__", counted("span", TruncatedIdealSpan.__init__))
+    for call in (
+        lambda: ext2_dim(q, rels, 5),
+        lambda: boundary_image_vanishes(q, rels, 5, rels[0].body),
+        lambda: spans_boundary_quotient(q, rels, rels, 5),
+    ):
+        calls.clear()
+        call()
+        assert sorted(calls) == ["check", "span", "walk"]
+    calls.clear()
+    system_of_relations(q, rels, 5)
+    assert calls.count("span") == 1
