@@ -143,9 +143,7 @@ def _d2_verdict(job: _Job, dg, max_len: int) -> str:
 
 
 def _split_verdict(job: _Job) -> str:
-    """Raises NotAdmissibleError when the degree-0 homology ideal has no bound."""
-    pf = job.pf
-    verdict = split_extension_check(pf.quiver, pf.relations, job.bound, search_cap=job.max_n)
+    verdict = split_extension_check(job.pf.quiver, job.pf.relations, job.bound)
     return "ok" if verdict is None else verdict
 
 
@@ -202,10 +200,7 @@ def _report(job: _Job) -> dict:
     out["ideal"] = ideal
     checks = {"d_squared": _d2_verdict(job, dg, max_len)}
     if job.m == 2 and job.bound is not None:
-        try:
-            checks["split_extension"] = _split_verdict(job)
-        except NotAdmissibleError as exc:
-            checks["split_extension"] = f"inconclusive: {exc}"
+        checks["split_extension"] = _split_verdict(job)
     out["checks"] = checks
     return out
 

@@ -181,6 +181,11 @@ def parse(text: str) -> ProblemFile:
     vertices: list[str] = []
     arrows: list[Arrow] = []
     raw_relations = []  # (lineno, label column, label, src, dst, [_RawTerm])
+    # (line, column) of each vertex id and of each arrow's name, source and
+    # target token, parallel to `vertices` and `arrows`
+    where: dict[str, list[tuple[int, int]]] = {
+        "vertex": [], "name": [], "source": [], "target": [],
+    }
     m_value: int | None = None
     m_line: int | None = None
     options: dict[str, int | str] = {}
@@ -195,16 +200,18 @@ def parse(text: str) -> ProblemFile:
             if head[0] == "id" and head[1] == "vertex":
                 got = False
                 while (t := cur.peek()) is not None:
-                    vertices.append(cur.expect("id", "a vertex id")[1])
+                    _, v, col = cur.expect("id", "a vertex id")
+                    vertices.append(v)
+                    where["vertex"].append((lineno, col))
                     got = True
                 if not got:
                     raise _LineError(lineno, cur.column(), "expected at least one vertex id")
             elif head[0] == "id" and head[1] == "arrow":
-                name = cur.expect("id", "an arrow id")[1]
+                name = cur.expect("id", "an arrow id")
                 cur.expect(":", "':'")
-                src = cur.expect("id", "a source vertex")[1]
+                src = cur.expect("id", "a source vertex")
                 cur.expect("->", "'->'")
-                dst = cur.expect("id", "a target vertex")[1]
+                dst = cur.expect("id", "a target vertex")
                 degree = 0
                 if cur.peek() is not None:
                     kw = cur.expect("id", "'deg'")
@@ -213,7 +220,9 @@ def parse(text: str) -> ProblemFile:
                     degree = _signed_int(cur, "an integer degree", "degree")
                 if cur.peek() is not None:
                     raise _LineError(lineno, cur.column(), "trailing tokens")
-                arrows.append(Arrow(name, src, dst, degree))
+                arrows.append(Arrow(name[1], src[1], dst[1], degree))
+                for key, token in (("name", name), ("source", src), ("target", dst)):
+                    where[key].append((lineno, token[2]))
             elif head[0] == "id" and head[1] == "relation":
                 _, label, label_col = cur.expect("id", "a relation id")
                 cur.expect(":", "':'")
@@ -254,8 +263,8 @@ def parse(text: str) -> ProblemFile:
             diags.append(exc.diagnostic)
 
     quiver = GradedQuiver(vertices, arrows)
-    for msg in quiver.validate():
-        diags.append(Diagnostic(1, 1, msg))
+    for key, i, msg in quiver._problems():
+        diags.append(Diagnostic(*where[key][i], msg))
     if diags:
         raise ParseError(diags)
 

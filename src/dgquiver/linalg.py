@@ -57,8 +57,7 @@ class RowSpace:
 
     Hence `rank`, `pivot_columns`, `contains` and `reduce` are functions of
     W alone, and so are the normal forms and complement bases read from
-    them (`TruncatedIdealSpan.reduce`, `complement_basis`,
-    `split_extension_check`).
+    them (`TruncatedIdealSpan.reduce`, `complement_basis`).
     """
 
     def __init__(self, rows=()) -> None:

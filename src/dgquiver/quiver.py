@@ -94,22 +94,25 @@ class GradedQuiver:
 
     def validate(self) -> list[str]:
         """List of violations; empty means the quiver is well formed."""
-        problems = []
+        return [msg for _, _, msg in self._problems()]
+
+    def _problems(self):
+        """Yield (field, i, message) for each violation: field "vertex" names
+        vertices[i], and "name", "source" or "target" that field of arrows[i]."""
         seen_v = set()
-        for v in self.vertices:
+        for i, v in enumerate(self.vertices):
             if v in seen_v:
-                problems.append(f"duplicate vertex id {v!r}")
+                yield "vertex", i, f"duplicate vertex id {v!r}"
             seen_v.add(v)
         seen_a = set()
-        for a in self.arrows:
+        for i, a in enumerate(self.arrows):
             if a.name in seen_a:
-                problems.append(f"duplicate arrow id {a.name!r}")
+                yield "name", i, f"duplicate arrow id {a.name!r}"
             seen_a.add(a.name)
             if a.source not in self._vertex_index:
-                problems.append(f"arrow {a.name!r} has undeclared source {a.source!r}")
+                yield "source", i, f"arrow {a.name!r} has undeclared source {a.source!r}"
             if a.target not in self._vertex_index:
-                problems.append(f"arrow {a.name!r} has undeclared target {a.target!r}")
-        return problems
+                yield "target", i, f"arrow {a.name!r} has undeclared target {a.target!r}"
 
     def arrow(self, name: str) -> Arrow:
         try:

@@ -141,6 +141,18 @@ relation s : a -> d = x*y
     ]
 
 
+def test_parse_reports_quiver_problems_at_their_token():
+    text = "vertex a b\narrow x : a -> q\narrow x : a -> b\nvertex a\narrow y : p -> a\n"
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert exc.value.diagnostics == [
+        Diagnostic(4, 8, "duplicate vertex id 'a'"),
+        Diagnostic(2, 16, "arrow 'x' has undeclared target 'q'"),
+        Diagnostic(3, 7, "duplicate arrow id 'x'"),
+        Diagnostic(5, 11, "arrow 'y' has undeclared source 'p'"),
+    ]
+
+
 def test_parse_duplicate_m():
     with pytest.raises(ParseError) as exc:
         parse("vertex v\nm = 2\nm = 3\n")

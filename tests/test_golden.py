@@ -42,10 +42,8 @@ def _cases() -> list[tuple[str, str, list[str]]]:
     cases = []
     for name in FIXTURE_NAMES + ("one_loop",):
         for command in COMMANDS:
-            if (name, command) == ("quaternion", "split-ext-2"):
-                continue  # takes over a minute
             cases.append((f"{name}-{command}-m3", name, [command, "--m", "3"]))
-    for name in ("one_vertex_empty", "one_vertex_zero", "square_d4"):
+    for name in FIXTURE_NAMES:
         cases.append((f"{name}-report-m2", name, ["report", "--m", "2"]))
     return cases
 

@@ -257,6 +257,19 @@ def test_witness_identity_and_zero_representation(quaternion):
     assert zero_val == [[Fraction(0), Fraction(0)], [Fraction(0), Fraction(0)]]
 
 
+def test_witness_names_a_missing_matrix_or_dimension(quaternion):
+    q, rels = quaternion
+    ab = element(q, (1, ("a", "b")))
+    with pytest.raises(ValueError, match="no matrix given for arrow 'b'"):
+        evaluate_in_representation(q, {"v": 1}, {"a": [[1]]}, ab)
+    with pytest.raises(ValueError, match="no matrix given for arrow 'b'"):
+        certifies_non_membership(q, rels, {"v": 1}, {"a": [[1]]}, ab)
+    with pytest.raises(ValueError, match="no dimension given for vertex 'v'"):
+        evaluate_in_representation(q, {}, {"a": [[1]], "b": [[1]]}, ab)
+    with pytest.raises(ValueError, match="no dimension given for vertex 'v'"):
+        evaluate_in_representation(q, {}, {}, PathElement.idempotent(q, "v"))
+
+
 # ---------- systems of relations ----------
 
 
@@ -337,6 +350,57 @@ def test_split_extension_no_relations(square):
 def test_split_extension_a2():
     a2 = GradedQuiver(["1", "2"], [Arrow("a", "1", "2", 0)])
     assert split_extension_check(a2, [], 2) is None
+
+
+def _split_condition_iii(q, relations, n, cap):
+    """Slow oracle for condition (iii): inclusion into the doubled quiver
+    followed by projection fixes the normal form of every basis path of
+    KQ/(R), the normal forms over the doubled quiver read at a bound for the
+    degree-0 ideal J found by the operational search.  None when J has no
+    bound up to `cap`, else whether (iii) holds."""
+    from dgquiver.dg import reverse_arrow_name
+    from dgquiver.homology import h0_presentation
+
+    span = _require_bound(q, relations, n)
+    relations = span.relations
+    big, h0_rels = h0_presentation(ginzburg_from_relations(q, relations, 2))
+    eps_names = {reverse_arrow_name(r.label) for r in relations}
+    h0_relations = [
+        Relation(f"h0_{k}", big.source_of(next(iter(rel.terms))),
+                 big.target_of(next(iter(rel.terms))), rel)
+        for k, rel in enumerate(h0_rels)
+        if not rel.is_zero()
+    ]
+    big_n = find_admissibility_bound(big, h0_relations, max_n=cap)
+    if big_n is None:
+        return None
+    big_span = TruncatedIdealSpan(big, h0_relations, max(n, big_n))
+    for p in span.complement_basis():
+        x = PathElement(q, {p: Fraction(1)})
+        nf_big = big_span.reduce(x.rebind(big)).terms.items()
+        projected = PathElement(q, {pp: c for pp, c in nf_big if not set(pp.arrows) & eps_names})
+        if span.reduce(projected) != span.reduce(x):
+            return False
+    return True
+
+
+def test_split_extension_agrees_with_normal_form_oracle():
+    # (i) and (ii) prove (iii); where J has a bound the oracle confirms it,
+    # and where it has none the check still answers
+    ended = unbounded = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        q = random_acyclic_quiver(rng) if seed % 2 else random_quiver(rng)
+        rels = random_relations(rng, q, max_count=3)
+        n = find_admissibility_bound(q, rels, max_n=6)
+        if n is None:
+            continue
+        holds = _split_condition_iii(q, rels, n, cap=6)
+        assert holds in (None, True)
+        ended += holds is True
+        unbounded += holds is None
+        assert split_extension_check(q, rels, n) is None
+    assert ended and unbounded
 
 
 # ---------- invariants ----------
