@@ -6,7 +6,9 @@ than a cutoff L therefore span a dg-ideal and the quotient is an honest
 finite complex; its homology is the computable window used throughout.
 `build_truncated` computes each matrix row with the derivation kernel of
 `dg` at the cutoff, so a term longer than L, which is zero in that
-quotient, is never formed at all.
+quotient, is never formed at all; nor is a row that must be zero: if every
+term of every d(a) has length >= lmin, a path longer than L + 1 - lmin has d
+of length > L, a zero row at cutoff L.
 Dimensions are recomputed at L and L+1 and reported together with a
 `stabilized` flag -- agreement is a convergence heuristic, not a theorem,
 and the reports say which cutoff they used.
@@ -58,6 +60,12 @@ def build_truncated(dg: DgAlgebra, max_len: int, degrees) -> TruncatedComplex:
     the cutoff max_len: a term longer than max_len lies in the dg-ideal of
     long paths, which is zero in the quotient, so it is never formed.  A
     trivial path (keyed by its vertex name) has d = 0 and an empty row.
+
+    Rows zero by length are not computed.  With lmin the least length of a
+    term of any d(a), a path a_1...a_n with n > max_len + 1 - lmin has a zero
+    row: replacing a_l by a term of length >= lmin gives length >= n - 1 +
+    lmin > max_len.  `paths_by_degree` appends the walk level by level, so a
+    bucket is in length order and its scan stops at the first such key.
     """
     q = dg.quiver
     for a in q.arrows:
@@ -66,6 +74,8 @@ def build_truncated(dg: DgAlgebra, max_len: int, degrees) -> TruncatedComplex:
                 f"d({a.name}) has a length-0 term; length truncation is not "
                 f"a dg-quotient here"
             )
+    # with every d zero, lmin = max_len + 2 and no row is computed at all
+    lmin = min(filter(None, (dg.d(a.name).min_length() for a in q.arrows)), default=max_len + 2)
     degrees = sorted(set(degrees))
     if not degrees:
         raise ValueError("the degree window is empty")
@@ -76,12 +86,14 @@ def build_truncated(dg: DgAlgebra, max_len: int, degrees) -> TruncatedComplex:
         target = buckets[d + 1]
         # after the check above every image has positive length
         column = {key: j for j, key in enumerate(target)}
-        entries = {}
+        rows = {}
         for i, key in enumerate(components[d]):
             if type(key) is tuple:
-                for word, c in _d_path(dg, key, max_len).items():
-                    entries[(i, column[word])] = c
-        cx.matrices[d] = SparseMatrix(len(components[d]), len(target), entries)
+                if len(key) > max_len + 1 - lmin:
+                    break
+                if row := {column[w]: c for w, c in _d_path(dg, key, max_len).items() if c}:
+                    rows[i] = row
+        cx.matrices[d] = SparseMatrix._of_rows(len(components[d]), len(target), rows)
     return cx
 
 
@@ -101,14 +113,9 @@ class HomologyReport:
 
 
 def _dims_from_complex(cx: TruncatedComplex, m: int) -> dict[int, int]:
-    dims = {}
+    # dim H^{-i} = dim C^{-i} - rank(d on C^{-i}) - rank(d into C^{-i})
     ranks = {d: rank(mx) for d, mx in cx.matrices.items()}
-    for i in range(0, m):
-        deg = -i
-        kernel = cx.dim(deg) - ranks.get(deg, 0)
-        image = ranks.get(deg - 1, 0)
-        dims[i] = kernel - image
-    return dims
+    return {i: cx.dim(-i) - ranks.get(-i, 0) - ranks.get(-i - 1, 0) for i in range(m)}
 
 
 def homology_dims(dg: DgAlgebra, m: int, max_len: int) -> HomologyReport:
@@ -210,11 +217,7 @@ def vosnex_equivalence_check(
 
 def default_truncation_length(m: int, relations, bound: int | None = None) -> int:
     """max(m + 2, 2 * bound, longest relation + 2); the workhorse default."""
-    longest = 0
-    for r in relations:
-        ml = r.body.max_length()
-        if ml is not None:
-            longest = max(longest, ml)
+    longest = max((r.body.max_length() or 0 for r in relations), default=0)
     candidates = [m + 2, longest + 2]
     if bound is not None:
         candidates.append(2 * bound)

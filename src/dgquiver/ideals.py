@@ -29,7 +29,7 @@ from math import lcm
 from .algebra import PathElement, format_element
 from .dg import Relation, _check_relations
 from .linalg import RowSpace, SparseMatrix, as_rational
-from .quiver import GradedQuiver, Path, _key, _path_of
+from .quiver import GradedQuiver, _key
 
 
 class NotAdmissibleError(ValueError):
@@ -158,16 +158,6 @@ class TruncatedIdealSpan:
                 f"raise the bound"
             )
         return self.space.contains(self._vector(x))
-
-    def reduce(self, x: PathElement) -> PathElement:
-        """Canonical normal form of x modulo the span."""
-        res = self.space.reduce(self._vector(x.truncate(self.bound - 1)))
-        return PathElement(self.quiver, {_path_of(self.paths[i]): c for i, c in res.items()})
-
-    def complement_basis(self) -> list[Path]:
-        """Paths whose classes form a basis of the quotient by the span."""
-        pivots = set(self.space.pivot_columns())
-        return [_path_of(key) for i, key in enumerate(self.paths) if i not in pivots]
 
 
 def bound_is_valid(q: GradedQuiver, relations, n: int) -> bool:

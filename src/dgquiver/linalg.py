@@ -57,7 +57,7 @@ class RowSpace:
 
     Hence `rank`, `pivot_columns`, `contains` and `reduce` are functions of
     W alone, and so are the normal forms and complement bases read from
-    them (`TruncatedIdealSpan.reduce`, `complement_basis`).
+    them.
     """
 
     def __init__(self, rows=()) -> None:
@@ -133,57 +133,62 @@ class RowSpace:
 class SparseMatrix:
     """Immutable sparse matrix over Q; zero entries are never stored.
 
-    `int` entries are stored as given, any other exact entry as `Fraction`.
+    `int` entries are stored as given, any other exact entry as `Fraction`,
+    row-major: row -> {column: value}, nonzero rows only.  `rank` and
+    `matmul` read the rows; `entries`, (i, j) -> value, is derived on read.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "_by_row")
 
     def __init__(self, rows: int, cols: int, entries: Mapping | None = None):
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
         self.rows = rows
         self.cols = cols
-        ent = {}
+        by_row: dict[int, SparseRow] = {}
         for (i, j), v in (entries or {}).items():
             if not (0 <= i < rows and 0 <= j < cols):
                 raise IndexError(f"entry ({i},{j}) outside {rows}x{cols}")
             if type(v) is not int:
                 v = as_rational(v)
             if v:
-                ent[(i, j)] = v
-        self.entries = ent
+                by_row.setdefault(i, {})[j] = v
+        self._by_row = by_row
 
-    def _stored_rows(self) -> dict[int, SparseRow]:
-        """Row index -> row, for the rows with a stored entry only."""
-        by_row: dict[int, SparseRow] = {}
-        for (i, j), v in self.entries.items():
-            by_row.setdefault(i, {})[j] = v
-        return by_row
+    @classmethod
+    def _of_rows(cls, rows: int, cols: int, by_row: dict[int, SparseRow]) -> SparseMatrix:
+        """Unchecked: nonempty rows of nonzero int or `Fraction` entries, in range."""
+        mx = cls.__new__(cls)
+        mx.rows, mx.cols, mx._by_row = rows, cols, by_row
+        return mx
+
+    @property
+    def entries(self) -> dict[tuple[int, int], int | Fraction]:
+        return {(i, j): v for i, r in self._by_row.items() for j, v in r.items()}
 
     def matmul(self, other: SparseMatrix) -> SparseMatrix:
         if self.cols != other.rows:
             raise ValueError("incompatible shapes for product")
-        other_rows = other._stored_rows()
-        ent: dict[tuple[int, int], Fraction] = {}
-        for i, r in self._stored_rows().items():
+        by_row: dict[int, SparseRow] = {}
+        for i, r in self._by_row.items():
             acc: SparseRow = {}
             for k, v in r.items():
-                for j, w in other_rows.get(k, {}).items():
+                for j, w in other._by_row.get(k, {}).items():
                     acc[j] = acc.get(j, 0) + v * w
-            for j, v in acc.items():
-                if v:
-                    ent[(i, j)] = v
-        return SparseMatrix(self.rows, other.cols, ent)
+            acc = {j: v for j, v in acc.items() if v}
+            if acc:
+                by_row[i] = acc
+        return SparseMatrix._of_rows(self.rows, other.cols, by_row)
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self._by_row
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SparseMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self._by_row == other._by_row
         )
 
     def __repr__(self) -> str:
@@ -192,4 +197,4 @@ class SparseMatrix:
 
 def rank(m: SparseMatrix) -> int:
     """Rank of `m` over Q, exact."""
-    return RowSpace(m._stored_rows().values()).rank
+    return RowSpace(m._by_row.values()).rank

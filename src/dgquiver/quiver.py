@@ -11,9 +11,8 @@ vertex order), so matrix constructions and reports are reproducible.
 
 Row and column indices key a path by its arrow tuple and a trivial path by
 its vertex name, a `str` (`Path.key`, `paths_by_degree`), so the two never
-collide.  The path walk yields tuples.  Two places build `Path`s from them:
-`enumerate_paths`, and the ideal spans' `reduce` and `complement_basis`; both
-go through `_path_of`, the key -> `Path` rule and the inverse of `_key`.
+collide.  The path walk yields tuples, and only `enumerate_paths` builds
+`Path`s from them.
 """
 
 from __future__ import annotations
@@ -35,10 +34,6 @@ PathKey = tuple[str, ...] | str
 
 def _key(arrows: tuple[str, ...], vertex: str) -> PathKey:
     return arrows or vertex
-
-
-def _path_of(key: PathKey) -> Path:
-    return Path(key) if type(key) is tuple else Path(base=key)
 
 
 @dataclass(frozen=True, slots=True)
@@ -206,32 +201,39 @@ class GradedQuiver:
         pruned; with all arrow degrees <= 0 this makes deep windows cheap.
         The walk stops at the first empty level, so it yields no level for
         a length that no path has.
+
+        Only level 1 is sorted: the walk extends a path by the arrows out of
+        its target in name order, so extending a sorted level gives a sorted
+        level.  `arrows_from` keeps declaration order for `check_d_squared`.
         """
         if max_len < 0:
             raise ValueError("max_len must be >= 0")
         degs = self.degrees()
         up = max(0, max(degs, default=0))     # max degree gain per extra arrow
         down = min(0, min(degs, default=0))   # max degree drop per extra arrow
+        out = {v: sorted(arrows, key=lambda a: a.name) for v, arrows in self._out.items()}
         level = [((), v, v, 0) for v in self.vertices]
         yield level
         for length in range(1, max_len + 1):
             rem = max_len - length
             nxt = []
             for arrows, s, t, d in level:
-                for a in self._out[t]:
+                for a in out[t]:
                     nd = d + a.degree
                     if nd + rem * up < min_degree or nd + rem * down > max_degree:
                         continue
                     nxt.append((arrows + (a.name,), s, a.target, nd))
             if not nxt:
                 return
-            nxt.sort()  # the arrow tuples of one level are distinct
+            if length == 1:
+                nxt.sort()  # the arrow names of a valid quiver are distinct
             yield nxt
             level = nxt
 
     def enumerate_paths(self, max_len: int) -> list[Path]:
         """All paths of length <= max_len, ordered by (length, arrow names)."""
-        return [_path_of(_key(a, s)) for level in self._walk(max_len) for a, s, _, _ in level]
+        walk = self._walk(max_len)
+        return [Path(a) if a else Path(base=s) for level in walk for a, s, _, _ in level]
 
     def paths_by_degree(
         self, max_len: int, min_degree: int, max_degree: int

@@ -3,6 +3,7 @@ from dataclasses import astuple
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dgquiver import (
     Arrow,
@@ -91,6 +92,30 @@ def test_build_truncated_constructs_no_path(monkeypatch, quaternion):
     assert calls == 0
     paths = dg.quiver.enumerate_paths(5)
     assert calls == len(paths) > 0
+
+
+def test_build_truncated_skips_rows_zero_by_length(monkeypatch, quaternion):
+    # every term of every d has length >= lmin, so a path longer than
+    # L + 1 - lmin has a zero row and is never passed to _d_path
+    from dgquiver import homology
+
+    q, rels = quaternion
+    dg = ginzburg_from_relations(q, rels, 3)
+    lmin = min(
+        dg.d(name).min_length() for name in dg.arrow_names() if not dg.d(name).is_zero()
+    )
+    lengths = []
+    d_path = homology._d_path
+
+    def recording_d_path(dg, arrows, max_len):
+        lengths.append(len(arrows))
+        return d_path(dg, arrows, max_len)
+
+    monkeypatch.setattr(homology, "_d_path", recording_d_path)
+    for cutoff in (5, 6):
+        lengths.clear()
+        build_truncated(dg, cutoff, range(-3, 1))
+        assert max(lengths) == cutoff + 1 - lmin
 
 
 def test_truncated_matrices_compose_to_zero(square, quaternion):
@@ -473,6 +498,19 @@ def test_dense_oracle_agrees_on_random_input():
     assert naive_truncated_dims(dg, 3, 5) == homology_dims(dg, 3, 5).dims
 
 
+@given(small_dg_algebras(), st.integers(2, 4), st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_dense_oracle_agrees_on_random_dg_algebras(dg, m, L):
+    # the dense elimination is cubic in the basis, so lower the cutoff of
+    # the larger (Ginzburg) quivers until L + 1 has at most 1,000 words
+    while L > 1 and len(naive_words(dg.quiver, L + 1)) > 1000:
+        L -= 1
+    at_l = naive_truncated_dims(dg, m, L)
+    rep = homology_dims(dg, m, L)
+    assert rep.dims == at_l
+    assert rep.stabilized == (at_l == naive_truncated_dims(dg, m, L + 1))
+
+
 def _cancelling_dg():
     # d(u w) = u p w + (-1)^{|u|} u p w = 0
     q = GradedQuiver(
@@ -493,8 +531,37 @@ def _vertex_named_like_an_arrow_dg():
     return DgAlgebra(q, {"a": element(q, (1, ("a", "p")))})
 
 
+def _length_one_dg():
+    # d(u) = w is a single arrow, so lmin = 1 and every path of length
+    # <= L may have a nonzero row; d(x) = w w adds length-2 terms
+    q = GradedQuiver(
+        ["v"], [("u", "v", "v", -1), ("w", "v", "v", 0), ("x", "v", "v", -1)]
+    )
+    return DgAlgebra(
+        q, {"u": element(q, (1, ("w",))), "x": element(q, (1, ("w", "w")))}
+    )
+
+
+def _length_three_dg():
+    # every term of every d has length 3, so only paths of length <= L - 2
+    # have nonzero rows at cutoff L
+    q = GradedQuiver(
+        ["v"],
+        [("a", "v", "v", 0), ("b", "v", "v", 0), ("e", "v", "v", -1), ("f", "v", "v", -2)],
+    )
+    return DgAlgebra(
+        q,
+        {
+            "e": element(q, (1, ("a", "a", "b")), (-1, ("b", "a", "a"))),
+            "f": element(q, (2, ("e", "a", "b"))),
+        },
+    )
+
+
 @given(small_dg_algebras())
 @example(_cancelling_dg())
+@example(_length_one_dg())
+@example(_length_three_dg())
 @example(_vertex_named_like_an_arrow_dg())
 @settings(max_examples=40, deadline=None)
 def test_build_truncated_matrices_match_naive_d(dg):

@@ -136,21 +136,31 @@ def test_path_value_invariant():
 
 @st.composite
 def small_quivers(draw):
-    """Up to three vertices and five arrows of degree 0, -1 or -2."""
+    """Up to three vertices and five arrows of degree 0, -1 or -2, declared
+    in a drawn order of their names, so that declaration order is not name
+    order."""
     vertices = [str(i) for i in range(draw(st.integers(1, 3)))]
     ends = st.sampled_from(vertices)
     specs = draw(st.lists(st.tuples(ends, ends, st.sampled_from([0, -1, -2])), max_size=5))
+    names = draw(st.permutations([f"a{k}" for k in range(len(specs))]))
     return GradedQuiver(
-        vertices, [Arrow(f"a{k}", s, t, d) for k, (s, t, d) in enumerate(specs)]
+        vertices, [Arrow(name, s, t, d) for name, (s, t, d) in zip(names, specs)]
     )
 
 
 @given(small_quivers(), st.integers(0, 4), st.integers(-5, 1), st.integers(0, 4))
 @example(GradedQuiver(["a"], [("a", "a", "a", 0)]), 2, 0, 0)  # vertex named like its arrow
+# declared in reverse name order: only a walk in name order sorts level 2
+@example(
+    GradedQuiver(["0", "1"], [("b", "0", "0", 0), ("a", "0", "0", 0), ("c", "1", "0", 0)]),
+    3, 0, 0,
+)
 @settings(max_examples=80, deadline=None)
 def test_paths_by_degree_matches_filter(q, max_len, lo, width):
     paths = q.enumerate_paths(max_len)
     assert paths == sorted(paths, key=q.path_sort_key)
+    for v in q.vertices:  # the walk's name order leaves declaration order alone
+        assert q.arrows_from(v) == [a for a in q.arrows if a.source == v]
     buckets = q.paths_by_degree(max_len, lo, lo + width)
     assert set(buckets) == set(range(lo, lo + width + 1))
     for d, got in buckets.items():
