@@ -137,8 +137,8 @@ def test_path_value_invariant():
 @st.composite
 def small_quivers(draw):
     """Up to three vertices and five arrows of degree 0, -1 or -2, declared
-    in a drawn order of their names, so that declaration order is not name
-    order."""
+    in a drawn permutation of their names, so that declaration order need
+    not be name order."""
     vertices = [str(i) for i in range(draw(st.integers(1, 3)))]
     ends = st.sampled_from(vertices)
     specs = draw(st.lists(st.tuples(ends, ends, st.sampled_from([0, -1, -2])), max_size=5))
