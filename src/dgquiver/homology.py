@@ -8,7 +8,9 @@ finite complex; its homology is the computable window used throughout.
 `dg` at the cutoff, so a term longer than L, which is zero in that
 quotient, is never formed at all; nor is a row that must be zero: if every
 term of every d(a) has length >= lmin, a path longer than L + 1 - lmin has d
-of length > L, a zero row at cutoff L.
+of length > L, a zero row at cutoff L.  So only paths of length <= L + 1 -
+lmin are walked: dimensions are path counts, rows are indexed by basis
+position, and columns in first-hit order, which `columns` names.
 Dimensions are recomputed at L and L+1 and reported together with a
 `stabilized` flag -- agreement is a convergence heuristic, not a theorem,
 and the reports say which cutoff they used.
@@ -16,7 +18,9 @@ and the reports say which cutoff they used.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import astuple, dataclass, field
+from functools import cached_property
 
 from .algebra import Superpotential
 from .dg import (
@@ -36,36 +40,60 @@ class TruncationError(ValueError):
     case killing long paths is not a dg-quotient."""
 
 
+class _Basis(Sequence):
+    """The keys of the paths of length <= max_len in one degree, in
+    `paths_by_degree` order: its length is their count, and the keys are
+    enumerated on the first index or iteration."""
+
+    def __init__(self, q: GradedQuiver, max_len: int, degree: int, count: int):
+        self._q, self._max_len, self._degree, self._count = q, max_len, degree, count
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, i):
+        return self._keys[i]
+
+    @cached_property
+    def _keys(self) -> list[PathKey]:
+        d = self._degree
+        return self._q.paths_by_degree(self._max_len, d, d)[d]
+
+
 @dataclass
 class TruncatedComplex:
-    """Per cohomological degree: the keys (see `Path.key`) of the basis
-    paths of length <= max_len, and the matrix of d into the next degree
-    (rows = source basis, columns = target basis)."""
+    """Per cohomological degree d: the keys of the basis paths of length
+    <= max_len (`components[d]`, whose length is their count), and the
+    dim(d) x dim(d + 1) matrix of d.  Row i is the i-th basis path; column j
+    is `columns[d][j]`, columns in first-hit order, and the unhit ones zero."""
 
     dg: DgAlgebra
     max_len: int
     degrees: list[int]
-    components: dict[int, list[PathKey]]
+    components: dict[int, Sequence[PathKey]]
     matrices: dict[int, SparseMatrix] = field(default_factory=dict)
+    columns: dict[int, list[PathKey]] = field(default_factory=dict)
 
     def dim(self, degree: int) -> int:
-        return len(self.components.get(degree, []))
+        return len(self.components.get(degree, ()))
 
 
 def build_truncated(dg: DgAlgebra, max_len: int, degrees) -> TruncatedComplex:
     """Assemble the truncated complex on the requested degree window.
 
-    Rows and columns are indexed by the path keys of `paths_by_degree`.
-    Row i of the matrix in degree d is `_d_path` of the i-th basis path at
-    the cutoff max_len: a term longer than max_len lies in the dg-ideal of
-    long paths, which is zero in the quotient, so it is never formed.  A
-    trivial path (keyed by its vertex name) has d = 0 and an empty row.
+    The dimensions are `path_counts`.  Row i of the matrix in degree d is
+    `_d_path` of the i-th basis path at the cutoff max_len: a term longer
+    than max_len lies in the dg-ideal of long paths, which is zero in the
+    quotient, so it is never formed.  A trivial path (keyed by its vertex
+    name) has d = 0 and an empty row.  A column is indexed on its first
+    nonzero entry (`columns[d]`); one that no row hits adds 1 to the
+    dimension and 0 to the rank.
 
     Rows zero by length are not computed.  With lmin the least length of a
     term of any d(a), a path a_1...a_n with n > max_len + 1 - lmin has a zero
     row: replacing a_l by a term of length >= lmin gives length >= n - 1 +
-    lmin > max_len.  `paths_by_degree` appends the walk level by level, so a
-    bucket is in length order and its scan stops at the first such key.
+    lmin > max_len.  So only the paths of length <= max_len + 1 - lmin are
+    walked; in (length, arrow names) order they are a prefix of the basis.
     """
     q = dg.quiver
     for a in q.arrows:
@@ -74,26 +102,26 @@ def build_truncated(dg: DgAlgebra, max_len: int, degrees) -> TruncatedComplex:
                 f"d({a.name}) has a length-0 term; length truncation is not "
                 f"a dg-quotient here"
             )
-    # with every d zero, lmin = max_len + 2 and no row is computed at all
+    # with every d zero, lmin = max_len + 2: only trivial paths are walked
     lmin = min(filter(None, (dg.d(a.name).min_length() for a in q.arrows)), default=max_len + 2)
     degrees = sorted(set(degrees))
     if not degrees:
         raise ValueError("the degree window is empty")
-    buckets = q.paths_by_degree(max_len, degrees[0], degrees[-1] + 1)
-    components = {d: buckets[d] for d in degrees}
+    dims = q.path_counts(max_len, degrees[0], degrees[-1] + 1)
+    walked = q.paths_by_degree(max(0, max_len + 1 - lmin), degrees[0], degrees[-1])
+    components = {d: _Basis(q, max_len, d, dims[d]) for d in degrees}
     cx = TruncatedComplex(dg, max_len, degrees, components)
     for d in degrees:
-        target = buckets[d + 1]
         # after the check above every image has positive length
-        column = {key: j for j, key in enumerate(target)}
+        column = {}
         rows = {}
-        for i, key in enumerate(components[d]):
+        for i, key in enumerate(walked[d]):
             if type(key) is tuple:
-                if len(key) > max_len + 1 - lmin:
-                    break
-                if row := {column[w]: c for w, c in _d_path(dg, key, max_len).items() if c}:
+                image = _d_path(dg, key, max_len)
+                if row := {column.setdefault(w, len(column)): c for w, c in image.items() if c}:
                     rows[i] = row
-        cx.matrices[d] = SparseMatrix._of_rows(len(components[d]), len(target), rows)
+        cx.columns[d] = list(column)
+        cx.matrices[d] = SparseMatrix._of_rows(dims[d], dims[d + 1], rows)
     return cx
 
 

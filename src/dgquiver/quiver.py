@@ -12,12 +12,13 @@ vertex order), so matrix constructions and reports are reproducible.
 Row and column indices key a path by its arrow tuple and a trivial path by
 its vertex name, a `str` (`Path.key`, `paths_by_degree`), so the two never
 collide.  The path walk yields tuples, and only `enumerate_paths` builds
-`Path`s from them.
+`Path`s from them.  `path_counts` counts the paths of each degree, walking none.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 
@@ -192,6 +193,15 @@ class GradedQuiver:
         base_ix = self._vertex_index[p.base] if p.is_trivial else -1
         return (len(p.arrows), p.arrows, base_ix)
 
+    def _degree_steps(self, max_len: int) -> tuple[int, int]:
+        """(up, down): the most one arrow raises and lowers a degree.  The walk
+        and `path_counts` drop a path of degree d and length n when d + (max_len
+        - n) * up < min_degree or d + (max_len - n) * down > max_degree."""
+        if max_len < 0:
+            raise ValueError("max_len must be >= 0")
+        degs = self.degrees()
+        return max(0, max(degs, default=0)), min(0, min(degs, default=0))
+
     def _walk(self, max_len: int, min_degree=-math.inf, max_degree=math.inf):
         """Yield the paths of length 0, 1, ..., max_len as lists of
         (arrows, source, target, degree) tuples, each list in
@@ -206,11 +216,7 @@ class GradedQuiver:
         its target in name order, so extending a sorted level gives a sorted
         level.  `arrows_from` keeps declaration order for `check_d_squared`.
         """
-        if max_len < 0:
-            raise ValueError("max_len must be >= 0")
-        degs = self.degrees()
-        up = max(0, max(degs, default=0))     # max degree gain per extra arrow
-        down = min(0, min(degs, default=0))   # max degree drop per extra arrow
+        up, down = self._degree_steps(max_len)
         out = {v: sorted(arrows, key=lambda a: a.name) for v, arrows in self._out.items()}
         level = [((), v, v, 0) for v in self.vertices]
         yield level
@@ -247,6 +253,27 @@ class GradedQuiver:
                 if d in buckets:
                     buckets[d].append(_key(arrows, s))
         return buckets
+
+    def path_counts(self, max_len: int, min_degree: int, max_degree: int) -> dict[int, int]:
+        """The sizes of the `paths_by_degree` groups, by a transfer-matrix
+        recursion over (target vertex, degree) states, pruned as the walk is."""
+        up, down = self._degree_steps(max_len)
+        counts = dict.fromkeys(range(min_degree, max_degree + 1), 0)
+        level = Counter((v, 0) for v in self.vertices)
+        for length in range(max_len + 1):
+            if length:
+                rem = max_len - length
+                nxt = Counter()
+                for (t, d), n in level.items():
+                    for a in self._out[t]:
+                        nd = d + a.degree
+                        if nd + rem * up >= min_degree and nd + rem * down <= max_degree:
+                            nxt[a.target, nd] += n
+                level = nxt
+            for (_, d), n in level.items():
+                if d in counts:
+                    counts[d] += n
+        return counts
 
     # ---------- derived quivers ----------
 

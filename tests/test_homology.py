@@ -24,6 +24,7 @@ from dgquiver import (
     vosnex_equivalence_check,
 )
 from dgquiver.homology import TruncationError, default_truncation_length
+from dgquiver.linalg import SparseMatrix
 
 from conftest import (
     element,
@@ -47,9 +48,9 @@ def test_truncated_components_empty_without_relations():
     for m in (3, 5):
         dg = ginzburg_from_relations(q, [], m)
         cx = build_truncated(dg, 6, range(-(m - 1), 1))
-        assert cx.components[0] == ["v"]  # the trivial path, keyed by its vertex
+        assert list(cx.components[0]) == ["v"]  # the trivial path, keyed by its vertex
         for i in range(1, m - 1):
-            assert cx.components[-i] == []
+            assert list(cx.components[-i]) == []
 
 
 def test_truncated_basis_one_vertex_zero_relation_m4():
@@ -118,6 +119,26 @@ def test_build_truncated_skips_rows_zero_by_length(monkeypatch, quaternion):
         assert max(lengths) == cutoff + 1 - lmin
 
 
+def test_homology_dims_walks_only_the_rows(monkeypatch, quaternion):
+    # the dims are path counts, so the only walks are the two row walks,
+    # each no longer than cutoff + 1 - lmin, and no basis key is enumerated
+    q, rels = quaternion
+    dg = ginzburg_from_relations(q, rels, 3)
+    lmin = min(
+        dg.d(name).min_length() for name in dg.arrow_names() if not dg.d(name).is_zero()
+    )
+    walks = []
+    paths_by_degree = GradedQuiver.paths_by_degree
+
+    def recording_paths_by_degree(self, max_len, min_degree, max_degree):
+        walks.append(max_len)
+        return paths_by_degree(self, max_len, min_degree, max_degree)
+
+    monkeypatch.setattr(GradedQuiver, "paths_by_degree", recording_paths_by_degree)
+    homology_dims(dg, 3, 5)
+    assert walks == [5 + 1 - lmin, 6 + 1 - lmin]
+
+
 def test_truncated_matrices_compose_to_zero(square, quaternion):
     cases = [(ginzburg_from_relations(*square, 3), 3)]
     q, rels = quaternion
@@ -126,7 +147,16 @@ def test_truncated_matrices_compose_to_zero(square, quaternion):
         cx = build_truncated(dg, 5, range(-m, 1))
         for d in cx.degrees:
             if d + 1 in cx.matrices:
-                assert cx.matrices[d].matmul(cx.matrices[d + 1]).is_zero()
+                # column j of M_d is the path columns[d][j]; send it to that
+                # path's row of M_{d+1}, its basis position in degree d + 1
+                row_of = {key: i for i, key in enumerate(cx.components[d + 1])}
+                mx = cx.matrices[d]
+                by_rows = SparseMatrix(
+                    mx.rows,
+                    mx.cols,
+                    {(i, row_of[cx.columns[d][j]]): c for (i, j), c in mx.entries.items()},
+                )
+                assert by_rows.matmul(cx.matrices[d + 1]).is_zero()
 
 
 def test_truncation_rejects_length_zero_differential():
@@ -578,7 +608,11 @@ def test_build_truncated_matrices_match_naive_d(dg):
         for d in degrees:
             target = q.paths_by_degree(cutoff, d + 1, d + 1)[d + 1]
             mx = cx.matrices[d]
-            assert (mx.rows, mx.cols) == (len(cx.components[d]), len(target))
+            assert (mx.rows, mx.cols) == (cx.dim(d), len(target))
+            assert len(cx.components[d]) == len(list(cx.components[d]))
+            # the columns are distinct target basis paths
+            assert len(set(cx.columns[d])) == len(cx.columns[d])
+            assert set(cx.columns[d]) <= set(target)
             for keys, e in ((cx.components[d], d), (target, d + 1)):
                 # trivial paths are keyed by their vertex names, in degree 0
                 assert [k for k in keys if type(k) is str] == (
@@ -589,7 +623,7 @@ def test_build_truncated_matrices_match_naive_d(dg):
                 }
             got = {}
             for (i, j), c in mx.entries.items():
-                got.setdefault(cx.components[d][i], {})[target[j]] = c
+                got.setdefault(cx.components[d][i], {})[cx.columns[d][j]] = c
             want = {}
             for w in words:
                 if deg(w) == d:

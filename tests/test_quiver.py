@@ -136,12 +136,12 @@ def test_path_value_invariant():
 
 @st.composite
 def small_quivers(draw):
-    """Up to three vertices and five arrows of degree 0, -1 or -2, declared
-    in a drawn permutation of their names, so that declaration order need
-    not be name order."""
+    """Up to three vertices and five arrows of degree -2 to 2, declared in a
+    drawn permutation of their names, so that declaration order need not be
+    name order.  Positive degrees reach the walk's upward pruning."""
     vertices = [str(i) for i in range(draw(st.integers(1, 3)))]
     ends = st.sampled_from(vertices)
-    specs = draw(st.lists(st.tuples(ends, ends, st.sampled_from([0, -1, -2])), max_size=5))
+    specs = draw(st.lists(st.tuples(ends, ends, st.integers(-2, 2)), max_size=5))
     names = draw(st.permutations([f"a{k}" for k in range(len(specs))]))
     return GradedQuiver(
         vertices, [Arrow(name, s, t, d) for name, (s, t, d) in zip(names, specs)]
@@ -155,6 +155,10 @@ def small_quivers(draw):
     GradedQuiver(["0", "1"], [("b", "0", "0", 0), ("a", "0", "0", 0), ("c", "1", "0", 0)]),
     3, 0, 0,
 )
+@example(GradedQuiver(["0", "1"]), 3, -1, 2)  # no arrows: the trivial paths only
+@example(GradedQuiver(["0"], [("a", "0", "0", -1), ("b", "0", "0", 2)]), 0, -1, 2)
+# every path has degree <= 0, so no path reaches the window
+@example(GradedQuiver(["0"], [("a", "0", "0", -1), ("b", "0", "0", 0)]), 4, 1, 3)
 @settings(max_examples=80, deadline=None)
 def test_paths_by_degree_matches_filter(q, max_len, lo, width):
     paths = q.enumerate_paths(max_len)
@@ -165,3 +169,4 @@ def test_paths_by_degree_matches_filter(q, max_len, lo, width):
     assert set(buckets) == set(range(lo, lo + width + 1))
     for d, got in buckets.items():
         assert got == [p.key for p in paths if q.degree_of(p) == d]
+    assert q.path_counts(max_len, lo, lo + width) == {d: len(b) for d, b in buckets.items()}
