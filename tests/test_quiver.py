@@ -156,7 +156,7 @@ def small_quivers(draw):
     3, 0, 0,
 )
 @example(GradedQuiver(["0", "1"]), 3, -1, 2)  # no arrows: the trivial paths only
-@example(GradedQuiver(["0"], [("a", "0", "0", -1), ("b", "0", "0", 2)]), 0, -1, 2)
+@example(GradedQuiver(["0"], [("a", "0", "0", -1), ("b", "0", "0", 2)]), 0, -1, 2)  # max_len 0
 # every path has degree <= 0, so no path reaches the window
 @example(GradedQuiver(["0"], [("a", "0", "0", -1), ("b", "0", "0", 0)]), 4, 1, 3)
 @settings(max_examples=80, deadline=None)
