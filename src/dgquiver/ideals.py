@@ -10,6 +10,16 @@ needed.  The rows u*rho*v are built in integers on the arrow tuples of
 the path walk (see `_two_sided_products`); a column is a path key, and the
 paths of length n take the columns of walk level n.
 
+Every relation is homogeneous for the weight of `_weights` (arrow counts
+modulo the differences of the terms of one relation), so each row u*rho*v,
+cut or not, lies in one block (source, target, weight), and a span of rows
+is the direct sum of its blocks.  A vector supported in one block lies in
+the span iff it lies in the span of that block's rows, so
+`generates_arrow_power` builds only the blocks of the paths it tests, and
+the drop test of `system_of_relations`, which asks whether the dropped
+relation, cut, lies in the survivors' cut span (equivalent to the span
+keeping its rank), only the block of that relation.
+
 The bound search is the operational test "every path of length N lies in
 the truncated span at bound N+1".  A function given N runs it once per call
 (`_require_bound`), and every other span of that call reads the columns of
@@ -23,6 +33,7 @@ certified through a representation witness, which needs no bound at all.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
@@ -46,9 +57,41 @@ def relations_in_r2(relations) -> list[str]:
     return bad
 
 
+def _weights(q: GradedQuiver, relations, max_len: int) -> dict[str, int]:
+    """Each arrow's weight, packed into an int that is exact on the words of
+    length <= max_len; a word weighs the sum of its arrows, and a path's
+    block is (source, target, weight).
+
+    The weight is the arrow-count vector modulo D, the Q-span of the count
+    differences of any two terms of one relation, so every relation is
+    homogeneous.  `RowSpace(D).reduce` of an arrow's unit vector is the
+    canonical representative of its coset, and it is linear.  Scaled to
+    integers x with |x_i| <= m, a representative packs as the sum of
+    x_i * B^i, B = 2 * max_len * m + 1: the digits of a word of length
+    <= max_len lie within max_len * m < B / 2, and balanced digits are
+    unique, so two such words pack equal iff their weights are equal.
+    """
+    column = {a.name: i for i, a in enumerate(q.arrows)}
+    diffs = RowSpace()
+    for rel in relations:
+        counts = [Counter(map(column.__getitem__, p.arrows)) for p in rel.body.terms]
+        for c in counts[1:]:
+            c.subtract(counts[0])
+            if any(c.values()):
+                diffs.add(c)
+    reps = [diffs.reduce({i: 1}) for i in range(len(column))]
+    s = lcm(*(x.denominator for r in reps for x in r.values()))
+    reps = [{i: int(x * s) for i, x in r.items()} for r in reps]
+    digit = {i: k for k, i in enumerate(sorted(set().union(*reps)))}
+    base = 2 * max_len * max((abs(x) for r in reps for x in r.values()), default=0) + 1
+    return {
+        name: sum(x * base ** digit[i] for i, x in r.items()) for name, r in zip(column, reps)
+    }
+
+
 def _two_sided_products(
     q: GradedQuiver, relations, levels, index, max_len: int, *, truncate: bool,
-    boundary_only: bool = False,
+    boundary_only: bool = False, blocks=None,
 ):
     """Yield u * rho * v as an integer row {index[word]: coefficient} for each
     relation rho and each pair (u, v) of paths in the levels of `q._walk`
@@ -63,17 +106,23 @@ def _two_sided_products(
     shortest term has length <= max_len and is cut to length <= max_len (the
     scan over the terms stops at the first longer one); otherwise every term
     must fit and nothing is cut.  `boundary_only` skips the pairs with both u
-    and v trivial.  The order is fixed by `relations` and the walk.  The
-    relations must pass `validate_relations` over q.  As the levels come by
-    length, the loops stop at the first u, and the first v for a given u,
-    that leaves no room.
+    and v trivial.  `blocks` is None or a pair (weights, wanted), `weights`
+    from `_weights` for max_len: then only the products whose block
+    (source of u, target of v, weight of u t v for t the shortest term) is in
+    `wanted` are yielded, the others skipped before their row is formed.
+    The order is fixed by `relations` and the walk.  The relations must pass
+    `validate_relations` over q.  As the levels come by length, the loops
+    stop at the first u, and the first v for a given u, that leaves no room.
     """
+    weights, wanted = blocks or ({}, None)
     by_target: dict[str, list[tuple]] = {v: [] for v in q.vertices}
     by_source: dict[str, list[tuple]] = {v: [] for v in q.vertices}
     for level in levels:
-        for arrows, source, target, _ in level:
-            by_target[target].append(arrows)
-            by_source[source].append(arrows)
+        for path in level:  # (arrows, source, target, degree or weight)
+            if wanted is not None:
+                path = path[:3] + (sum(map(weights.__getitem__, path[0])),)
+            by_target[path[2]].append(path)
+            by_source[path[1]].append(path)
     for rel in relations:
         terms = sorted(rel.body.terms.items(), key=lambda t: len(t[0]))
         if not terms:
@@ -81,13 +130,16 @@ def _two_sided_products(
         s = lcm(*(c.denominator for _, c in terms))
         terms = [(p.arrows, c.numerator * (s // c.denominator)) for p, c in terms]
         room = max_len - len(terms[0 if truncate else -1][0])
-        for u in by_target[rel.source]:
+        weight = sum(map(weights.__getitem__, terms[0][0])) if wanted is not None else 0
+        for u, source, _, wu in by_target[rel.source]:
             if len(u) > room:
                 break
-            for v in by_source[rel.target]:
+            for v, _, target, wv in by_source[rel.target]:
                 if len(u) + len(v) > room:
                     break
                 if boundary_only and not (u or v):
+                    continue
+                if wanted is not None and (source, target, wu + weight + wv) not in wanted:
                     continue
                 cap = max_len - len(u) - len(v)
                 row = {}
@@ -98,13 +150,21 @@ def _two_sided_products(
                 yield row
 
 
-def _span(q: GradedQuiver, relations, max_len: int, *, truncate: bool):
+def _span(q: GradedQuiver, relations, max_len: int, *, truncate: bool, length=None):
     """(levels, index, space): the levels of `q._walk(max_len)`, the column of
-    each path key in walk order and the span of `_two_sided_products`."""
+    each path key in walk order and the span of `_two_sided_products`; with
+    `length`, only of the products in the block of a path of that length."""
     levels = list(q._walk(max_len))
     index = {_key(a, s): i for i, (a, s, _, _) in enumerate(t for level in levels for t in level)}
-    space = RowSpace(_two_sided_products(q, relations, levels, index, max_len, truncate=truncate))
-    return levels, index, space
+    blocks = None
+    if length is not None:
+        weights = _weights(q, relations, max_len)
+        blocks = weights, {
+            (s, t, sum(map(weights.__getitem__, a)))
+            for level in levels[length:length + 1] for a, s, t, _ in level
+        }
+    rows = _two_sided_products(q, relations, levels, index, max_len, truncate=truncate, blocks=blocks)
+    return levels, index, RowSpace(rows)
 
 
 def _holds_length(space: RowSpace, levels, n: int) -> bool:
@@ -211,13 +271,18 @@ def generates_arrow_power(q: GradedQuiver, relations, n: int, max_expr_len: int)
     length <= max_expr_len.  No truncation is involved, so a True answer is
     a proof; a False answer may just mean max_expr_len was too small.  n = 0
     asks about the trivial paths, and n < 0 raises ValueError.
+
+    Only the products in the blocks of the paths of length n are built
+    (`_weights`): the span of all products is the direct sum of its blocks,
+    so a vector supported in one block lies in it iff it lies in the span of
+    that block's products.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if max_expr_len < n:
         raise ValueError("max_expr_len must be at least n")
     relations = _check_relations(q, relations)
-    levels, _, space = _span(q, relations, max_expr_len, truncate=False)
+    levels, _, space = _span(q, relations, max_expr_len, truncate=False, length=n)
     return _holds_length(space, levels, n)
 
 
@@ -235,16 +300,44 @@ def ideal_membership(q: GradedQuiver, relations, n: int, x: PathElement) -> bool
     return _require_bound(q, relations, n).contains(x.rebind(q))
 
 
+def _truncation_in_span(span: TruncatedIdealSpan, weights, candidate, rho: Relation) -> bool:
+    """Whether rho cut to length < n lies in the span of the candidate's
+    products cut to length < n, n = span.bound - 1 for the certified span of
+    `_require_bound`; only the products in rho's block are built, `weights`
+    being `_weights` for length n - 1 over relations that include rho and
+    the candidate.  The cut products are homogeneous too, so the span is the
+    direct sum of its blocks."""
+    n = span.bound - 1
+    terms = [(p.arrows, c) for p, c in rho.body.terms.items() if len(p) < n]
+    if not terms:
+        return True
+    block = rho.source, rho.target, sum(map(weights.__getitem__, terms[0][0]))
+    rows = _two_sided_products(
+        span.quiver, candidate, span._levels[:n], span.index, n - 1, truncate=True,
+        blocks=(weights, {block}),
+    )
+    return RowSpace(rows).contains({span.index[t]: c for t, c in terms})
+
+
 def system_of_relations(q: GradedQuiver, relations, n: int) -> list[Relation]:
     """A subset of the input generating the same ideal, from which no single
     entry can be dropped.
 
     Zero entries are removed first (they never help generate); then entries
     are dropped greedily in input order.  A removal needs two facts about
-    the survivors: the truncated span keeps its rank, and r^n is *exactly*
+    the survivors: the truncated span is unchanged, and r^n is *exactly*
     generated (`generates_arrow_power`).  Together these prove the ideal is
-    unchanged; rank alone does not, because a proper subideal can have the
-    same truncated span (the quaternion-type ideal is the standard trap).
+    unchanged; the truncated span alone does not, because a proper subideal
+    can have the same truncated span (the quaternion-type ideal is the
+    standard trap).
+
+    Write W for the span of the products u * rho * v cut to length < n.  The
+    survivors before a drop span the ideal's W, and dropping rho_k keeps W
+    iff rho_k cut to length < n lies in the candidate's W: u * cut(rho_k) * v
+    and u * rho_k * v agree below length n, so a cut expression of rho_k
+    gives one of each cut product.  The candidate's W is the direct sum of
+    its blocks (`_weights`), so only the products in rho_k's block are built
+    (`_truncation_in_span`).
 
     The exact-generation search allows expressions of term length up to
     n plus the longest relation term: a product u * rho * v with a term of
@@ -255,15 +348,16 @@ def system_of_relations(q: GradedQuiver, relations, n: int) -> list[Relation]:
     span = _require_bound(q, relations, n)
     relations = span.relations
     max_expr_len = n + max((r.body.max_length() or 1 for r in relations), default=1)
-    # zero entries span nothing; a candidate's span at bound n is built on the
-    # certified span's columns of length < n, which come first (`_require_bound`)
+    # zero entries span nothing; the candidate spans read the certified span's
+    # columns of length < n, which come first (`_require_bound`)
     current = [r for r in relations if not r.body.is_zero()]
-    rank_n = span.rank - sum(map(len, span._levels[n:]))
+    weights = _weights(q, current, n - 1)
     k = 0
     while k < len(current):
         candidate = current[:k] + current[k + 1:]
-        rows = _two_sided_products(q, candidate, span._levels, span.index, n - 1, truncate=True)
-        if RowSpace(rows).rank == rank_n and generates_arrow_power(q, candidate, n, max_expr_len):
+        if _truncation_in_span(span, weights, candidate, current[k]) and generates_arrow_power(
+            q, candidate, n, max_expr_len
+        ):
             current = candidate
         else:
             k += 1

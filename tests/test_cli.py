@@ -18,6 +18,16 @@ def run_cli(*argv):
     )
 
 
+def test_module_entry_point_runs_the_cli(capsys):
+    # `python -m dgquiver` is the installed `dgquiver` script: same exit code,
+    # same bytes on stdout as `cli.main`
+    argv = ["validate", str(FIXTURES / "square_d4.quiver")]
+    res = subprocess.run([sys.executable, "-m", "dgquiver", *argv], capture_output=True)
+    assert res.returncode == 0, res.stderr
+    assert cli.main(argv) == 0
+    assert res.stdout == capsys.readouterr().out.encode()
+
+
 def test_homology_one_vertex_zero_m4():
     res = run_cli("homology", str(FIXTURES / "one_vertex_zero.quiver"), "--m", "4")
     assert res.returncode == 0, res.stderr

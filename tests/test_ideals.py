@@ -32,7 +32,16 @@ from dgquiver import (
     system_of_relations,
 )
 from dgquiver.dg import validate_relations
-from dgquiver.ideals import _boundary_spans, _require_bound, _two_sided_products
+from dgquiver.ideals import (
+    _boundary_spans,
+    _check_relations,
+    _holds_length,
+    _require_bound,
+    _span,
+    _truncation_in_span,
+    _two_sided_products,
+    _weights,
+)
 from dgquiver.linalg import RowSpace
 
 from conftest import (
@@ -513,6 +522,99 @@ def test_h0_dimension_cross_check(quaternion):
 PQ_COEFFS = (1, -1, 2, Fraction(1, 2), Fraction(-3, 4), Fraction(2, 3))
 
 
+def _relation(q, label, rng, *words):
+    """The relation sum of c * word over `words`, each c drawn from PQ_COEFFS."""
+    p = q.path(words[0])
+    body = PathElement(q, {q.path(w): Fraction(rng.choice(PQ_COEFFS)) for w in words})
+    return Relation(label, q.source_of(p), q.target_of(p), body)
+
+
+def commuting_loops(k):
+    """One vertex, loops x0..x{k-1}, the commutators x_i x_j - x_j x_i
+    (i < j) and the squares x_i x_i."""
+    loops = [f"x{i}" for i in range(k)]
+    q = GradedQuiver(["v"], [Arrow(x, "v", "v", 0) for x in loops])
+    rels = [
+        Relation(f"c{x}{y}", "v", "v", element(q, (1, (x, y)), (-1, (y, x))))
+        for i, x in enumerate(loops) for y in loops[i + 1:]
+    ]
+    rels += [Relation(f"q{x}", "v", "v", element(q, (1, (x, x)))) for x in loops]
+    return q, rels
+
+
+FAMILIES = ("commuting", "grid", "monomial", "quaternion")
+QUATERNION_THIRD = (None, ("a", "b"), ("b", "a"), ("a", "a", "b"), ("a", "b", "a", "b"))
+
+
+def family_ideal(rng, kind):
+    """A quiver with relations of one family, p/q coefficients drawn by rng.
+
+    Graded, each relation homogeneous in arrow counts modulo a proper D:
+    "commuting", 2 or 3 loops with every q-commutator x y - c y x and most
+    squares x x; "grid", a 2x2 to 3x3 grid of vertices with most commuting
+    squares; "monomial", a random quiver with 1 to 3 monomial relations.
+    Not graded by length: "quaternion", two loops with a a - c b a b,
+    b b - c' a b a and one monomial from QUATERNION_THIRD (or none).  Half
+    of the draws append a redundant relation (`_consequence`), so that some
+    relations can be dropped.
+    """
+    if kind == "commuting":
+        loops = [f"x{i}" for i in range(rng.randint(2, 3))]
+        q = GradedQuiver(["v"], [Arrow(x, "v", "v", 0) for x in loops])
+        rels = [
+            _relation(q, f"c{x}{y}", rng, (x, y), (y, x))
+            for i, x in enumerate(loops) for y in loops[i + 1:]
+        ]
+        rels += [_relation(q, f"q{x}", rng, (x, x)) for x in loops if rng.random() < 0.8]
+    elif kind == "grid":
+        rows, cols = rng.randint(2, 3), rng.randint(2, 3)
+        arrows = [Arrow(f"h{i}{j}", f"v{i}{j}", f"v{i}{j + 1}", 0)
+                  for i in range(rows) for j in range(cols - 1)]
+        arrows += [Arrow(f"d{i}{j}", f"v{i}{j}", f"v{i + 1}{j}", 0)
+                   for i in range(rows - 1) for j in range(cols)]
+        q = GradedQuiver([f"v{i}{j}" for i in range(rows) for j in range(cols)], arrows)
+        rels = [
+            _relation(q, f"s{i}{j}", rng, (f"h{i}{j}", f"d{i}{j + 1}"), (f"d{i}{j}", f"h{i + 1}{j}"))
+            for i in range(rows - 1) for j in range(cols - 1) if rng.random() < 0.8
+        ]
+    elif kind == "monomial":
+        q = random_quiver(rng)
+        words = [p.arrows for p in q.enumerate_paths(3) if len(p) >= 2]
+        rels = [_relation(q, f"m{k}", rng, w) for k, w in enumerate(
+            rng.sample(words, min(len(words), rng.randint(1, 3)))
+        )]
+    else:
+        q = GradedQuiver(["v"], [Arrow("a", "v", "v", 0), Arrow("b", "v", "v", 0)])
+        rels = [
+            _relation(q, "r1", rng, ("a", "a"), ("b", "a", "b")),
+            _relation(q, "r2", rng, ("b", "b"), ("a", "b", "a")),
+        ]
+        third = rng.choice(QUATERNION_THIRD)
+        if third:
+            rels.append(_relation(q, "r3", rng, third))
+    if rels and rng.random() < 0.5:
+        rels.append(_consequence(q, rels, rng))
+    return q, rels
+
+
+def _consequence(q, rels, rng):
+    """A relation redundant over `rels`: a combination of one or two
+    products u * rho * v with |u| + |v| <= 1 and the same endpoints."""
+    by_ends = {}
+    for rel in rels:
+        by_ends.setdefault((rel.source, rel.target), []).append(rel.body)
+        for a in q.arrows:
+            arrow = PathElement.from_path(q, (a.name,))
+            for x in (arrow * rel.body, rel.body * arrow):
+                if not x.is_zero():
+                    p = next(iter(x.terms))
+                    by_ends.setdefault((q.source_of(p), q.target_of(p)), []).append(x)
+    ends = rng.choice(sorted(by_ends))
+    chosen = rng.sample(by_ends[ends], min(2, len(by_ends[ends])))
+    body = sum((Fraction(rng.choice(PQ_COEFFS)) * x for x in chosen), PathElement.zero(q))
+    return Relation("cons", *ends, body)
+
+
 def _oracle_products(q, relations, paths, max_len, *, truncate, boundary_only=False):
     """u * rho * v as `PathElement` products over all pairs (u, v) of paths,
     each cut to length <= max_len with `truncate`; the slow oracle for the
@@ -610,6 +712,64 @@ def test_span_matches_path_element_oracle(seed, bound, boundary_only, quiver):
         generated.contains({i: 1}) for i, p in enumerate(all_paths) if len(p) == n
     )
     assert generates_arrow_power(q, rels, n, max_expr_len) == want
+
+
+def _all_rows_generates_arrow_power(q, relations, n, max_expr_len):
+    """`generates_arrow_power` over the span of every product in every block,
+    as it was before the block filter; the slow oracle for that filter."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if max_expr_len < n:
+        raise ValueError("max_expr_len must be at least n")
+    relations = _check_relations(q, relations)
+    levels, _, space = _span(q, relations, max_expr_len, truncate=False)
+    return _holds_length(space, levels, n)
+
+
+# Seed 2 draws the quaternion-type family with the third relation a*b.  Then
+# a a a = a * r1 + (a b) * (a b) up to scalars, an expression whose products
+# have terms of lengths 3 and 4; at n = 3 it needs a product with no term of
+# length 3 and a product whose shortest term is not in the block of a a a by
+# raw arrow counts.
+@given(st.integers(0, 2**32), st.sampled_from(FAMILIES), st.integers(0, 4), st.integers(0, 3))
+@example(2, "quaternion", 3, 1)
+@settings(max_examples=60, deadline=None)
+def test_generates_arrow_power_matches_all_rows(seed, kind, n, extra):
+    q, rels = family_ideal(random.Random(seed), kind)
+    want = _all_rows_generates_arrow_power(q, rels, n, n + extra)
+    assert generates_arrow_power(q, rels, n, n + extra) == want
+
+
+def test_exact_generation_builds_only_the_length_n_blocks(monkeypatch):
+    # three commuting loops with squares generate r^4 with expressions of
+    # length <= 7.  D = 0, so the weight of a word is its arrow-count vector
+    # and the blocks of length 4 hold the products u * rho * v with
+    # |u| + |v| = 2: 6 relations times 9 + 9 + 9 pairs (u, v), 162 rows,
+    # where the span of every product has 12,030
+    q, rels = commuting_loops(3)
+    weights = _weights(q, rels, 7)
+    levels = list(q._walk(7))
+    index = {p.key: i for i, p in enumerate(q.enumerate_paths(7))}
+    rows = list(_two_sided_products(q, rels, levels, index, 7, truncate=False))
+    assert len(rows) == 12_030
+    added = []
+    add = RowSpace.add
+    monkeypatch.setattr(RowSpace, "add", lambda self, row: added.append(row) or add(self, row))
+    assert generates_arrow_power(q, rels, 4, 7)
+    assert len(added) == 162
+
+    # every relation, and so every row, is homogeneous; on the grid D != 0
+    grid = family_ideal(random.Random(0), "grid")
+    for q, rels in ((q, rels), grid):
+        weights = _weights(q, rels, 5)
+        levels = list(q._walk(5))
+        keys = [p.key for p in q.enumerate_paths(5)]
+        index = {key: i for i, key in enumerate(keys)}
+        for rel in rels:
+            assert len({sum(map(weights.__getitem__, p.arrows)) for p in rel.body.terms}) == 1
+        for truncate in (False, True):
+            for row in _two_sided_products(q, rels, levels, index, 5, truncate=truncate):
+                assert len({sum(map(weights.__getitem__, keys[c])) for c in row}) == 1
 
 
 def test_span_construction_validates_relations(square):
@@ -716,15 +876,23 @@ def _old_system_of_relations(q, relations, n):
     return current
 
 
-@given(st.integers(0, 2**32))
+# Seed 47 draws three commuting loops and cons = c_x0x1 / 2 + 2/3 c_x1x2 x0,
+# so c_x0x1 is dropped through the product c_x1x2 x0, whose shortest term is
+# longer than those of c_x0x1.
+@given(st.integers(0, 2**32), st.sampled_from((None,) + FAMILIES))
+@example(47, "commuting")
 @settings(max_examples=40, deadline=None)
-def test_certified_span_columns_serve_every_span_of_a_call(seed):
+def test_certified_span_columns_serve_every_span_of_a_call(seed, kind):
     # at a bound n that was found, the boundary span, each candidate span and
     # the normal forms read off the certified span at bound n + 1 equal
-    # standalone constructions
+    # standalone constructions, and the drop test of system_of_relations, the
+    # block membership of rho_k cut below n, agrees with the rank test
     rng = random.Random(seed)
-    q = random_quiver(rng)
-    rels = random_relations(rng, q, max_count=3, coeffs=PQ_COEFFS)
+    if kind is None:
+        q = random_quiver(rng)
+        rels = random_relations(rng, q, max_count=3, coeffs=PQ_COEFFS)
+    else:
+        q, rels = family_ideal(rng, kind)
     n = find_admissibility_bound(q, rels, max_n=4)
     assume(n is not None)
     span, boundary = _boundary_spans(q, rels, n)
@@ -732,10 +900,14 @@ def test_certified_span_columns_serve_every_span_of_a_call(seed):
     oracle = _oracle_space(q, rels, paths, n, truncate=True, boundary_only=True)
     assert (boundary.rank, boundary.pivot_columns()) == (oracle.rank, oracle.pivot_columns())
 
+    rank_n = TruncatedIdealSpan(q, rels, n).rank
+    weights = _weights(q, rels, n - 1)
     for k in range(len(rels)):
         candidate = rels[:k] + rels[k + 1:]
         rows = _two_sided_products(q, candidate, span._levels, span.index, n - 1, truncate=True)
-        assert RowSpace(rows).rank == TruncatedIdealSpan(q, candidate, n).rank
+        rank = RowSpace(rows).rank
+        assert rank == TruncatedIdealSpan(q, candidate, n).rank
+        assert _truncation_in_span(span, weights, candidate, rels[k]) == (rank == rank_n)
     assert system_of_relations(q, rels, n) == _old_system_of_relations(q, rels, n)
 
     below = [p for p in paths if len(p) < n]
