@@ -11,14 +11,10 @@ from dgquiver import (
     GradedQuiver,
     PathElement,
     Relation,
-    algebra_dim,
-    boundary_image_vanishes,
     certifies_non_membership,
+    certify,
     evaluate_in_representation,
-    ext2_dim,
     find_admissibility_bound,
-    spans_boundary_quotient,
-    system_of_relations,
 )
 
 q = GradedQuiver(["v"], [("a", "v", "v", 0), ("b", "v", "v", 0)])
@@ -31,14 +27,15 @@ relations = [
 
 n = find_admissibility_bound(q, relations, max_n=12)
 print("admissibility bound:", n)
-print("dim KQ/I:", algebra_dim(q, relations, n))
-ext2 = ext2_dim(q, relations, n)
+ideal = certify(q, relations, n)
+print("dim KQ/I:", ideal.dim())
+ext2 = ideal.ext2()
 print("dim I/(Ir + rI):", ext2)
 print("dim Ext^2(S, S):", ext2)
 
 aab = P("a", "a", "b")
-print("class of a*a*b in I/(Ir + rI) vanishes:", boundary_image_vanishes(q, relations, n, aab))
-print("first two relations span I/(Ir + rI):", spans_boundary_quotient(q, relations, relations[:2], n))
+print("class of a*a*b in I/(Ir + rI) vanishes:", ideal.boundary_image_vanishes(aab))
+print("first two relations span I/(Ir + rI):", ideal.spans_boundary_quotient(relations[:2]))
 
 witness = ({"v": 1}, {"a": [[1]], "b": [[1]]})
 print("witness value of a*a*b:", evaluate_in_representation(q, *witness, aab))
@@ -46,4 +43,4 @@ print(
     "witness certifies a*a*b not in (r1, r2):",
     certifies_non_membership(q, relations[:2], *witness, aab),
 )
-print("minimal system keeps:", [r.label for r in system_of_relations(q, relations, n)])
+print("minimal system keeps:", [r.label for r in ideal.minimal_system()])

@@ -54,15 +54,13 @@ from .ideals import (
     NotAdmissibleError,
     TruncatedIdealSpan,
     algebra_dim,
-    boundary_image_vanishes,
     bound_is_valid,
+    certify,
     certifies_non_membership,
     evaluate_in_representation,
     ext2_dim,
     find_admissibility_bound,
     generates_arrow_power,
-    ideal_membership,
-    spans_boundary_quotient,
     split_extension_check,
     system_of_relations,
 )

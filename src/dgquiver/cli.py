@@ -15,6 +15,7 @@ import contextlib
 import json
 import sys
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 from .algebra import format_element
@@ -32,11 +33,10 @@ from .homology import (
 )
 from .ideals import (
     NotAdmissibleError,
-    algebra_dim,
-    ext2_dim,
+    TruncatedIdealSpan,
+    certify,
     find_admissibility_bound,
     split_extension_check,
-    system_of_relations,
 )
 
 
@@ -111,6 +111,11 @@ class _Job:
     def gamma(self):
         return ginzburg_from_relations(self.pf.quiver, self.pf.relations, self.m)
 
+    @cached_property
+    def ideal(self) -> TruncatedIdealSpan:
+        """The span certified at `bound`, built on first use and then shared."""
+        return certify(self.pf.quiver, self.pf.relations, self.bound)
+
 
 # ---------- report sections: each shared by its command and `report` ----------
 
@@ -126,12 +131,11 @@ def _homology_block(dg, m: int, max_len: int) -> dict:
 
 
 _IDEAL_ENTRIES = {
-    "dim": lambda pf, n: algebra_dim(pf.quiver, pf.relations, n),
-    "system_of_relations": lambda pf, n: [
-        {"label": r.label, "body": format_element(r.body)}
-        for r in system_of_relations(pf.quiver, pf.relations, n)
+    "dim": TruncatedIdealSpan.dim,
+    "system_of_relations": lambda ideal: [
+        {"label": r.label, "body": format_element(r.body)} for r in ideal.minimal_system()
     ],
-    "ext2": lambda pf, n: ext2_dim(pf.quiver, pf.relations, n),
+    "ext2": TruncatedIdealSpan.ext2,
 }
 
 
@@ -181,7 +185,7 @@ def _vosnex(job: _Job) -> dict:
 
 def _ideal_command(key: str) -> Callable[[_Job], dict]:
     entry = _IDEAL_ENTRIES[key]
-    return lambda job: {"ideal": {"admissible_N": job.bound, key: entry(job.pf, job.bound)}}
+    return lambda job: {"ideal": {"admissible_N": job.bound, key: entry(job.ideal)}}
 
 
 def _admissibility(job: _Job) -> dict:
@@ -196,7 +200,7 @@ def _report(job: _Job) -> dict:
     ideal: dict = {"admissible_N": job.bound}
     if job.bound is not None:
         for key, entry in _IDEAL_ENTRIES.items():
-            ideal[key] = entry(job.pf, job.bound)
+            ideal[key] = entry(job.ideal)
     out["ideal"] = ideal
     checks = {"d_squared": _d2_verdict(job, dg, max_len)}
     if job.m == 2 and job.bound is not None:

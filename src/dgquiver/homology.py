@@ -217,7 +217,7 @@ def vosnex_equivalence_check(
 
     Preconditions (each failure raises with its own message): m > 2, every
     relation body inside the square of the arrow ideal, and KQ/(relations)
-    finite-dimensional (certified through an admissibility bound).
+    finite-dimensional (an admissibility bound, searched up to max(12, max_len)).
     """
     from .ideals import NotAdmissibleError, find_admissibility_bound
 

@@ -21,14 +21,16 @@ relation, cut, lies in the survivors' cut span (equivalent to the span
 keeping its rank), only the block of that relation.
 
 The bound search is the operational test "every path of length N lies in
-the truncated span at bound N+1".  A function given N runs it once per call
-(`_require_bound`), and every other span of that call reads the columns of
-the certified span it returns.  For genuinely admissible ideals this finds a
-correct bound; for pathological non-admissible inputs (already a single
-loop with the relation a^2 - a^3) the test can report a bound that
+the truncated span at bound N+1".  For genuinely admissible ideals this
+finds a correct bound; for pathological non-admissible inputs (already a
+single loop with the relation a^2 - a^3) the test can report a bound that
 certifies nothing, which is why operations requiring admissibility refuse
 to run without a bound and why non-membership can alternatively be
 certified through a representation witness, which needs no bound at all.
+
+`certify(q, relations, N)` runs the test once and returns the span at bound
+N+1, whose methods answer every question about (R) at N and whose columns
+every other span of such a question reads.
 """
 
 from __future__ import annotations
@@ -175,6 +177,25 @@ def _holds_length(space: RowSpace, levels, n: int) -> bool:
     return all(space.contains({i: 1}) for i in range(start, stop))
 
 
+def _truncation_in_span(span: TruncatedIdealSpan, weights, candidate, rho: Relation) -> bool:
+    """Whether rho cut to length < n lies in the span of the candidate's
+    products cut to length < n, n = span.bound - 1 for the span of
+    `certify`; only the products in rho's block are built, `weights`
+    being `_weights` for length n - 1 over relations that include rho and
+    the candidate.  The cut products are homogeneous too, so the span is the
+    direct sum of its blocks."""
+    n = span.bound - 1
+    terms = [(p.arrows, c) for p, c in rho.body.terms.items() if len(p) < n]
+    if not terms:
+        return True
+    block = rho.source, rho.target, sum(map(weights.__getitem__, terms[0][0]))
+    rows = _two_sided_products(
+        span.quiver, candidate, span._levels[:n], span.index, n - 1, truncate=True,
+        blocks=(weights, {block}),
+    )
+    return RowSpace(rows).contains({span.index[t]: c for t, c in terms})
+
+
 class TruncatedIdealSpan:
     """Row space of the two-sided ideal (R) cut to paths of length < bound.
 
@@ -185,6 +206,10 @@ class TruncatedIdealSpan:
     ValueError.  `paths` holds the column keys (`Path.key`) in walk order, by
     length and then by arrow names, and `index` maps each key to its column;
     `_levels` keeps the walk, so that other spans can share the columns.
+
+    The methods read N = bound - 1.  They answer for (R) exactly on a span
+    returned by `certify`, whose rows hold every path of length N, and only
+    for the truncation on any other span.
     """
 
     def __init__(self, quiver: GradedQuiver, relations, bound: int):
@@ -197,6 +222,7 @@ class TruncatedIdealSpan:
         self.paths = list(self.index)
 
     def _vector(self, x: PathElement) -> dict[int, Fraction]:
+        x = x.rebind(self.quiver)  # an arrow the quiver lacks raises here, not as a bound
         try:
             return {self.index[p.key]: c for p, c in x.terms.items()}
         except KeyError:
@@ -206,11 +232,9 @@ class TruncatedIdealSpan:
     def rank(self) -> int:
         return self.space.rank
 
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.paths)
-
     def contains(self, x: PathElement) -> bool:
+        """Whether x lies in (R), exact for x of length <= N on a certified
+        span as r^N <= (R); x of length >= bound raises ValueError."""
         ml = x.max_length()
         if ml is not None and ml >= self.bound:
             raise ValueError(
@@ -219,12 +243,91 @@ class TruncatedIdealSpan:
             )
         return self.space.contains(self._vector(x))
 
+    def dim(self) -> int:
+        """dim KQ/(R) as (#paths of length < N) - rank of the span at bound N;
+        the paths of length N add as many columns as rank here."""
+        return len(self.paths) - self.rank
+
+    def minimal_system(self) -> list[Relation]:
+        """A subset of the relations generating the same ideal, from which no
+        single entry can be dropped.
+
+        Zero entries are removed first (they never help generate); then entries
+        are dropped greedily in input order.  A removal needs two facts about
+        the survivors: the truncated span is unchanged, and r^N is *exactly*
+        generated (`generates_arrow_power`).  Together these prove the ideal is
+        unchanged; the truncated span alone does not, because a proper subideal
+        can have the same truncated span (the quaternion-type ideal is the
+        standard trap).
+
+        Write W for the span of the products u * rho * v cut to length < N.  The
+        survivors before a drop span the ideal's W, and dropping rho_k keeps W
+        iff rho_k cut to length < N lies in the candidate's W: u * cut(rho_k) * v
+        and u * rho_k * v agree below length N, so a cut expression of rho_k
+        gives one of each cut product.  The candidate's W is the direct sum of
+        its blocks (`_weights`), so only the products in rho_k's block are built
+        (`_truncation_in_span`).
+
+        The exact-generation search allows expressions of term length up to
+        N plus the longest relation term: a product u * rho * v with a term of
+        length N has |u| + |v| < N, so every term of it fits.  Input order is
+        fixed for determinism; other orders may give different, equally valid
+        minimal systems.
+        """
+        n = self.bound - 1
+        max_expr_len = n + max((r.body.max_length() or 1 for r in self.relations), default=1)
+        # zero entries span nothing; the candidate spans read this span's
+        # columns of length < n, which come first
+        current = [r for r in self.relations if not r.body.is_zero()]
+        weights = _weights(self.quiver, current, n - 1)
+        k = 0
+        while k < len(current):
+            candidate = current[:k] + current[k + 1:]
+            if _truncation_in_span(self, weights, candidate, current[k]) and generates_arrow_power(
+                self.quiver, candidate, n, max_expr_len
+            ):
+                current = candidate
+            else:
+                k += 1
+        return current
+
+    def _boundary(self) -> RowSpace:
+        """A fresh `RowSpace` of I r + r I on this span's columns: the products
+        u * rho * v with u or v of positive length; tails beyond the bound lie
+        in r^{N+1}, which is already inside I r + r I."""
+        return RowSpace(_two_sided_products(
+            self.quiver, self.relations, self._levels, self.index, self.bound - 1,
+            truncate=True, boundary_only=True,
+        ))
+
+    def ext2(self) -> int:
+        """dim Ext^2 of the semisimple module over KQ/(R), which equals
+        dim I/(I r + r I); the latter is what is computed."""
+        return self.rank - self._boundary().rank
+
+    def boundary_image_vanishes(self, x: PathElement) -> bool:
+        """Whether x in I maps to zero in I/(I r + r I)."""
+        if not self.contains(x):
+            raise ValueError("element does not lie in the ideal")
+        return self._boundary().contains(self._vector(x))
+
+    def spans_boundary_quotient(self, candidate) -> bool:
+        """Whether the images of the candidate relations span I/(I r + r I);
+        each candidate body must lie in (R) (checked through `contains`)."""
+        boundary = self._boundary()
+        # the boundary span plus the candidate images must fill the ideal span
+        for r in candidate:
+            if not self.contains(r.body):
+                raise ValueError(f"candidate {r.label!r} is not in the ideal")
+            boundary.add(self._vector(r.body))
+        return boundary.rank == self.rank
+
 
 def bound_is_valid(q: GradedQuiver, relations, n: int) -> bool:
     """Operational admissibility test at n: every path of length exactly n
     lies in the ideal span truncated at bound n + 1."""
     try:
-        _require_bound(q, relations, n)
+        certify(q, relations, n)
     except NotAdmissibleError:
         return False
     return True
@@ -248,13 +351,14 @@ def find_admissibility_bound(q: GradedQuiver, relations, max_n: int = 12) -> int
     return None
 
 
-def _require_bound(q: GradedQuiver, relations, n: int) -> TruncatedIdealSpan:
+def certify(q: GradedQuiver, relations, n: int) -> TruncatedIdealSpan:
     """The ideal span at bound n + 1, once the relations are checked against
-    q and n passes the operational test.
+    q and n passes the operational test; otherwise NotAdmissibleError.
 
     Its rows hold every path of length n, so it equals (R) restricted to the
     paths of length <= n, and cutting it to lengths < n gives the span at
-    bound n with rank lower by the number of paths of length n.
+    bound n with rank lower by the number of paths of length n.  Every ideal
+    question given n reads this one value (`TruncatedIdealSpan` methods).
     """
     if n < 2:
         _check_relations(q, relations)
@@ -287,126 +391,18 @@ def generates_arrow_power(q: GradedQuiver, relations, n: int, max_expr_len: int)
 
 
 def algebra_dim(q: GradedQuiver, relations, n: int) -> int:
-    """dim KQ/(R) computed as (#paths of length < n) - rank of the span;
-    the certified span at bound n + 1 gives the same difference."""
-    span = _require_bound(q, relations, n)
-    return span.ambient_dim - span.rank
-
-
-def ideal_membership(q: GradedQuiver, relations, n: int, x: PathElement) -> bool:
-    """Whether x lies in (R); x must be supported in length <= n and n must
-    be a valid admissibility bound.  The answer is exact because r^n <= (R);
-    longer elements raise ValueError."""
-    return _require_bound(q, relations, n).contains(x.rebind(q))
-
-
-def _truncation_in_span(span: TruncatedIdealSpan, weights, candidate, rho: Relation) -> bool:
-    """Whether rho cut to length < n lies in the span of the candidate's
-    products cut to length < n, n = span.bound - 1 for the certified span of
-    `_require_bound`; only the products in rho's block are built, `weights`
-    being `_weights` for length n - 1 over relations that include rho and
-    the candidate.  The cut products are homogeneous too, so the span is the
-    direct sum of its blocks."""
-    n = span.bound - 1
-    terms = [(p.arrows, c) for p, c in rho.body.terms.items() if len(p) < n]
-    if not terms:
-        return True
-    block = rho.source, rho.target, sum(map(weights.__getitem__, terms[0][0]))
-    rows = _two_sided_products(
-        span.quiver, candidate, span._levels[:n], span.index, n - 1, truncate=True,
-        blocks=(weights, {block}),
-    )
-    return RowSpace(rows).contains({span.index[t]: c for t, c in terms})
+    """dim KQ/(R) at bound n (`TruncatedIdealSpan.dim`)."""
+    return certify(q, relations, n).dim()
 
 
 def system_of_relations(q: GradedQuiver, relations, n: int) -> list[Relation]:
-    """A subset of the input generating the same ideal, from which no single
-    entry can be dropped.
-
-    Zero entries are removed first (they never help generate); then entries
-    are dropped greedily in input order.  A removal needs two facts about
-    the survivors: the truncated span is unchanged, and r^n is *exactly*
-    generated (`generates_arrow_power`).  Together these prove the ideal is
-    unchanged; the truncated span alone does not, because a proper subideal
-    can have the same truncated span (the quaternion-type ideal is the
-    standard trap).
-
-    Write W for the span of the products u * rho * v cut to length < n.  The
-    survivors before a drop span the ideal's W, and dropping rho_k keeps W
-    iff rho_k cut to length < n lies in the candidate's W: u * cut(rho_k) * v
-    and u * rho_k * v agree below length n, so a cut expression of rho_k
-    gives one of each cut product.  The candidate's W is the direct sum of
-    its blocks (`_weights`), so only the products in rho_k's block are built
-    (`_truncation_in_span`).
-
-    The exact-generation search allows expressions of term length up to
-    n plus the longest relation term: a product u * rho * v with a term of
-    length n has |u| + |v| < n, so every term of it fits.  Input order is
-    fixed for determinism; other orders may give different, equally valid
-    minimal systems.
-    """
-    span = _require_bound(q, relations, n)
-    relations = span.relations
-    max_expr_len = n + max((r.body.max_length() or 1 for r in relations), default=1)
-    # zero entries span nothing; the candidate spans read the certified span's
-    # columns of length < n, which come first (`_require_bound`)
-    current = [r for r in relations if not r.body.is_zero()]
-    weights = _weights(q, current, n - 1)
-    k = 0
-    while k < len(current):
-        candidate = current[:k] + current[k + 1:]
-        if _truncation_in_span(span, weights, candidate, current[k]) and generates_arrow_power(
-            q, candidate, n, max_expr_len
-        ):
-            current = candidate
-        else:
-            k += 1
-    return current
-
-
-def _boundary_spans(q: GradedQuiver, relations, n: int):
-    """The certified span of I = (R) at bound n + 1 and, as a `RowSpace` on
-    its columns, the span of I r + r I at the same bound.
-
-    I r + r I is spanned by the products u * rho * v with at least one of
-    u, v of positive length; tails beyond the bound lie in r^{n+1}, which is
-    already inside I r + r I.
-    """
-    full = _require_bound(q, relations, n)
-    rows = _two_sided_products(
-        q, full.relations, full._levels, full.index, n, truncate=True, boundary_only=True
-    )
-    return full, RowSpace(rows)
-
-
-def boundary_image_vanishes(q: GradedQuiver, relations, n: int, x: PathElement) -> bool:
-    """Whether x in I maps to zero in I/(I r + r I)."""
-    full, boundary = _boundary_spans(q, relations, n)
-    if not full.contains(x.rebind(q)):
-        raise ValueError("element does not lie in the ideal")
-    return boundary.contains(full._vector(x.rebind(q)))
-
-
-def spans_boundary_quotient(q: GradedQuiver, relations, candidate, n: int) -> bool:
-    """Whether the images of the candidate relations span I/(I r + r I).
-
-    Each candidate body must lie in (R) (checked through the truncated span).
-    """
-    full, boundary = _boundary_spans(q, relations, n)
-    # the boundary span plus the candidate images must fill the ideal span
-    for r in candidate:
-        body = r.body.rebind(q)
-        if not full.contains(body):
-            raise ValueError(f"candidate {r.label!r} is not in the ideal")
-        boundary.add(full._vector(body))
-    return boundary.rank == full.rank
+    """A minimal system of the relations at bound n (`TruncatedIdealSpan.minimal_system`)."""
+    return certify(q, relations, n).minimal_system()
 
 
 def ext2_dim(q: GradedQuiver, relations, n: int) -> int:
-    """dim Ext^2 of the semisimple module over KQ/(R), which equals
-    dim I/(I r + r I); the latter is what is computed."""
-    full, boundary = _boundary_spans(q, relations, n)
-    return full.rank - boundary.rank
+    """dim Ext^2 of the semisimple module at bound n (`TruncatedIdealSpan.ext2`)."""
+    return certify(q, relations, n).ext2()
 
 
 # ---------- representation witnesses ----------
@@ -475,8 +471,8 @@ def certifies_non_membership(q: GradedQuiver, relations, dims, matrices, x: Path
 
 def split_extension_check(q: GradedQuiver, relations, n: int) -> str | None:
     """Mechanical verification that H^0 of the Ginzburg dg-algebra at m = 2
-    is a split extension of A = KQ/(R); n must be a valid admissibility
-    bound for (R) (`_require_bound`).
+    is a split extension of A = KQ/(R).  The proof uses no admissibility, so
+    n is not read; only the relations are checked (`validate_relations`).
 
     H^0 = KQ'/J, where Q' is Q with a reversed arrow added per relation and J
     is generated by the degree-0 presentation relations (`h0_presentation`).
@@ -493,7 +489,7 @@ def split_extension_check(q: GradedQuiver, relations, n: int) -> str | None:
     from .dg import ginzburg_from_relations, reverse_arrow_name
     from .homology import h0_presentation
 
-    relations = _require_bound(q, relations, n).relations
+    relations = _check_relations(q, relations)
     gamma = ginzburg_from_relations(q, relations, 2)
     big, h0_rels = h0_presentation(gamma)
     eps_names = {reverse_arrow_name(r.label) for r in relations}

@@ -14,8 +14,8 @@ from dgquiver import (
     PathElement,
     Relation,
     algebra_dim,
-    boundary_image_vanishes,
     certifies_non_membership,
+    certify,
     check_d_squared,
     cyclic_derivative,
     dual_name,
@@ -111,7 +111,7 @@ def test_criterion_4_quaternion_ideal():
     assert bound == 5
     assert algebra_dim(q, rels, bound) == 8
     aab = PathElement.from_path(q, ("alpha", "alpha", "beta"))
-    assert boundary_image_vanishes(q, rels, bound, aab)
+    assert certify(q, rels, bound).boundary_image_vanishes(aab)
     sub = rels[:2]  # drops alpha*alpha*beta
     witness_dims = {"v": 1}
     witness_mats = {"alpha": [[1]], "beta": [[1]]}

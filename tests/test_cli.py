@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from dgquiver import cli
+from dgquiver import TruncatedIdealSpan, cli
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -49,6 +49,23 @@ def test_ideal_dim_quaternion():
     assert res.returncode == 0, res.stderr
     payload = json.loads(res.stdout)
     assert payload["ideal"] == {"admissible_N": 5, "dim": 8}
+
+
+# The bound search builds one span per n it tries, 2 to 5 on quaternion.
+# After it, `report` certifies its bound once for dim, the minimal system and
+# Ext^2; the split-extension check and the homology build no span.
+@pytest.mark.parametrize("argv, spans", [
+    (["report", "--m", "3"], 5),
+    (["report", "--m", "2"], 5),
+    (["split-ext-2"], 4),
+    (["homology", "--m", "3"], 4),
+])
+def test_cli_certifies_once(argv, spans, monkeypatch, capsys):
+    built = []
+    init = TruncatedIdealSpan.__init__
+    monkeypatch.setattr(TruncatedIdealSpan, "__init__", lambda *a: built.append(1) or init(*a))
+    assert cli.main([argv[0], str(FIXTURES / "quaternion.quiver"), *argv[1:]]) == 0
+    assert len(built) == spans
 
 
 def test_ext2_quaternion():

@@ -17,26 +17,22 @@ from dgquiver import (
     Relation,
     TruncatedIdealSpan,
     algebra_dim,
-    boundary_image_vanishes,
     bound_is_valid,
     certifies_non_membership,
+    certify,
     evaluate_in_representation,
     ext2_dim,
     find_admissibility_bound,
     generates_arrow_power,
     ginzburg_from_relations,
     homology_dims,
-    ideal_membership,
-    spans_boundary_quotient,
     split_extension_check,
     system_of_relations,
 )
 from dgquiver.dg import validate_relations
 from dgquiver.ideals import (
-    _boundary_spans,
     _check_relations,
     _holds_length,
-    _require_bound,
     _span,
     _truncation_in_span,
     _two_sided_products,
@@ -204,29 +200,45 @@ def test_algebra_dim_rejects_bad_bound(quaternion):
 
 def test_membership_of_generators(quaternion):
     q, rels = quaternion
+    ideal = certify(q, rels, 5)
     for r in rels:
-        assert ideal_membership(q, rels, 5, r.body)
+        assert ideal.contains(r.body)
 
 
 def test_membership_displayed_identity(quaternion):
     # a^2 b = r1 * b + b a * r2 + b a^2 b a lies in I r + r I, and in I
     q, rels = quaternion
     aab = element(q, (1, ("a", "a", "b")))
-    assert ideal_membership(q, rels, 5, aab)
+    ideal = certify(q, rels, 5)
+    assert ideal.contains(aab)
     combo = (
         rels[0].body * element(q, (1, ("b",)))
         + element(q, (1, ("b", "a"))) * rels[1].body
         + element(q, (1, ("b", "a", "a", "b", "a")))
     )
     assert combo == aab  # the identity itself, exactly
-    assert boundary_image_vanishes(q, rels, 5, aab)
+    assert ideal.boundary_image_vanishes(aab)
 
 
 def test_membership_needs_room(quaternion):
     q, rels = quaternion
     too_long = element(q, (1, tuple("ab" * 3)))
     with pytest.raises(ValueError):
-        ideal_membership(q, rels, 5, too_long)
+        certify(q, rels, 5).contains(too_long)
+
+
+def test_contains_names_an_unknown_arrow():
+    # an element over another quiver whose arrow the span's quiver lacks is
+    # the quiver's error, even far below the bound; "beyond the bound" is kept
+    # for paths of the quiver that the span does not reach
+    q = GradedQuiver(["v"], [Arrow("a", "v", "v", 0), Arrow("b", "v", "v", 0)])
+    span = TruncatedIdealSpan(q, [Relation("r", "v", "v", element(q, (1, ("a", "a"))))], 4)
+    other = GradedQuiver(["v"], [Arrow("a", "v", "v", 0), Arrow("c", "v", "v", 0)])
+    assert span.contains(element(other, (1, ("a", "a"))))
+    with pytest.raises(KeyError, match="unknown arrow 'c'"):
+        span.contains(element(other, (1, ("c",))))
+    with pytest.raises(ValueError, match="beyond the bound"):
+        span._vector(element(q, (1, ("a",) * 4)))
 
 
 # ---------- the two-generator subideal and the witness ----------
@@ -329,18 +341,19 @@ def test_ext2_hereditary_vanishes(square):
 
 def test_spans_boundary_quotient_cases(quaternion):
     q, rels = quaternion
-    assert spans_boundary_quotient(q, rels, rels, 5)
+    ideal = certify(q, rels, 5)
+    assert ideal.spans_boundary_quotient(rels)
     # the two-element subset spans the quotient although it does not
     # generate the ideal
-    assert spans_boundary_quotient(q, rels, rels[:2], 5)
-    assert not spans_boundary_quotient(q, rels, [], 5)
+    assert ideal.spans_boundary_quotient(rels[:2])
+    assert not ideal.spans_boundary_quotient([])
 
 
 def test_spans_boundary_quotient_checks_membership(quaternion):
     q, rels = quaternion
     outside = [Relation("x", "v", "v", element(q, (1, ("a", "b"))))]
     with pytest.raises(ValueError):
-        spans_boundary_quotient(q, rels, outside, 5)
+        certify(q, rels, 5).spans_boundary_quotient(outside)
 
 
 # ---------- split extensions at m = 2 ----------
@@ -359,6 +372,19 @@ def test_split_extension_no_relations(square):
 def test_split_extension_a2():
     a2 = GradedQuiver(["1", "2"], [Arrow("a", "1", "2", 0)])
     assert split_extension_check(a2, [], 2) is None
+
+
+def test_split_extension_reads_no_bound(quaternion, monkeypatch):
+    # the proof of (i) and (ii) uses no admissibility: at n = 3, which is not
+    # a bound for the quaternion-type ideal, the check answers and builds no span
+    q, rels = quaternion
+    with pytest.raises(NotAdmissibleError):
+        certify(q, rels, 3)
+    built = []
+    init = TruncatedIdealSpan.__init__
+    monkeypatch.setattr(TruncatedIdealSpan, "__init__", lambda *a: built.append(1) or init(*a))
+    assert split_extension_check(q, rels, 3) is None
+    assert built == []
 
 
 def _path(key):
@@ -389,7 +415,7 @@ def _split_condition_iii(q, relations, n, cap):
     from dgquiver.dg import reverse_arrow_name
     from dgquiver.homology import h0_presentation
 
-    span = _require_bound(q, relations, n)
+    span = certify(q, relations, n)
     relations = span.relations
     big, h0_rels = h0_presentation(ginzburg_from_relations(q, relations, 2))
     eps_names = {reverse_arrow_name(r.label) for r in relations}
@@ -443,8 +469,9 @@ def test_membership_bound_independent(quaternion):
         element(q, (1, ("b", "a", "b")), (2, ("a", "a"))),
         element(q, (1, tuple("ababa")), (1, ("a", "b"))),  # length n is exact
     ]
+    at_5, at_7 = certify(q, rels, 5), certify(q, rels, 7)
     for x in probes:
-        assert ideal_membership(q, rels, 5, x) == ideal_membership(q, rels, 7, x)
+        assert at_5.contains(x) == at_7.contains(x)
 
 
 def test_system_output_properties(quaternion):
@@ -468,11 +495,11 @@ def test_certified_span_cut_to_bound_is_span_at_bound(seed):
     rels = random_relations(rng, q, max_count=3)
     n = find_admissibility_bound(q, rels, max_n=5)
     assume(n is not None)
-    certified = _require_bound(q, rels, n)
+    certified = certify(q, rels, n)
     at_n = TruncatedIdealSpan(q, rels, n)
     length_n = sum(1 for p in q.enumerate_paths(n) if len(p) == n)
     assert certified.rank - length_n == at_n.rank
-    assert algebra_dim(q, rels, n) == at_n.ambient_dim - at_n.rank
+    assert algebra_dim(q, rels, n) == certified.dim() == at_n.dim()
 
 
 def test_system_at_least_ext2_randomized():
@@ -493,7 +520,7 @@ def test_spanning_plus_admissible_means_equal_ideal(square):
     q, rels = square
     n = 3
     candidate = [Relation("c", "v1", "v4", 3 * rels[0].body)]
-    assert spans_boundary_quotient(q, rels, candidate, n)
+    assert certify(q, rels, n).spans_boundary_quotient(candidate)
     assert generates_arrow_power(q, candidate + rels, n, 6)
     from dgquiver import TruncatedIdealSpan
 
@@ -672,7 +699,7 @@ def test_two_sided_products_match_all_pairs_filter(seed, max_len, truncate, boun
 # relation a*a - 3/4 a*a*a from seed 3: the trivial path at "a" and the
 # arrow a must take two distinct columns.  Otherwise the quiver is drawn
 # from the seed.  With `boundary_only` the span's rows are those of I r + r I
-# on its own columns, as `_boundary_spans` builds them.
+# on its own columns, as `TruncatedIdealSpan._boundary` builds them.
 @given(st.integers(0, 2**32), st.integers(1, 4), st.booleans(), st.none())
 @example(3, 4, False, GradedQuiver(["a"], [("a", "a", "a", 0)]))
 @example(3, 4, True, GradedQuiver(["a"], [("a", "a", "a", 0)]))
@@ -683,10 +710,7 @@ def test_span_matches_path_element_oracle(seed, bound, boundary_only, quiver):
     rels = random_relations(rng, q, max_count=3, coeffs=PQ_COEFFS)
     span = TruncatedIdealSpan(q, rels, bound)
     if boundary_only:
-        span.space = RowSpace(_two_sided_products(
-            q, span.relations, span._levels, span.index, bound - 1,
-            truncate=True, boundary_only=True,
-        ))
+        span.space = span._boundary()
     paths = q.enumerate_paths(bound - 1)
     index = {p: i for i, p in enumerate(paths)}
     oracle = _oracle_space(
@@ -791,9 +815,11 @@ def test_span_construction_validates_relations(square):
             ext2_dim(q, rels, 3)
         with pytest.raises(ValueError, match=msg):
             generates_arrow_power(q, rels, 3, 4)
+        with pytest.raises(ValueError, match=msg):
+            split_extension_check(q, rels, 3)
         for n in (1, 3):
             with pytest.raises(ValueError, match=msg):
-                _require_bound(q, rels, n)
+                certify(q, rels, n)
 
 
 def test_span_construction_builds_no_path(quaternion, monkeypatch):
@@ -827,7 +853,7 @@ def test_span_construction_builds_no_path(quaternion, monkeypatch):
     monkeypatch.setattr(GradedQuiver, "source_of", counted(GradedQuiver.source_of))
     TruncatedIdealSpan(q, rels, 6)
     assert ext2_dim(q, rels, 5) == 2
-    _require_bound(q, rels, 5)
+    certify(q, rels, 5)
     assert generates_arrow_power(q, rels, 5, 8)
     assert calls == []
 
@@ -845,7 +871,7 @@ def test_generates_arrow_power_length_checks(square):
     assert not generates_arrow_power(square[0], [], 2, 4)
 
 
-def test_require_bound_validates_once(quaternion, monkeypatch):
+def test_certify_validates_once(quaternion, monkeypatch):
     from dgquiver import ideals
 
     q, rels = quaternion
@@ -854,7 +880,7 @@ def test_require_bound_validates_once(quaternion, monkeypatch):
     monkeypatch.setattr(
         ideals, "_check_relations", lambda *a: calls.append(1) or check(*a)
     )
-    _require_bound(q, rels, 5)
+    certify(q, rels, 5)
     assert len(calls) == 1
 
 
@@ -895,7 +921,8 @@ def test_certified_span_columns_serve_every_span_of_a_call(seed, kind):
         q, rels = family_ideal(rng, kind)
     n = find_admissibility_bound(q, rels, max_n=4)
     assume(n is not None)
-    span, boundary = _boundary_spans(q, rels, n)
+    span = certify(q, rels, n)
+    boundary = span._boundary()
     paths = q.enumerate_paths(n)
     oracle = _oracle_space(q, rels, paths, n, truncate=True, boundary_only=True)
     assert (boundary.rank, boundary.pivot_columns()) == (oracle.rank, oracle.pivot_columns())
@@ -940,8 +967,8 @@ def test_ideal_call_walks_and_validates_once(quaternion, monkeypatch):
     monkeypatch.setattr(TruncatedIdealSpan, "__init__", counted("span", TruncatedIdealSpan.__init__))
     for call in (
         lambda: ext2_dim(q, rels, 5),
-        lambda: boundary_image_vanishes(q, rels, 5, rels[0].body),
-        lambda: spans_boundary_quotient(q, rels, rels, 5),
+        lambda: certify(q, rels, 5).boundary_image_vanishes(rels[0].body),
+        lambda: certify(q, rels, 5).spans_boundary_quotient(rels),
     ):
         calls.clear()
         call()
