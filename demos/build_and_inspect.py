@@ -44,7 +44,7 @@ for m in (2, 3, 4):
     gamma = ginzburg_from_relations(q, relations, m)
     for name, deg, diff in describe_generators(gamma):
         print(f"  {name:12s} deg {deg:3d}   d = {diff}")
-    bad = check_d_squared(gamma, max_len=5, samples_per_degree=50)
+    bad = check_d_squared(gamma)
     print("  d^2 = 0:", "verified" if bad is None else f"FAILS on {format_element(bad)}")
     sub, b, mapping = relation_sub_dg_correspondence(q, relations, m)
     ok = check_dg_isomorphism(mapping, sub, b) is None

@@ -3,9 +3,8 @@
 Exit codes: 0 on success, 1 on a computation error (bad m, no admissibility
 bound, failed precondition) or an unreadable input or output file, 2 on a
 parse error.  Diagnostics go to stderr, the JSON report to stdout or to
---output.  Reports are byte-identical across runs: every randomized check
-takes its seed from --seed (default 0) and all enumeration orders are
-deterministic.
+--output.  Reports are byte-identical across runs: no check draws samples
+and all enumeration orders are deterministic.
 """
 
 from __future__ import annotations
@@ -139,10 +138,8 @@ _IDEAL_ENTRIES = {
 }
 
 
-def _d2_verdict(job: _Job, dg, max_len: int) -> str:
-    seed = _opt_int(job.pf, "seed", job.args.seed, 0)
-    samples = _opt_int(job.pf, "d2_samples", None, 200)
-    bad = check_d_squared(dg, max_len=max_len, samples_per_degree=samples, seed=seed)
+def _d2_verdict(dg) -> str:
+    bad = check_d_squared(dg)
     return "ok" if bad is None else f"counterexample: {format_element(bad)}"
 
 
@@ -157,12 +154,11 @@ def _split_verdict(job: _Job) -> str:
 def _check_d2(job: _Job) -> dict:
     # without m only the relation dg-algebra is checked, with it the doubled
     # dg-algebra as well
-    max_len = job.max_len(2 if job.m is None else job.m)
     targets = [("b", relation_dg_algebra(job.pf.quiver, job.pf.relations))]
     if job.m is not None:
         targets.append(("gamma", job.gamma()))
     return {
-        "checks": {f"d_squared_{name}": _d2_verdict(job, dg, max_len) for name, dg in targets}
+        "checks": {f"d_squared_{name}": _d2_verdict(dg) for name, dg in targets}
     }
 
 
@@ -202,7 +198,7 @@ def _report(job: _Job) -> dict:
         for key, entry in _IDEAL_ENTRIES.items():
             ideal[key] = entry(job.ideal)
     out["ideal"] = ideal
-    checks = {"d_squared": _d2_verdict(job, dg, max_len)}
+    checks = {"d_squared": _d2_verdict(dg)}
     if job.m == 2 and job.bound is not None:
         checks["split_extension"] = _split_verdict(job)
     out["checks"] = checks
@@ -266,6 +262,8 @@ def run(command: str, pf: ProblemFile, args) -> dict:
     if spec.bound == "find":
         bound = _find_bound(pf, max_n)
     elif spec.bound == "try":
+        if max_n < 2:  # a bad cap is the caller's error, not "no bound found"
+            raise CommandError("max_n must be >= 2")
         with contextlib.suppress(ValueError):  # NotAdmissibleError included
             bound = _find_bound(pf, max_n)
     if m is not None:
@@ -289,7 +287,6 @@ def main(argv=None) -> int:
     ap.add_argument("--m", type=int, default=None)
     ap.add_argument("--max-len", type=int, default=None, dest="max_len")
     ap.add_argument("--max-n", type=int, default=None, dest="max_n")
-    ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--output", default=None)
     args = ap.parse_args(argv)
 

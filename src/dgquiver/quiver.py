@@ -119,9 +119,6 @@ class GradedQuiver:
     def has_arrow(self, name: str) -> bool:
         return name in self._arrow_by_name
 
-    def arrows_from(self, v: str) -> list[Arrow]:
-        return list(self._out[v])
-
     def vertex_index(self, v: str) -> int:
         try:
             return self._vertex_index[v]
@@ -214,7 +211,7 @@ class GradedQuiver:
 
         Only level 1 is sorted: the walk extends a path by the arrows out of
         its target in name order, so extending a sorted level gives a sorted
-        level.  `arrows_from` keeps declaration order for `check_d_squared`.
+        level.
         """
         up, down = self._degree_steps(max_len)
         out = {v: sorted(arrows, key=lambda a: a.name) for v, arrows in self._out.items()}

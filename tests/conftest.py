@@ -15,6 +15,7 @@ from dgquiver import (
     GradedQuiver,
     PathElement,
     Relation,
+    apply_d,
     ginzburg_from_relations,
     relation_dg_algebra,
 )
@@ -91,6 +92,26 @@ def random_quiver(rng: random.Random) -> GradedQuiver:
             Arrow(f"a{k}", rng.choice(vertices), rng.choice(vertices), 0)
         )
     return GradedQuiver(vertices, arrows)
+
+
+def assert_d2_kills_random_products(rng: random.Random, dg: DgAlgebra, per_length: int):
+    """The product oracle beside `check_d_squared`'s proof: d(d(x)) = 0 on
+    `per_length` products of arrows of each length 2..4, each drawn along a
+    random walk (a walk that reaches a vertex with no arrow out is dropped)."""
+    q = dg.quiver
+    for length in (2, 3, 4):
+        for _ in range(per_length):
+            v = rng.choice(q.vertices)
+            x = PathElement.idempotent(q, v)
+            for _ in range(length):
+                outs = [a for a in q.arrows if a.source == v]
+                if not outs:
+                    break
+                a = rng.choice(outs)
+                x = x * PathElement.from_arrow(q, a.name)
+                v = a.target
+            else:
+                assert apply_d(dg, apply_d(dg, x)).is_zero(), x
 
 
 def random_relations(

@@ -37,7 +37,12 @@ from dgquiver import (
 from dgquiver.dg import apply_d, ginzburg_dg_algebra
 from dgquiver.homology import default_truncation_length
 
-from conftest import random_acyclic_quiver, random_relations, zero_relation
+from conftest import (
+    assert_d2_kills_random_products,
+    random_acyclic_quiver,
+    random_relations,
+    zero_relation,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -177,13 +182,11 @@ def test_criterion_6_structural_suites():
         m = rng.choice([2, 3, 4, 5, 6])
         samples = 200 if trial < 2 else 10
         b = relation_dg_algebra(q, rels)
-        assert check_d_squared(b, max_len=4, samples_per_degree=samples, seed=trial) is None
         big, w = superpotential_extension(q, rels, m)
         gamma = ginzburg_dg_algebra(big, w, m)
-        assert (
-            check_d_squared(gamma, max_len=4, samples_per_degree=samples, seed=trial)
-            is None
-        )
+        for dg in (b, gamma):
+            assert check_d_squared(dg) is None
+            assert_d2_kills_random_products(rng, dg, samples)
 
         # degree audit of every generator of the doubled quiver
         degs = {a.name: a.degree for a in gamma.quiver.arrows}

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -228,8 +229,6 @@ def test_resource_errors_exit_1_without_traceback(monkeypatch, capsys, exc):
         ("max_len = abc", ["homology", "--m", "3", "--max-len", "4"]),
         ("max_n = 1/2", ["ideal-dim"]),
         ("max_n = 1/2", ["ideal-dim", "--max-n", "4"]),
-        ("seed = x", ["check-d2", "--m", "2"]),
-        ("d2_samples = 1/2", ["check-d2", "--m", "2"]),
     ],
 )
 def test_non_integer_integer_option_is_an_error(tmp_path, capsys, option, argv):
@@ -250,19 +249,48 @@ def test_negative_max_len_option_is_an_error(tmp_path, capsys):
     assert out == "" and err == "error: max_len must be >= 0\n"
 
 
-@pytest.mark.parametrize(
-    "flag, option, message",
-    [
-        (["--max-len", "-3"], "", "max_len must be >= 0"),
-        ([], "option d2_samples = -5\n", "samples_per_degree must be >= 0"),
-    ],
+_MAX_N_COMMANDS = sorted(
+    name for name, spec in cli.COMMANDS.items()
+    if spec.bound is not None or name == "admissibility"
 )
-def test_check_d2_rejects_negative_counts(tmp_path, capsys, flag, option, message):
-    f = tmp_path / "negative.quiver"
-    f.write_text("vertex v\narrow a : v -> v\n" + option)
-    assert cli.main(["check-d2", str(f), "--m", "3", *flag]) == 1
+
+
+@pytest.mark.parametrize("command", _MAX_N_COMMANDS)
+@pytest.mark.parametrize(
+    "flag, option", [(["--max-n", "0"], ""), ([], "option max_n = -5\n")], ids=["flag", "option"]
+)
+def test_invalid_max_n_is_an_error(capsys, tmp_path, command, flag, option):
+    # a cap below 2 is a usage error, never "no bound found"
+    f = tmp_path / "square.quiver"
+    f.write_text((FIXTURES / "square_d4.quiver").read_text() + option)
+    assert cli.main([command, str(f), "--m", "3", *flag]) == 1
     out, err = capsys.readouterr()
-    assert out == "" and err == f"error: {message}\n"
+    assert out == "" and err == "error: max_n must be >= 2\n"
+
+
+def test_relations_outside_r2_report_no_bound(tmp_path, capsys):
+    f = tmp_path / "short.quiver"
+    f.write_text("vertex v\narrow a : v -> v\nrelation r : v -> v = a\n")
+    assert cli.main(["report", str(f), "--m", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["ideal"] == {"admissible_N": None}
+
+
+def test_seed_and_d2_samples_are_free_form_options(tmp_path, capsys):
+    f = tmp_path / "old_options.quiver"
+    f.write_text("vertex v\narrow a : v -> v\noption seed = x\noption d2_samples = -5\n")
+    assert cli.main(["check-d2", str(f), "--m", "3"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["input"]["options"] == {"d2_samples": -5, "seed": "x"}
+    assert payload["checks"] == {"d_squared_b": "ok", "d_squared_gamma": "ok"}
+
+
+def test_readme_flags_match_the_parser(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    parsed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+    readme = (FIXTURES.parent / "README.md").read_text(encoding="utf-8")
+    line = re.search(r"Flags: (.*?)\.\n", readme, re.DOTALL).group(1)
+    assert set(re.findall(r"--[a-z][a-z-]*", line)) == parsed
 
 
 def test_free_form_option_is_allowed(tmp_path):
