@@ -42,17 +42,16 @@ from .dsl import ParseError, ProblemFile, parse, serialize
 from .homology import (
     HomologyReport,
     TruncatedComplex,
-    VosnexVerdict,
     build_truncated,
     default_truncation_length,
     h0_presentation,
     homology_dims,
     preprojective_presentation,
-    vosnex_equivalence_check,
 )
 from .ideals import (
     NotAdmissibleError,
     TruncatedIdealSpan,
+    VosnexVerdict,
     algebra_dim,
     bound_is_valid,
     certify,
@@ -63,6 +62,7 @@ from .ideals import (
     generates_arrow_power,
     split_extension_check,
     system_of_relations,
+    vosnex_equivalence_check,
 )
 from .linalg import RowSpace, SparseMatrix, rank
 from .quiver import Arrow, GradedQuiver, Path

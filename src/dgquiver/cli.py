@@ -28,7 +28,6 @@ from .homology import (
     default_truncation_length,
     h0_presentation,
     homology_dims,
-    vosnex_equivalence_check,
 )
 from .ideals import (
     NotAdmissibleError,
@@ -36,6 +35,7 @@ from .ideals import (
     certify,
     find_admissibility_bound,
     split_extension_check,
+    vosnex_equivalence_check,
 )
 
 
@@ -174,8 +174,8 @@ def _h0(job: _Job) -> dict:
 
 
 def _vosnex(job: _Job) -> dict:
-    pf = job.pf
-    verdict = vosnex_equivalence_check(pf.quiver, pf.relations, job.m, job.max_len(job.m))
+    pf, m = job.pf, job.m
+    verdict = vosnex_equivalence_check(pf.quiver, pf.relations, m, job.max_len(m), job.bound)
     return {"vosnex": {**asdict(verdict), "all_equal": verdict.all_equal()}}
 
 

@@ -19,7 +19,7 @@ and the reports say which cutoff they used.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .algebra import Superpotential
@@ -28,8 +28,6 @@ from .dg import (
     _d_path,
     _require_degree_zero,
     ginzburg_dg_algebra,
-    ginzburg_from_relations,
-    relation_dg_algebra,
 )
 from .linalg import SparseMatrix, rank
 from .quiver import GradedQuiver, PathKey
@@ -193,54 +191,6 @@ def preprojective_presentation(q: GradedQuiver):
     _require_degree_zero(q)
     dg = ginzburg_dg_algebra(q, Superpotential.zero(q), 1)
     return h0_presentation(dg)
-
-
-@dataclass
-class VosnexVerdict:
-    """The four equivalent vanishing conditions, evaluated independently."""
-
-    acyclic_and_no_relations: bool     # quiver acyclic and relation list empty
-    degree_zero_finite: bool           # relation dg-algebra concentrated in
-                                       # degree 0 with finite total dimension
-    small_negative_vanishing: bool     # dims zero for 0 < i < m-1
-    top_small_negative_zero: bool      # dim at i = m-2 is zero
-
-    def all_equal(self) -> bool:
-        return len(set(astuple(self))) == 1
-
-
-def vosnex_equivalence_check(
-    q: GradedQuiver, relations, m: int, max_len: int
-) -> VosnexVerdict:
-    """Evaluate the four equivalent conditions for the vanishing of the small
-    negative homology of the Ginzburg dg-algebra of (q, relations, m).
-
-    Preconditions (each failure raises with its own message): m > 2, every
-    relation body inside the square of the arrow ideal, and KQ/(relations)
-    finite-dimensional (an admissibility bound, searched up to max(12, max_len)).
-    """
-    from .ideals import NotAdmissibleError, find_admissibility_bound
-
-    relations = list(relations)
-    if m <= 2:
-        raise ValueError("m > 2 required")
-    # raises ValueError when a relation is not inside r^2
-    if find_admissibility_bound(q, relations, max_n=max(12, max_len)) is None:
-        raise NotAdmissibleError(
-            "could not certify the quotient algebra finite-dimensional"
-        )
-    structural = q.is_acyclic() and not relations
-    # read off the relation dg-algebra itself: concentrated in degree 0 when
-    # it has no arrow of nonzero degree, finite-dimensional when acyclic
-    b = relation_dg_algebra(q, relations).quiver
-    degree_zero_finite = all(a.degree == 0 for a in b.arrows) and b.is_acyclic()
-    rep = homology_dims(ginzburg_from_relations(q, relations, m), m, max_len)
-    return VosnexVerdict(
-        acyclic_and_no_relations=structural,
-        degree_zero_finite=degree_zero_finite,
-        small_negative_vanishing=rep.vosnex,
-        top_small_negative_zero=rep.dims[m - 2] == 0,
-    )
 
 
 def default_truncation_length(m: int, relations, bound: int | None = None) -> int:

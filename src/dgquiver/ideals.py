@@ -36,11 +36,19 @@ every other span of such a question reads.
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 from math import lcm
 
 from .algebra import PathElement, format_element
-from .dg import Relation, _check_relations
+from .dg import (
+    Relation,
+    _check_relations,
+    ginzburg_from_relations,
+    relation_dg_algebra,
+    reverse_arrow_name,
+)
+from .homology import _dims_from_complex, build_truncated, h0_presentation
 from .linalg import RowSpace, SparseMatrix, as_rational
 from .quiver import GradedQuiver, _key
 
@@ -49,14 +57,14 @@ class NotAdmissibleError(ValueError):
     """No admissibility bound could be certified within the search cap."""
 
 
-def relations_in_r2(relations) -> list[str]:
-    """Labels of relations with a term of length < 2 (violating R <= r^2)."""
-    bad = []
-    for r in relations:
-        ml = r.body.min_length()
-        if ml is not None and ml < 2:
-            bad.append(r.label)
-    return bad
+def _require_r2(q: GradedQuiver, relations) -> list[Relation]:
+    """The relations checked against q (`validate_relations`); ValueError
+    names those with a term of length < 2, which violate R <= r^2."""
+    relations = _check_relations(q, relations)
+    bad = [r.label for r in relations if not r.body.is_zero() and r.body.min_length() < 2]
+    if bad:
+        raise ValueError(f"relations not inside r^2: {bad}")
+    return relations
 
 
 def _weights(q: GradedQuiver, relations, max_len: int) -> dict[str, int]:
@@ -339,10 +347,7 @@ def find_admissibility_bound(q: GradedQuiver, relations, max_n: int = 12) -> int
     Requires every relation inside r^2; None distinguishes "nothing found up
     to the cap" from precondition failures, which raise.
     """
-    relations = _check_relations(q, relations)
-    bad = relations_in_r2(relations)
-    if bad:
-        raise ValueError(f"relations not inside r^2: {bad}")
+    relations = _require_r2(q, relations)
     if max_n < 2:
         raise ValueError("max_n must be >= 2")
     for n in range(2, max_n + 1):
@@ -486,9 +491,6 @@ def split_extension_check(q: GradedQuiver, relations, n: int) -> str | None:
     whether or not J is admissible.  Returns None on success or a
     description of the first failure.
     """
-    from .dg import ginzburg_from_relations, reverse_arrow_name
-    from .homology import h0_presentation
-
     relations = _check_relations(q, relations)
     gamma = ginzburg_from_relations(q, relations, 2)
     big, h0_rels = h0_presentation(gamma)
@@ -507,3 +509,51 @@ def split_extension_check(q: GradedQuiver, relations, n: int) -> str | None:
         if not all(eps_names & set(p.arrows) for p in rel.terms):
             return f"extra relation {format_element(rel)} has a term with no reversed arrow"
     return None
+
+
+# ---------- the vanishing check, m > 2 ----------
+
+
+@dataclass
+class VosnexVerdict:
+    """The four equivalent vanishing conditions, evaluated independently."""
+
+    acyclic_and_no_relations: bool     # quiver acyclic and relation list empty
+    degree_zero_finite: bool           # relation dg-algebra concentrated in
+                                       # degree 0 with finite total dimension
+    small_negative_vanishing: bool     # dims zero for 0 < i < m-1
+    top_small_negative_zero: bool      # dim at i = m-2 is zero
+
+    def all_equal(self) -> bool:
+        return len(set(astuple(self))) == 1
+
+
+def vosnex_equivalence_check(
+    q: GradedQuiver, relations, m: int, max_len: int, n: int | None
+) -> VosnexVerdict:
+    """Evaluate the four equivalent conditions for the vanishing of the small
+    negative homology of the Ginzburg dg-algebra of (q, relations, m).
+
+    n is the caller's admissibility bound (`find_admissibility_bound`), None
+    when there is none.  Preconditions, in this order, each raising with its
+    own message: m > 2; every relation body inside r^2; KQ/(relations)
+    finite-dimensional, which n = None cannot certify and `certify` at n
+    proves or raises on.  The homology is read at max_len alone, no L+1 pass.
+    """
+    if m <= 2:
+        raise ValueError("m > 2 required")
+    relations = _require_r2(q, relations)
+    if n is None:
+        raise NotAdmissibleError("could not certify the quotient algebra finite-dimensional")
+    certify(q, relations, n)
+    # read off the relation dg-algebra itself: concentrated in degree 0 when
+    # it has no arrow of nonzero degree, finite-dimensional when acyclic
+    b = relation_dg_algebra(q, relations).quiver
+    gamma = ginzburg_from_relations(q, relations, m)
+    dims = _dims_from_complex(build_truncated(gamma, max_len, range(-m, 1)), m)
+    return VosnexVerdict(
+        acyclic_and_no_relations=q.is_acyclic() and not relations,
+        degree_zero_finite=all(a.degree == 0 for a in b.arrows) and b.is_acyclic(),
+        small_negative_vanishing=all(dims[i] == 0 for i in range(1, m - 1)),
+        top_small_negative_zero=dims[m - 2] == 0,
+    )

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from dgquiver import TruncatedIdealSpan, cli
+from dgquiver import TruncatedIdealSpan, cli, ideals
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -52,21 +52,41 @@ def test_ideal_dim_quaternion():
     assert payload["ideal"] == {"admissible_N": 5, "dim": 8}
 
 
-# The bound search builds one span per n it tries, 2 to 5 on quaternion.
-# After it, `report` certifies its bound once for dim, the minimal system and
-# Ext^2; the split-extension check and the homology build no span.
+# Every command runs one bound search, which builds one span per n it tries,
+# 2 to 5 on quaternion.  After it, `report` certifies its bound once for dim,
+# the minimal system and Ext^2, and `vosnex` once for finiteness; the
+# split-extension check and the homology build no span.
 @pytest.mark.parametrize("argv, spans", [
     (["report", "--m", "3"], 5),
     (["report", "--m", "2"], 5),
     (["split-ext-2"], 4),
     (["homology", "--m", "3"], 4),
+    (["vosnex", "--m", "3"], 5),
 ])
 def test_cli_certifies_once(argv, spans, monkeypatch, capsys):
-    built = []
+    built, searches = [], []
     init = TruncatedIdealSpan.__init__
     monkeypatch.setattr(TruncatedIdealSpan, "__init__", lambda *a: built.append(1) or init(*a))
+    search = ideals.find_admissibility_bound
+
+    def counted(*a, **k):
+        searches.append(1)
+        return search(*a, **k)
+
+    monkeypatch.setattr(ideals, "find_admissibility_bound", counted)
+    monkeypatch.setattr(cli, "find_admissibility_bound", counted)
     assert cli.main([argv[0], str(FIXTURES / "quaternion.quiver"), *argv[1:]]) == 0
     assert len(built) == spans
+    assert len(searches) == 1
+
+
+def test_vosnex_respects_max_n(capsys):
+    # quaternion's bound is 5, so a search capped at 3 finds none
+    argv = ["vosnex", str(FIXTURES / "quaternion.quiver"), "--m", "3", "--max-n", "3"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: could not certify the quotient algebra finite-dimensional\n"
+    )
 
 
 def test_ext2_quaternion():

@@ -9,6 +9,7 @@ from dgquiver import (
     Arrow,
     DgAlgebra,
     GradedQuiver,
+    NotAdmissibleError,
     Path,
     PathElement,
     Relation,
@@ -338,14 +339,14 @@ def test_snex_table_zero_relation_all_nonzero():
 
 def test_vosnex_equivalence_acyclic_empty():
     q = random_acyclic_quiver(random.Random(9))
-    v = vosnex_equivalence_check(q, [], 3, 6)
+    v = vosnex_equivalence_check(q, [], 3, 6, find_admissibility_bound(q, []))
     assert astuple(v) == (True, True, True, True)
     assert v.all_equal()
 
 
 def test_vosnex_equivalence_square_m4(square):
     q, rels = square
-    v = vosnex_equivalence_check(q, rels, 4, 8)
+    v = vosnex_equivalence_check(q, rels, 4, 8, find_admissibility_bound(q, rels))
     assert astuple(v) == (False, False, False, False)
     assert v.all_equal()
 
@@ -353,7 +354,7 @@ def test_vosnex_equivalence_square_m4(square):
 def test_vosnex_equivalence_loop_square_relation():
     loop = GradedQuiver(["v"], [Arrow("a", "v", "v", 0)])
     rels = [Relation("r", "v", "v", element(loop, (1, ("a", "a"))))]
-    v = vosnex_equivalence_check(loop, rels, 3, 6)
+    v = vosnex_equivalence_check(loop, rels, 3, 6, find_admissibility_bound(loop, rels))
     assert astuple(v) == (False, False, False, False)
 
 
@@ -363,17 +364,57 @@ def test_vosnex_equivalence_acyclic_zero_relation():
     q = GradedQuiver(["1", "2", "3"], [Arrow("a", "1", "2", 0), Arrow("b", "2", "3", 0)])
     rels = [zero_relation(q, "z", "1", "3")]
     assert [a.degree for a in relation_dg_algebra(q, rels).quiver.arrows] == [0, 0, -1]
-    v = vosnex_equivalence_check(q, rels, 3, 6)
+    v = vosnex_equivalence_check(q, rels, 3, 6, find_admissibility_bound(q, rels))
     assert astuple(v) == (False, False, False, False)
 
 
-def test_vosnex_equivalence_preconditions(square):
+def test_vosnex_equivalence_preconditions(square, quaternion):
+    # the bound is passed explicitly: a search would raise on the short
+    # relation before the check's own r^2 test is reached
     q, rels = square
-    with pytest.raises(ValueError):
-        vosnex_equivalence_check(q, rels, 2, 6)
+    with pytest.raises(ValueError, match="m > 2"):
+        vosnex_equivalence_check(q, rels, 2, 6, 3)
     short = [Relation("s", "v1", "v2", element(q, (1, ("alpha",))))]
-    with pytest.raises(ValueError):
-        vosnex_equivalence_check(q, short, 3, 6)
+    with pytest.raises(ValueError, match=r"relations not inside r\^2: \['s'\]"):
+        vosnex_equivalence_check(q, short, 3, 6, 3)
+    with pytest.raises(NotAdmissibleError, match="could not certify"):
+        vosnex_equivalence_check(q, rels, 3, 6, None)
+    # a bound that is not valid raises rather than giving a verdict
+    q, rels = quaternion
+    assert find_admissibility_bound(q, rels) == 5
+    with pytest.raises(NotAdmissibleError, match="3 is not a valid admissibility bound"):
+        vosnex_equivalence_check(q, rels, 3, 6, 3)
+
+
+def test_vosnex_equivalence_matches_homology_dims():
+    # differential oracle: the single build at L gives the verdict that the
+    # dims of `homology_dims`, which builds at L and L + 1, give
+    rng = random.Random(18)
+    checked = 0
+    while checked < 8:
+        q = random_acyclic_quiver(rng)
+        rels = random_relations(rng, q, max_count=3)
+        bound = find_admissibility_bound(q, rels)
+        if bound is None:
+            continue
+        m = rng.choice([3, 4])
+        max_len = default_truncation_length(m, rels, bound)
+        v = vosnex_equivalence_check(q, rels, m, max_len, bound)
+        rep = homology_dims(ginzburg_from_relations(q, rels, m), m, max_len)
+        assert v.small_negative_vanishing == rep.vosnex
+        assert v.top_small_negative_zero == (rep.dims[m - 2] == 0)
+        checked += 1
+
+
+def test_vosnex_equivalence_builds_one_complex(monkeypatch, quaternion):
+    from dgquiver import ideals
+
+    q, rels = quaternion
+    built = []
+    build = ideals.build_truncated
+    monkeypatch.setattr(ideals, "build_truncated", lambda *a: built.append(1) or build(*a))
+    vosnex_equivalence_check(q, rels, 3, 5, 5)
+    assert len(built) == 1
 
 
 def test_default_truncation_length(square):

@@ -1,0 +1,57 @@
+"""The import graph of the package, read from the source with `ast`.
+
+Every import of a `dgquiver` module sits at module level, and the module
+level graph has no cycle: a module can then be loaded on its own, and two
+loaded copies of the package do not reach into each other through an
+import that runs at call time.
+"""
+
+from __future__ import annotations
+
+import ast
+from graphlib import CycleError, TopologicalSorter
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "dgquiver"
+
+
+def _package_imports(node: ast.AST) -> list[str]:
+    """The `dgquiver` modules that one import statement names."""
+    if isinstance(node, ast.ImportFrom):
+        if node.level == 0 and (node.module or "").split(".")[0] != "dgquiver":
+            return []
+        if node.module is None or node.module == "dgquiver":  # from . import x
+            return [alias.name for alias in node.names]
+        return [node.module.removeprefix("dgquiver.")]
+    if isinstance(node, ast.Import):
+        return [
+            alias.name.removeprefix("dgquiver.")
+            for alias in node.names if alias.name.split(".")[0] == "dgquiver"
+        ]
+    return []
+
+
+def _trees() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+
+
+def test_no_package_import_inside_a_function():
+    nested = []
+    for name, tree in _trees().items():
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(func):
+                    if _package_imports(node):
+                        nested.append(f"{name}.{func.name}")
+    assert nested == []
+
+
+def test_module_level_import_graph_is_acyclic():
+    graph = {
+        name: {dep for node in tree.body for dep in _package_imports(node)}
+        for name, tree in _trees().items()
+    }
+    try:
+        list(TopologicalSorter(graph).static_order())
+    except CycleError as exc:
+        raise AssertionError(f"import cycle: {exc.args[1]}") from None
