@@ -70,10 +70,9 @@ class PathElement:
     @classmethod
     def from_path(cls, quiver: GradedQuiver, arrow_names, coeff=1) -> PathElement:
         names = tuple(arrow_names)
-        p = quiver.path(names) if names else None
-        if p is None:
+        if not names:
             raise ValueError("use idempotent for trivial paths")
-        return cls(quiver, {p: as_rational(coeff)})
+        return cls(quiver, {quiver.path(names): as_rational(coeff)})
 
     @classmethod
     def unit(cls, quiver: GradedQuiver) -> PathElement:
@@ -101,8 +100,6 @@ class PathElement:
 
     def scale(self, c) -> PathElement:
         c = as_rational(c)
-        if not c:
-            return PathElement.zero(self.quiver)
         return PathElement(self.quiver, {p: c * v for p, v in self.terms.items()})
 
     def __rmul__(self, c) -> PathElement:
@@ -222,13 +219,8 @@ class Superpotential:
 
     def __init__(self, quiver: GradedQuiver, terms=None, degree: int | None = None):
         self.quiver = quiver
-        clean = {}
-        for p, c in (terms or {}).items():
-            c = as_rational(c)
-            if c:
-                clean[p] = c
-        self.terms = clean
-        self.degree = degree if clean else None
+        self.terms = PathElement(quiver, terms).terms  # exact coefficients, zeros dropped
+        self.degree = degree if self.terms else None
 
     @classmethod
     def zero(cls, quiver: GradedQuiver) -> Superpotential:
@@ -283,8 +275,7 @@ def _canonical_rotation(q: GradedQuiver, arrows: tuple[str, ...]):
     signs = {s for r, s in rots if r == best}
     if len(signs) == 2:
         return None, 0
-    first_sign = next(s for r, s in rots if r == best)
-    return best, first_sign
+    return best, signs.pop()
 
 
 def cyclic_reduce(x: PathElement) -> Superpotential:

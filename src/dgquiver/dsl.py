@@ -77,10 +77,8 @@ def _tokenize(text: str, lineno: int, diags: list[Diagnostic]):
         kind = m.lastgroup
         if kind != "ws":
             val = m.group()
-            if kind == "sym":
-                kind = val
-            elif kind == "arrowsym":
-                kind = "->"
+            if kind in ("sym", "arrowsym"):
+                kind = val  # a symbol is its own kind
             tokens.append((kind, val, m.start() + 1))
     return tokens
 
@@ -198,14 +196,12 @@ def parse(text: str) -> ProblemFile:
         head = cur.next()
         try:
             if head[0] == "id" and head[1] == "vertex":
-                got = False
-                while (t := cur.peek()) is not None:
+                if cur.peek() is None:
+                    raise _LineError(lineno, cur.column(), "expected at least one vertex id")
+                while cur.peek() is not None:
                     _, v, col = cur.expect("id", "a vertex id")
                     vertices.append(v)
                     where["vertex"].append((lineno, col))
-                    got = True
-                if not got:
-                    raise _LineError(lineno, cur.column(), "expected at least one vertex id")
             elif head[0] == "id" and head[1] == "arrow":
                 name = cur.expect("id", "an arrow id")
                 cur.expect(":", "':'")

@@ -196,7 +196,4 @@ def preprojective_presentation(q: GradedQuiver):
 def default_truncation_length(m: int, relations, bound: int | None = None) -> int:
     """max(m + 2, 2 * bound, longest relation + 2); the workhorse default."""
     longest = max((r.body.max_length() or 0 for r in relations), default=0)
-    candidates = [m + 2, longest + 2]
-    if bound is not None:
-        candidates.append(2 * bound)
-    return max(candidates)
+    return max(m + 2, 2 * (bound or 0), longest + 2)

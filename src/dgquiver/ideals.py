@@ -30,12 +30,15 @@ certified through a representation witness, which needs no bound at all.
 
 `certify(q, relations, N)` runs the test once and returns the span at bound
 N+1, whose methods answer every question about (R) at N and whose columns
-every other span of such a question reads.
+every other span of such a question reads.  The span is built boundary-first:
+the rows of I r + r I, whose pivots it records, then the bare relations, so
+`ext2` and the boundary questions read the recorded pivots and eliminate nothing.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from copy import copy
 from dataclasses import astuple, dataclass
 from fractions import Fraction
 from math import lcm
@@ -160,10 +163,11 @@ def _two_sided_products(
                 yield row
 
 
-def _span(q: GradedQuiver, relations, max_len: int, *, truncate: bool, length=None):
+def _span(q: GradedQuiver, relations, max_len: int, *, length=None, **products):
     """(levels, index, space): the levels of `q._walk(max_len)`, the column of
-    each path key in walk order and the span of `_two_sided_products`; with
-    `length`, only of the products in the block of a path of that length."""
+    each path key in walk order and the span of `_two_sided_products` with the
+    keywords `products`; with `length`, only of the products in the block of a
+    path of that length."""
     levels = list(q._walk(max_len))
     index = {_key(a, s): i for i, (a, s, _, _) in enumerate(t for level in levels for t in level)}
     blocks = None
@@ -173,7 +177,7 @@ def _span(q: GradedQuiver, relations, max_len: int, *, truncate: bool, length=No
             (s, t, sum(map(weights.__getitem__, a)))
             for level in levels[length:length + 1] for a, s, t, _ in level
         }
-    rows = _two_sided_products(q, relations, levels, index, max_len, truncate=truncate, blocks=blocks)
+    rows = _two_sided_products(q, relations, levels, index, max_len, blocks=blocks, **products)
     return levels, index, RowSpace(rows)
 
 
@@ -214,6 +218,8 @@ class TruncatedIdealSpan:
     ValueError.  `paths` holds the column keys (`Path.key`) in walk order, by
     length and then by arrow names, and `index` maps each key to its column;
     `_levels` keeps the walk, so that other spans can share the columns.
+    The rows of I r + r I (u or v nontrivial) go in first, and a copy of
+    the span at that point is kept for `_boundary` and `ext2`.
 
     The methods read N = bound - 1.  They answer for (R) exactly on a span
     returned by `certify`, whose rows hold every path of length N, and only
@@ -226,8 +232,13 @@ class TruncatedIdealSpan:
         self.quiver = quiver
         self.relations = relations = _check_relations(quiver, relations)
         self.bound = bound
-        self._levels, self.index, self.space = _span(quiver, relations, bound - 1, truncate=True)
-        self.paths = list(self.index)
+        n = bound - 1
+        levels, index, self.space = _span(quiver, relations, n, truncate=True, boundary_only=True)
+        self._boundary_space = copy(self.space)
+        # then the bare relations: the products with u and v on walk level 0
+        for row in _two_sided_products(quiver, relations, levels[:1], index, n, truncate=True):
+            self.space.add(row)
+        self._levels, self.index, self.paths = levels, index, list(index)
 
     def _vector(self, x: PathElement) -> dict[int, Fraction]:
         x = x.rebind(self.quiver)  # an arrow the quiver lacks raises here, not as a bound
@@ -300,18 +311,16 @@ class TruncatedIdealSpan:
         return current
 
     def _boundary(self) -> RowSpace:
-        """A fresh `RowSpace` of I r + r I on this span's columns: the products
+        """A fresh `RowSpace` of I r + r I on this span's columns, on a copy of
+        the pivots recorded before the bare relations were added: the products
         u * rho * v with u or v of positive length; tails beyond the bound lie
         in r^{N+1}, which is already inside I r + r I."""
-        return RowSpace(_two_sided_products(
-            self.quiver, self.relations, self._levels, self.index, self.bound - 1,
-            truncate=True, boundary_only=True,
-        ))
+        return copy(self._boundary_space)
 
     def ext2(self) -> int:
         """dim Ext^2 of the semisimple module over KQ/(R), which equals
-        dim I/(I r + r I); the latter is what is computed."""
-        return self.rank - self._boundary().rank
+        dim I/(I r + r I): the rank less the recorded boundary rank."""
+        return self.rank - self._boundary_space.rank
 
     def boundary_image_vanishes(self, x: PathElement) -> bool:
         """Whether x in I maps to zero in I/(I r + r I)."""

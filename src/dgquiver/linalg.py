@@ -28,9 +28,12 @@ def as_rational(x) -> Fraction:
 
 
 def _integral(row: Mapping) -> tuple[SparseRow, int]:
-    """(s * row, s) for s the lcm of the denominators; int rows keep s = 1."""
-    if all(type(v) is int for v in row.values()):
-        return {c: v for c, v in row.items() if v}, 1
+    """(s * row, s) for s the lcm of the denominators, in a new dict; int rows
+    keep s = 1.  An all-int row, as every row of `ideals._two_sided_products`
+    is, is scanned for types and zeros at C speed and copied whole if it has none."""
+    values = row.values()
+    if set(map(type, values)) <= {int}:
+        return (dict(row) if 0 not in values else {c: v for c, v in row.items() if v}), 1
     out = {c: as_rational(v).as_integer_ratio() for c, v in row.items()}
     s = lcm(*(d for _, d in out.values()))
     return {c: n * (s // d) for c, (n, d) in out.items() if n}, s
@@ -64,6 +67,12 @@ class RowSpace:
         self._pivots: dict[int, SparseRow] = {}  # pivot column -> pivot row
         for row in rows:
             self.add(row)
+
+    def __copy__(self) -> RowSpace:
+        """A span that grows apart from this one, sharing the never-mutated pivot rows."""
+        space = RowSpace()
+        space._pivots = dict(self._pivots)
+        return space
 
     @property
     def rank(self) -> int:

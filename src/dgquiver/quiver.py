@@ -283,9 +283,7 @@ class GradedQuiver:
 
     def degree_part(self, degree: int) -> GradedQuiver:
         """Subquiver on all vertices and the arrows of the given degree."""
-        return GradedQuiver(
-            self.vertices, tuple(a for a in self.arrows if a.degree == degree)
-        )
+        return self.subquiver(a.name for a in self.arrows if a.degree == degree)
 
     def subquiver(self, arrow_names) -> GradedQuiver:
         keep = set(arrow_names)

@@ -288,6 +288,50 @@ def test_invalid_max_n_is_an_error(capsys, tmp_path, command, flag, option):
     assert out == "" and err == "error: max_n must be >= 2\n"
 
 
+# each flag: a value below its range and the message of the commands that read it
+_OUT_OF_RANGE = {
+    "--m": ("1", "the construction needs m >= 2"),
+    "--max-len": ("-1", "max_len must be >= 0"),
+    "--max-n": ("1", "max_n must be >= 2"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+@pytest.mark.parametrize("flag", sorted(_OUT_OF_RANGE))
+def test_out_of_range_flag_is_an_error_whether_read_or_not(capsys, command, flag):
+    # a command that ignores the flag reports it as its readers do; the
+    # readers keep their messages, vosnex its own bound on m
+    value, message = _OUT_OF_RANGE[flag]
+    if (command, flag) == ("vosnex", "--m"):
+        message = "m > 2 required"
+    m = [] if flag == "--m" else ["--m", "3"]
+    assert cli.main([command, str(FIXTURES / "square_d4.quiver"), flag, value, *m]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check-d2", "--m", "3", "--max-len", "-3"], "max_len must be >= 0"),
+    (["ideal-dim", "--m", "-7", "--max-len", "-3"], "the construction needs m >= 2"),
+])
+def test_unread_flags_are_range_checked(capsys, argv, message):
+    assert cli.main([argv[0], str(FIXTURES / "square_d4.quiver"), *argv[1:]]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--m", "2", "--max-len", "0", "--max-n", "2"],
+    ["build-b", "--m", "2", "--max-len", "0", "--max-n", "2"],
+    ["check-d2", "--max-len", "0", "--max-n", "2"],
+    ["h0", "--m", "3", "--max-len", "0", "--max-n", "2"],
+    ["ideal-dim", "--m", "2", "--max-len", "0"],
+])
+def test_unread_flags_at_the_ends_of_their_ranges_are_accepted(capsys, argv):
+    assert cli.main([argv[0], str(FIXTURES / "square_d4.quiver"), *argv[1:]]) == 0
+    assert json.loads(capsys.readouterr().out)["input"]["vertices"]
+
+
 def test_relations_outside_r2_report_no_bound(tmp_path, capsys):
     f = tmp_path / "short.quiver"
     f.write_text("vertex v\narrow a : v -> v\nrelation r : v -> v = a\n")

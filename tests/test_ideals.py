@@ -976,3 +976,69 @@ def test_ideal_call_walks_and_validates_once(quaternion, monkeypatch):
     calls.clear()
     system_of_relations(q, rels, 5)
     assert calls.count("span") == 1
+
+
+def test_boundary_is_an_independent_span(quaternion):
+    # the boundary questions grow copies of the recorded pivots, so asking
+    # them changes neither the span, nor ext2, nor a later boundary
+    q, rels = quaternion
+    span = certify(q, rels, 5)
+    before = span.rank, span.space.pivot_columns(), span.ext2(), span._boundary().rank
+    for _ in range(2):
+        assert span.spans_boundary_quotient(rels)
+        assert not span.spans_boundary_quotient(rels[:1])
+    assert span._boundary() is not span._boundary()
+    after = span.rank, span.space.pivot_columns(), span.ext2(), span._boundary().rank
+    assert after == before
+
+
+def test_ext2_eliminates_nothing_after_certify(monkeypatch):
+    # four commuting loops with squares: the boundary rank is recorded while
+    # the certified span is built, so ext2 and the boundary membership test
+    # add no row (rebuilding I r + r I added 3,120)
+    q, rels = commuting_loops(4)
+    n = find_admissibility_bound(q, rels, max_n=6)
+    span = certify(q, rels, n)
+    added = []
+    add = RowSpace.add
+    monkeypatch.setattr(RowSpace, "add", lambda self, row: added.append(1) or add(self, row))
+    assert span.ext2() == len(rels)
+    assert span.boundary_image_vanishes(element(q, (1, ("x0", "x1", "x1"))))
+    assert added == []
+    assert len(_old_boundary(span).pivot_columns()) == span.rank - len(rels)
+    assert len(added) == 3120
+
+
+def _old_boundary(span):
+    """I r + r I rebuilt from its rows on the span's columns, as `_boundary`
+    did before the span recorded its boundary pivots."""
+    return RowSpace(_two_sided_products(
+        span.quiver, span.relations, span._levels, span.index, span.bound - 1,
+        truncate=True, boundary_only=True,
+    ))
+
+
+@given(st.integers(0, 2**32), st.sampled_from(FAMILIES))
+@settings(max_examples=40, deadline=None)
+def test_recorded_boundary_matches_a_rebuilt_one(seed, kind):
+    # the boundary-first span spans what the one-pass construction spans, and
+    # ext2 and the boundary questions answer as on a rebuilt boundary
+    rng = random.Random(seed)
+    q, rels = family_ideal(rng, kind)
+    n = find_admissibility_bound(q, rels, max_n=4)
+    assume(n is not None)
+    span = certify(q, rels, n)
+    one_pass = _span(q, rels, n, truncate=True)[2]
+    assert (span.rank, span.space.pivot_columns()) == (one_pass.rank, one_pass.pivot_columns())
+    old = _old_boundary(span)
+    assert span.ext2() == span.rank - old.rank
+    assert span._boundary().pivot_columns() == old.pivot_columns()
+    products = [x for _, x in _oracle_products(q, rels, q.enumerate_paths(n), n, truncate=True)]
+    for x in rng.sample(products, min(6, len(products))):
+        assert span.boundary_image_vanishes(x) == old.contains(span._vector(x))
+    fitting = [r for r in rels if (r.body.max_length() or 0) <= n]
+    for k in range(len(fitting) + 1):
+        old = _old_boundary(span)
+        for r in fitting[:k]:
+            old.add(span._vector(r.body))
+        assert span.spans_boundary_quotient(fitting[:k]) == (old.rank == span.rank)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgquiver import RowSpace, SparseMatrix, rank
+from dgquiver.linalg import _integral, as_rational
 
 
 def test_rank_empty_matrix():
@@ -319,3 +320,50 @@ def test_matmul_and_zero_check():
         SparseMatrix(2, 1, {(0, 0): 1, (1, 0): 1})
     )
     assert zero.is_zero()
+
+
+# rows as callers pass them: all-int rows, the fast path of `_integral`, and
+# rows mixing ints, explicit zeros, Fractions and bools
+_entry = st.integers(-3, 3) | st.just(0) | st.booleans() | st.fractions(-3, 3, max_denominator=4)
+_row = st.dictionaries(st.integers(0, 5), st.integers(-3, 3), max_size=6) | st.dictionaries(
+    st.integers(0, 5), _entry, max_size=6
+)
+
+
+def _snapshot(row) -> list:
+    return [(c, type(v), v) for c, v in row.items()]
+
+
+@given(st.lists(_row, max_size=6), _row)
+@settings(max_examples=150, deadline=None)
+def test_kernel_leaves_its_input_rows_unchanged(rows, probe):
+    before = [_snapshot(r) for r in rows + [probe]]
+    space = RowSpace(rows)
+    for r in rows + [probe]:
+        space.contains(r)
+        space.reduce(r)
+    space.add(probe)
+    space.reduce(probe)
+    assert [_snapshot(r) for r in rows + [probe]] == before
+    m = SparseMatrix(len(rows), 6, {(i, c): v for i, r in enumerate(rows) for c, v in r.items()})
+    entries = _snapshot(m.entries)
+    assert rank(m) == rank(m)
+    assert _snapshot(m.entries) == entries
+
+
+def _old_integral(row):
+    """`_integral` before its all-int path scanned at C speed: the reference."""
+    if all(type(v) is int for v in row.values()):
+        return {c: v for c, v in row.items() if v}, 1
+    out = {c: as_rational(v).as_integer_ratio() for c, v in row.items()}
+    s = math.lcm(*(d for _, d in out.values()))
+    return {c: n * (s // d) for c, (n, d) in out.items() if n}, s
+
+
+@given(_row)
+@settings(max_examples=200, deadline=None)
+def test_integral_matches_the_reference(row):
+    got, s = _integral(row)
+    want, t = _old_integral(row)
+    assert (_snapshot(got), s) == (_snapshot(want), t)
+    assert got is not row
