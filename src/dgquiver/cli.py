@@ -246,13 +246,16 @@ def run(command: str, pf: ProblemFile, args) -> dict:
     spec = COMMANDS.get(command)
     if spec is None:
         raise CommandError(f"unknown command {command!r}")
-    # a flag the command does not read is range-checked with its readers' message
+    # a flag or file option the command does not read is range-checked as its readers do
     for flag, least, message, read in (
         ("m", 2, "the construction needs m >= 2", spec.m),
         ("max_len", 0, "max_len must be >= 0", command in ("homology", "vosnex", "report")),
         ("max_n", 2, "max_n must be >= 2", spec.bound or command == "admissibility"),
     ):
-        if not read and getattr(args, flag) is not None and getattr(args, flag) < least:
+        value = getattr(args, flag)
+        if not read and flag != "m":
+            value = _opt_int(pf, flag, value, least)
+        if not read and value is not None and value < least:
             raise CommandError(message)
     out = {"input": _input_block(pf)}
     max_n = _opt_int(pf, "max_n", args.max_n, 12)

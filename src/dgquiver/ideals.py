@@ -30,9 +30,10 @@ certified through a representation witness, which needs no bound at all.
 
 `certify(q, relations, N)` runs the test once and returns the span at bound
 N+1, whose methods answer every question about (R) at N and whose columns
-every other span of such a question reads.  The span is built boundary-first:
-the rows of I r + r I, whose pivots it records, then the bare relations, so
-`ext2` and the boundary questions read the recorded pivots and eliminate nothing.
+every other span of such a question reads.  It is built level by level as
+S_k = sum_a a S_{k-1} + the rho v cut to length <= k (`TruncatedIdealSpan`),
+the top level boundary-first: the rows of I r + r I, whose pivots it records,
+then the bare relations, so `ext2` and the boundary questions eliminate nothing.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ def _weights(q: GradedQuiver, relations, max_len: int) -> dict[str, int]:
 
 def _two_sided_products(
     q: GradedQuiver, relations, levels, index, max_len: int, *, truncate: bool,
-    boundary_only: bool = False, blocks=None,
+    boundary_only: bool = False, blocks=None, u_levels: int | None = None,
 ):
     """Yield u * rho * v as an integer row {index[word]: coefficient} for each
     relation rho and each pair (u, v) of paths in the levels of `q._walk`
@@ -119,10 +120,11 @@ def _two_sided_products(
     shortest term has length <= max_len and is cut to length <= max_len (the
     scan over the terms stops at the first longer one); otherwise every term
     must fit and nothing is cut.  `boundary_only` skips the pairs with both u
-    and v trivial.  `blocks` is None or a pair (weights, wanted), `weights`
-    from `_weights` for max_len: then only the products whose block
-    (source of u, target of v, weight of u t v for t the shortest term) is in
-    `wanted` are yielded, the others skipped before their row is formed.
+    and v trivial; `u_levels` keeps u on that many first levels.  `blocks`
+    is None or a pair (weights, wanted), `weights` from `_weights` for
+    max_len: then only the products whose block (source of u, target of v,
+    weight of u t v for t the shortest term) is in `wanted` are yielded, the
+    others skipped before their row is formed.
     The order is fixed by `relations` and the walk.  The relations must pass
     `validate_relations` over q.  As the levels come by length, the loops
     stop at the first u, and the first v for a given u, that leaves no room.
@@ -130,11 +132,12 @@ def _two_sided_products(
     weights, wanted = blocks or ({}, None)
     by_target: dict[str, list[tuple]] = {v: [] for v in q.vertices}
     by_source: dict[str, list[tuple]] = {v: [] for v in q.vertices}
-    for level in levels:
+    for k, level in enumerate(levels):
         for path in level:  # (arrows, source, target, degree or weight)
             if wanted is not None:
                 path = path[:3] + (sum(map(weights.__getitem__, path[0])),)
-            by_target[path[2]].append(path)
+            if u_levels is None or k < u_levels:
+                by_target[path[2]].append(path)
             by_source[path[1]].append(path)
     for rel in relations:
         terms = sorted(rel.body.terms.items(), key=lambda t: len(t[0]))
@@ -218,8 +221,22 @@ class TruncatedIdealSpan:
     ValueError.  `paths` holds the column keys (`Path.key`) in walk order, by
     length and then by arrow names, and `index` maps each key to its column;
     `_levels` keeps the walk, so that other spans can share the columns.
-    The rows of I r + r I (u or v nontrivial) go in first, and a copy of
-    the span at that point is kept for `_boundary` and `ext2`.
+
+    The span is built level by level.  Write S_k for the span of the
+    products cut to length <= k; S_0 = 0, relation terms being of positive
+    length.  Then S_k = sum_a a S_{k-1} + span{rho v cut to length <= k}
+    over the arrows a: a product with u = a u' is a (u' rho v), and
+    cut_{<=k}(a x) = a cut_{<=k-1}(x).  On the paths from t(a), p -> a p is
+    injective and keeps column order (length, then arrow names); distinct
+    arrows have disjoint images.  Each product runs from one vertex, and a
+    row from s meets only pivot rows led by a path from s, so each pivot
+    row of S_{k-1} runs from one vertex, and a kills those not from t(a).
+    The images of the others are thus primitive with positive, distinct
+    leads: an echelon basis of sum_a a S_{k-1}, taken on uneliminated
+    (`RowSpace.take_on`).  Only the rows rho v are eliminated.  At the top
+    level, the walk's last, the rows rho v with v nontrivial go in before
+    the bare relations; the span then is I r + r I cut to the bound, and a
+    copy of it is kept for `_boundary`.
 
     The methods read N = bound - 1.  They answer for (R) exactly on a span
     returned by `certify`, whose rows hold every path of length N, and only
@@ -232,13 +249,28 @@ class TruncatedIdealSpan:
         self.quiver = quiver
         self.relations = relations = _check_relations(quiver, relations)
         self.bound = bound
-        n = bound - 1
-        levels, index, self.space = _span(quiver, relations, n, truncate=True, boundary_only=True)
-        self._boundary_space = copy(self.space)
-        # then the bare relations: the products with u and v on walk level 0
-        for row in _two_sided_products(quiver, relations, levels[:1], index, n, truncate=True):
-            self.space.add(row)
-        self._levels, self.index, self.paths = levels, index, list(index)
+        self._levels = levels = list(quiver._walk(bound - 1))
+        self.index = index = {}
+        shifts = {a.name: {} for a in quiver.arrows}  # a: the column of p -> that of a p
+        for col, (word, s, t, _) in enumerate(x for level in levels for x in level):
+            index[_key(word, s)] = col
+            if word:
+                shifts[word[0]][index[_key(word[1:], t)]] = col
+        self.paths, top = list(index), len(levels) - 1
+        space = RowSpace()
+        for k in range(top + 1):
+            below, space = space, RowSpace()
+            for image in shifts.values():
+                space.take_on(below, image)
+            for row in _two_sided_products(
+                quiver, relations, levels[:k], index, k, truncate=True,
+                boundary_only=k == top, u_levels=1,
+            ):
+                space.add(row)
+        self._boundary_space = copy(space)
+        for row in _two_sided_products(quiver, relations, levels[:1], index, top, truncate=True):
+            space.add(row)
+        self.space = space
 
     def _vector(self, x: PathElement) -> dict[int, Fraction]:
         x = x.rebind(self.quiver)  # an arrow the quiver lacks raises here, not as a bound
@@ -323,20 +355,24 @@ class TruncatedIdealSpan:
         return self.rank - self._boundary_space.rank
 
     def boundary_image_vanishes(self, x: PathElement) -> bool:
-        """Whether x in I maps to zero in I/(I r + r I)."""
+        """Whether x in I maps to zero in I/(I r + r I).  x is cut to length
+        <= N first: on a certified span the tail lies in r^{N+1} <= r I."""
+        x = x.rebind(self.quiver).truncate(self.bound - 1)
         if not self.contains(x):
             raise ValueError("element does not lie in the ideal")
         return self._boundary().contains(self._vector(x))
 
     def spans_boundary_quotient(self, candidate) -> bool:
         """Whether the images of the candidate relations span I/(I r + r I);
-        each candidate body must lie in (R) (checked through `contains`)."""
+        each candidate body, cut to length <= N as in `boundary_image_vanishes`,
+        must lie in (R) (checked through `contains`)."""
         boundary = self._boundary()
         # the boundary span plus the candidate images must fill the ideal span
         for r in candidate:
-            if not self.contains(r.body):
+            body = r.body.rebind(self.quiver).truncate(self.bound - 1)
+            if not self.contains(body):
                 raise ValueError(f"candidate {r.label!r} is not in the ideal")
-            boundary.add(self._vector(r.body))
+            boundary.add(self._vector(body))
         return boundary.rank == self.rank
 
 
@@ -388,12 +424,8 @@ def generates_arrow_power(q: GradedQuiver, relations, n: int, max_expr_len: int)
     *exact* combination of products u * rho * v whose every term fits in
     length <= max_expr_len.  No truncation is involved, so a True answer is
     a proof; a False answer may just mean max_expr_len was too small.  n = 0
-    asks about the trivial paths, and n < 0 raises ValueError.
-
-    Only the products in the blocks of the paths of length n are built
-    (`_weights`): the span of all products is the direct sum of its blocks,
-    so a vector supported in one block lies in it iff it lies in the span of
-    that block's products.
+    asks about the trivial paths, and n < 0 raises ValueError.  Only the
+    products in the blocks of the paths of length n are built (`_weights`).
     """
     if n < 0:
         raise ValueError("n must be >= 0")

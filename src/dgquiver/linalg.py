@@ -138,6 +138,21 @@ class RowSpace:
         self._pivots[lead] = {c: v // g for c, v in r.items()}
         return True
 
+    def take_on(self, other: RowSpace, image: Mapping[int, int]) -> None:
+        """Take on as pivot rows, uneliminated, the images under the column
+        map `image` of the pivot rows of `other` whose pivot it maps; on their
+        columns it must be injective and keep order, so each image is again a
+        pivot row.  An image whose lead is not its least column or is a pivot
+        already raises ValueError, and nothing is taken on."""
+        taken = {}
+        for old in image.keys() & other._pivots.keys():
+            row, lead = other._pivots[old], image[old]
+            new = {image[c]: v for c, v in row.items()}
+            if lead in self._pivots or lead in taken or lead != min(new) or len(new) < len(row):
+                raise ValueError(f"column {lead} is a pivot or not the least of its image")
+            taken[lead] = new
+        self._pivots.update(taken)
+
 
 class SparseMatrix:
     """Immutable sparse matrix over Q; zero entries are never stored.

@@ -249,6 +249,7 @@ def test_resource_errors_exit_1_without_traceback(monkeypatch, capsys, exc):
         ("max_len = abc", ["homology", "--m", "3", "--max-len", "4"]),
         ("max_n = 1/2", ["ideal-dim"]),
         ("max_n = 1/2", ["ideal-dim", "--max-n", "4"]),
+        ("max_len = abc", ["validate"]),
     ],
 )
 def test_non_integer_integer_option_is_an_error(tmp_path, capsys, option, argv):
@@ -318,6 +319,22 @@ def test_unread_flags_are_range_checked(capsys, argv, message):
     assert cli.main([argv[0], str(FIXTURES / "square_d4.quiver"), *argv[1:]]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("option, message", [
+    ("max_len = -3", "max_len must be >= 0"),
+    ("max_n = 1", "max_n must be >= 2"),
+])
+@pytest.mark.parametrize("argv", [["validate"], ["check-d2", "--m", "3"]])
+def test_unread_file_options_are_range_checked(tmp_path, capsys, option, message, argv):
+    # a file option is checked as its flag is, whether the command reads it or not
+    f = tmp_path / "square.quiver"
+    f.write_text((FIXTURES / "square_d4.quiver").read_text() + f"option {option}\n")
+    assert cli.main([argv[0], str(f), *argv[1:]]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+    f.write_text((FIXTURES / "square_d4.quiver").read_text() + "option max_len = 0\noption max_n = 2\n")
+    assert cli.main([argv[0], str(f), *argv[1:]]) == 0
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,7 +1,10 @@
+import importlib.util
 import itertools
 import math
+import pathlib
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,6 +23,7 @@ from dgquiver import (
     bound_is_valid,
     certifies_non_membership,
     certify,
+    dsl,
     evaluate_in_representation,
     ext2_dim,
     find_admissibility_bound,
@@ -1042,3 +1046,72 @@ def test_recorded_boundary_matches_a_rebuilt_one(seed, kind):
         for r in fitting[:k]:
             old.add(span._vector(r.body))
         assert span.spans_boundary_quotient(fitting[:k]) == (old.rank == span.rank)
+
+
+def test_boundary_questions_cut_long_elements_to_the_bound():
+    # N = 4 and the consequence cons has a term of length 5, which lies in
+    # r^5 <= r I: both boundary questions cut it and answer, while
+    # membership still asks for room
+    q, rels = family_ideal(random.Random(911568727), "quaternion")
+    n = find_admissibility_bound(q, rels)
+    assert n == 4 and rels[-1].label == "cons" and rels[-1].body.max_length() == 5
+    span = certify(q, rels, n)
+    cons = rels[-1].body
+    assert span.spans_boundary_quotient(rels)
+    assert span.spans_boundary_quotient(rels[:-1])
+    assert not span.spans_boundary_quotient(rels[-1:])
+    old = _old_boundary(span)
+    assert span.boundary_image_vanishes(cons) == old.contains(span._vector(cons.truncate(n)))
+    with pytest.raises(ValueError, match="raise the bound"):
+        span.contains(cons)
+
+
+_WORKLOADS = importlib.util.spec_from_file_location(
+    "perfbench_workloads", pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+)
+W = sys.modules[_WORKLOADS.name] = importlib.util.module_from_spec(_WORKLOADS)
+_WORKLOADS.loader.exec_module(W)
+_SPECS = {
+    "comm4": lambda: W.commutative_spec(4),
+    "comm3+red": lambda: W.commutative_spec(3, redundant=True),
+    "grid4": lambda: W.grid_spec(4),
+}
+
+
+def _short_term_ideal(rng):
+    """Two loops with a - c b b and b b b: a relation with a term of length
+    1, whose cut a at level 1 the arrows shift into level 2, so a chain of
+    levels started at level 2 misses b a in the span at bound 3.  N = 3."""
+    q = GradedQuiver(["v"], [Arrow("a", "v", "v", 0), Arrow("b", "v", "v", 0)])
+    return q, [_relation(q, "s", rng, ("a",), ("b", "b")), _relation(q, "t", rng, ("b",) * 3)], 3
+
+
+@given(st.integers(0, 2**32), st.sampled_from(FAMILIES + tuple(_SPECS) + ("short",)))
+@example(1, "short")
+@settings(max_examples=40, deadline=None)
+def test_level_by_level_span_matches_the_one_pass_span(seed, kind):
+    # the certified span, built level by level from shifted pivot rows, has
+    # the pivots and normal forms of the span of every cut product, and its
+    # recorded boundary the pivots of I r + r I rebuilt from its rows; so do
+    # the spans at the lower bounds that the bound search builds
+    rng = random.Random(seed)
+    if kind == "short":
+        q, rels, n = _short_term_ideal(rng)
+    elif kind in _SPECS:
+        pf = dsl.parse(W.rescaled_text(_SPECS[kind](), rng))
+        q, rels, n = pf.quiver, pf.relations, W.IDEAL_EXPECTED[kind][0]
+    else:
+        q, rels = family_ideal(rng, kind)
+        n = find_admissibility_bound(q, rels, max_n=4)
+        assume(n is not None)
+    span = certify(q, rels, n)
+    one_pass = _span(q, rels, n, truncate=True)[2]
+    assert span.space.pivot_columns() == one_pass.pivot_columns()
+    assert span._boundary().pivot_columns() == _old_boundary(span).pivot_columns()
+    for _ in range(10):
+        x = {rng.randrange(len(span.paths)): rng.choice(PQ_COEFFS) for _ in range(4)}
+        assert span.space.reduce(x) == one_pass.reduce(x)
+    for bound in range(1, n + 1):
+        lower = TruncatedIdealSpan(q, rels, bound)
+        assert lower.space.pivot_columns() == _span(q, rels, bound - 1, truncate=True)[2].pivot_columns()
+        assert lower._boundary().pivot_columns() == _old_boundary(lower).pivot_columns()

@@ -3,7 +3,8 @@
 Every import of a `dgquiver` module sits at module level, and the module
 level graph has no cycle: a module can then be loaded on its own, and two
 loaded copies of the package do not reach into each other through an
-import that runs at call time.
+import that runs at call time.  The echelon basis of `RowSpace` is read
+and written by `linalg` alone, which keeps its invariants.
 """
 
 from __future__ import annotations
@@ -55,3 +56,14 @@ def test_module_level_import_graph_is_acyclic():
         list(TopologicalSorter(graph).static_order())
     except CycleError as exc:
         raise AssertionError(f"import cycle: {exc.args[1]}") from None
+
+
+def test_only_linalg_touches_the_pivot_rows():
+    touching = sorted(
+        f"{name}:{node.lineno}"
+        for name, tree in _trees().items() if name != "linalg"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "_pivots"
+        or isinstance(node, ast.Constant) and node.value == "_pivots"
+    )
+    assert touching == []

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -367,3 +368,47 @@ def test_integral_matches_the_reference(row):
     want, t = _old_integral(row)
     assert (_snapshot(got), s) == (_snapshot(want), t)
     assert got is not row
+
+
+@given(row_stream(), st.randoms(use_true_random=False))
+@settings(max_examples=120, deadline=None)
+def test_take_on_matches_add_on_the_images(data, rnd):
+    # the images of an echelon basis under order-keeping injective column
+    # maps with disjoint images span what adding those images spans
+    rows, probes, as_int = data
+    basis = RowSpace(_typed(r, f) for r, f in zip(rows, as_int))
+    cols = len(rows[0])
+    images = [
+        dict(zip(range(cols), sorted(rnd.sample(range(k * 3 * cols, (k + 1) * 3 * cols), cols))))
+        for k in range(2)
+    ]
+    taken = RowSpace()
+    for image in images:
+        taken.take_on(basis, image)
+    added = RowSpace(
+        {image[c]: v for c, v in row.items()} for image in images for row in basis._pivots.values()
+    )
+    assert (taken.rank, taken.pivot_columns()) == (added.rank, added.pivot_columns())
+    for c, p in taken._pivots.items():
+        assert min(p) == c and p[c] > 0 and math.gcd(*p.values()) == 1
+    vectors = [{image[c]: x for c, x in _sparse(p).items()} for p in probes for image in images]
+    vectors += [{rnd.randrange(6 * cols): rnd.choice((1, -2, 3)) for _ in range(3)} for _ in range(3)]
+    for v in vectors:
+        assert taken.reduce(v) == added.reduce(v)
+
+
+def test_take_on_refuses_a_taken_or_misplaced_lead():
+    basis = RowSpace([{0: 1, 1: 2}, {1: 1, 2: 3}])
+    space = RowSpace([{5: 1}])
+    for image in (
+        {0: 5, 1: 6, 2: 7},  # the lead 5 is a pivot already
+        {0: 3, 1: 2, 2: 4},  # 2, the image of column 1, precedes the lead 3
+        {0: 3, 1: 3, 2: 4},  # two columns of one row meet
+    ):
+        with pytest.raises(ValueError):
+            space.take_on(basis, image)
+        assert space.pivot_columns() == [5]  # nothing was taken on
+    space.take_on(basis, {0: 6, 1: 7, 2: 9})
+    assert space.pivot_columns() == [5, 6, 7]
+    with pytest.raises(ValueError):
+        space.take_on(basis, {0: 6, 1: 7, 2: 9})
