@@ -28,12 +28,12 @@ certifies nothing, which is why operations requiring admissibility refuse
 to run without a bound and why non-membership can alternatively be
 certified through a representation witness, which needs no bound at all.
 
-`certify(q, relations, N)` runs the test once and returns the span at bound
-N+1, whose methods answer every question about (R) at N and whose columns
-every other span of such a question reads.  It is built level by level as
-S_k = sum_a a S_{k-1} + the rho v cut to length <= k (`TruncatedIdealSpan`),
-the top level boundary-first: the rows of I r + r I, whose pivots it records,
-then the bare relations, so `ext2` and the boundary questions eliminate nothing.
+`certify(q, relations, N)` refuses relations outside r^2, runs the test once
+and returns the span at bound N+1, whose methods answer every question about
+(R) at N and whose columns every other span of such a question reads.  It is
+built level by level as S_k = sum_a a S_{k-1} + the rho v cut to length <= k,
+the rows rho v built once (`TruncatedIdealSpan`), the top level boundary-first:
+I r + r I, its pivots recorded so `ext2` eliminates nothing, then the bare R.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from collections import Counter
 from copy import copy
 from dataclasses import astuple, dataclass
 from fractions import Fraction
+from itertools import accumulate, chain, takewhile
 from math import lcm
 
 from .algebra import PathElement, format_element
@@ -61,10 +62,9 @@ class NotAdmissibleError(ValueError):
     """No admissibility bound could be certified within the search cap."""
 
 
-def _require_r2(q: GradedQuiver, relations) -> list[Relation]:
-    """The relations checked against q (`validate_relations`); ValueError
+def _require_r2(relations: list[Relation]) -> list[Relation]:
+    """The relations, already checked (`validate_relations`); ValueError
     names those with a term of length < 2, which violate R <= r^2."""
-    relations = _check_relations(q, relations)
     bad = [r.label for r in relations if not r.body.is_zero() and r.body.min_length() < 2]
     if bad:
         raise ValueError(f"relations not inside r^2: {bad}")
@@ -103,14 +103,11 @@ def _weights(q: GradedQuiver, relations, max_len: int) -> dict[str, int]:
     }
 
 
-def _two_sided_products(
-    q: GradedQuiver, relations, levels, index, max_len: int, *, truncate: bool,
-    boundary_only: bool = False, blocks=None, u_levels: int | None = None,
-):
+def _two_sided_products(relations, us, vs, index, max_len: int, *, truncate: bool, blocks=None):
     """Yield u * rho * v as an integer row {index[word]: coefficient} for each
-    relation rho and each pair (u, v) of paths in the levels of `q._walk`
-    with u ending where rho starts and v starting where rho ends, both read
-    off the walk tuples.  `index` maps path keys (`Path.key`) to columns; a
+    relation rho, each u of the walk levels `us` ending where rho starts and
+    each v of the walk levels `vs` starting where rho ends, read off the walk
+    tuples (`q._walk`).  `index` maps path keys (`Path.key`) to columns; a
     product has positive length, so its key is its word.
 
     Each body is read once as (arrow tuple, int) terms by ascending length,
@@ -119,26 +116,21 @@ def _two_sided_products(
     needs no accumulation.  With `truncate`, a product is kept when its
     shortest term has length <= max_len and is cut to length <= max_len (the
     scan over the terms stops at the first longer one); otherwise every term
-    must fit and nothing is cut.  `boundary_only` skips the pairs with both u
-    and v trivial; `u_levels` keeps u on that many first levels.  `blocks`
-    is None or a pair (weights, wanted), `weights` from `_weights` for
-    max_len: then only the products whose block (source of u, target of v,
-    weight of u t v for t the shortest term) is in `wanted` are yielded, the
-    others skipped before their row is formed.
-    The order is fixed by `relations` and the walk.  The relations must pass
-    `validate_relations` over q.  As the levels come by length, the loops
-    stop at the first u, and the first v for a given u, that leaves no room.
+    must fit and nothing is cut.  `blocks` is None or a pair (weights,
+    wanted), `weights` from `_weights` for max_len and the paths of `us` and
+    `vs` weighed by it (`_weighed`): then only the products whose block
+    (source of u, target of v, weight of u t v for t the shortest term) is in
+    `wanted` are yielded, the others skipped before their row is formed.
+    The order is fixed by `relations`, `us` and `vs`.  The relations must pass
+    `validate_relations`.  As the levels come by length, the loops stop at the
+    first u, and the first v for a given u, that leaves no room.
     """
     weights, wanted = blocks or ({}, None)
-    by_target: dict[str, list[tuple]] = {v: [] for v in q.vertices}
-    by_source: dict[str, list[tuple]] = {v: [] for v in q.vertices}
-    for k, level in enumerate(levels):
-        for path in level:  # (arrows, source, target, degree or weight)
-            if wanted is not None:
-                path = path[:3] + (sum(map(weights.__getitem__, path[0])),)
-            if u_levels is None or k < u_levels:
-                by_target[path[2]].append(path)
-            by_source[path[1]].append(path)
+    by_target, by_source = {}, {}  # vertex: the paths of `us` into it, of `vs` out of it
+    for path in chain.from_iterable(us):  # (arrows, source, target, degree or weight)
+        by_target.setdefault(path[2], []).append(path)
+    for path in chain.from_iterable(vs):
+        by_source.setdefault(path[1], []).append(path)
     for rel in relations:
         terms = sorted(rel.body.terms.items(), key=lambda t: len(t[0]))
         if not terms:
@@ -147,14 +139,12 @@ def _two_sided_products(
         terms = [(p.arrows, c.numerator * (s // c.denominator)) for p, c in terms]
         room = max_len - len(terms[0 if truncate else -1][0])
         weight = sum(map(weights.__getitem__, terms[0][0])) if wanted is not None else 0
-        for u, source, _, wu in by_target[rel.source]:
+        for u, source, _, wu in by_target.get(rel.source, ()):
             if len(u) > room:
                 break
-            for v, _, target, wv in by_source[rel.target]:
+            for v, _, target, wv in by_source.get(rel.target, ()):
                 if len(u) + len(v) > room:
                     break
-                if boundary_only and not (u or v):
-                    continue
                 if wanted is not None and (source, target, wu + weight + wv) not in wanted:
                     continue
                 cap = max_len - len(u) - len(v)
@@ -166,21 +156,26 @@ def _two_sided_products(
                 yield row
 
 
-def _span(q: GradedQuiver, relations, max_len: int, *, length=None, **products):
+def _weighed(levels, weights):
+    """The walk levels with each path's degree replaced by its weight (`_weights`)."""
+    return [[(a, s, t, sum(map(weights.__getitem__, a))) for a, s, t, _ in lv] for lv in levels]
+
+
+def _span(q: GradedQuiver, relations, max_len: int, *, truncate: bool, length=None):
     """(levels, index, space): the levels of `q._walk(max_len)`, the column of
-    each path key in walk order and the span of `_two_sided_products` with the
-    keywords `products`; with `length`, only of the products in the block of a
+    each path key in walk order and the span of `_two_sided_products` over all
+    pairs of walk paths; with `length`, only of the products in the block of a
     path of that length."""
-    levels = list(q._walk(max_len))
+    levels = paths = list(q._walk(max_len))
     index = {_key(a, s): i for i, (a, s, _, _) in enumerate(t for level in levels for t in level)}
     blocks = None
     if length is not None:
         weights = _weights(q, relations, max_len)
-        blocks = weights, {
-            (s, t, sum(map(weights.__getitem__, a)))
-            for level in levels[length:length + 1] for a, s, t, _ in level
-        }
-    rows = _two_sided_products(q, relations, levels, index, max_len, blocks=blocks, **products)
+        paths = _weighed(levels, weights)
+        blocks = weights, {(s, t, w) for level in paths[length:length + 1] for _, s, t, w in level}
+    rows = _two_sided_products(
+        relations, paths, paths, index, max_len, truncate=truncate, blocks=blocks
+    )
     return levels, index, RowSpace(rows)
 
 
@@ -192,21 +187,20 @@ def _holds_length(space: RowSpace, levels, n: int) -> bool:
     return all(space.contains({i: 1}) for i in range(start, stop))
 
 
-def _truncation_in_span(span: TruncatedIdealSpan, weights, candidate, rho: Relation) -> bool:
+def _truncation_in_span(span: TruncatedIdealSpan, weights, levels, candidate, rho) -> bool:
     """Whether rho cut to length < n lies in the span of the candidate's
     products cut to length < n, n = span.bound - 1 for the span of
-    `certify`; only the products in rho's block are built, `weights`
-    being `_weights` for length n - 1 over relations that include rho and
-    the candidate.  The cut products are homogeneous too, so the span is the
-    direct sum of its blocks."""
+    `certify`; only the products in rho's block are built, `weights` being
+    `_weights` for length n - 1 over rho and the candidate, and `levels` the
+    span's walk levels of length < n weighed by it (`_weighed`).  The cut
+    products are homogeneous too, so the span is the direct sum of its blocks."""
     n = span.bound - 1
     terms = [(p.arrows, c) for p, c in rho.body.terms.items() if len(p) < n]
     if not terms:
         return True
     block = rho.source, rho.target, sum(map(weights.__getitem__, terms[0][0]))
     rows = _two_sided_products(
-        span.quiver, candidate, span._levels[:n], span.index, n - 1, truncate=True,
-        blocks=(weights, {block}),
+        candidate, levels, levels, span.index, n - 1, truncate=True, blocks=(weights, {block})
     )
     return RowSpace(rows).contains({span.index[t]: c for t, c in terms})
 
@@ -233,8 +227,10 @@ class TruncatedIdealSpan:
     row of S_{k-1} runs from one vertex, and a kills those not from t(a).
     The images of the others are thus primitive with positive, distinct
     leads: an echelon basis of sum_a a S_{k-1}, taken on uneliminated
-    (`RowSpace.take_on`).  Only the rows rho v are eliminated.  At the top
-    level, the walk's last, the rows rho v with v nontrivial go in before
+    (`RowSpace.take_on`).  Only the rows rho v are eliminated, built once at
+    the top length, sorted by lead and cut at each level k to the columns of
+    length <= k, which come first: a level takes the rows led there.  At the
+    top level, the walk's last, the rows rho v with v nontrivial go in before
     the bare relations; the span then is I r + r I cut to the bound, and a
     copy of it is kept for `_boundary`.
 
@@ -257,19 +253,20 @@ class TruncatedIdealSpan:
             if word:
                 shifts[word[0]][index[_key(word[1:], t)]] = col
         self.paths, top = list(index), len(levels) - 1
+        rho_v, bare = (  # by lead, u trivial: the rows rho v with v nontrivial, the bare rho
+            sorted(_two_sided_products(relations, us, vs, index, top, truncate=True), key=min)
+            for us, vs in ((levels[:1], levels[1:]), (levels[:1], levels[:1]))
+        )
         space = RowSpace()
-        for k in range(top + 1):
+        for k, stop in enumerate(accumulate(map(len, levels))):  # stop: columns of length <= k
             below, space = space, RowSpace()
             for image in shifts.values():
                 space.take_on(below, image)
-            for row in _two_sided_products(
-                quiver, relations, levels[:k], index, k, truncate=True,
-                boundary_only=k == top, u_levels=1,
-            ):
-                space.add(row)
-        self._boundary_space = copy(space)
-        for row in _two_sided_products(quiver, relations, levels[:1], index, top, truncate=True):
-            space.add(row)
+            for rows in (rho_v, bare):
+                if rows is bare and k == top:
+                    self._boundary_space = copy(space)
+                for row in takewhile(lambda r: min(r) < stop, rows):
+                    space.add({c: x for c, x in row.items() if c < stop})
         self.space = space
 
     def _vector(self, x: PathElement) -> dict[int, Fraction]:
@@ -331,12 +328,13 @@ class TruncatedIdealSpan:
         # columns of length < n, which come first
         current = [r for r in self.relations if not r.body.is_zero()]
         weights = _weights(self.quiver, current, n - 1)
+        levels = _weighed(self._levels[:n], weights)
         k = 0
         while k < len(current):
             candidate = current[:k] + current[k + 1:]
-            if _truncation_in_span(self, weights, candidate, current[k]) and generates_arrow_power(
-                self.quiver, candidate, n, max_expr_len
-            ):
+            if _truncation_in_span(
+                self, weights, levels, candidate, current[k]
+            ) and generates_arrow_power(self.quiver, candidate, n, max_expr_len):
                 current = candidate
             else:
                 k += 1
@@ -392,7 +390,7 @@ def find_admissibility_bound(q: GradedQuiver, relations, max_n: int = 12) -> int
     Requires every relation inside r^2; None distinguishes "nothing found up
     to the cap" from precondition failures, which raise.
     """
-    relations = _require_r2(q, relations)
+    relations = _require_r2(_check_relations(q, relations))
     if max_n < 2:
         raise ValueError("max_n must be >= 2")
     for n in range(2, max_n + 1):
@@ -403,7 +401,8 @@ def find_admissibility_bound(q: GradedQuiver, relations, max_n: int = 12) -> int
 
 def certify(q: GradedQuiver, relations, n: int) -> TruncatedIdealSpan:
     """The ideal span at bound n + 1, once the relations are checked against
-    q and n passes the operational test; otherwise NotAdmissibleError.
+    q and inside r^2 (ValueError otherwise) and n passes the operational
+    test; otherwise NotAdmissibleError.
 
     Its rows hold every path of length n, so it equals (R) restricted to the
     paths of length <= n, and cutting it to lengths < n gives the span at
@@ -411,9 +410,10 @@ def certify(q: GradedQuiver, relations, n: int) -> TruncatedIdealSpan:
     question given n reads this one value (`TruncatedIdealSpan` methods).
     """
     if n < 2:
-        _check_relations(q, relations)
+        _require_r2(_check_relations(q, relations))
     else:
         span = TruncatedIdealSpan(q, relations, n + 1)  # checks relations
+        _require_r2(span.relations)
         if _holds_length(span.space, span._levels, n):
             return span
     raise NotAdmissibleError(f"{n} is not a valid admissibility bound")
@@ -583,7 +583,7 @@ def vosnex_equivalence_check(
     """
     if m <= 2:
         raise ValueError("m > 2 required")
-    relations = _require_r2(q, relations)
+    relations = _require_r2(_check_relations(q, relations))
     if n is None:
         raise NotAdmissibleError("could not certify the quotient algebra finite-dimensional")
     certify(q, relations, n)

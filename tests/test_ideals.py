@@ -40,6 +40,7 @@ from dgquiver.ideals import (
     _span,
     _truncation_in_span,
     _two_sided_products,
+    _weighed,
     _weights,
 )
 from dgquiver.linalg import RowSpace
@@ -646,16 +647,17 @@ def _consequence(q, rels, rng):
     return Relation("cons", *ends, body)
 
 
-def _oracle_products(q, relations, paths, max_len, *, truncate, boundary_only=False):
-    """u * rho * v as `PathElement` products over all pairs (u, v) of paths,
-    each cut to length <= max_len with `truncate`; the slow oracle for the
-    integer rows of `_two_sided_products`.  Yields (relation, product)."""
+def _oracle_products(q, relations, paths, max_len, *, truncate, boundary_only=False, vs=None):
+    """u * rho * v as `PathElement` products over all pairs (u, v) of paths
+    (v of `vs` if given), each cut to length <= max_len with `truncate`; the
+    slow oracle for the integer rows of `_two_sided_products`.  Yields
+    (relation, product)."""
     for rel in relations:
         body = rel.body.rebind(q)
         ml = body.min_length() if truncate else body.max_length()
         if ml is None:
             continue
-        for u, v in itertools.product(paths, paths):
+        for u, v in itertools.product(paths, paths if vs is None else vs):
             if (q.target_of(u), q.source_of(v)) != (rel.source, rel.target):
                 continue
             if len(u) + len(v) + ml > max_len:
@@ -676,27 +678,32 @@ def _oracle_space(q, relations, paths, max_len, *, truncate, boundary_only=False
     return space
 
 
-@given(st.integers(0, 2**32), st.integers(0, 4), st.booleans(), st.booleans())
+# The u and v level ranges are those the spans read: all pairs, u trivial
+# with v nontrivial or trivial, u nontrivial with any v, and one drawn pair.
+@given(st.integers(0, 2**32), st.integers(0, 4), st.booleans())
 @settings(max_examples=60, deadline=None)
-def test_two_sided_products_match_all_pairs_filter(seed, max_len, truncate, boundary_only):
+def test_two_sided_products_match_all_pairs_filter(seed, max_len, truncate):
     rng = random.Random(seed)
     q = random_quiver(rng)
     rels = random_relations(rng, q, max_count=3, coeffs=PQ_COEFFS)
     levels = list(q._walk(max_len))
     paths = q.enumerate_paths(max_len)
     index = {p: i for i, p in enumerate(paths)}
-    want = []
-    for rel, prod in _oracle_products(
-        q, rels, paths, max_len, truncate=truncate, boundary_only=boundary_only
-    ):
-        scale = math.lcm(*(c.denominator for c in rel.body.terms.values()))
-        want.append({index[p]: c * scale for p, c in prod.terms.items()})
-    got = list(_two_sided_products(
-        q, rels, levels, {p.key: i for i, p in enumerate(paths)}, max_len,
-        truncate=truncate, boundary_only=boundary_only,
-    ))
-    assert got == want
-    assert all(type(c) is int for row in got for c in row.values())
+    keys = {p.key: i for p, i in index.items()}
+    lengths = range(max_len + 1)
+    drawn = [slice(*sorted(rng.choices(range(max_len + 2), k=2))) for _ in range(2)]
+    whole, trivial, rest = slice(None), slice(0, 1), slice(1, None)
+    for us, vs in ((whole, whole), (trivial, rest), (trivial, trivial), (rest, whole), drawn):
+        want = []
+        for rel, prod in _oracle_products(
+            q, rels, [p for p in paths if len(p) in lengths[us]], max_len,
+            truncate=truncate, vs=[p for p in paths if len(p) in lengths[vs]],
+        ):
+            scale = math.lcm(*(c.denominator for c in rel.body.terms.values()))
+            want.append({index[p]: c * scale for p, c in prod.terms.items()})
+        got = list(_two_sided_products(rels, levels[us], levels[vs], keys, max_len, truncate=truncate))
+        assert got == want
+        assert all(type(c) is int for row in got for c in row.values())
 
 
 # The examples fix a quiver whose vertex is named like its arrow, with the
@@ -778,7 +785,7 @@ def test_exact_generation_builds_only_the_length_n_blocks(monkeypatch):
     weights = _weights(q, rels, 7)
     levels = list(q._walk(7))
     index = {p.key: i for i, p in enumerate(q.enumerate_paths(7))}
-    rows = list(_two_sided_products(q, rels, levels, index, 7, truncate=False))
+    rows = list(_two_sided_products(rels, levels, levels, index, 7, truncate=False))
     assert len(rows) == 12_030
     added = []
     add = RowSpace.add
@@ -796,7 +803,7 @@ def test_exact_generation_builds_only_the_length_n_blocks(monkeypatch):
         for rel in rels:
             assert len({sum(map(weights.__getitem__, p.arrows)) for p in rel.body.terms}) == 1
         for truncate in (False, True):
-            for row in _two_sided_products(q, rels, levels, index, 5, truncate=truncate):
+            for row in _two_sided_products(rels, levels, levels, index, 5, truncate=truncate):
                 assert len({sum(map(weights.__getitem__, keys[c])) for c in row}) == 1
 
 
@@ -933,12 +940,13 @@ def test_certified_span_columns_serve_every_span_of_a_call(seed, kind):
 
     rank_n = TruncatedIdealSpan(q, rels, n).rank
     weights = _weights(q, rels, n - 1)
+    levels, weighed = span._levels, _weighed(span._levels[:n], weights)
     for k in range(len(rels)):
         candidate = rels[:k] + rels[k + 1:]
-        rows = _two_sided_products(q, candidate, span._levels, span.index, n - 1, truncate=True)
+        rows = _two_sided_products(candidate, levels, levels, span.index, n - 1, truncate=True)
         rank = RowSpace(rows).rank
         assert rank == TruncatedIdealSpan(q, candidate, n).rank
-        assert _truncation_in_span(span, weights, candidate, rels[k]) == (rank == rank_n)
+        assert _truncation_in_span(span, weights, weighed, candidate, rels[k]) == (rank == rank_n)
     assert system_of_relations(q, rels, n) == _old_system_of_relations(q, rels, n)
 
     below = [p for p in paths if len(p) < n]
@@ -1015,10 +1023,12 @@ def test_ext2_eliminates_nothing_after_certify(monkeypatch):
 
 def _old_boundary(span):
     """I r + r I rebuilt from its rows on the span's columns, as `_boundary`
-    did before the span recorded its boundary pivots."""
-    return RowSpace(_two_sided_products(
-        span.quiver, span.relations, span._levels, span.index, span.bound - 1,
-        truncate=True, boundary_only=True,
+    did before the span recorded its boundary pivots: the products with u
+    trivial and v nontrivial, then those with u nontrivial and any v."""
+    levels, n = span._levels, span.bound - 1
+    return RowSpace(itertools.chain(
+        _two_sided_products(span.relations, levels[:1], levels[1:], span.index, n, truncate=True),
+        _two_sided_products(span.relations, levels[1:], levels, span.index, n, truncate=True),
     ))
 
 
@@ -1081,7 +1091,8 @@ _SPECS = {
 def _short_term_ideal(rng):
     """Two loops with a - c b b and b b b: a relation with a term of length
     1, whose cut a at level 1 the arrows shift into level 2, so a chain of
-    levels started at level 2 misses b a in the span at bound 3.  N = 3."""
+    levels started at level 2 misses b a in the span at bound 3.  N = 3,
+    which `certify` refuses, the relation lying outside r^2."""
     q = GradedQuiver(["v"], [Arrow("a", "v", "v", 0), Arrow("b", "v", "v", 0)])
     return q, [_relation(q, "s", rng, ("a",), ("b", "b")), _relation(q, "t", rng, ("b",) * 3)], 3
 
@@ -1104,7 +1115,12 @@ def test_level_by_level_span_matches_the_one_pass_span(seed, kind):
         q, rels = family_ideal(rng, kind)
         n = find_admissibility_bound(q, rels, max_n=4)
         assume(n is not None)
-    span = certify(q, rels, n)
+    if kind == "short":
+        with pytest.raises(ValueError, match=re.escape("relations not inside r^2: ['s']")):
+            certify(q, rels, n)
+        span = TruncatedIdealSpan(q, rels, n + 1)
+    else:
+        span = certify(q, rels, n)
     one_pass = _span(q, rels, n, truncate=True)[2]
     assert span.space.pivot_columns() == one_pass.pivot_columns()
     assert span._boundary().pivot_columns() == _old_boundary(span).pivot_columns()
@@ -1115,3 +1131,48 @@ def test_level_by_level_span_matches_the_one_pass_span(seed, kind):
         lower = TruncatedIdealSpan(q, rels, bound)
         assert lower.space.pivot_columns() == _span(q, rels, bound - 1, truncate=True)[2].pivot_columns()
         assert lower._boundary().pivot_columns() == _old_boundary(lower).pivot_columns()
+
+
+def test_certify_refuses_relations_outside_r2():
+    # a - a a has a term of length 1, which the bound search already refused;
+    # certify, and so every question read off it, refuses it the same way
+    q = loop_quiver()
+    rels = [Relation("r", "v", "v", element(q, (1, ("a",)), (-1, ("a", "a"))))]
+    msg = re.escape("relations not inside r^2: ['r']")
+    for call in (certify, algebra_dim, ext2_dim, system_of_relations):
+        for n in (1, 2, 3):
+            with pytest.raises(ValueError, match=msg):
+                call(q, rels, n)
+    with pytest.raises(ValueError, match=msg):
+        find_admissibility_bound(q, rels)
+
+
+@pytest.mark.parametrize("kind", FAMILIES + ("comm4", "grid4"))
+def test_span_construction_makes_two_product_calls(kind, monkeypatch):
+    # the rows rho v are built once at the top length and cut per level, so
+    # every construction calls the generator twice, whatever its bound; the
+    # elimination work is that of one call per level (1,120 rows on comm4)
+    from dgquiver import ideals
+
+    rng = random.Random(0)
+    if kind in _SPECS:
+        pf = dsl.parse(W.rescaled_text(_SPECS[kind](), rng))
+        q, rels, n = pf.quiver, pf.relations, W.IDEAL_EXPECTED[kind][0]
+    else:
+        q, rels = family_ideal(rng, kind)
+        n = find_admissibility_bound(q, rels, max_n=5) or 5
+    calls = []
+    products = ideals._two_sided_products
+    monkeypatch.setattr(
+        ideals, "_two_sided_products", lambda *a, **k: calls.append(1) or products(*a, **k)
+    )
+    for bound in range(1, n + 2):
+        calls.clear()
+        TruncatedIdealSpan(q, rels, bound)
+        assert len(calls) == 2
+    if kind == "comm4":
+        added = []
+        add = RowSpace.add
+        monkeypatch.setattr(RowSpace, "add", lambda self, row: added.append(1) or add(self, row))
+        certify(q, rels, n)
+        assert (n, len(added)) == (5, 1120)
