@@ -14,7 +14,6 @@ from dgquiver import (
     certifies_non_membership,
     certify,
     evaluate_in_representation,
-    find_admissibility_bound,
 )
 
 q = GradedQuiver(["v"], [("a", "v", "v", 0), ("b", "v", "v", 0)])
@@ -25,9 +24,8 @@ relations = [
     Relation("r3", "v", "v", P("a", "a", "b")),
 ]
 
-n = find_admissibility_bound(q, relations, max_n=12)
-print("admissibility bound:", n)
-ideal = certify(q, relations, n)
+ideal = certify(q, relations, max_n=12)  # the searched span, certified at its bound
+print("admissibility bound:", ideal.bound - 1)
 print("dim KQ/I:", ideal.dim())
 ext2 = ideal.ext2()
 print("dim I/(Ir + rI):", ext2)

@@ -14,7 +14,6 @@ import contextlib
 import json
 import sys
 from dataclasses import asdict, dataclass
-from functools import cached_property
 from typing import Callable, NamedTuple
 
 from .algebra import format_element
@@ -86,22 +85,20 @@ def _opt_int(pf: ProblemFile, key: str, flag_value, fallback: int) -> int:
     return v if flag_value is None else flag_value
 
 
-def _find_bound(pf: ProblemFile, max_n: int) -> int:
-    bound = find_admissibility_bound(pf.quiver, pf.relations, max_n=max_n)
-    if bound is None:
-        raise NotAdmissibleError(f"no admissibility bound up to {max_n}")
-    return bound
-
-
 @dataclass(frozen=True)
 class _Job:
-    """One command's input once the preconditions in its table row hold."""
+    """One command's input once the preconditions in its table row hold;
+    `ideal` is the searched span, None when not searched or not found."""
 
     pf: ProblemFile
     args: argparse.Namespace
     max_n: int
     m: int | None
-    bound: int | None
+    ideal: TruncatedIdealSpan | None
+
+    @property
+    def bound(self) -> int | None:
+        return None if self.ideal is None else self.ideal.bound - 1
 
     def max_len(self, m: int) -> int:
         default = default_truncation_length(m, self.pf.relations, self.bound)
@@ -109,11 +106,6 @@ class _Job:
 
     def gamma(self):
         return ginzburg_from_relations(self.pf.quiver, self.pf.relations, self.m)
-
-    @cached_property
-    def ideal(self) -> TruncatedIdealSpan:
-        """The span certified at `bound`, built on first use and then shared."""
-        return certify(self.pf.quiver, self.pf.relations, self.bound)
 
 
 # ---------- report sections: each shared by its command and `report` ----------
@@ -193,15 +185,12 @@ def _report(job: _Job) -> dict:
     max_len = job.max_len(job.m)
     dg = job.gamma()
     out = {"gamma": _dg_block(dg), "homology": _homology_block(dg, job.m, max_len)}
-    ideal: dict = {"admissible_N": job.bound}
-    if job.bound is not None:
-        for key, entry in _IDEAL_ENTRIES.items():
-            ideal[key] = entry(job.ideal)
-    out["ideal"] = ideal
-    checks = {"d_squared": _d2_verdict(dg)}
-    if job.m == 2 and job.bound is not None:
+    out["ideal"] = {"admissible_N": job.bound}
+    if job.ideal is not None:
+        out["ideal"].update((key, entry(job.ideal)) for key, entry in _IDEAL_ENTRIES.items())
+    out["checks"] = checks = {"d_squared": _d2_verdict(dg)}
+    if job.m == 2 and job.ideal is not None:
         checks["split_extension"] = _split_verdict(job)
-    out["checks"] = checks
     return out
 
 
@@ -259,7 +248,7 @@ def run(command: str, pf: ProblemFile, args) -> dict:
             raise CommandError(message)
     out = {"input": _input_block(pf)}
     max_n = _opt_int(pf, "max_n", args.max_n, 12)
-    m = bound = None
+    m = ideal = None
     if spec.m is not None:
         m = args.m if args.m is not None else pf.m
         if m is None and spec.m == "required":
@@ -271,15 +260,15 @@ def run(command: str, pf: ProblemFile, args) -> dict:
                 f"this command needs all arrows in degree 0, got nonzero degrees on {bad}"
             )
     if spec.bound == "find":
-        bound = _find_bound(pf, max_n)
+        ideal = certify(pf.quiver, pf.relations, max_n=max_n)
     elif spec.bound == "try":
         if max_n < 2:  # a bad cap is the caller's error, not "no bound found"
             raise CommandError("max_n must be >= 2")
         with contextlib.suppress(ValueError):  # NotAdmissibleError included
-            bound = _find_bound(pf, max_n)
+            ideal = certify(pf.quiver, pf.relations, max_n=max_n)
     if m is not None:
         out["m"] = m
-    out.update(spec.body(_Job(pf, args, max_n, m, bound)))
+    out.update(spec.body(_Job(pf, args, max_n, m, ideal)))
     return out
 
 

@@ -13,36 +13,30 @@ paths of length n take the columns of walk level n.
 Every relation is homogeneous for the weight of `_weights` (arrow counts
 modulo the differences of the terms of one relation), so each row u*rho*v,
 cut or not, lies in one block (source, target, weight), and a span of rows
-is the direct sum of its blocks.  A vector supported in one block lies in
-the span iff it lies in the span of that block's rows, so
-`generates_arrow_power` builds only the blocks of the paths it tests, and
-the drop test of `system_of_relations`, which asks whether the dropped
-relation, cut, lies in the survivors' cut span (equivalent to the span
-keeping its rank), only the block of that relation.
+is the direct sum of its blocks: `generates_arrow_power` and the drop test
+of `minimal_system` build only the blocks of the vectors they test.
 
 The bound search is the operational test "every path of length N lies in
-the truncated span at bound N+1".  For genuinely admissible ideals this
-finds a correct bound; for pathological non-admissible inputs (already a
-single loop with the relation a^2 - a^3) the test can report a bound that
-certifies nothing, which is why operations requiring admissibility refuse
-to run without a bound and why non-membership can alternatively be
-certified through a representation witness, which needs no bound at all.
+the truncated span at bound N+1" (`bound_is_valid`).  It finds a correct
+bound for admissible ideals but can pass a non-admissible one (already a
+single loop with the relation a^2 - a^3), which is why operations requiring
+admissibility refuse to run without a bound and why non-membership can
+alternatively be certified through a representation witness.
 
 `certify(q, relations, N)` refuses relations outside r^2, runs the test once
 and returns the span at bound N+1, whose methods answer every question about
-(R) at N and whose columns every other span of such a question reads.  It is
-built level by level as S_k = sum_a a S_{k-1} + the rho v cut to length <= k,
-the rows rho v built once (`TruncatedIdealSpan`), the top level boundary-first:
-I r + r I, its pivots recorded so `ext2` eliminates nothing, then the bare R.
+(R) at N and whose columns every other span of such a question reads; with
+N omitted it searches N on one span grown level by level (`TruncatedIdealSpan`).
 """
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from copy import copy
 from dataclasses import astuple, dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, takewhile
+from itertools import accumulate, chain, islice, takewhile
 from math import lcm
 
 from .algebra import PathElement, format_element
@@ -208,31 +202,26 @@ def _truncation_in_span(span: TruncatedIdealSpan, weights, levels, candidate, rh
 class TruncatedIdealSpan:
     """Row space of the two-sided ideal (R) cut to paths of length < bound.
 
-    Rows are the length-truncations of u * rho * v over all generator
-    relations rho and all path pairs (u, v); when r^bound <= (R), the row
-    span equals (R) restricted to the paths of length < bound.  The
-    relations are checked with `validate_relations`; an invalid one raises
-    ValueError.  `paths` holds the column keys (`Path.key`) in walk order, by
-    length and then by arrow names, and `index` maps each key to its column;
-    `_levels` keeps the walk, so that other spans can share the columns.
+    Rows are the truncations of u * rho * v over the relations rho and the
+    path pairs (u, v); when r^bound <= (R), their span is (R) restricted to
+    the paths of length < bound.  The relations are checked with
+    `validate_relations` (ValueError).  `paths` holds the column keys
+    (`Path.key`) in walk order, by length and then by arrow names, `index`
+    maps each key to its column, and `_levels` keeps the walk's levels.
 
-    The span is built level by level.  Write S_k for the span of the
-    products cut to length <= k; S_0 = 0, relation terms being of positive
-    length.  Then S_k = sum_a a S_{k-1} + span{rho v cut to length <= k}
-    over the arrows a: a product with u = a u' is a (u' rho v), and
-    cut_{<=k}(a x) = a cut_{<=k-1}(x).  On the paths from t(a), p -> a p is
-    injective and keeps column order (length, then arrow names); distinct
-    arrows have disjoint images.  Each product runs from one vertex, and a
-    row from s meets only pivot rows led by a path from s, so each pivot
-    row of S_{k-1} runs from one vertex, and a kills those not from t(a).
-    The images of the others are thus primitive with positive, distinct
-    leads: an echelon basis of sum_a a S_{k-1}, taken on uneliminated
-    (`RowSpace.take_on`).  Only the rows rho v are eliminated, built once at
-    the top length, sorted by lead and cut at each level k to the columns of
-    length <= k, which come first: a level takes the rows led there.  At the
-    top level, the walk's last, the rows rho v with v nontrivial go in before
-    the bare relations; the span then is I r + r I cut to the bound, and a
-    copy of it is kept for `_boundary`.
+    Write S_k for the span of the products cut to length <= k; S_0 = 0,
+    relation terms being of positive length.  Then S_k = sum_a a S_{k-1} +
+    span{rho v cut to length <= k} over the arrows a: a product with u = a u'
+    is a (u' rho v), and cut_{<=k}(a x) = a cut_{<=k-1}(x).  On the paths from
+    t(a), p -> a p is injective and keeps column order; distinct arrows have
+    disjoint images.  A row from s meets only pivot rows led by a path from
+    s, so each pivot row of S_{k-1} runs from one vertex, and a kills those
+    not from t(a).  The images of the others are thus primitive with
+    positive, distinct leads: an echelon basis of sum_a a S_{k-1}, taken on
+    uneliminated (`RowSpace.take_on`).  Only the rows rho v are eliminated,
+    those with v nontrivial first: the span then is I r + r I cut to length
+    <= k, copied for `_boundary` before the bare relations go in (`_step`).
+    S_k does not depend on the bound, so `_grow` adds a level to a built span.
 
     The methods read N = bound - 1.  They answer for (R) exactly on a span
     returned by `certify`, whose rows hold every path of length N, and only
@@ -243,31 +232,52 @@ class TruncatedIdealSpan:
         if bound < 1:
             raise ValueError("bound must be >= 1")
         self.quiver = quiver
-        self.relations = relations = _check_relations(quiver, relations)
+        self.relations = _check_relations(quiver, relations)
+        self._walk = quiver._walk(sys.maxsize)  # lazy; its level k does not depend on the cap
+        self._levels, self.index, self.paths, self.space = [], {}, [], RowSpace()
+        self._shifts = {a.name: {} for a in quiver.arrows}  # a: the column of p -> that of a p
+        self._extend(list(islice(self._walk, bound)))
         self.bound = bound
-        self._levels = levels = list(quiver._walk(bound - 1))
-        self.index = index = {}
-        shifts = {a.name: {} for a in quiver.arrows}  # a: the column of p -> that of a p
-        for col, (word, s, t, _) in enumerate(x for level in levels for x in level):
-            index[_key(word, s)] = col
+
+    def _extend(self, levels) -> None:
+        """Give the paths of the next walk `levels` the next columns, build the
+        rows rho v (v nontrivial) and the bare rho once at the top level, each
+        list sorted by lead, and `_step` through the levels, each a prefix."""
+        stops = list(accumulate(map(len, levels), initial=len(self.paths)))[1:]
+        for word, s, t, _ in chain.from_iterable(levels):
+            key = _key(word, s)
+            self.index[key] = col = len(self.paths)
+            self.paths.append(key)
             if word:
-                shifts[word[0]][index[_key(word[1:], t)]] = col
-        self.paths, top = list(index), len(levels) - 1
-        rho_v, bare = (  # by lead, u trivial: the rows rho v with v nontrivial, the bare rho
-            sorted(_two_sided_products(relations, us, vs, index, top, truncate=True), key=min)
-            for us, vs in ((levels[:1], levels[1:]), (levels[:1], levels[:1]))
+                self._shifts[word[0]][self.index[_key(word[1:], t)]] = col
+        self._levels += levels
+        us, top = self._levels[:1], len(self._levels) - 1
+        rho_v, bare = (
+            sorted(_two_sided_products(self.relations, us, vs, self.index, top, truncate=True),
+                   key=min)
+            for vs in (self._levels[1:], us)
         )
-        space = RowSpace()
-        for k, stop in enumerate(accumulate(map(len, levels))):  # stop: columns of length <= k
-            below, space = space, RowSpace()
-            for image in shifts.values():
-                space.take_on(below, image)
-            for rows in (rho_v, bare):
-                if rows is bare and k == top:
-                    self._boundary_space = copy(space)
-                for row in takewhile(lambda r: min(r) < stop, rows):
-                    space.add({c: x for c, x in row.items() if c < stop})
+        for stop in stops:
+            self._step(stop, rho_v, bare)
+
+    def _step(self, stop: int, rho_v, bare) -> None:
+        """S_k from S_{k-1}, the columns below stop being those of length <= k."""
+        below, space = self.space, RowSpace()
+        for image in self._shifts.values():
+            space.take_on(below, image)
+        for rows in (rho_v, bare):
+            if rows is bare:
+                self._boundary_space = copy(space)
+            for row in takewhile(lambda r: min(r) < stop, rows):
+                space.add({c: x for c, x in row.items() if c < stop})
         self.space = space
+
+    def _grow(self) -> None:
+        """The span at bound b + 1 from the one at b; past the walk's end only b moves."""
+        level = next(self._walk, None)
+        if level is not None:
+            self._extend([level])
+        self.bound += 1
 
     def _vector(self, x: PathElement) -> dict[int, Fraction]:
         x = x.rebind(self.quiver)  # an arrow the quiver lacks raises here, not as a bound
@@ -374,48 +384,49 @@ class TruncatedIdealSpan:
         return boundary.rank == self.rank
 
 
-def bound_is_valid(q: GradedQuiver, relations, n: int) -> bool:
-    """Operational admissibility test at n: every path of length exactly n
-    lies in the ideal span truncated at bound n + 1."""
-    try:
-        certify(q, relations, n)
-    except NotAdmissibleError:
-        return False
-    return True
+def bound_is_valid(span: TruncatedIdealSpan, n: int) -> bool:
+    """Operational admissibility test at n on a span at bound n + 1: every
+    path of length n lies in it.  The bound search and `certify` both ask it."""
+    if span.bound != n + 1:
+        raise ValueError(f"a span at bound {span.bound} cannot test n = {n}")
+    return _holds_length(span.space, span._levels, n)
 
 
 def find_admissibility_bound(q: GradedQuiver, relations, max_n: int = 12) -> int | None:
-    """Smallest n <= max_n passing the operational test, or None.
-
-    Requires every relation inside r^2; None distinguishes "nothing found up
-    to the cap" from precondition failures, which raise.
-    """
-    relations = _require_r2(_check_relations(q, relations))
-    if max_n < 2:
-        raise ValueError("max_n must be >= 2")
-    for n in range(2, max_n + 1):
-        if bound_is_valid(q, relations, n):
-            return n
-    return None
+    """Smallest n <= max_n passing the operational test (`certify` with n
+    omitted), or None; precondition failures raise."""
+    try:
+        return certify(q, relations, max_n=max_n).bound - 1
+    except NotAdmissibleError:
+        return None
 
 
-def certify(q: GradedQuiver, relations, n: int) -> TruncatedIdealSpan:
+def certify(
+    q: GradedQuiver, relations, n: int | None = None, *, max_n: int = 12
+) -> TruncatedIdealSpan:
     """The ideal span at bound n + 1, once the relations are checked against
-    q and inside r^2 (ValueError otherwise) and n passes the operational
-    test; otherwise NotAdmissibleError.
+    q and inside r^2 (ValueError otherwise) and n passes `bound_is_valid`
+    (NotAdmissibleError otherwise); every ideal question at n reads it.
 
-    Its rows hold every path of length n, so it equals (R) restricted to the
-    paths of length <= n, and cutting it to lengths < n gives the span at
-    bound n with rank lower by the number of paths of length n.  Every ideal
-    question given n reads this one value (`TruncatedIdealSpan` methods).
+    With n omitted, the searched span: one span grows from bound 3 until its
+    n passes, n <= max_n.  Past the walk's end no path has length n, so an
+    acyclic quiver stops at max(2, number of walk levels).  Bad relations and
+    max_n < 2 raise ValueError before any span is built.
     """
-    if n < 2:
-        _require_r2(_check_relations(q, relations))
-    else:
-        span = TruncatedIdealSpan(q, relations, n + 1)  # checks relations
-        _require_r2(span.relations)
-        if _holds_length(span.space, span._levels, n):
-            return span
+    if n is None:
+        relations = _require_r2(_check_relations(q, relations))
+        if max_n < 2:
+            raise ValueError("max_n must be >= 2")
+        span = TruncatedIdealSpan(q, relations, 3)
+        while not bound_is_valid(span, span.bound - 1):
+            if span.bound > max_n:
+                raise NotAdmissibleError(f"no admissibility bound up to {max_n}")
+            span._grow()
+        return span
+    span = TruncatedIdealSpan(q, relations, max(n, 1) + 1)  # checks relations
+    _require_r2(span.relations)
+    if n >= 2 and bound_is_valid(span, n):
+        return span
     raise NotAdmissibleError(f"{n} is not a valid admissibility bound")
 
 

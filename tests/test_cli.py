@@ -52,32 +52,36 @@ def test_ideal_dim_quaternion():
     assert payload["ideal"] == {"admissible_N": 5, "dim": 8}
 
 
-# Every command runs one bound search, which builds one span per n it tries,
-# 2 to 5 on quaternion.  After it, `report` certifies its bound once for dim,
-# the minimal system and Ext^2, and `vosnex` once for finiteness; the
-# split-extension check and the homology build no span.
+# Every command that searches grows one span through its bound search (n = 2
+# to 5 on quaternion) and reads the searched span: `report` for dim, the
+# minimal system and Ext^2.  `vosnex` certifies the bound once more for
+# finiteness; the split-extension check and the homology build no span.
 @pytest.mark.parametrize("argv, spans", [
-    (["report", "--m", "3"], 5),
-    (["report", "--m", "2"], 5),
-    (["split-ext-2"], 4),
-    (["homology", "--m", "3"], 4),
-    (["vosnex", "--m", "3"], 5),
+    (["report", "--m", "3"], 1),
+    (["report", "--m", "2"], 1),
+    (["split-ext-2"], 1),
+    (["homology", "--m", "3"], 1),
+    (["vosnex", "--m", "3"], 2),
+    (["ideal-dim"], 1),
+    (["system-of-relations"], 1),
+    (["ext2"], 1),
+    (["admissibility"], 1),
 ])
 def test_cli_certifies_once(argv, spans, monkeypatch, capsys):
     built, searches = [], []
     init = TruncatedIdealSpan.__init__
     monkeypatch.setattr(TruncatedIdealSpan, "__init__", lambda *a: built.append(1) or init(*a))
-    search = ideals.find_admissibility_bound
+    certify = ideals.certify
 
-    def counted(*a, **k):
-        searches.append(1)
-        return search(*a, **k)
+    def counted(q, relations, n=None, **k):
+        searches.append(n is None)
+        return certify(q, relations, n, **k)
 
-    monkeypatch.setattr(ideals, "find_admissibility_bound", counted)
-    monkeypatch.setattr(cli, "find_admissibility_bound", counted)
+    monkeypatch.setattr(ideals, "certify", counted)
+    monkeypatch.setattr(cli, "certify", counted)
     assert cli.main([argv[0], str(FIXTURES / "quaternion.quiver"), *argv[1:]]) == 0
     assert len(built) == spans
-    assert len(searches) == 1
+    assert searches.count(True) == 1
 
 
 def test_vosnex_respects_max_n(capsys):

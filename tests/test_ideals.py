@@ -156,7 +156,10 @@ def test_bound_quaternion(quaternion):
     q, rels = quaternion
     assert find_admissibility_bound(q, rels, max_n=12) == 5
     for n in (2, 3, 4):
-        assert not bound_is_valid(q, rels, n)
+        assert not bound_is_valid(TruncatedIdealSpan(q, rels, n + 1), n)
+    assert bound_is_valid(TruncatedIdealSpan(q, rels, 6), 5)
+    with pytest.raises(ValueError, match="a span at bound 6 cannot test n = 4"):
+        bound_is_valid(TruncatedIdealSpan(q, rels, 6), 4)
 
 
 def test_bound_acyclic_no_relations(square):
@@ -1176,3 +1179,117 @@ def test_span_construction_makes_two_product_calls(kind, monkeypatch):
         monkeypatch.setattr(RowSpace, "add", lambda self, row: added.append(1) or add(self, row))
         certify(q, rels, n)
         assert (n, len(added)) == (5, 1120)
+
+
+# ---------- the bound search grows one span ----------
+
+
+def _per_n_search(q, relations, max_n):
+    """The per-n bound search: `certify(q, R, n)` for n = 2, 3, ..., each n a
+    span of its own; the slow oracle of `certify(q, R, max_n=...)`."""
+    for n in range(2, max_n + 1):
+        try:
+            return certify(q, relations, n)
+        except NotAdmissibleError:
+            pass
+    return None
+
+
+def _search_input(rng, kind):
+    if kind in _SPECS:
+        pf = dsl.parse(W.rescaled_text(_SPECS[kind](), rng))
+        return pf.quiver, pf.relations
+    if kind == "a*a - a*a*a":
+        q = loop_quiver()
+        return q, [_relation(q, "r", rng, ("a", "a"), ("a", "a", "a"))]
+    if kind == "no arrows":
+        return GradedQuiver(["v", "w"]), []
+    return family_ideal(rng, kind)
+
+
+@given(
+    st.integers(0, 2**32),
+    st.sampled_from(FAMILIES + tuple(_SPECS) + ("a*a - a*a*a", "no arrows")),
+)
+@example(1, "comm4")
+@example(1, "grid4")
+@example(1, "a*a - a*a*a")
+@example(1, "no arrows")
+@settings(max_examples=40, deadline=None)
+def test_grown_search_matches_the_per_n_search(seed, kind):
+    # one span grown level by level finds the bound of the per-n search, and
+    # its span has the pivots, boundary pivots and normal forms of the span
+    # that the per-n search certified
+    rng = random.Random(seed)
+    q, rels = _search_input(rng, kind)
+    max_n = 7 if kind in _SPECS else 5
+    old = _per_n_search(q, rels, max_n)
+    assert find_admissibility_bound(q, rels, max_n=max_n) == (old and old.bound - 1)
+    if old is None:
+        with pytest.raises(NotAdmissibleError, match=f"no admissibility bound up to {max_n}"):
+            certify(q, rels, max_n=max_n)
+        return
+    span = certify(q, rels, max_n=max_n)
+    assert (span.bound, span.paths) == (old.bound, old.paths)
+    assert span.space.pivot_columns() == old.space.pivot_columns()
+    assert span._boundary().pivot_columns() == old._boundary().pivot_columns()
+    assert (span.dim(), span.ext2()) == (old.dim(), old.ext2())
+    for _ in range(10):
+        x = {rng.randrange(len(span.paths)): rng.choice(PQ_COEFFS) for _ in range(4)}
+        assert span.space.reduce(x) == old.space.reduce(x)
+
+
+def test_search_stops_at_its_cap(quaternion, square):
+    q, rels = quaternion
+    assert certify(q, rels, max_n=5).bound == 6
+    assert find_admissibility_bound(q, rels, max_n=5) == 5
+    assert find_admissibility_bound(q, rels, max_n=4) is None
+    with pytest.raises(NotAdmissibleError, match=re.escape("no admissibility bound up to 4")):
+        certify(q, rels, max_n=4)
+    # the square's walk runs out after length 2, so length 3 holds no path
+    q, _ = square
+    assert find_admissibility_bound(q, [], max_n=3) == 3
+    assert find_admissibility_bound(q, [], max_n=2) is None
+
+
+def test_search_refuses_bad_input_before_building(quaternion, monkeypatch):
+    q, rels = quaternion
+    built = []
+    init = TruncatedIdealSpan.__init__
+    monkeypatch.setattr(TruncatedIdealSpan, "__init__", lambda *a: built.append(1) or init(*a))
+    for max_n in (1, 0, -3):
+        with pytest.raises(ValueError, match="max_n must be >= 2"):
+            certify(q, rels, max_n=max_n)
+        with pytest.raises(ValueError, match="max_n must be >= 2"):
+            find_admissibility_bound(q, rels, max_n=max_n)
+    short = [Relation("s", "v", "v", element(q, (1, ("a",)), (-1, ("a", "b"))))]
+    with pytest.raises(ValueError, match=re.escape("relations not inside r^2: ['s']")):
+        certify(q, short)
+    assert built == []
+
+
+@pytest.mark.parametrize("kind, max_n, found", [
+    ("quaternion", 12, 5),
+    ("grid4", 12, 7),
+    ("free loop", 6, None),
+])
+def test_search_grows_one_span(kind, max_n, found, quaternion, monkeypatch):
+    # one span, tested once at every n = 2..N (2..max_n when none is found);
+    # grid4 is acyclic and its walk ends at length 6, so n = 7 holds no path
+    from dgquiver import ideals
+
+    if kind == "quaternion":
+        q, rels = quaternion
+    elif kind == "grid4":
+        pf = dsl.parse(W.rescaled_text(_SPECS[kind](), random.Random(0)))
+        q, rels = pf.quiver, pf.relations
+    else:
+        q, rels = loop_quiver(), []
+    built, tested = [], []
+    init = TruncatedIdealSpan.__init__
+    monkeypatch.setattr(TruncatedIdealSpan, "__init__", lambda *a: built.append(1) or init(*a))
+    test = ideals.bound_is_valid
+    monkeypatch.setattr(ideals, "bound_is_valid", lambda span, n: tested.append(n) or test(span, n))
+    assert find_admissibility_bound(q, rels, max_n=max_n) == found
+    assert len(built) == 1
+    assert tested == list(range(2, (found or max_n) + 1))

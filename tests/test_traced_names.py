@@ -3,14 +3,20 @@
 The tracer rebinds each `(module, attr)` of `FUNCTIONS` and each
 `(module, class, method)` of `METHODS` by name; a refactor that drops or
 moves one breaks `perfbench/run.py --trace 1`, which the test suite does
-not run.  The two lists are read from the file's source, not imported.
+not run.  The two lists are read from the file's source, not imported;
+the traced run loads `spans.py` and `workloads.py` from their files.
 """
 
 import ast
 import importlib
+import importlib.util
+import random
+import sys
+import types
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def _traced_lists() -> dict:
@@ -33,3 +39,34 @@ def test_traced_names_resolve():
     for mod_name, cls_name, meth in lists["METHODS"]:
         cls = getattr(importlib.import_module(f"dgquiver.{mod_name}"), cls_name)
         assert meth in cls.__dict__, f"{mod_name}.{cls_name}.{meth}"
+
+
+def _load(name: str):
+    """A perfbench module loaded from its file, once per session."""
+    key = f"perfbench_{name}"
+    if key not in sys.modules:
+        spec = importlib.util.spec_from_file_location(key, ROOT / "perfbench" / f"{name}.py")
+        sys.modules[key] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules[key]
+
+
+def test_tiny_ideal_op_opens_the_search_spans():
+    # the ideal pipeline's per-layer metrics read these two spans; the
+    # harness's own self-check pins them, but tier-1 does not run it
+    spans, workloads = _load("spans"), _load("workloads")
+    lib = types.SimpleNamespace(**{
+        m: importlib.import_module(f"dgquiver.{m}")
+        for m in ("quiver", "dg", "homology", "linalg", "ideals", "dsl")
+    })
+    w = workloads.TINY["ideal-pipeline"]
+    inputs = w.make_inputs(lib, ROOT, random.Random(1))
+    tracer = spans.Tracer(lib)
+    tracer.install()
+    try:
+        assert tracer.call_op(w.op, lib, inputs) == w.expected
+    finally:
+        tracer.remove()
+    assert tracer.leftover_wrappers() == []
+    opened = {s.name for s in tracer.spans}
+    assert {"ideals.find_admissibility_bound", "ideals.bound_is_valid"} <= opened
