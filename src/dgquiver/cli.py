@@ -17,17 +17,9 @@ from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
 from .algebra import format_element
-from .dg import (
-    check_d_squared,
-    ginzburg_from_relations,
-    relation_dg_algebra,
-)
+from .dg import check_d_squared, ginzburg_from_relations, relation_dg_algebra
 from .dsl import ParseError, ProblemFile, parse
-from .homology import (
-    default_truncation_length,
-    h0_presentation,
-    homology_dims,
-)
+from .homology import default_truncation_length, h0_presentation, homology_dims
 from .ideals import (
     NotAdmissibleError,
     TruncatedIdealSpan,

@@ -17,11 +17,11 @@ is the direct sum of its blocks: `generates_arrow_power` and the drop test
 of `minimal_system` build only the blocks of the vectors they test.
 
 The bound search is the operational test "every path of length N lies in
-the truncated span at bound N+1" (`bound_is_valid`).  It finds a correct
-bound for admissible ideals but can pass a non-admissible one (already a
-single loop with the relation a^2 - a^3), which is why operations requiring
-admissibility refuse to run without a bound and why non-membership can
-alternatively be certified through a representation witness.
+the truncated span at bound N+1" (`bound_is_valid`, which counts the pivots
+of that span's top level).  It finds a correct bound for admissible ideals
+but can pass a non-admissible one (one loop with the relation a^2 - a^3),
+which is why operations requiring admissibility refuse to run without a
+bound and why non-membership can be certified by a representation witness.
 
 `certify(q, relations, N)` refuses relations outside r^2, runs the test once
 and returns the span at bound N+1, whose methods answer every question about
@@ -32,6 +32,7 @@ N omitted it searches N on one span grown level by level (`TruncatedIdealSpan`).
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
 from collections import Counter
 from copy import copy
 from dataclasses import astuple, dataclass
@@ -174,8 +175,9 @@ def _span(q: GradedQuiver, relations, max_len: int, *, truncate: bool, length=No
 
 
 def _holds_length(space: RowSpace, levels, n: int) -> bool:
-    """Whether every path of length n lies in the span, the walk levels
-    taking the columns in turn (none of length n past where the walk stopped)."""
+    """Whether every path of length n, eliminated alone, lies in the span over
+    the walk levels' columns (none past the walk's end).  `generates_arrow_power`
+    asks it: its span runs past length n, so pivots do not decide there."""
     start = sum(map(len, levels[:n]))
     stop = start + sum(map(len, levels[n:n + 1]))
     return all(space.contains({i: 1}) for i in range(start, stop))
@@ -385,11 +387,17 @@ class TruncatedIdealSpan:
 
 
 def bound_is_valid(span: TruncatedIdealSpan, n: int) -> bool:
-    """Operational admissibility test at n on a span at bound n + 1: every
-    path of length n lies in it.  The bound search and `certify` both ask it."""
+    """Operational admissibility test at n on a span W at bound n + 1, asked by
+    the bound search and `certify`: every path of length n lies in W.  Columns
+    come by length, so these paths take the last ones, from `start` on, and a
+    pivot row led there lies in their level: if each is a pivot, the rows span
+    the level; a path in W is led at its own column, a pivot (`RowSpace`).  So
+    the top level's pivots decide; past the walk's end no path is left."""
     if span.bound != n + 1:
         raise ValueError(f"a span at bound {span.bound} cannot test n = {n}")
-    return _holds_length(span.space, span._levels, n)
+    start = sum(map(len, span._levels[:n]))
+    pivots = span.space.pivot_columns()
+    return len(pivots) - bisect_left(pivots, start) == len(span.paths) - start
 
 
 def find_admissibility_bound(q: GradedQuiver, relations, max_n: int = 12) -> int | None:

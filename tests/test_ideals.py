@@ -5,6 +5,7 @@ import pathlib
 import random
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -1293,3 +1294,53 @@ def test_search_grows_one_span(kind, max_n, found, quaternion, monkeypatch):
     assert find_admissibility_bound(q, rels, max_n=max_n) == found
     assert len(built) == 1
     assert tested == list(range(2, (found or max_n) + 1))
+
+
+# ---------- the bound test reads the top level's pivots ----------
+
+
+@given(
+    st.integers(0, 2**32),
+    st.sampled_from(FAMILIES + tuple(_SPECS) + ("a*a - a*a*a", "acyclic")),
+)
+@example(1, "comm4")
+@example(1, "comm3+red")
+@example(1, "grid4")
+@example(1, "a*a - a*a*a")
+@example(1, "acyclic")
+@settings(max_examples=40, deadline=None)
+def test_bound_test_agrees_with_the_per_path_test(seed, kind):
+    # counting the top level's pivots answers as eliminating each path of
+    # length n does, at every n = 0..N+2, N the bound or else the search's
+    # cap; an acyclic quiver is tested past the end of its walk
+    rng = random.Random(seed)
+    if kind == "acyclic":
+        q = random_acyclic_quiver(rng)
+        rels = random_relations(rng, q)
+        cap = len(list(q._walk(sys.maxsize)))
+    else:
+        q, rels = _search_input(rng, kind)
+        cap = 7 if kind in _SPECS else 5
+    top = (find_admissibility_bound(q, rels, max_n=cap) or cap) + 2
+    for n in range(top + 1):
+        span = TruncatedIdealSpan(q, rels, n + 1)
+        assert bound_is_valid(span, n) == _holds_length(span.space, span._levels, n), n
+
+
+def test_bound_test_eliminates_no_path(monkeypatch):
+    # certify at n = 5 on comm4 eliminates only the rows it adds (1,120),
+    # and the search asks `RowSpace.contains` nothing: the bound test counts
+    # pivots instead of eliminating each of the 1,024 paths of length 5
+    pf = dsl.parse(W.rescaled_text(_SPECS["comm4"](), random.Random(0)))
+    q, rels = pf.quiver, pf.relations
+    calls = Counter()
+    for name in ("_eliminate", "contains"):
+        method = getattr(RowSpace, name)
+        monkeypatch.setattr(
+            RowSpace, name, lambda self, row, _m=method, _n=name: calls.update([_n]) or _m(self, row)
+        )
+    assert certify(q, rels, 5).bound == 6
+    assert calls == {"_eliminate": 1120}
+    calls.clear()
+    assert certify(q, rels).bound == 6
+    assert calls["contains"] == 0
