@@ -6,9 +6,8 @@ about (R) asked of elements supported in length < N reduces to finite linear
 algebra: the span of the truncations of u*rho*v to length < N equals
 (R) intersected with the paths of length < N, because any discarded tail
 lies in r^N and hence in the ideal.  No Groebner machinery is used or
-needed.  The rows u*rho*v are built in integers on the arrow tuples of
-the path walk (see `_two_sided_products`); a column is a path key, and the
-paths of length n take the columns of walk level n.
+needed.  Columns are path keys in walk order; the certified span grows from
+shifts of its lower levels, other spans from integer rows u*rho*v.
 
 Every relation is homogeneous for the weight of `_weights` (arrow counts
 modulo the differences of the terms of one relation), so each row u*rho*v,
@@ -37,7 +36,7 @@ from collections import Counter
 from copy import copy
 from dataclasses import astuple, dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, islice, takewhile
+from itertools import chain
 from math import lcm
 
 from .algebra import PathElement, format_element
@@ -98,6 +97,13 @@ def _weights(q: GradedQuiver, relations, max_len: int) -> dict[str, int]:
     }
 
 
+def _integer_terms(body: PathElement) -> list[tuple[tuple[str, ...], int]]:
+    """The body's terms as (arrow tuple, int) by length, times the lcm of their denominators."""
+    terms = sorted(body.terms.items(), key=lambda t: len(t[0]))
+    s = lcm(*(c.denominator for _, c in terms))
+    return [(p.arrows, c.numerator * (s // c.denominator)) for p, c in terms]
+
+
 def _two_sided_products(relations, us, vs, index, max_len: int, *, truncate: bool, blocks=None):
     """Yield u * rho * v as an integer row {index[word]: coefficient} for each
     relation rho, each u of the walk levels `us` ending where rho starts and
@@ -127,11 +133,9 @@ def _two_sided_products(relations, us, vs, index, max_len: int, *, truncate: boo
     for path in chain.from_iterable(vs):
         by_source.setdefault(path[1], []).append(path)
     for rel in relations:
-        terms = sorted(rel.body.terms.items(), key=lambda t: len(t[0]))
+        terms = _integer_terms(rel.body)
         if not terms:
             continue  # zero relation spans nothing
-        s = lcm(*(c.denominator for _, c in terms))
-        terms = [(p.arrows, c.numerator * (s // c.denominator)) for p, c in terms]
         room = max_len - len(terms[0 if truncate else -1][0])
         weight = sum(map(weights.__getitem__, terms[0][0])) if wanted is not None else 0
         for u, source, _, wu in by_target.get(rel.source, ()):
@@ -211,19 +215,20 @@ class TruncatedIdealSpan:
     (`Path.key`) in walk order, by length and then by arrow names, `index`
     maps each key to its column, and `_levels` keeps the walk's levels.
 
-    Write S_k for the span of the products cut to length <= k; S_0 = 0,
-    relation terms being of positive length.  Then S_k = sum_a a S_{k-1} +
-    span{rho v cut to length <= k} over the arrows a: a product with u = a u'
-    is a (u' rho v), and cut_{<=k}(a x) = a cut_{<=k-1}(x).  On the paths from
-    t(a), p -> a p is injective and keeps column order; distinct arrows have
-    disjoint images.  A row from s meets only pivot rows led by a path from
-    s, so each pivot row of S_{k-1} runs from one vertex, and a kills those
-    not from t(a).  The images of the others are thus primitive with
-    positive, distinct leads: an echelon basis of sum_a a S_{k-1}, taken on
-    uneliminated (`RowSpace.take_on`).  Only the rows rho v are eliminated,
-    those with v nontrivial first: the span then is I r + r I cut to length
-    <= k, copied for `_boundary` before the bare relations go in (`_step`).
-    S_k does not depend on the bound, so `_grow` adds a level to a built span.
+    Write S_k and T_k for the spans of the products u rho v and rho v cut to
+    length <= k, 0 for k < 0.  By cut_{<=k}(a x) = a cut_{<=k-1}(x) and its
+    mirror, S_k = sum_a a S_{k-1} + T_k and T_k = sum_b T_{k-1} b + span{rho
+    cut to length <= k} over the arrows a, b; I r + r I cut likewise is
+    sum_a a S_{k-1} + sum_b T_{k-1} b.  p -> a p on the paths from t(a), and
+    p -> p b on those into s(b), are injective and keep the column order;
+    distinct arrows have disjoint images.  A row from s meets only pivot rows
+    led by a path from s, so each pivot row of S runs from one vertex, and
+    each of T likewise into one: a kills those of S_{k-1} not from t(a), b
+    those of T_{k-1} not into s(b), and the other images are echelon bases
+    of the sums, taken on uneliminated (`RowSpace.take_on`).  `_grow` adds
+    T's shifted rows to S, copies S for `_boundary`, then adds each cut rho
+    to T and, if that raises T's rank, to S (else span T <= span S holds it).
+    Neither chain depends on the bound, so the search grows one span.
 
     The methods read N = bound - 1.  They answer for (R) exactly on a span
     returned by `certify`, whose rows hold every path of length N, and only
@@ -235,51 +240,41 @@ class TruncatedIdealSpan:
             raise ValueError("bound must be >= 1")
         self.quiver = quiver
         self.relations = _check_relations(quiver, relations)
+        self._bodies = [_integer_terms(r.body) for r in self.relations]
         self._walk = quiver._walk(sys.maxsize)  # lazy; its level k does not depend on the cap
-        self._levels, self.index, self.paths, self.space = [], {}, [], RowSpace()
-        self._shifts = {a.name: {} for a in quiver.arrows}  # a: the column of p -> that of a p
-        self._extend(list(islice(self._walk, bound)))
-        self.bound = bound
+        self._levels, self.index, self.paths = [], {}, []
+        self.space, self._right = RowSpace(), RowSpace()  # S_k and T_k
+        self._shifts = {a.name: ({}, {}) for a in quiver.arrows}  # a: columns p -> a p, p -> p a
+        self.bound = 0
+        while self.bound < bound:
+            self._grow()
 
-    def _extend(self, levels) -> None:
-        """Give the paths of the next walk `levels` the next columns, build the
-        rows rho v (v nontrivial) and the bare rho once at the top level, each
-        list sorted by lead, and `_step` through the levels, each a prefix."""
-        stops = list(accumulate(map(len, levels), initial=len(self.paths)))[1:]
-        for word, s, t, _ in chain.from_iterable(levels):
+    def _grow(self) -> None:
+        """Grow to bound + 1 through S_k and T_k, k = bound; past the walk's end, no level."""
+        self.bound += 1
+        level = next(self._walk, None)
+        if level is None:
+            return
+        self._levels.append(level)
+        for word, s, t, _ in level:
             key = _key(word, s)
             self.index[key] = col = len(self.paths)
             self.paths.append(key)
             if word:
-                self._shifts[word[0]][self.index[_key(word[1:], t)]] = col
-        self._levels += levels
-        us, top = self._levels[:1], len(self._levels) - 1
-        rho_v, bare = (
-            sorted(_two_sided_products(self.relations, us, vs, self.index, top, truncate=True),
-                   key=min)
-            for vs in (self._levels[1:], us)
-        )
-        for stop in stops:
-            self._step(stop, rho_v, bare)
-
-    def _step(self, stop: int, rho_v, bare) -> None:
-        """S_k from S_{k-1}, the columns below stop being those of length <= k."""
-        below, space = self.space, RowSpace()
-        for image in self._shifts.values():
-            space.take_on(below, image)
-        for rows in (rho_v, bare):
-            if rows is bare:
-                self._boundary_space = copy(space)
-            for row in takewhile(lambda r: min(r) < stop, rows):
-                space.add({c: x for c, x in row.items() if c < stop})
-        self.space = space
-
-    def _grow(self) -> None:
-        """The span at bound b + 1 from the one at b; past the walk's end only b moves."""
-        level = next(self._walk, None)
-        if level is not None:
-            self._extend([level])
-        self.bound += 1
+                self._shifts[word[0]][0][self.index[_key(word[1:], t)]] = col
+                self._shifts[word[-1]][1][self.index[_key(word[:-1], s)]] = col
+        space, right = RowSpace(), RowSpace()
+        for left_image, right_image in self._shifts.values():
+            space.take_on(self.space, left_image)
+            right.take_on(self._right, right_image)
+        for row in right.rows():
+            space.add(row)
+        self._boundary_space = copy(space)
+        for terms in self._bodies:
+            row = {self.index[w]: c for w, c in terms if len(w) < self.bound}
+            if row and right.add(row):
+                space.add(row)
+        self.space, self._right = space, right
 
     def _vector(self, x: PathElement) -> dict[int, Fraction]:
         x = x.rebind(self.quiver)  # an arrow the quiver lacks raises here, not as a bound

@@ -1137,6 +1137,42 @@ def test_level_by_level_span_matches_the_one_pass_span(seed, kind):
         assert lower._boundary().pivot_columns() == _old_boundary(lower).pivot_columns()
 
 
+@given(
+    st.integers(0, 2**32),
+    st.sampled_from(FAMILIES + tuple(_SPECS) + ("a*a - a*a*a", "acyclic")),
+)
+@example(1, "comm4")
+@example(1, "comm3+red")
+@example(1, "grid4")
+@example(1, "a*a - a*a*a")
+@example(1, "acyclic")
+@settings(max_examples=40, deadline=None)
+def test_right_chain_spans_the_products_rho_v(seed, kind):
+    # T_k, grown from right-shifted pivot rows and the cut relations, has the
+    # pivots and normal forms of the span of the products rho * v (the bare
+    # relations among them) cut to length <= k, at every bound 1..N+1, N the
+    # bound or else the search's cap; an acyclic quiver runs past its walk
+    rng = random.Random(seed)
+    if kind == "acyclic":
+        q = random_acyclic_quiver(rng)
+        rels = random_relations(rng, q)
+        cap = len(list(q._walk(sys.maxsize)))
+    else:
+        q, rels = _search_input(rng, kind)
+        cap = 7 if kind in _SPECS else 5
+    top = (find_admissibility_bound(q, rels, max_n=cap) or cap) + 1
+    for bound in range(1, top + 1):
+        span = TruncatedIdealSpan(q, rels, bound)
+        levels = span._levels
+        oracle = RowSpace(
+            _two_sided_products(rels, levels[:1], levels, span.index, bound - 1, truncate=True)
+        )
+        assert span._right.pivot_columns() == oracle.pivot_columns(), bound
+        for _ in range(4):
+            x = {rng.randrange(len(span.paths)): rng.choice(PQ_COEFFS) for _ in range(3)}
+            assert span._right.reduce(x) == oracle.reduce(x)
+
+
 def test_certify_refuses_relations_outside_r2():
     # a - a a has a term of length 1, which the bound search already refused;
     # certify, and so every question read off it, refuses it the same way
@@ -1151,35 +1187,52 @@ def test_certify_refuses_relations_outside_r2():
         find_admissibility_bound(q, rels)
 
 
-@pytest.mark.parametrize("kind", FAMILIES + ("comm4", "grid4"))
-def test_span_construction_makes_two_product_calls(kind, monkeypatch):
-    # the rows rho v are built once at the top length and cut per level, so
-    # every construction calls the generator twice, whatever its bound; the
-    # elimination work is that of one call per level (1,120 rows on comm4)
-    from dgquiver import ideals
-
-    rng = random.Random(0)
+def _spec_or_family(kind, rng):
+    """(q, relations, N) for a benchmark spec or a family draw (N = 5 when
+    the draw has no bound up to 5)."""
     if kind in _SPECS:
         pf = dsl.parse(W.rescaled_text(_SPECS[kind](), rng))
-        q, rels, n = pf.quiver, pf.relations, W.IDEAL_EXPECTED[kind][0]
-    else:
-        q, rels = family_ideal(rng, kind)
-        n = find_admissibility_bound(q, rels, max_n=5) or 5
+        return pf.quiver, pf.relations, W.IDEAL_EXPECTED[kind][0]
+    q, rels = family_ideal(rng, kind)
+    return q, rels, find_admissibility_bound(q, rels, max_n=5) or 5
+
+
+@pytest.mark.parametrize("kind", FAMILIES + ("comm4", "grid4"))
+def test_span_construction_calls_no_product_generator(kind, monkeypatch):
+    # the span grows from shifted pivot rows and the cut relations alone, so
+    # no construction at any bound and no bound search builds a product
+    # u * rho * v
+    from dgquiver import ideals
+
+    q, rels, n = _spec_or_family(kind, random.Random(0))
     calls = []
     products = ideals._two_sided_products
     monkeypatch.setattr(
         ideals, "_two_sided_products", lambda *a, **k: calls.append(1) or products(*a, **k)
     )
     for bound in range(1, n + 2):
-        calls.clear()
         TruncatedIdealSpan(q, rels, bound)
-        assert len(calls) == 2
-    if kind == "comm4":
-        added = []
-        add = RowSpace.add
-        monkeypatch.setattr(RowSpace, "add", lambda self, row: added.append(1) or add(self, row))
-        certify(q, rels, n)
-        assert (n, len(added)) == (5, 1120)
+    find_admissibility_bound(q, rels, max_n=n)
+    assert calls == []
+
+
+@pytest.mark.parametrize("kind", ["comm4", "grid4"])
+def test_search_and_certify_do_the_same_work(kind, monkeypatch):
+    # the search grows its span through the steps of one construction at
+    # its bound, so both make the same eliminations and `take_on` calls
+    # (1,160 eliminations and 48 `take_on` calls on comm4)
+    q, rels, n = _spec_or_family(kind, random.Random(0))
+    calls = Counter()
+    for name in ("_eliminate", "take_on"):
+        method = getattr(RowSpace, name)
+        monkeypatch.setattr(
+            RowSpace, name, lambda self, *a, _m=method, _n=name: calls.update([_n]) or _m(self, *a)
+        )
+    assert certify(q, rels, n).bound == n + 1
+    once = dict(calls)
+    calls.clear()
+    assert certify(q, rels).bound == n + 1
+    assert calls == once
 
 
 # ---------- the bound search grows one span ----------
@@ -1328,7 +1381,7 @@ def test_bound_test_agrees_with_the_per_path_test(seed, kind):
 
 
 def test_bound_test_eliminates_no_path(monkeypatch):
-    # certify at n = 5 on comm4 eliminates only the rows it adds (1,120),
+    # certify at n = 5 on comm4 eliminates only the rows it adds (1,160),
     # and the search asks `RowSpace.contains` nothing: the bound test counts
     # pivots instead of eliminating each of the 1,024 paths of length 5
     pf = dsl.parse(W.rescaled_text(_SPECS["comm4"](), random.Random(0)))
@@ -1340,7 +1393,7 @@ def test_bound_test_eliminates_no_path(monkeypatch):
             RowSpace, name, lambda self, row, _m=method, _n=name: calls.update([_n]) or _m(self, row)
         )
     assert certify(q, rels, 5).bound == 6
-    assert calls == {"_eliminate": 1120}
+    assert calls == {"_eliminate": 1160}
     calls.clear()
     assert certify(q, rels).bound == 6
     assert calls["contains"] == 0

@@ -412,3 +412,19 @@ def test_take_on_refuses_a_taken_or_misplaced_lead():
     assert space.pivot_columns() == [5, 6, 7]
     with pytest.raises(ValueError):
         space.take_on(basis, {0: 6, 1: 7, 2: 9})
+
+
+@given(row_stream())
+@settings(max_examples=80, deadline=None)
+def test_rows_rebuild_the_span(data):
+    # the pivot rows, read in pivot-column order, are an echelon basis of
+    # the span: a span built from them answers as the original does
+    rows, probes, as_int = data
+    space = RowSpace(_typed(r, f) for r, f in zip(rows, as_int))
+    got = space.rows()
+    assert [min(r) for r in got] == space.pivot_columns()
+    rebuilt = RowSpace(got)
+    assert rebuilt.pivot_columns() == space.pivot_columns()
+    for v in [_sparse(r) for r in rows + probes]:
+        assert rebuilt.reduce(v) == space.reduce(v)
+    assert space.rows() == got  # reading and rebuilding left the rows unchanged
