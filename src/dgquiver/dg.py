@@ -273,22 +273,15 @@ def superpotential_extension(q: GradedQuiver, relations, m: int):
     return big, cyclic_reduce(PathElement(big, terms))
 
 
-def ginzburg_dg_algebra(
-    q: GradedQuiver, w: Superpotential, m: int, convention: str = "standard"
-) -> DgAlgebra:
-    """The Ginzburg dg-algebra of (q, w) with parameter m.
-
-    `w` must be homogeneous of degree 2-m over q.  With
-    ``convention="keller"`` the loop differentials are scaled by
-    (-1)^{m-1}; the two conventions give isomorphic dg-algebras via
-    t_i -> (-1)^{m-1} t_i.
-    """
+def ginzburg_dg_algebra(q: GradedQuiver, w: Superpotential, m: int) -> DgAlgebra:
+    """The Ginzburg dg-algebra of (q, w) with parameter m, in the standard
+    sign convention: d(t_v) is the mesh element at v (`_mesh`); Keller's
+    scales it by (-1)^{m-1} (`keller_comparison`).  `w` must be homogeneous
+    of degree 2-m over q."""
     if w.quiver != q:
         raise ValueError("superpotential lives over a different quiver")
     if not w.matches_degree(2 - m):
         raise ValueError(f"superpotential degree {w.degree} != 2 - m = {2 - m}")
-    if convention not in ("standard", "keller"):
-        raise ValueError(f"unknown convention {convention!r}")
     loops = [Arrow(loop_name(v), v, v, -m) for v in q.vertices]
     big = q.with_extra_arrows([_dual_arrow(a, m) for a in q.arrows] + loops)
 
@@ -296,9 +289,8 @@ def ginzburg_dg_algebra(
     for a in q.arrows:
         diff[dual_name(a.name)] = cyclic_derivative(w, a.name).rebind(big)
     mesh = _mesh(big, q.arrows)
-    t_sign = 1 if convention == "standard" else _sign(m - 1)
     for v in q.vertices:
-        diff[loop_name(v)] = t_sign * mesh[v]
+        diff[loop_name(v)] = mesh[v]
     return DgAlgebra(big, diff)
 
 
@@ -481,17 +473,15 @@ def relation_sub_dg_correspondence(q: GradedQuiver, relations, m: int):
 
 
 def keller_comparison(q: GradedQuiver, w: Superpotential, m: int):
-    """Both sign conventions for the Ginzburg dg-algebra plus the witness
-    isomorphism t_i -> (-1)^{m-1} t_i between them."""
-    std = ginzburg_dg_algebra(q, w, m, convention="standard")
-    kel = ginzburg_dg_algebra(q, w, m, convention="keller")
-    mapping = {a.name: (1, a.name) for a in q.arrows}
-    mapping.update(
-        {dual_name(a.name): (1, dual_name(a.name)) for a in q.arrows}
+    """The standard Ginzburg dg-algebra, Keller's (arXiv:0908.3499), whose
+    loop differentials d(t_v) carry a factor (-1)^{m-1}, and the witness
+    isomorphism t_v -> (-1)^{m-1} t_v between them, fixing the other arrows."""
+    std = ginzburg_dg_algebra(q, w, m)
+    loops, sign = {loop_name(v) for v in q.vertices}, _sign(m - 1)
+    kel = DgAlgebra(
+        std.quiver, {a: sign * d if a in loops else d for a, d in std.differential.items()}
     )
-    mapping.update(
-        {loop_name(v): (_sign(m - 1), loop_name(v)) for v in q.vertices}
-    )
+    mapping = {a: (sign if a in loops else 1, a) for a in std.arrow_names()}
     return std, kel, mapping
 
 

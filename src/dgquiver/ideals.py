@@ -15,12 +15,12 @@ cut or not, lies in one block (source, target, weight), and a span of rows
 is the direct sum of its blocks: `generates_arrow_power` and the drop test
 of `minimal_system` build only the blocks of the vectors they test.
 
-The bound search is the operational test "every path of length N lies in
-the truncated span at bound N+1" (`bound_is_valid`, which counts the pivots
-of that span's top level).  It finds a correct bound for admissible ideals
-but can pass a non-admissible one (one loop with the relation a^2 - a^3),
-which is why operations requiring admissibility refuse to run without a
-bound and why non-membership can be certified by a representation witness.
+The bound search is the operational test "every path of length N lies in the
+truncated span at bound N+1" (`bound_is_valid(span)`, which counts the pivots
+of the span's top level).  It finds a correct bound for admissible ideals but
+can pass a non-admissible one (one loop with the relation a^2 - a^3), which
+is why operations requiring admissibility refuse to run without a bound and
+why non-membership can be certified by a representation witness.
 
 `certify(q, relations, N)` refuses relations outside r^2, runs the test once
 and returns the span at bound N+1, whose methods answer every question about
@@ -158,24 +158,6 @@ def _two_sided_products(relations, us, vs, index, max_len: int, *, truncate: boo
 def _weighed(levels, weights):
     """The walk levels with each path's degree replaced by its weight (`_weights`)."""
     return [[(a, s, t, sum(map(weights.__getitem__, a))) for a, s, t, _ in lv] for lv in levels]
-
-
-def _span(q: GradedQuiver, relations, max_len: int, *, truncate: bool, length=None):
-    """(levels, index, space): the levels of `q._walk(max_len)`, the column of
-    each path key in walk order and the span of `_two_sided_products` over all
-    pairs of walk paths; with `length`, only of the products in the block of a
-    path of that length."""
-    levels = paths = list(q._walk(max_len))
-    index = {_key(a, s): i for i, (a, s, _, _) in enumerate(t for level in levels for t in level)}
-    blocks = None
-    if length is not None:
-        weights = _weights(q, relations, max_len)
-        paths = _weighed(levels, weights)
-        blocks = weights, {(s, t, w) for level in paths[length:length + 1] for _, s, t, w in level}
-    rows = _two_sided_products(
-        relations, paths, paths, index, max_len, truncate=truncate, blocks=blocks
-    )
-    return levels, index, RowSpace(rows)
 
 
 def _holds_length(space: RowSpace, levels, n: int) -> bool:
@@ -381,15 +363,14 @@ class TruncatedIdealSpan:
         return boundary.rank == self.rank
 
 
-def bound_is_valid(span: TruncatedIdealSpan, n: int) -> bool:
-    """Operational admissibility test at n on a span W at bound n + 1, asked by
+def bound_is_valid(span: TruncatedIdealSpan) -> bool:
+    """Operational admissibility test at n = bound - 1 on a span W, asked by
     the bound search and `certify`: every path of length n lies in W.  Columns
     come by length, so these paths take the last ones, from `start` on, and a
     pivot row led there lies in their level: if each is a pivot, the rows span
     the level; a path in W is led at its own column, a pivot (`RowSpace`).  So
     the top level's pivots decide; past the walk's end no path is left."""
-    if span.bound != n + 1:
-        raise ValueError(f"a span at bound {span.bound} cannot test n = {n}")
+    n = span.bound - 1
     start = sum(map(len, span._levels[:n]))
     pivots = span.space.pivot_columns()
     return len(pivots) - bisect_left(pivots, start) == len(span.paths) - start
@@ -421,14 +402,14 @@ def certify(
         if max_n < 2:
             raise ValueError("max_n must be >= 2")
         span = TruncatedIdealSpan(q, relations, 3)
-        while not bound_is_valid(span, span.bound - 1):
+        while not bound_is_valid(span):
             if span.bound > max_n:
                 raise NotAdmissibleError(f"no admissibility bound up to {max_n}")
             span._grow()
         return span
     span = TruncatedIdealSpan(q, relations, max(n, 1) + 1)  # checks relations
     _require_r2(span.relations)
-    if n >= 2 and bound_is_valid(span, n):
+    if n >= 2 and bound_is_valid(span):
         return span
     raise NotAdmissibleError(f"{n} is not a valid admissibility bound")
 
@@ -446,8 +427,15 @@ def generates_arrow_power(q: GradedQuiver, relations, n: int, max_expr_len: int)
     if max_expr_len < n:
         raise ValueError("max_expr_len must be at least n")
     relations = _check_relations(q, relations)
-    levels, _, space = _span(q, relations, max_expr_len, truncate=False, length=n)
-    return _holds_length(space, levels, n)
+    levels = list(q._walk(max_expr_len))
+    index = {_key(a, s): i for i, (a, s, _, _) in enumerate(t for level in levels for t in level)}
+    weights = _weights(q, relations, max_expr_len)
+    paths = _weighed(levels, weights)
+    wanted = {(s, t, w) for level in paths[n:n + 1] for _, s, t, w in level}
+    rows = _two_sided_products(
+        relations, paths, paths, index, max_expr_len, truncate=False, blocks=(weights, wanted)
+    )
+    return _holds_length(RowSpace(rows), levels, n)
 
 
 def algebra_dim(q: GradedQuiver, relations, n: int) -> int:

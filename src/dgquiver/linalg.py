@@ -145,15 +145,18 @@ class RowSpace:
     def take_on(self, other: RowSpace, image: Mapping[int, int]) -> None:
         """Take on as pivot rows, uneliminated, the images under the column
         map `image` of the pivot rows of `other` whose pivot it maps; on their
-        columns it must be injective and keep order, so each image is again a
-        pivot row.  An image whose lead is not its least column or is a pivot
-        already raises ValueError, and nothing is taken on."""
+        columns it must be defined, injective and order-keeping, so each image
+        is a pivot row again.  Else, or for an image led at a pivot already,
+        it raises ValueError, and nothing is taken on."""
         taken = {}
         for old in image.keys() & other._pivots.keys():
             row, lead = other._pivots[old], image[old]
-            new = {image[c]: v for c, v in row.items()}
+            try:
+                new = {image[c]: v for c, v in row.items()}
+            except KeyError:  # caught, not tested per entry: this loop is hot
+                raise ValueError(f"the pivot row at {old} has a column the map lacks") from None
             if lead in self._pivots or lead in taken or lead != min(new) or len(new) < len(row):
-                raise ValueError(f"column {lead} is a pivot or not the least of its image")
+                raise ValueError(f"the image of the pivot row at {old} is not a new pivot row")
             taken[lead] = new
         self._pivots.update(taken)
 

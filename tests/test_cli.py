@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -9,6 +10,10 @@ import pytest
 from dgquiver import TruncatedIdealSpan, cli, ideals
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+# the child processes import dgquiver from this checkout's `src`, installed or not
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+PYTHONPATH = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+ENV = {**os.environ, "PYTHONPATH": PYTHONPATH}
 
 
 def run_cli(*argv):
@@ -16,6 +21,7 @@ def run_cli(*argv):
         [sys.executable, "-m", "dgquiver.cli", *argv],
         capture_output=True,
         text=True,
+        env=ENV,
     )
 
 
@@ -23,7 +29,7 @@ def test_module_entry_point_runs_the_cli(capsys):
     # `python -m dgquiver` is the installed `dgquiver` script: same exit code,
     # same bytes on stdout as `cli.main`
     argv = ["validate", str(FIXTURES / "square_d4.quiver")]
-    res = subprocess.run([sys.executable, "-m", "dgquiver", *argv], capture_output=True)
+    res = subprocess.run([sys.executable, "-m", "dgquiver", *argv], capture_output=True, env=ENV)
     assert res.returncode == 0, res.stderr
     assert cli.main(argv) == 0
     assert res.stdout == capsys.readouterr().out.encode()

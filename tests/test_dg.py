@@ -425,16 +425,22 @@ def test_check_dg_isomorphism_rejects_degree_change():
         check_dg_isomorphism({"a": (1, "a")}, DgAlgebra(qa), DgAlgebra(qb))
 
 
-def test_keller_sign_comparison(square):
-    q, rels = square
-    for m in (2, 3, 4, 5):
-        big, w = superpotential_extension(q, rels, m)
-        std, kel, mapping = keller_comparison(big, w, m)
-        assert check_dg_isomorphism(mapping, std, kel) is None
-        if m % 2 == 0:
-            assert std.d(loop_name("v1")) == -kel.d(loop_name("v1"))
-        else:
-            assert std == kel
+def test_keller_sign_comparison(square, quaternion):
+    # Keller's loop differentials are (-1)^{m-1} times the standard ones, and
+    # every other differential is the standard one
+    for q, rels in (square, quaternion):
+        for m in (2, 3, 4, 5):
+            big, w = superpotential_extension(q, rels, m)
+            std, kel, mapping = keller_comparison(big, w, m)
+            assert check_dg_isomorphism(mapping, std, kel) is None
+            assert kel.quiver == std.quiver
+            loops = {loop_name(v) for v in big.vertices}
+            for a in std.arrow_names():
+                sign = _sign(m - 1) if a in loops else 1
+                assert kel.d(a) == sign * std.d(a)
+            assert all(not std.d(t).is_zero() for t in loops)
+            if m % 2 == 1:
+                assert std == kel
 
 
 def test_relation_sub_dg_correspondence(square, quaternion):

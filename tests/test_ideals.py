@@ -38,7 +38,6 @@ from dgquiver.dg import validate_relations
 from dgquiver.ideals import (
     _check_relations,
     _holds_length,
-    _span,
     _truncation_in_span,
     _two_sided_products,
     _weighed,
@@ -157,10 +156,8 @@ def test_bound_quaternion(quaternion):
     q, rels = quaternion
     assert find_admissibility_bound(q, rels, max_n=12) == 5
     for n in (2, 3, 4):
-        assert not bound_is_valid(TruncatedIdealSpan(q, rels, n + 1), n)
-    assert bound_is_valid(TruncatedIdealSpan(q, rels, 6), 5)
-    with pytest.raises(ValueError, match="a span at bound 6 cannot test n = 4"):
-        bound_is_valid(TruncatedIdealSpan(q, rels, 6), 4)
+        assert not bound_is_valid(TruncatedIdealSpan(q, rels, n + 1))
+    assert bound_is_valid(TruncatedIdealSpan(q, rels, 6))
 
 
 def test_bound_acyclic_no_relations(square):
@@ -753,6 +750,15 @@ def test_span_matches_path_element_oracle(seed, bound, boundary_only, quiver):
     assert generates_arrow_power(q, rels, n, max_expr_len) == want
 
 
+def _span(q, relations, max_len, *, truncate):
+    """(levels, index, span) of every product u * rho * v over the walk to
+    max_len, with no block filter; the slow oracle for the spans of `ideals`."""
+    levels = list(q._walk(max_len))
+    index = {p.key: i for i, p in enumerate(q.enumerate_paths(max_len))}
+    rows = _two_sided_products(relations, levels, levels, index, max_len, truncate=truncate)
+    return levels, index, RowSpace(rows)
+
+
 def _all_rows_generates_arrow_power(q, relations, n, max_expr_len):
     """`generates_arrow_power` over the span of every product in every block,
     as it was before the block filter; the slow oracle for that filter."""
@@ -1343,7 +1349,7 @@ def test_search_grows_one_span(kind, max_n, found, quaternion, monkeypatch):
     init = TruncatedIdealSpan.__init__
     monkeypatch.setattr(TruncatedIdealSpan, "__init__", lambda *a: built.append(1) or init(*a))
     test = ideals.bound_is_valid
-    monkeypatch.setattr(ideals, "bound_is_valid", lambda span, n: tested.append(n) or test(span, n))
+    monkeypatch.setattr(ideals, "bound_is_valid", lambda span: tested.append(span.bound - 1) or test(span))
     assert find_admissibility_bound(q, rels, max_n=max_n) == found
     assert len(built) == 1
     assert tested == list(range(2, (found or max_n) + 1))
@@ -1377,7 +1383,7 @@ def test_bound_test_agrees_with_the_per_path_test(seed, kind):
     top = (find_admissibility_bound(q, rels, max_n=cap) or cap) + 2
     for n in range(top + 1):
         span = TruncatedIdealSpan(q, rels, n + 1)
-        assert bound_is_valid(span, n) == _holds_length(span.space, span._levels, n), n
+        assert bound_is_valid(span) == _holds_length(span.space, span._levels, n), n
 
 
 def test_bound_test_eliminates_no_path(monkeypatch):

@@ -404,10 +404,13 @@ def test_take_on_refuses_a_taken_or_misplaced_lead():
         {0: 5, 1: 6, 2: 7},  # the lead 5 is a pivot already
         {0: 3, 1: 2, 2: 4},  # 2, the image of column 1, precedes the lead 3
         {0: 3, 1: 3, 2: 4},  # two columns of one row meet
+        {0: 3, 1: 4},  # column 2 of the row led at 1 has no image
     ):
         with pytest.raises(ValueError):
             space.take_on(basis, image)
         assert space.pivot_columns() == [5]  # nothing was taken on
+    with pytest.raises(ValueError):
+        RowSpace().take_on(RowSpace([{0: 1, 1: 2}]), {0: 5})
     space.take_on(basis, {0: 6, 1: 7, 2: 9})
     assert space.pivot_columns() == [5, 6, 7]
     with pytest.raises(ValueError):
