@@ -21,6 +21,7 @@ from .dg import check_d_squared, ginzburg_from_relations, relation_dg_algebra
 from .dsl import ParseError, ProblemFile, parse
 from .homology import default_truncation_length, h0_presentation, homology_dims
 from .ideals import (
+    DEFAULT_MAX_N,
     NotAdmissibleError,
     TruncatedIdealSpan,
     certify,
@@ -239,7 +240,7 @@ def run(command: str, pf: ProblemFile, args) -> dict:
         if not read and value is not None and value < least:
             raise CommandError(message)
     out = {"input": _input_block(pf)}
-    max_n = _opt_int(pf, "max_n", args.max_n, 12)
+    max_n = _opt_int(pf, "max_n", args.max_n, DEFAULT_MAX_N)
     m = ideal = None
     if spec.m is not None:
         m = args.m if args.m is not None else pf.m

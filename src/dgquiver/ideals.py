@@ -12,8 +12,8 @@ shifts of its lower levels, other spans from integer rows u*rho*v.
 Every relation is homogeneous for the weight of `_weights` (arrow counts
 modulo the differences of the terms of one relation), so each row u*rho*v,
 cut or not, lies in one block (source, target, weight), and a span of rows
-is the direct sum of its blocks: `generates_arrow_power` and the drop test
-of `minimal_system` build only the blocks of the vectors they test.
+is the direct sum of its blocks: `generates_arrow_power` builds only the
+blocks of the paths it tests.
 
 The bound search is the operational test "every path of length N lies in the
 truncated span at bound N+1" (`bound_is_valid(span)`, which counts the pivots
@@ -50,6 +50,8 @@ from .dg import (
 from .homology import _dims_from_complex, build_truncated, h0_presentation
 from .linalg import RowSpace, SparseMatrix, as_rational
 from .quiver import GradedQuiver, _key
+
+DEFAULT_MAX_N = 12  # the bound search's cap when the caller names none
 
 
 class NotAdmissibleError(ValueError):
@@ -119,12 +121,15 @@ def _two_sided_products(relations, us, vs, index, max_len: int, *, truncate: boo
     scan over the terms stops at the first longer one); otherwise every term
     must fit and nothing is cut.  `blocks` is None or a pair (weights,
     wanted), `weights` from `_weights` for max_len and the paths of `us` and
-    `vs` weighed by it (`_weighed`): then only the products whose block
-    (source of u, target of v, weight of u t v for t the shortest term) is in
-    `wanted` are yielded, the others skipped before their row is formed.
+    `vs` weighed by it (each walk tuple's last entry is then the weight):
+    then only the products whose block (source of u, target of v, weight of
+    u t v for t the shortest term) is in `wanted` are yielded, the others
+    skipped before their row is formed.
     The order is fixed by `relations`, `us` and `vs`.  The relations must pass
     `validate_relations`.  As the levels come by length, the loops stop at the
     first u, and the first v for a given u, that leaves no room.
+    `generates_arrow_power` reads the exact mode on one list; the cut mode and
+    the `us`/`vs` split serve the tests as references for the chains and boundary.
     """
     weights, wanted = blocks or ({}, None)
     by_target, by_source = {}, {}  # vertex: the paths of `us` into it, of `vs` out of it
@@ -155,11 +160,6 @@ def _two_sided_products(relations, us, vs, index, max_len: int, *, truncate: boo
                 yield row
 
 
-def _weighed(levels, weights):
-    """The walk levels with each path's degree replaced by its weight (`_weights`)."""
-    return [[(a, s, t, sum(map(weights.__getitem__, a))) for a, s, t, _ in lv] for lv in levels]
-
-
 def _holds_length(space: RowSpace, levels, n: int) -> bool:
     """Whether every path of length n, eliminated alone, lies in the span over
     the walk levels' columns (none past the walk's end).  `generates_arrow_power`
@@ -167,24 +167,6 @@ def _holds_length(space: RowSpace, levels, n: int) -> bool:
     start = sum(map(len, levels[:n]))
     stop = start + sum(map(len, levels[n:n + 1]))
     return all(space.contains({i: 1}) for i in range(start, stop))
-
-
-def _truncation_in_span(span: TruncatedIdealSpan, weights, levels, candidate, rho) -> bool:
-    """Whether rho cut to length < n lies in the span of the candidate's
-    products cut to length < n, n = span.bound - 1 for the span of
-    `certify`; only the products in rho's block are built, `weights` being
-    `_weights` for length n - 1 over rho and the candidate, and `levels` the
-    span's walk levels of length < n weighed by it (`_weighed`).  The cut
-    products are homogeneous too, so the span is the direct sum of its blocks."""
-    n = span.bound - 1
-    terms = [(p.arrows, c) for p, c in rho.body.terms.items() if len(p) < n]
-    if not terms:
-        return True
-    block = rho.source, rho.target, sum(map(weights.__getitem__, terms[0][0]))
-    rows = _two_sided_products(
-        candidate, levels, levels, span.index, n - 1, truncate=True, blocks=(weights, {block})
-    )
-    return RowSpace(rows).contains({span.index[t]: c for t, c in terms})
 
 
 class TruncatedIdealSpan:
@@ -208,8 +190,9 @@ class TruncatedIdealSpan:
     each of T likewise into one: a kills those of S_{k-1} not from t(a), b
     those of T_{k-1} not into s(b), and the other images are echelon bases
     of the sums, taken on uneliminated (`RowSpace.take_on`).  `_grow` adds
-    T's shifted rows to S, copies S for `_boundary`, then adds each cut rho
-    to T and, if that raises T's rank, to S (else span T <= span S holds it).
+    T's shifted rows to S, records a copy of S as the boundary, then adds
+    each cut rho to T and, if that raises T's rank, to S (else span T <=
+    span S holds it).
     Neither chain depends on the bound, so the search grows one span.
 
     The methods read N = bound - 1.  They answer for (R) exactly on a span
@@ -290,20 +273,18 @@ class TruncatedIdealSpan:
         single entry can be dropped.
 
         Zero entries are removed first (they never help generate); then entries
-        are dropped greedily in input order.  A removal needs two facts about
-        the survivors: the truncated span is unchanged, and r^N is *exactly*
-        generated (`generates_arrow_power`).  Together these prove the ideal is
-        unchanged; the truncated span alone does not, because a proper subideal
-        can have the same truncated span (the quaternion-type ideal is the
-        standard trap).
-
-        Write W for the span of the products u * rho * v cut to length < N.  The
-        survivors before a drop span the ideal's W, and dropping rho_k keeps W
-        iff rho_k cut to length < N lies in the candidate's W: u * cut(rho_k) * v
-        and u * rho_k * v agree below length N, so a cut expression of rho_k
-        gives one of each cut product.  The candidate's W is the direct sum of
-        its blocks (`_weights`), so only the products in rho_k's block are built
-        (`_truncation_in_span`).
+        are dropped greedily in input order.  rho_k is dropped when the
+        survivors C span I/(I r + r I) cut to length <= N (the recorded
+        boundary plus C so cut has the span's rank) and generate r^N *exactly*
+        (`generates_arrow_power`).  The first is necessary for (C) = I, as then
+        rho_k lies in span C + I r + r I, which cut is the cut C plus the
+        boundary.  Both suffice, on any span: r^N <= (C) <= I puts what a cut
+        discards in r^{N+1} <= r I, so I <= (C) + I r + r I, and put into
+        itself N times, I <= (C) + r^N = (C).  The rank test alone does not: a
+        proper subideal can span the same quotient (the quaternion-type ideal
+        is the standard trap).  Where `generates_arrow_power` holds, C keeping
+        the truncated span is also equivalent to (C) = I, so testing that
+        instead drops the same entries.
 
         The exact-generation search allows expressions of term length up to
         N plus the longest relation term: a product u * rho * v with a term of
@@ -313,28 +294,27 @@ class TruncatedIdealSpan:
         """
         n = self.bound - 1
         max_expr_len = n + max((r.body.max_length() or 1 for r in self.relations), default=1)
-        # zero entries span nothing; the candidate spans read this span's
-        # columns of length < n, which come first
-        current = [r for r in self.relations if not r.body.is_zero()]
-        weights = _weights(self.quiver, current, n - 1)
-        levels = _weighed(self._levels[:n], weights)
-        k = 0
-        while k < len(current):
-            candidate = current[:k] + current[k + 1:]
-            if _truncation_in_span(
-                self, weights, levels, candidate, current[k]
-            ) and generates_arrow_power(self.quiver, candidate, n, max_expr_len):
+        # zero entries span nothing; the others lie in I, so each is cut once
+        current = [
+            (r, {self.index[w]: c for w, c in terms if len(w) <= n})
+            for r, terms in zip(self.relations, self._bodies)
+            if terms
+        ]
+        for entry in current.copy():
+            candidate = [e for e in current if e is not entry]
+            if self._fills_boundary_quotient(row for _, row in candidate) and generates_arrow_power(
+                self.quiver, [r for r, _ in candidate], n, max_expr_len
+            ):
                 current = candidate
-            else:
-                k += 1
-        return current
+        return [r for r, _ in current]
 
-    def _boundary(self) -> RowSpace:
-        """A fresh `RowSpace` of I r + r I on this span's columns, on a copy of
-        the pivots recorded before the bare relations were added: the products
-        u * rho * v with u or v of positive length; tails beyond the bound lie
-        in r^{N+1}, which is already inside I r + r I."""
-        return copy(self._boundary_space)
+    def _fills_boundary_quotient(self, rows) -> bool:
+        """Whether the rows, which must lie in the span, and the recorded
+        boundary I r + r I span it; a copy of the boundary grows."""
+        boundary = copy(self._boundary_space)
+        for row in rows:
+            boundary.add(row)
+        return boundary.rank == self.rank
 
     def ext2(self) -> int:
         """dim Ext^2 of the semisimple module over KQ/(R), which equals
@@ -347,20 +327,19 @@ class TruncatedIdealSpan:
         x = x.rebind(self.quiver).truncate(self.bound - 1)
         if not self.contains(x):
             raise ValueError("element does not lie in the ideal")
-        return self._boundary().contains(self._vector(x))
+        return self._boundary_space.contains(self._vector(x))
 
     def spans_boundary_quotient(self, candidate) -> bool:
         """Whether the images of the candidate relations span I/(I r + r I);
         each candidate body, cut to length <= N as in `boundary_image_vanishes`,
         must lie in (R) (checked through `contains`)."""
-        boundary = self._boundary()
-        # the boundary span plus the candidate images must fill the ideal span
+        rows = []
         for r in candidate:
             body = r.body.rebind(self.quiver).truncate(self.bound - 1)
             if not self.contains(body):
                 raise ValueError(f"candidate {r.label!r} is not in the ideal")
-            boundary.add(self._vector(body))
-        return boundary.rank == self.rank
+            rows.append(self._vector(body))
+        return self._fills_boundary_quotient(rows)
 
 
 def bound_is_valid(span: TruncatedIdealSpan) -> bool:
@@ -376,7 +355,7 @@ def bound_is_valid(span: TruncatedIdealSpan) -> bool:
     return len(pivots) - bisect_left(pivots, start) == len(span.paths) - start
 
 
-def find_admissibility_bound(q: GradedQuiver, relations, max_n: int = 12) -> int | None:
+def find_admissibility_bound(q: GradedQuiver, relations, max_n: int = DEFAULT_MAX_N) -> int | None:
     """Smallest n <= max_n passing the operational test (`certify` with n
     omitted), or None; precondition failures raise."""
     try:
@@ -386,7 +365,7 @@ def find_admissibility_bound(q: GradedQuiver, relations, max_n: int = 12) -> int
 
 
 def certify(
-    q: GradedQuiver, relations, n: int | None = None, *, max_n: int = 12
+    q: GradedQuiver, relations, n: int | None = None, *, max_n: int = DEFAULT_MAX_N
 ) -> TruncatedIdealSpan:
     """The ideal span at bound n + 1, once the relations are checked against
     q and inside r^2 (ValueError otherwise) and n passes `bound_is_valid`
@@ -430,7 +409,7 @@ def generates_arrow_power(q: GradedQuiver, relations, n: int, max_expr_len: int)
     levels = list(q._walk(max_expr_len))
     index = {_key(a, s): i for i, (a, s, _, _) in enumerate(t for level in levels for t in level)}
     weights = _weights(q, relations, max_expr_len)
-    paths = _weighed(levels, weights)
+    paths = [[(a, s, t, sum(map(weights.__getitem__, a))) for a, s, t, _ in lv] for lv in levels]
     wanted = {(s, t, w) for level in paths[n:n + 1] for _, s, t, w in level}
     rows = _two_sided_products(
         relations, paths, paths, index, max_expr_len, truncate=False, blocks=(weights, wanted)
@@ -510,8 +489,8 @@ def certifies_non_membership(q: GradedQuiver, relations, dims, matrices, x: Path
         val = evaluate_in_representation(q, dims, matrices, r.body)
         if any(any(v for v in row) for row in val):
             return False  # witness does not factor through the quotient
-    val = evaluate_in_representation(q, dims, matrices, x)
-    return any(any(v for v in row) for row in val)
+    # 0 lies in every ideal, and its evaluation has no size
+    return not x.is_zero() and any(map(any, evaluate_in_representation(q, dims, matrices, x)))
 
 
 # ---------- the m = 2 split extension ----------

@@ -6,6 +6,7 @@ import random
 import re
 import sys
 from collections import Counter
+from copy import copy
 from fractions import Fraction
 
 import pytest
@@ -38,9 +39,7 @@ from dgquiver.dg import validate_relations
 from dgquiver.ideals import (
     _check_relations,
     _holds_length,
-    _truncation_in_span,
     _two_sided_products,
-    _weighed,
     _weights,
 )
 from dgquiver.linalg import RowSpace
@@ -295,6 +294,18 @@ def test_witness_names_a_missing_matrix_or_dimension(quaternion):
         evaluate_in_representation(q, {}, {"a": [[1]], "b": [[1]]}, ab)
     with pytest.raises(ValueError, match="no dimension given for vertex 'v'"):
         evaluate_in_representation(q, {}, {}, PathElement.idempotent(q, "v"))
+
+
+def test_witness_never_separates_zero():
+    # 0 lies in every ideal, so no representation certifies it outside one;
+    # the relations are evaluated first, so a bad matrix still raises
+    q = loop_quiver()
+    rels = loop_square_relation(q)
+    zero = PathElement.zero(q)
+    assert not certifies_non_membership(q, rels, {"v": 1}, {"a": [[0]]}, zero)
+    assert not certifies_non_membership(q, [], {"v": 1}, {}, zero)
+    with pytest.raises(ValueError, match=re.escape("matrix for 'a' is not 1 x 1")):
+        certifies_non_membership(q, rels, {"v": 1}, {"a": [[0, 0]]}, zero)
 
 
 # ---------- systems of relations ----------
@@ -711,7 +722,7 @@ def test_two_sided_products_match_all_pairs_filter(seed, max_len, truncate):
 # relation a*a - 3/4 a*a*a from seed 3: the trivial path at "a" and the
 # arrow a must take two distinct columns.  Otherwise the quiver is drawn
 # from the seed.  With `boundary_only` the span's rows are those of I r + r I
-# on its own columns, as `TruncatedIdealSpan._boundary` builds them.
+# on its own columns, as `TruncatedIdealSpan` records them.
 @given(st.integers(0, 2**32), st.integers(1, 4), st.booleans(), st.none())
 @example(3, 4, False, GradedQuiver(["a"], [("a", "a", "a", 0)]))
 @example(3, 4, True, GradedQuiver(["a"], [("a", "a", "a", 0)]))
@@ -722,7 +733,7 @@ def test_span_matches_path_element_oracle(seed, bound, boundary_only, quiver):
     rels = random_relations(rng, q, max_count=3, coeffs=PQ_COEFFS)
     span = TruncatedIdealSpan(q, rels, bound)
     if boundary_only:
-        span.space = span._boundary()
+        span.space = copy(span._boundary_space)
     paths = q.enumerate_paths(bound - 1)
     index = {p: i for i, p in enumerate(paths)}
     oracle = _oracle_space(
@@ -905,6 +916,18 @@ def test_certify_validates_once(quaternion, monkeypatch):
     assert len(calls) == 1
 
 
+_WORKLOADS = importlib.util.spec_from_file_location(
+    "perfbench_workloads", pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+)
+W = sys.modules[_WORKLOADS.name] = importlib.util.module_from_spec(_WORKLOADS)
+_WORKLOADS.loader.exec_module(W)
+_SPECS = {
+    "comm4": lambda: W.commutative_spec(4),
+    "comm3+red": lambda: W.commutative_spec(3, redundant=True),
+    "grid4": lambda: W.grid_spec(4),
+}
+
+
 def _old_system_of_relations(q, relations, n):
     """`system_of_relations` with each candidate ranked by a span of its own."""
     max_expr_len = n + max((r.body.max_length() or 1 for r in relations), default=1)
@@ -926,37 +949,48 @@ def _old_system_of_relations(q, relations, n):
 # Seed 47 draws three commuting loops and cons = c_x0x1 / 2 + 2/3 c_x1x2 x0,
 # so c_x0x1 is dropped through the product c_x1x2 x0, whose shortest term is
 # longer than those of c_x0x1.
-@given(st.integers(0, 2**32), st.sampled_from((None,) + FAMILIES))
+@given(st.integers(0, 2**32), st.sampled_from((None,) + FAMILIES + tuple(_SPECS)))
 @example(47, "commuting")
+@example(1, "comm3+red")
 @settings(max_examples=40, deadline=None)
 def test_certified_span_columns_serve_every_span_of_a_call(seed, kind):
     # at a bound n that was found, the boundary span, each candidate span and
     # the normal forms read off the certified span at bound n + 1 equal
-    # standalone constructions, and the drop test of system_of_relations, the
-    # block membership of rho_k cut below n, agrees with the rank test
+    # standalone constructions; where a leave-one-out candidate generates r^n
+    # exactly, its spanning I/(I r + r I), the drop test of
+    # system_of_relations, agrees with its keeping the truncated span (the
+    # exact proof, the slow part, is asked only where the two differ)
     rng = random.Random(seed)
     if kind is None:
         q = random_quiver(rng)
         rels = random_relations(rng, q, max_count=3, coeffs=PQ_COEFFS)
+        n = find_admissibility_bound(q, rels, max_n=4)
+    elif kind in _SPECS:
+        pf = dsl.parse(W.rescaled_text(_SPECS[kind](), rng))
+        q, rels, n = pf.quiver, pf.relations, W.IDEAL_EXPECTED[kind][0]
     else:
         q, rels = family_ideal(rng, kind)
-    n = find_admissibility_bound(q, rels, max_n=4)
+        n = find_admissibility_bound(q, rels, max_n=4)
     assume(n is not None)
     span = certify(q, rels, n)
-    boundary = span._boundary()
+    boundary = span._boundary_space
     paths = q.enumerate_paths(n)
-    oracle = _oracle_space(q, rels, paths, n, truncate=True, boundary_only=True)
+    if kind in _SPECS:  # the path-element oracle takes seconds on comm4
+        oracle = _old_boundary(span)
+    else:
+        oracle = _oracle_space(q, rels, paths, n, truncate=True, boundary_only=True)
     assert (boundary.rank, boundary.pivot_columns()) == (oracle.rank, oracle.pivot_columns())
 
     rank_n = TruncatedIdealSpan(q, rels, n).rank
-    weights = _weights(q, rels, n - 1)
-    levels, weighed = span._levels, _weighed(span._levels[:n], weights)
+    max_expr_len = n + max((r.body.max_length() or 1 for r in rels), default=1)
+    levels = span._levels
     for k in range(len(rels)):
         candidate = rels[:k] + rels[k + 1:]
         rows = _two_sided_products(candidate, levels, levels, span.index, n - 1, truncate=True)
         rank = RowSpace(rows).rank
         assert rank == TruncatedIdealSpan(q, candidate, n).rank
-        assert _truncation_in_span(span, weights, weighed, candidate, rels[k]) == (rank == rank_n)
+        if span.spans_boundary_quotient(candidate) != (rank == rank_n):
+            assert not generates_arrow_power(q, candidate, n, max_expr_len)
     assert system_of_relations(q, rels, n) == _old_system_of_relations(q, rels, n)
 
     below = [p for p in paths if len(p) < n]
@@ -1001,17 +1035,23 @@ def test_ideal_call_walks_and_validates_once(quaternion, monkeypatch):
 
 
 def test_boundary_is_an_independent_span(quaternion):
-    # the boundary questions grow copies of the recorded pivots, so asking
-    # them changes neither the span, nor ext2, nor a later boundary
+    # the boundary questions and the minimal system grow copies of the
+    # recorded pivots or only read them, so asking them changes neither the
+    # span, nor ext2, nor the recorded boundary
     q, rels = quaternion
     span = certify(q, rels, 5)
-    before = span.rank, span.space.pivot_columns(), span.ext2(), span._boundary().rank
+
+    def state():
+        boundary = span._boundary_space
+        return span.rank, span.space.pivot_columns(), span.ext2(), boundary.pivot_columns()
+
+    before = state()
     for _ in range(2):
         assert span.spans_boundary_quotient(rels)
         assert not span.spans_boundary_quotient(rels[:1])
-    assert span._boundary() is not span._boundary()
-    after = span.rank, span.space.pivot_columns(), span.ext2(), span._boundary().rank
-    assert after == before
+        assert not span.boundary_image_vanishes(rels[0].body)
+        assert span.minimal_system() == rels
+    assert state() == before
 
 
 def test_ext2_eliminates_nothing_after_certify(monkeypatch):
@@ -1032,8 +1072,8 @@ def test_ext2_eliminates_nothing_after_certify(monkeypatch):
 
 
 def _old_boundary(span):
-    """I r + r I rebuilt from its rows on the span's columns, as `_boundary`
-    did before the span recorded its boundary pivots: the products with u
+    """I r + r I rebuilt from its rows on the span's columns, as the span's
+    boundary was built before the span recorded its boundary pivots: the products with u
     trivial and v nontrivial, then those with u nontrivial and any v."""
     levels, n = span._levels, span.bound - 1
     return RowSpace(itertools.chain(
@@ -1056,7 +1096,7 @@ def test_recorded_boundary_matches_a_rebuilt_one(seed, kind):
     assert (span.rank, span.space.pivot_columns()) == (one_pass.rank, one_pass.pivot_columns())
     old = _old_boundary(span)
     assert span.ext2() == span.rank - old.rank
-    assert span._boundary().pivot_columns() == old.pivot_columns()
+    assert span._boundary_space.pivot_columns() == old.pivot_columns()
     products = [x for _, x in _oracle_products(q, rels, q.enumerate_paths(n), n, truncate=True)]
     for x in rng.sample(products, min(6, len(products))):
         assert span.boundary_image_vanishes(x) == old.contains(span._vector(x))
@@ -1084,18 +1124,6 @@ def test_boundary_questions_cut_long_elements_to_the_bound():
     assert span.boundary_image_vanishes(cons) == old.contains(span._vector(cons.truncate(n)))
     with pytest.raises(ValueError, match="raise the bound"):
         span.contains(cons)
-
-
-_WORKLOADS = importlib.util.spec_from_file_location(
-    "perfbench_workloads", pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-)
-W = sys.modules[_WORKLOADS.name] = importlib.util.module_from_spec(_WORKLOADS)
-_WORKLOADS.loader.exec_module(W)
-_SPECS = {
-    "comm4": lambda: W.commutative_spec(4),
-    "comm3+red": lambda: W.commutative_spec(3, redundant=True),
-    "grid4": lambda: W.grid_spec(4),
-}
 
 
 def _short_term_ideal(rng):
@@ -1133,14 +1161,14 @@ def test_level_by_level_span_matches_the_one_pass_span(seed, kind):
         span = certify(q, rels, n)
     one_pass = _span(q, rels, n, truncate=True)[2]
     assert span.space.pivot_columns() == one_pass.pivot_columns()
-    assert span._boundary().pivot_columns() == _old_boundary(span).pivot_columns()
+    assert span._boundary_space.pivot_columns() == _old_boundary(span).pivot_columns()
     for _ in range(10):
         x = {rng.randrange(len(span.paths)): rng.choice(PQ_COEFFS) for _ in range(4)}
         assert span.space.reduce(x) == one_pass.reduce(x)
     for bound in range(1, n + 1):
         lower = TruncatedIdealSpan(q, rels, bound)
         assert lower.space.pivot_columns() == _span(q, rels, bound - 1, truncate=True)[2].pivot_columns()
-        assert lower._boundary().pivot_columns() == _old_boundary(lower).pivot_columns()
+        assert lower._boundary_space.pivot_columns() == _old_boundary(lower).pivot_columns()
 
 
 @given(
@@ -1222,6 +1250,34 @@ def test_span_construction_calls_no_product_generator(kind, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "kind, proofs", [("comm4", 0), ("grid4", 0), ("quaternion", 1), ("comm3+red", 1)]
+)
+def test_minimal_system_reads_the_recorded_boundary(kind, proofs, quaternion, monkeypatch):
+    # each drop test reads the certified span's recorded I r + r I: where ext2
+    # equals the number of relations no candidate spans I/(I r + r I), so no
+    # product u * rho * v is built (a span per candidate took 10 generator
+    # calls on comm4 and 9 on grid4); elsewhere each candidate that spans it
+    # asks for one exact generation proof, which is the only product builder
+    from dgquiver import ideals
+
+    if kind == "quaternion":
+        (q, rels), n = quaternion, 5
+    else:
+        q, rels, n = _spec_or_family(kind, random.Random(0))
+    span = certify(q, rels, n)
+    assert (span.ext2() == len(rels)) == (proofs == 0)
+    want = _old_system_of_relations(q, rels, n)
+    calls = Counter()
+    for name in ("_two_sided_products", "generates_arrow_power"):
+        fn = getattr(ideals, name)
+        monkeypatch.setattr(
+            ideals, name, lambda *a, _f=fn, _n=name, **k: calls.update([_n]) or _f(*a, **k)
+        )
+    assert span.minimal_system() == want
+    assert calls == Counter({"generates_arrow_power": proofs, "_two_sided_products": proofs})
+
+
 @pytest.mark.parametrize("kind", ["comm4", "grid4"])
 def test_search_and_certify_do_the_same_work(kind, monkeypatch):
     # the search grows its span through the steps of one construction at
@@ -1292,7 +1348,7 @@ def test_grown_search_matches_the_per_n_search(seed, kind):
     span = certify(q, rels, max_n=max_n)
     assert (span.bound, span.paths) == (old.bound, old.paths)
     assert span.space.pivot_columns() == old.space.pivot_columns()
-    assert span._boundary().pivot_columns() == old._boundary().pivot_columns()
+    assert span._boundary_space.pivot_columns() == old._boundary_space.pivot_columns()
     assert (span.dim(), span.ext2()) == (old.dim(), old.ext2())
     for _ in range(10):
         x = {rng.randrange(len(span.paths)): rng.choice(PQ_COEFFS) for _ in range(4)}
