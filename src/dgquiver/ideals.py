@@ -7,7 +7,8 @@ algebra: the span of the truncations of u*rho*v to length < N equals
 (R) intersected with the paths of length < N, because any discarded tail
 lies in r^N and hence in the ideal.  No Groebner machinery is used or
 needed.  Columns are path keys in walk order; the certified span grows from
-shifts of its lower levels, other spans from integer rows u*rho*v.
+left shifts of its last level and right shifts of the rows that raised its
+rank there, other spans from integer rows u*rho*v.
 
 Every relation is homogeneous for the weight of `_weights` (arrow counts
 modulo the differences of the terms of one relation), so each row u*rho*v,
@@ -179,21 +180,23 @@ class TruncatedIdealSpan:
     (`Path.key`) in walk order, by length and then by arrow names, `index`
     maps each key to its column, and `_levels` keeps the walk's levels.
 
-    Write S_k and T_k for the spans of the products u rho v and rho v cut to
-    length <= k, 0 for k < 0.  By cut_{<=k}(a x) = a cut_{<=k-1}(x) and its
-    mirror, S_k = sum_a a S_{k-1} + T_k and T_k = sum_b T_{k-1} b + span{rho
-    cut to length <= k} over the arrows a, b; I r + r I cut likewise is
-    sum_a a S_{k-1} + sum_b T_{k-1} b.  p -> a p on the paths from t(a), and
-    p -> p b on those into s(b), are injective and keep the column order;
-    distinct arrows have disjoint images.  A row from s meets only pivot rows
-    led by a path from s, so each pivot row of S runs from one vertex, and
-    each of T likewise into one: a kills those of S_{k-1} not from t(a), b
-    those of T_{k-1} not into s(b), and the other images are echelon bases
-    of the sums, taken on uneliminated (`RowSpace.take_on`).  `_grow` adds
-    T's shifted rows to S, records a copy of S as the boundary, then adds
-    each cut rho to T and, if that raises T's rank, to S (else span T <=
-    span S holds it).
-    Neither chain depends on the bound, so the search grows one span.
+    Write S_k for the span of the products u rho v cut to length <= k (0 for
+    k < 0), X_k = sum_a a S_{k-1} over the arrows a, and F_k for the rows
+    that raised S_k's rank over X_k (`_fresh`, each with the vertex it ends
+    at), so S_k = X_k + span F_k.  By cut_{<=k}(a x) = a cut_{<=k-1}(x) the
+    cut products with u nontrivial span X_k.  p -> a p on the paths from t(a)
+    keeps the column order, distinct arrows have disjoint images and each
+    pivot row of S runs from one vertex (a row from s meets only pivot rows
+    led from s), so the images of the pivot rows of S_{k-1} from t(a) are an
+    echelon basis of X_k, taken on uneliminated (`RowSpace.take_on`).
+    I r + r I cut to length <= k is X_k + F_{k-1} B, B the arrows, f b read
+    through p -> p b.  By the mirror cut_{<=k}(x b) = cut_{<=k-1}(x) b,
+    S_{k-2} b <= S_{k-1}, so X_{k-1} b <= X_k.  The cut rho v' b span
+    T_{k-1} B, T_{k-1} <= S_{k-1} the span of the cut rho v', and T_{k-1} b
+    <= X_k + F_{k-1} b.  Conversely F_{k-1} b <= S_{k-1} b, which is I r
+    cut.  S_k is that boundary plus the cut relations; the added rows that
+    raise the rank over X_k are F_k.  `RowSpace` answers depend on the span
+    alone, not on F, and the chain not on the bound: the search grows one span.
 
     The methods read N = bound - 1.  They answer for (R) exactly on a span
     returned by `certify`, whose rows hold every path of length N, and only
@@ -208,14 +211,15 @@ class TruncatedIdealSpan:
         self._bodies = [_integer_terms(r.body) for r in self.relations]
         self._walk = quiver._walk(sys.maxsize)  # lazy; its level k does not depend on the cap
         self._levels, self.index, self.paths = [], {}, []
-        self.space, self._right = RowSpace(), RowSpace()  # S_k and T_k
+        self.space, self._fresh = RowSpace(), []  # S_k and the rows that raised its rank
         self._shifts = {a.name: ({}, {}) for a in quiver.arrows}  # a: columns p -> a p, p -> p a
         self.bound = 0
         while self.bound < bound:
             self._grow()
 
     def _grow(self) -> None:
-        """Grow to bound + 1 through S_k and T_k, k = bound; past the walk's end, no level."""
+        """Grow to bound + 1, k = bound: X_k, then F_{k-1} B, the boundary, the cut
+        relations, and the rows that raised the rank as F_k; past the walk's end, none."""
         self.bound += 1
         level = next(self._walk, None)
         if level is None:
@@ -228,18 +232,18 @@ class TruncatedIdealSpan:
             if word:
                 self._shifts[word[0]][0][self.index[_key(word[1:], t)]] = col
                 self._shifts[word[-1]][1][self.index[_key(word[:-1], s)]] = col
-        space, right = RowSpace(), RowSpace()
-        for left_image, right_image in self._shifts.values():
+        space = RowSpace()
+        for left_image, _ in self._shifts.values():
             space.take_on(self.space, left_image)
-            right.take_on(self._right, right_image)
-        for row in right.rows():
-            space.add(row)
+        shifted = [(b.target, {self._shifts[b.name][1][c]: v for c, v in f.items()})
+                   for t, f in self._fresh for b in self.quiver._out[t]]
+        fresh = [(t, row) for t, row in shifted if space.add(row)]
         self._boundary_space = copy(space)
-        for terms in self._bodies:
+        for rel, terms in zip(self.relations, self._bodies):
             row = {self.index[w]: c for w, c in terms if len(w) < self.bound}
-            if row and right.add(row):
-                space.add(row)
-        self.space, self._right = space, right
+            if row and space.add(row):
+                fresh.append((rel.target, row))
+        self.space, self._fresh = space, fresh
 
     def _vector(self, x: PathElement) -> dict[int, Fraction]:
         x = x.rebind(self.quiver)  # an arrow the quiver lacks raises here, not as a bound

@@ -81,10 +81,6 @@ class RowSpace:
     def pivot_columns(self) -> list[int]:
         return sorted(self._pivots)
 
-    def rows(self) -> list[SparseRow]:
-        """The pivot rows by pivot column, an echelon basis of W, shared: not to be mutated."""
-        return [self._pivots[c] for c in sorted(self._pivots)]
-
     def _eliminate(self, row: Mapping) -> tuple[SparseRow, int]:
         """Integer remainder r of `row`, free of P, and s with r - s*row in W."""
         r, s = _integral(row)

@@ -1173,38 +1173,53 @@ def test_level_by_level_span_matches_the_one_pass_span(seed, kind):
 
 @given(
     st.integers(0, 2**32),
-    st.sampled_from(FAMILIES + tuple(_SPECS) + ("a*a - a*a*a", "acyclic")),
+    st.sampled_from(FAMILIES + tuple(_SPECS) + ("a*a - a*a*a", "acyclic", "sink")),
 )
 @example(1, "comm4")
 @example(1, "comm3+red")
 @example(1, "grid4")
 @example(1, "a*a - a*a*a")
 @example(1, "acyclic")
+@example(1, "sink")
 @settings(max_examples=40, deadline=None)
-def test_right_chain_spans_the_products_rho_v(seed, kind):
-    # T_k, grown from right-shifted pivot rows and the cut relations, has the
-    # pivots and normal forms of the span of the products rho * v (the bare
-    # relations among them) cut to length <= k, at every bound 1..N+1, N the
-    # bound or else the search's cap; an acyclic quiver runs past its walk
+def test_one_chain_holds_the_products_rho_v(seed, kind):
+    # S_k, grown from the left shifts of S_{k-1} and the right shifts of the
+    # rows that raised its rank, holds every product rho * v cut to length
+    # <= k in the recorded boundary plus the cut relations, and S_k and the
+    # boundary have the pivots and normal forms of the one-pass span and of
+    # I r + r I rebuilt, at every bound 1..N+1, N the bound or else the
+    # search's cap; an acyclic quiver runs past its walk, and in "sink" the
+    # relation a c ends at w, which no arrow leaves
     rng = random.Random(seed)
     if kind == "acyclic":
         q = random_acyclic_quiver(rng)
         rels = random_relations(rng, q)
         cap = len(list(q._walk(sys.maxsize)))
+    elif kind == "sink":
+        q = GradedQuiver(["v", "w"], [Arrow("a", "v", "v", 0), Arrow("c", "v", "w", 0)])
+        rels = [_relation(q, "r", rng, ("a", "a"), ("a", "a", "a"))]
+        rels.append(_relation(q, "s", rng, ("a", "c")))
+        cap = 5
     else:
         q, rels = _search_input(rng, kind)
         cap = 7 if kind in _SPECS else 5
     top = (find_admissibility_bound(q, rels, max_n=cap) or cap) + 1
     for bound in range(1, top + 1):
         span = TruncatedIdealSpan(q, rels, bound)
-        levels = span._levels
-        oracle = RowSpace(
-            _two_sided_products(rels, levels[:1], levels, span.index, bound - 1, truncate=True)
+        levels, n = span._levels, bound - 1
+        held = copy(span._boundary_space)
+        for row in _two_sided_products(rels, levels[:1], levels[:1], span.index, n, truncate=True):
+            held.add(row)
+        for row in _two_sided_products(rels, levels[:1], levels, span.index, n, truncate=True):
+            assert held.contains(row), bound
+        oracles = (span.space, _span(q, rels, n, truncate=True)[2]), (
+            span._boundary_space, _old_boundary(span)
         )
-        assert span._right.pivot_columns() == oracle.pivot_columns(), bound
-        for _ in range(4):
-            x = {rng.randrange(len(span.paths)): rng.choice(PQ_COEFFS) for _ in range(3)}
-            assert span._right.reduce(x) == oracle.reduce(x)
+        for got, oracle in oracles:
+            assert got.pivot_columns() == oracle.pivot_columns(), bound
+            for _ in range(4):
+                x = {rng.randrange(len(span.paths)): rng.choice(PQ_COEFFS) for _ in range(3)}
+                assert got.reduce(x) == oracle.reduce(x)
 
 
 def test_certify_refuses_relations_outside_r2():
@@ -1278,11 +1293,15 @@ def test_minimal_system_reads_the_recorded_boundary(kind, proofs, quaternion, mo
     assert calls == Counter({"generates_arrow_power": proofs, "_two_sided_products": proofs})
 
 
-@pytest.mark.parametrize("kind", ["comm4", "grid4"])
-def test_search_and_certify_do_the_same_work(kind, monkeypatch):
+@pytest.mark.parametrize(
+    "kind, work",
+    [("comm4", {"_eliminate": 380, "take_on": 24}), ("grid4", {"_eliminate": 153, "take_on": 168})],
+)
+def test_search_and_certify_do_the_same_work(kind, work, monkeypatch):
     # the search grows its span through the steps of one construction at
-    # its bound, so both make the same eliminations and `take_on` calls
-    # (1,160 eliminations and 48 `take_on` calls on comm4)
+    # its bound, so both make the same eliminations and `take_on` calls:
+    # only the right shifts of the rows that raised the rank and the cut
+    # relations are eliminated, and each arrow takes on one level's pivots
     q, rels, n = _spec_or_family(kind, random.Random(0))
     calls = Counter()
     for name in ("_eliminate", "take_on"):
@@ -1292,6 +1311,7 @@ def test_search_and_certify_do_the_same_work(kind, monkeypatch):
         )
     assert certify(q, rels, n).bound == n + 1
     once = dict(calls)
+    assert once == work
     calls.clear()
     assert certify(q, rels).bound == n + 1
     assert calls == once
@@ -1443,7 +1463,7 @@ def test_bound_test_agrees_with_the_per_path_test(seed, kind):
 
 
 def test_bound_test_eliminates_no_path(monkeypatch):
-    # certify at n = 5 on comm4 eliminates only the rows it adds (1,160),
+    # certify at n = 5 on comm4 eliminates only the rows it adds (380),
     # and the search asks `RowSpace.contains` nothing: the bound test counts
     # pivots instead of eliminating each of the 1,024 paths of length 5
     pf = dsl.parse(W.rescaled_text(_SPECS["comm4"](), random.Random(0)))
@@ -1455,7 +1475,7 @@ def test_bound_test_eliminates_no_path(monkeypatch):
             RowSpace, name, lambda self, row, _m=method, _n=name: calls.update([_n]) or _m(self, row)
         )
     assert certify(q, rels, 5).bound == 6
-    assert calls == {"_eliminate": 1160}
+    assert calls == {"_eliminate": 380}
     calls.clear()
     assert certify(q, rels).bound == 6
     assert calls["contains"] == 0

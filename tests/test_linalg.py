@@ -1,5 +1,6 @@
 import math
 import random
+from copy import copy
 from fractions import Fraction
 
 import pytest
@@ -419,15 +420,20 @@ def test_take_on_refuses_a_taken_or_misplaced_lead():
 
 @given(row_stream())
 @settings(max_examples=80, deadline=None)
-def test_rows_rebuild_the_span(data):
-    # the pivot rows, read in pivot-column order, are an echelon basis of
-    # the span: a span built from them answers as the original does
+def test_taken_on_and_copied_spans_answer_as_the_span(data):
+    # the pivot rows taken on under the identity map, and a copy, span the
+    # span again: both answer as the original does, and growing the copy
+    # leaves the original as it was
     rows, probes, as_int = data
     space = RowSpace(_typed(r, f) for r, f in zip(rows, as_int))
-    got = space.rows()
-    assert [min(r) for r in got] == space.pivot_columns()
-    rebuilt = RowSpace(got)
-    assert rebuilt.pivot_columns() == space.pivot_columns()
-    for v in [_sparse(r) for r in rows + probes]:
-        assert rebuilt.reduce(v) == space.reduce(v)
-    assert space.rows() == got  # reading and rebuilding left the rows unchanged
+    pivots = space.pivot_columns()
+    rebuilt = RowSpace()
+    rebuilt.take_on(space, {c: c for c in range(len(rows[0]))})
+    copied = copy(space)
+    for other in (rebuilt, copied):
+        assert other.pivot_columns() == pivots
+        for v in [_sparse(r) for r in rows + probes]:
+            assert other.reduce(v) == space.reduce(v)
+    for v in [_sparse(r) for r in probes]:
+        copied.add(v)
+    assert space.pivot_columns() == pivots
