@@ -1189,7 +1189,8 @@ def test_one_chain_holds_the_products_rho_v(seed, kind):
     # boundary have the pivots and normal forms of the one-pass span and of
     # I r + r I rebuilt, at every bound 1..N+1, N the bound or else the
     # search's cap; an acyclic quiver runs past its walk, and in "sink" the
-    # relation a c ends at w, which no arrow leaves
+    # relation a c raises the rank at level 2 and ends at w, which no arrow
+    # leaves (N = 3)
     rng = random.Random(seed)
     if kind == "acyclic":
         q = random_acyclic_quiver(rng)
@@ -1197,8 +1198,7 @@ def test_one_chain_holds_the_products_rho_v(seed, kind):
         cap = len(list(q._walk(sys.maxsize)))
     elif kind == "sink":
         q = GradedQuiver(["v", "w"], [Arrow("a", "v", "v", 0), Arrow("c", "v", "w", 0)])
-        rels = [_relation(q, "r", rng, ("a", "a"), ("a", "a", "a"))]
-        rels.append(_relation(q, "s", rng, ("a", "c")))
+        rels = [_relation(q, "r", rng, ("a",) * 3, ("a",) * 4), _relation(q, "s", rng, ("a", "c"))]
         cap = 5
     else:
         q, rels = _search_input(rng, kind)
@@ -1212,9 +1212,10 @@ def test_one_chain_holds_the_products_rho_v(seed, kind):
             held.add(row)
         for row in _two_sided_products(rels, levels[:1], levels, span.index, n, truncate=True):
             assert held.contains(row), bound
-        oracles = (span.space, _span(q, rels, n, truncate=True)[2]), (
-            span._boundary_space, _old_boundary(span)
-        )
+        oracles = [
+            (span.space, _span(q, rels, n, truncate=True)[2]),
+            (span._boundary_space, _old_boundary(span)),
+        ]
         for got, oracle in oracles:
             assert got.pivot_columns() == oracle.pivot_columns(), bound
             for _ in range(4):
@@ -1296,6 +1297,7 @@ def test_minimal_system_reads_the_recorded_boundary(kind, proofs, quaternion, mo
 @pytest.mark.parametrize(
     "kind, work",
     [("comm4", {"_eliminate": 380, "take_on": 24}), ("grid4", {"_eliminate": 153, "take_on": 168})],
+    ids=["comm4", "grid4"],
 )
 def test_search_and_certify_do_the_same_work(kind, work, monkeypatch):
     # the search grows its span through the steps of one construction at
