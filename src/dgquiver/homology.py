@@ -149,6 +149,12 @@ def homology_dims(dg: DgAlgebra, m: int, max_len: int) -> HomologyReport:
 
     Computed at max_len and max_len + 1; `stabilized` records agreement and
     the reported dimensions are the ones at max_len.
+
+    For `ginzburg_from_relations(q, R, m)` with m >= 3, dims[0] is
+    `certify(q, R, N).dim()` once max_len >= N - 1: the degree-0 arrows are
+    those of q (every added one has negative degree), and the degree -1
+    generators with nonzero d have d = +-rho for a relation rho, so degree 0
+    is KQ / ((R) + r^(max_len + 1)); r^N lies in (R) + r^k for all k > N.
     """
     if m < 1:
         raise ValueError("m >= 1 required")
@@ -156,13 +162,7 @@ def homology_dims(dg: DgAlgebra, m: int, max_len: int) -> HomologyReport:
     at_l = _dims_from_complex(build_truncated(dg, max_len, degrees), m)
     at_l1 = _dims_from_complex(build_truncated(dg, max_len + 1, degrees), m)
     vosnex = all(at_l[i] == 0 for i in range(1, m - 1))
-    return HomologyReport(
-        m=m,
-        max_len=max_len,
-        dims=at_l,
-        stabilized=at_l == at_l1,
-        vosnex=vosnex,
-    )
+    return HomologyReport(m, max_len, at_l, stabilized=at_l == at_l1, vosnex=vosnex)
 
 
 def h0_presentation(dg: DgAlgebra):
