@@ -145,16 +145,13 @@ def _dims_from_complex(cx: TruncatedComplex, m: int) -> dict[int, int]:
 
 
 def homology_dims(dg: DgAlgebra, m: int, max_len: int) -> HomologyReport:
-    """dim H^{-i} for 0 <= i <= m-1 within the length truncation.
+    """dim H^{-i} for 0 <= i <= m-1 at cutoff max_len; `stabilized` records
+    whether the dimensions at max_len + 1 agree.
 
-    Computed at max_len and max_len + 1; `stabilized` records agreement and
-    the reported dimensions are the ones at max_len.
-
-    For `ginzburg_from_relations(q, R, m)` with m >= 3, dims[0] is
-    `certify(q, R, N).dim()` once max_len >= N - 1: the degree-0 arrows are
-    those of q (every added one has negative degree), and the degree -1
-    generators with nonzero d have d = +-rho for a relation rho, so degree 0
-    is KQ / ((R) + r^(max_len + 1)); r^N lies in (R) + r^k for all k > N.
+    For `ginzburg_from_relations(q, R, m)`, m >= 3, degree 0 is KQ / ((R) +
+    r^(max_len + 1)): its arrows are q's (the added ones have negative degree),
+    and the degree -1 generators with d != 0 have d = +-rho.  So once max_len >=
+    N - 1, dims[0] is `certify(q, R, N).dim()`, as r^N lies in (R) + r^k, k > N.
     """
     if m < 1:
         raise ValueError("m >= 1 required")
@@ -162,7 +159,13 @@ def homology_dims(dg: DgAlgebra, m: int, max_len: int) -> HomologyReport:
     at_l = _dims_from_complex(build_truncated(dg, max_len, degrees), m)
     at_l1 = _dims_from_complex(build_truncated(dg, max_len + 1, degrees), m)
     vosnex = all(at_l[i] == 0 for i in range(1, m - 1))
-    return HomologyReport(m, max_len, at_l, stabilized=at_l == at_l1, vosnex=vosnex)
+    return HomologyReport(
+        m=m,
+        max_len=max_len,
+        dims=at_l,
+        stabilized=at_l == at_l1,
+        vosnex=vosnex,
+    )
 
 
 def h0_presentation(dg: DgAlgebra):

@@ -223,8 +223,7 @@ class SparseMatrix:
 
 
 def rank(m: SparseMatrix) -> int:
-    """Rank of `m` over Q, exact.  Rows go in last stored first: descending
-    row index, longest paths first, for `build_truncated`, which leaves fewer
-    pivot-row entries.  The rank is a function of the span (see `RowSpace`),
-    so the order changes the cost, never the answer."""
+    """Rank of `m` over Q, exact.  Rows go in last stored first (descending row
+    index, longest paths first, for `build_truncated`): fewer pivot-row entries.
+    The rank is a function of the span (`RowSpace`), so order changes no answer."""
     return RowSpace(reversed(m._by_row.values())).rank

@@ -1,9 +1,12 @@
 import random
 from dataclasses import astuple
+from pathlib import Path as FilePath
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
 
 from dgquiver import (
     Arrow,
@@ -15,17 +18,19 @@ from dgquiver import (
     Relation,
     algebra_dim,
     build_truncated,
+    certify,
     find_admissibility_bound,
     format_element,
     ginzburg_from_relations,
     h0_presentation,
     homology_dims,
+    parse,
     preprojective_presentation,
     relation_dg_algebra,
     vosnex_equivalence_check,
 )
 from dgquiver.homology import TruncationError, default_truncation_length
-from dgquiver.linalg import SparseMatrix
+from dgquiver.linalg import RowSpace, SparseMatrix, rank
 
 from conftest import (
     element,
@@ -34,6 +39,13 @@ from conftest import (
     small_dg_algebras,
     zero_relation,
 )
+
+FIXTURES = FilePath(__file__).resolve().parent.parent / "fixtures"
+
+
+def load(name):
+    pf = parse((FIXTURES / f"{name}.quiver").read_text())
+    return pf.quiver, pf.relations
 
 
 def one_vertex_zero_dg(m):
@@ -160,6 +172,19 @@ def test_truncated_matrices_compose_to_zero(square, quaternion):
                 assert by_rows.matmul(cx.matrices[d + 1]).is_zero()
 
 
+@pytest.mark.parametrize("name", ["quaternion", "square_d4"])
+def test_rank_of_real_complexes_matches_basis_order_and_sympy(name):
+    # `rank` feeds the rows last stored first; the answer is that of the
+    # basis order and of an independent exact rank
+    q, rels = load(name)
+    cx = build_truncated(ginzburg_from_relations(q, rels, 3), 4, range(-3, 1))
+    for d in (-3, -2, -1):
+        mx = cx.matrices[d]
+        by_row = {i: {j: QQ(v) for j, v in row.items()} for i, row in mx._by_row.items()}
+        oracle = DomainMatrix(by_row, (mx.rows, mx.cols), QQ).rank()
+        assert rank(mx) == RowSpace(mx._by_row.values()).rank == oracle, d
+
+
 def test_truncation_rejects_length_zero_differential():
     q = GradedQuiver(["v"], [Arrow("s", "v", "v", -1)])
     dg = DgAlgebra(q, {"s": PathElement.idempotent(q, "v")})
@@ -227,6 +252,19 @@ def test_dim_h0_matches_ideal_dimension(square):
     assert algebra_dim(loop, rel, n2) == 2
     rep = homology_dims(ginzburg_from_relations(loop, rel, 3), 3, 2 * n2)
     assert rep.dims[0] == 2
+
+
+@pytest.mark.parametrize("name", ["quaternion", "square_d4"])
+def test_dim_h0_is_the_certified_dimension_from_cutoff_n_minus_1(name):
+    # degree 0 of the truncated complex is KQ / ((R) + r^(L+1)), which is
+    # KQ / ((R) + r^N) once L >= N - 1 (the homology_dims docstring)
+    q, rels = load(name)
+    span = certify(q, rels)
+    n = span.bound - 1
+    for m in (3, 4):
+        for L in (n - 1, n, n + 1):
+            rep = homology_dims(ginzburg_from_relations(q, rels, m), m, L)
+            assert rep.dims[0] == span.dim(), (m, L)
 
 
 # ---------- H^0 presentations ----------

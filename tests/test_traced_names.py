@@ -70,3 +70,19 @@ def test_tiny_ideal_op_opens_the_search_spans():
     assert tracer.leftover_wrappers() == []
     opened = {s.name for s in tracer.spans}
     assert {"ideals.find_admissibility_bound", "ideals.bound_is_valid"} <= opened
+
+
+def test_rank_pass_ranks_the_l_plus_1_matrix(monkeypatch):
+    # the claimed per-layer metric linalg.rank.deg-3 is `rank` of the degree
+    # -3 matrix at the cutoff L + 1; the harness's self-check is not tier-1
+    monkeypatch.setattr(sys, "path", list(sys.path))  # run.py prepends perfbench/
+    run = _load("run")
+    lib = types.SimpleNamespace(**{m: importlib.import_module(f"dgquiver.{m}") for m in run.MODULES})
+    w = run.W.TINY["hom-quaternion"]
+    inputs = w.make_inputs(lib, ROOT, random.Random(1))
+    out = run._rank_pass(w, lib, inputs)
+    gamma = lib.dg.ginzburg_from_relations(inputs.quiver, inputs.relations, run.W.M)
+    mx = lib.homology.build_truncated(gamma, w.max_len + 1, range(-3, 1)).matrices[-3]
+    assert w.max_len + 1 == 4
+    assert out["linalg.rank.deg-3"] == lib.linalg.rank(mx) > 0
+    assert out["linalg.rank.deg-3.s"] > 0
