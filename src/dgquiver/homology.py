@@ -11,16 +11,16 @@ term of every d(a) has length >= lmin, a path longer than L + 1 - lmin has d
 of length > L, a zero row at cutoff L.  So only paths of length <= L + 1 -
 lmin are walked: dimensions are path counts, rows are indexed by basis
 position, and columns in first-hit order, which `columns` names.
-Dimensions are recomputed at L and L+1 and reported together with a
-`stabilized` flag -- agreement is a convergence heuristic, not a theorem,
-and the reports say which cutoff they used.
+Dimensions are computed at L; a `stabilized` flag says whether they agree
+at L+1, compared from H^0 down to the first that differs -- a convergence
+heuristic, not a theorem, and the reports say which cutoff they used.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass, field
-from functools import cached_property
+from collections.abc import Iterator, Mapping, Sequence
+from dataclasses import dataclass
+from functools import cache, cached_property
 
 from .algebra import Superpotential
 from .dg import (
@@ -58,26 +58,54 @@ class _Basis(Sequence):
         return self._q.paths_by_degree(self._max_len, d, d)[d]
 
 
+class _Assembled(Mapping):
+    """Read-only degree -> part i (0: matrix, 1: columns) of `assemble(d)`,
+    made on the first read of either part and kept in `done`, keyed by the
+    degree window and shared by the two parts."""
+
+    def __init__(self, done: dict, assemble, i: int):
+        self._done, self._assemble, self._i = done, assemble, i
+
+    def __getitem__(self, d: int):
+        if self._done[d] is None:
+            self._done[d] = self._assemble(d)
+        return self._done[d][self._i]
+
+    def _read(self, d: int):
+        """`self[d]`, but made afresh and not kept if it was never read."""
+        return (self._done[d] or self._assemble(d))[self._i]
+
+    def __contains__(self, d) -> bool:
+        return d in self._done
+
+    def __iter__(self):
+        return iter(self._done)
+
+    def __len__(self) -> int:
+        return len(self._done)
+
+
 @dataclass
 class TruncatedComplex:
     """Per cohomological degree d: the keys of the basis paths of length
     <= max_len (`components[d]`, whose length is their count), and the
-    dim(d) x dim(d + 1) matrix of d.  Row i is the i-th basis path; column j
-    is `columns[d][j]`, columns in first-hit order, and the unhit ones zero."""
+    dim(d) x dim(d + 1) matrix of d, made when it or `columns[d]` is first
+    read.  Row i is the i-th basis path; column j is `columns[d][j]`, columns
+    in first-hit order, and the unhit ones zero."""
 
     dg: DgAlgebra
     max_len: int
     degrees: list[int]
     components: dict[int, Sequence[PathKey]]
-    matrices: dict[int, SparseMatrix] = field(default_factory=dict)
-    columns: dict[int, list[PathKey]] = field(default_factory=dict)
+    matrices: Mapping[int, SparseMatrix]
+    columns: Mapping[int, list[PathKey]]
 
     def dim(self, degree: int) -> int:
         return len(self.components.get(degree, ()))
 
 
 def build_truncated(dg: DgAlgebra, max_len: int, degrees) -> TruncatedComplex:
-    """Assemble the truncated complex on the requested degree window.
+    """Set up the truncated complex on the requested degree window.
 
     The dimensions are `path_counts`.  Row i of the matrix in degree d is
     `_d_path` of the i-th basis path at the cutoff max_len: a term longer
@@ -85,7 +113,8 @@ def build_truncated(dg: DgAlgebra, max_len: int, degrees) -> TruncatedComplex:
     quotient, so it is never formed.  A trivial path (keyed by its vertex
     name) has d = 0 and an empty row.  A column is indexed on its first
     nonzero entry (`columns[d]`); one that no row hits adds 1 to the
-    dimension and 0 to the rank.
+    dimension and 0 to the rank.  The rows are walked here, but a degree's
+    matrix is made only when it or its columns are first read.
 
     Rows zero by length are not computed.  With lmin the least length of a
     term of any d(a), a path a_1...a_n with n > max_len + 1 - lmin has a zero
@@ -107,9 +136,8 @@ def build_truncated(dg: DgAlgebra, max_len: int, degrees) -> TruncatedComplex:
         raise ValueError("the degree window is empty")
     dims = q.path_counts(max_len, degrees[0], degrees[-1] + 1)
     walked = q.paths_by_degree(max(0, max_len + 1 - lmin), degrees[0], degrees[-1])
-    components = {d: _Basis(q, max_len, d, dims[d]) for d in degrees}
-    cx = TruncatedComplex(dg, max_len, degrees, components)
-    for d in degrees:
+
+    def assemble(d: int) -> tuple[SparseMatrix, list[PathKey]]:
         # after the check above every image has positive length
         column = {}
         rows = {}
@@ -118,9 +146,12 @@ def build_truncated(dg: DgAlgebra, max_len: int, degrees) -> TruncatedComplex:
                 image = _d_path(dg, key, max_len)
                 if row := {column.setdefault(w, len(column)): c for w, c in image.items() if c}:
                     rows[i] = row
-        cx.columns[d] = list(column)
-        cx.matrices[d] = SparseMatrix._of_rows(dims[d], dims[d + 1], rows)
-    return cx
+        return SparseMatrix._of_rows(dims[d], dims[d + 1], rows), list(column)
+
+    components = {d: _Basis(q, max_len, d, dims[d]) for d in degrees}
+    done = dict.fromkeys(degrees)
+    matrices, columns = (_Assembled(done, assemble, i) for i in (0, 1))
+    return TruncatedComplex(dg, max_len, degrees, components, matrices, columns)
 
 
 @dataclass
@@ -138,15 +169,19 @@ class HomologyReport:
     vosnex: bool
 
 
-def _dims_from_complex(cx: TruncatedComplex, m: int) -> dict[int, int]:
-    # dim H^{-i} = dim C^{-i} - rank(d on C^{-i}) - rank(d into C^{-i})
-    ranks = {d: rank(mx) for d, mx in cx.matrices.items()}
-    return {i: cx.dim(-i) - ranks.get(-i, 0) - ranks.get(-i - 1, 0) for i in range(m)}
+def _dims_from_complex(cx: TruncatedComplex, m: int) -> Iterator[int]:
+    """dim H^{-i} = dim C^{-i} - rank(d on C^{-i}) - rank(d into C^{-i}) for
+    i = 0, 1, ..., m-1, yielded in turn: each matrix is made and ranked once,
+    when the first dimension that needs it is asked for, and not kept."""
+    rank_of = cache(lambda d: rank(cx.matrices._read(d)) if d in cx.matrices else 0)
+    for i in range(m):
+        yield cx.dim(-i) - rank_of(-i) - rank_of(-i - 1)
 
 
 def homology_dims(dg: DgAlgebra, m: int, max_len: int) -> HomologyReport:
     """dim H^{-i} for 0 <= i <= m-1 at cutoff max_len; `stabilized` records
-    whether the dimensions at max_len + 1 agree.
+    whether the dimensions at max_len + 1 agree, compared from H^0 down: the
+    pass stops at the first that differs and ranks no matrix below it.
 
     For `ginzburg_from_relations(q, R, m)`, m >= 3, degree 0 is KQ / ((R) +
     r^(max_len + 1)): its arrows are q's (the added ones have negative degree),
@@ -156,14 +191,14 @@ def homology_dims(dg: DgAlgebra, m: int, max_len: int) -> HomologyReport:
     if m < 1:
         raise ValueError("m >= 1 required")
     degrees = range(-m, 1)
-    at_l = _dims_from_complex(build_truncated(dg, max_len, degrees), m)
+    at_l = dict(enumerate(_dims_from_complex(build_truncated(dg, max_len, degrees), m)))
     at_l1 = _dims_from_complex(build_truncated(dg, max_len + 1, degrees), m)
     vosnex = all(at_l[i] == 0 for i in range(1, m - 1))
     return HomologyReport(
         m=m,
         max_len=max_len,
         dims=at_l,
-        stabilized=at_l == at_l1,
+        stabilized=all(a == b for a, b in zip(at_l.values(), at_l1)),
         vosnex=vosnex,
     )
 

@@ -576,7 +576,7 @@ def vosnex_equivalence_check(
     # it has no arrow of nonzero degree, finite-dimensional when acyclic
     b = relation_dg_algebra(q, relations).quiver
     gamma = ginzburg_from_relations(q, relations, m)
-    dims = _dims_from_complex(build_truncated(gamma, max_len, range(-m, 1)), m)
+    dims = list(_dims_from_complex(build_truncated(gamma, max_len, range(1 - m, 1)), m - 1))
     return VosnexVerdict(
         acyclic_and_no_relations=q.is_acyclic() and not relations,
         degree_zero_finite=all(a.degree == 0 for a in b.arrows) and b.is_acyclic(),
