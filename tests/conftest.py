@@ -71,6 +71,25 @@ def zero_relation(q, label, source=None, target=None):
     return Relation(label, v, w, PathElement.zero(q))
 
 
+def grid(n: int):
+    """The n x n commuting grid: its quiver and one relation per square."""
+    def vx(i, j):
+        return f"v{i}_{j}"
+
+    arrows = [Arrow(f"h{i}_{j}", vx(i, j), vx(i, j + 1)) for i in range(n) for j in range(n - 1)]
+    arrows += [Arrow(f"u{i}_{j}", vx(i, j), vx(i + 1, j)) for i in range(n - 1) for j in range(n)]
+    q = GradedQuiver([vx(i, j) for i in range(n) for j in range(n)], arrows)
+    rels = [
+        Relation(
+            f"s{i}_{j}", vx(i, j), vx(i + 1, j + 1),
+            element(q, (1, (f"h{i}_{j}", f"u{i}_{j + 1}")), (-1, (f"u{i}_{j}", f"h{i + 1}_{j}"))),
+        )
+        for i in range(n - 1)
+        for j in range(n - 1)
+    ]
+    return q, rels
+
+
 def random_acyclic_quiver(rng: random.Random, max_extra: int = 3) -> GradedQuiver:
     nv = rng.randint(2, 4)
     vertices = [f"v{i}" for i in range(1, nv + 1)]

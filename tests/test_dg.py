@@ -42,6 +42,7 @@ from dgquiver.dg import _d_path, _dual_arrow, _sign
 from conftest import (
     assert_d2_kills_random_products,
     element,
+    grid,
     random_quiver,
     random_relations,
     small_dg_algebras,
@@ -734,30 +735,11 @@ def test_graded_constructions_match_term_by_term_oracle(data):
     _assert_constructions_match_oracle(q, w, m, omega)
 
 
-def _grid(n: int):
-    """The n x n commuting grid: its quiver and one relation per square."""
-    def vx(i, j):
-        return f"v{i}_{j}"
-
-    arrows = [Arrow(f"h{i}_{j}", vx(i, j), vx(i, j + 1)) for i in range(n) for j in range(n - 1)]
-    arrows += [Arrow(f"u{i}_{j}", vx(i, j), vx(i + 1, j)) for i in range(n - 1) for j in range(n)]
-    q = GradedQuiver([vx(i, j) for i in range(n) for j in range(n)], arrows)
-    rels = [
-        Relation(
-            f"s{i}_{j}", vx(i, j), vx(i + 1, j + 1),
-            element(q, (1, (f"h{i}_{j}", f"u{i}_{j + 1}")), (-1, (f"u{i}_{j}", f"h{i + 1}_{j}"))),
-        )
-        for i in range(n - 1)
-        for j in range(n - 1)
-    ]
-    return q, rels
-
-
 def test_ginzburg_products_are_linear_in_the_arrows(monkeypatch):
     # the mesh needs the two products of [g, g*] per arrow g and nothing
     # per vertex: a product e_v [g, g*] e_v per vertex makes the count
     # grow with (arrows x vertices)
-    q, rels = _grid(4)
+    q, rels = grid(4)
     big, w = superpotential_extension(q, rels, 3)
     assert (len(big.vertices), len(big.arrows)) == (16, 33)
     calls = 0

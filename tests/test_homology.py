@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from dataclasses import astuple
 from pathlib import Path as FilePath
 
@@ -34,6 +36,7 @@ from dgquiver.linalg import RowSpace, SparseMatrix, rank
 
 from conftest import (
     element,
+    grid,
     random_acyclic_quiver,
     random_relations,
     small_dg_algebras,
@@ -110,7 +113,8 @@ def test_build_truncated_constructs_no_path(monkeypatch, quaternion):
 
 def test_build_truncated_skips_rows_zero_by_length(monkeypatch, quaternion):
     # every term of every d has length >= lmin, so a path longer than
-    # L + 1 - lmin has a zero row and is never passed to _d_path
+    # L + 1 - lmin has a zero row and is never passed to _d_path; the
+    # matrices are assembled on first read, so every one is read
     from dgquiver import homology
 
     q, rels = quaternion
@@ -128,7 +132,9 @@ def test_build_truncated_skips_rows_zero_by_length(monkeypatch, quaternion):
     monkeypatch.setattr(homology, "_d_path", recording_d_path)
     for cutoff in (5, 6):
         lengths.clear()
-        build_truncated(dg, cutoff, range(-3, 1))
+        cx = build_truncated(dg, cutoff, range(-3, 1))
+        for d in cx.degrees:
+            cx.matrices[d]
         assert max(lengths) == cutoff + 1 - lmin
 
 
@@ -150,6 +156,113 @@ def test_homology_dims_walks_only_the_rows(monkeypatch, quaternion):
     monkeypatch.setattr(GradedQuiver, "paths_by_degree", recording_paths_by_degree)
     homology_dims(dg, 3, 5)
     assert walks == [5 + 1 - lmin, 6 + 1 - lmin]
+
+
+def test_stabilization_pass_stops_at_the_first_differing_degree(monkeypatch, quaternion):
+    # at L + 1 the dims are compared from H^0 down and each matrix is ranked
+    # when a comparison first needs it: H^{-i} needs degrees -i and -i - 1.
+    # Quaternion's H^{-1} already differs, so degree -3 is never walked at
+    # L + 1; on the 4 x 4 grid only H^{-2} differs, so it is walked and ranked
+    from dgquiver import homology
+
+    walked, ranked = [], []
+    d_path, rank_ = homology._d_path, homology.rank
+
+    def recording_d_path(dg, arrows, max_len):
+        walked.append((max_len, sum(dg.quiver.arrow(a).degree for a in arrows)))
+        return d_path(dg, arrows, max_len)
+
+    monkeypatch.setattr(homology, "_d_path", recording_d_path)
+    monkeypatch.setattr(homology, "rank", lambda mx: ranked.append(mx) or rank_(mx))
+    for (q, rels), cutoff, first_differing in ((quaternion, 5, 1), (grid(4), 6, 2)):
+        dg = ginzburg_from_relations(q, rels, 3)
+        walked.clear()
+        ranked.clear()
+        rep = homology_dims(dg, 3, cutoff)
+        assert (cutoff, -3) in walked
+        assert ((cutoff + 1, -3) in walked) == (first_differing == 2)
+        assert len(ranked) == 4 + first_differing + 2
+        cx = build_truncated(dg, cutoff + 1, range(-3, 1))
+        at_l1 = dict(enumerate(homology._dims_from_complex(cx, 3)))
+        assert [i for i in range(3) if at_l1[i] != rep.dims[i]][0] == first_differing
+        assert rep.stabilized is (at_l1 == rep.dims) is False
+
+
+def test_truncated_matrices_are_assembled_on_first_read(monkeypatch, quaternion):
+    # the walk is eager; a degree's matrix and columns are made together on
+    # the first read of either, then kept, and the window bounds the keys;
+    # what is made does not depend on the order of the reads
+    from dgquiver import homology
+
+    dg = ginzburg_from_relations(*quaternion, 3)
+    other = build_truncated(dg, 5, range(-3, 1))
+    in_order = [(d, mx.entries, other.columns[d]) for d, mx in other.matrices.items()]
+    calls = 0
+    d_path = homology._d_path
+
+    def counting_d_path(*args):
+        nonlocal calls
+        calls += 1
+        return d_path(*args)
+
+    monkeypatch.setattr(homology, "_d_path", counting_d_path)
+    cx = build_truncated(dg, 5, range(-3, 1))
+    assert calls == 0
+    assert list(cx.matrices) == list(cx.columns) == cx.degrees == [-3, -2, -1, 0]
+    assert len(cx.matrices) == 4 and -3 in cx.matrices and 1 not in cx.matrices
+    for degree in (1, -4):
+        with pytest.raises(KeyError):
+            cx.matrices[degree]
+        with pytest.raises(KeyError):
+            cx.columns[degree]
+    assert calls == 0
+    columns = cx.columns[-2]
+    assert calls > 0
+    walked = calls
+    assert cx.matrices[-2] is cx.matrices[-2] and cx.columns[-2] is columns
+    assert calls == walked
+    assert [(d, cx.matrices[d].entries, cx.columns[d]) for d in (-3, -2, -1, 0)] == in_order
+    assert [mx.entries for mx in cx.matrices.values()] == [e for _, e, _ in in_order]
+
+
+def test_homology_pass_keeps_no_matrix_it_makes(monkeypatch, quaternion):
+    # the rank pass reads a matrix already made as it is, and makes any
+    # other afresh without keeping it, so a complex that only the pass
+    # reads never holds more than the matrix being ranked
+    from dgquiver import homology
+
+    dg = ginzburg_from_relations(*quaternion, 3)
+    degrees_walked = []
+    d_path = homology._d_path
+
+    def recording_d_path(dg, arrows, max_len):
+        degrees_walked.append(sum(dg.quiver.arrow(a).degree for a in arrows))
+        return d_path(dg, arrows, max_len)
+
+    monkeypatch.setattr(homology, "_d_path", recording_d_path)
+    cx = build_truncated(dg, 5, range(-3, 1))
+    kept = cx.matrices[-2]
+    degrees_walked.clear()
+    dims = list(homology._dims_from_complex(cx, 3))
+    assert -2 not in degrees_walked and {-3, -1} <= set(degrees_walked)
+    assert dims == list(homology_dims(dg, 3, 5).dims.values())
+    degrees_walked.clear()
+    assert cx.matrices[-2] is kept and not degrees_walked
+    cx.matrices[-3]
+    assert set(degrees_walked) == {-3}
+
+
+def test_truncated_complex_needs_no_cycle_collector(quaternion):
+    # a complex whose matrix has been read is freed by reference counting
+    cx = build_truncated(ginzburg_from_relations(*quaternion, 3), 4, range(-3, 1))
+    cx.matrices[-2]
+    ref = weakref.ref(cx)
+    gc.disable()
+    try:
+        del cx
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_truncated_matrices_compose_to_zero(square, quaternion):
