@@ -6,15 +6,11 @@ about (R) asked of elements supported in length < N reduces to finite linear
 algebra: the span of the truncations of u*rho*v to length < N equals
 (R) intersected with the paths of length < N, because any discarded tail
 lies in r^N and hence in the ideal.  No Groebner machinery is used or
-needed.  Columns are path keys in walk order; the certified span grows from
-left shifts of its last level and right shifts of the rows that raised its
-rank there, other spans from integer rows u*rho*v.
-
-Every relation is homogeneous for the weight of `_weights` (arrow counts
-modulo the differences of the terms of one relation), so each row u*rho*v,
-cut or not, lies in one block (source, target, weight), and a span of rows
-is the direct sum of its blocks: `generates_arrow_power` builds only the
-blocks of the paths it tests.
+needed.  Columns are path keys in walk order.  One chain grows every span
+level by level from the left shifts of its last level and the right shifts
+of the rows that raised its rank there (`TruncatedIdealSpan`): the
+certified span holds the products u*rho*v cut to its length, the proof of
+`generates_arrow_power` those whose every term fits.
 
 The bound search is the operational test "every path of length N lies in the
 truncated span at bound N+1" (`bound_is_valid(span)`, which counts the pivots
@@ -33,11 +29,9 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_left
-from collections import Counter
 from copy import copy
 from dataclasses import astuple, dataclass
 from fractions import Fraction
-from itertools import chain
 from math import lcm
 
 from .algebra import PathElement, format_element
@@ -68,97 +62,11 @@ def _require_r2(relations: list[Relation]) -> list[Relation]:
     return relations
 
 
-def _weights(q: GradedQuiver, relations, max_len: int) -> dict[str, int]:
-    """Each arrow's weight, packed into an int that is exact on the words of
-    length <= max_len; a word weighs the sum of its arrows, and a path's
-    block is (source, target, weight).
-
-    The weight is the arrow-count vector modulo D, the Q-span of the count
-    differences of any two terms of one relation, so every relation is
-    homogeneous.  `RowSpace(D).reduce` of an arrow's unit vector is the
-    canonical representative of its coset, and it is linear.  Scaled to
-    integers x with |x_i| <= m, a representative packs as the sum of
-    x_i * B^i, B = 2 * max_len * m + 1: the digits of a word of length
-    <= max_len lie within max_len * m < B / 2, and balanced digits are
-    unique, so two such words pack equal iff their weights are equal.
-    """
-    column = {a.name: i for i, a in enumerate(q.arrows)}
-    diffs = RowSpace()
-    for rel in relations:
-        counts = [Counter(map(column.__getitem__, p.arrows)) for p in rel.body.terms]
-        for c in counts[1:]:
-            c.subtract(counts[0])
-            if any(c.values()):
-                diffs.add(c)
-    reps = [diffs.reduce({i: 1}) for i in range(len(column))]
-    s = lcm(*(x.denominator for r in reps for x in r.values()))
-    reps = [{i: int(x * s) for i, x in r.items()} for r in reps]
-    digit = {i: k for k, i in enumerate(sorted(set().union(*reps)))}
-    base = 2 * max_len * max((abs(x) for r in reps for x in r.values()), default=0) + 1
-    return {
-        name: sum(x * base ** digit[i] for i, x in r.items()) for name, r in zip(column, reps)
-    }
-
-
 def _integer_terms(body: PathElement) -> list[tuple[tuple[str, ...], int]]:
     """The body's terms as (arrow tuple, int) by length, times the lcm of their denominators."""
     terms = sorted(body.terms.items(), key=lambda t: len(t[0]))
     s = lcm(*(c.denominator for _, c in terms))
     return [(p.arrows, c.numerator * (s // c.denominator)) for p, c in terms]
-
-
-def _two_sided_products(relations, us, vs, index, max_len: int, *, truncate: bool, blocks=None):
-    """Yield u * rho * v as an integer row {index[word]: coefficient} for each
-    relation rho, each u of the walk levels `us` ending where rho starts and
-    each v of the walk levels `vs` starting where rho ends, read off the walk
-    tuples (`q._walk`).  `index` maps path keys (`Path.key`) to columns; a
-    product has positive length, so its key is its word.
-
-    Each body is read once as (arrow tuple, int) terms by ascending length,
-    scaled by the lcm of its denominators, which leaves the span unchanged.
-    For fixed u and v distinct terms t give distinct words u t v, so a row
-    needs no accumulation.  With `truncate`, a product is kept when its
-    shortest term has length <= max_len and is cut to length <= max_len (the
-    scan over the terms stops at the first longer one); otherwise every term
-    must fit and nothing is cut.  `blocks` is None or a pair (weights,
-    wanted), `weights` from `_weights` for max_len and the paths of `us` and
-    `vs` weighed by it (each walk tuple's last entry is then the weight):
-    then only the products whose block (source of u, target of v, weight of
-    u t v for t the shortest term) is in `wanted` are yielded, the others
-    skipped before their row is formed.
-    The order is fixed by `relations`, `us` and `vs`.  The relations must pass
-    `validate_relations`.  As the levels come by length, the loops stop at the
-    first u, and the first v for a given u, that leaves no room.
-    `generates_arrow_power` reads the exact mode on one list; the cut mode and
-    the `us`/`vs` split serve the tests as references for the chains and boundary.
-    """
-    weights, wanted = blocks or ({}, None)
-    by_target, by_source = {}, {}  # vertex: the paths of `us` into it, of `vs` out of it
-    for path in chain.from_iterable(us):  # (arrows, source, target, degree or weight)
-        by_target.setdefault(path[2], []).append(path)
-    for path in chain.from_iterable(vs):
-        by_source.setdefault(path[1], []).append(path)
-    for rel in relations:
-        terms = _integer_terms(rel.body)
-        if not terms:
-            continue  # zero relation spans nothing
-        room = max_len - len(terms[0 if truncate else -1][0])
-        weight = sum(map(weights.__getitem__, terms[0][0])) if wanted is not None else 0
-        for u, source, _, wu in by_target.get(rel.source, ()):
-            if len(u) > room:
-                break
-            for v, _, target, wv in by_source.get(rel.target, ()):
-                if len(u) + len(v) > room:
-                    break
-                if wanted is not None and (source, target, wu + weight + wv) not in wanted:
-                    continue
-                cap = max_len - len(u) - len(v)
-                row = {}
-                for t, c in terms:
-                    if len(t) > cap:
-                        break
-                    row[index[u + t + v]] = c
-                yield row
 
 
 def _holds_length(space: RowSpace, levels, n: int) -> bool:
@@ -198,6 +106,13 @@ class TruncatedIdealSpan:
     raise the rank over X_k are F_k.  `RowSpace` answers depend on the span
     alone, not on F, and the chain not on the bound: the search grows one span.
 
+    The exact chain (`_grow(exact=True)`, read by `generates_arrow_power`)
+    reads "fits" for "cut": E_k is the span of the products u rho v whose
+    every term has length <= k, and E_k = X_k + F_{k-1} B + span{rho with
+    every term of length <= k}, X_k and F_k read with E for S.  The proof
+    carries over, as E_{k-2} b <= E_{k-1}.  No relation has a term of length
+    0, so the span at bound 1 is 0 in both chains.
+
     The methods read N = bound - 1.  They answer for (R) exactly on a span
     returned by `certify`, whose rows hold every path of length N, and only
     for the truncation on any other span.
@@ -217,9 +132,10 @@ class TruncatedIdealSpan:
         while self.bound < bound:
             self._grow()
 
-    def _grow(self) -> None:
+    def _grow(self, *, exact: bool = False) -> None:
         """Grow to bound + 1, k = bound: X_k, then F_{k-1} B, the boundary, the cut
-        relations, and the rows that raised the rank as F_k; past the walk's end, none."""
+        relations, and the rows that raised the rank as F_k; past the walk's end, none.
+        With `exact`, a relation enters only once every term fits (the exact chain)."""
         self.bound += 1
         level = next(self._walk, None)
         if level is None:
@@ -241,7 +157,7 @@ class TruncatedIdealSpan:
         self._boundary_space = copy(space)
         for rel, terms in zip(self.relations, self._bodies):
             row = {self.index[w]: c for w, c in terms if len(w) < self.bound}
-            if row and space.add(row):
+            if row and (not exact or len(row) == len(terms)) and space.add(row):
                 fresh.append((rel.target, row))
         self.space, self._fresh = space, fresh
 
@@ -349,14 +265,21 @@ class TruncatedIdealSpan:
 def bound_is_valid(span: TruncatedIdealSpan) -> bool:
     """Operational admissibility test at n = bound - 1 on a span W, asked by
     the bound search and `certify`: every path of length n lies in W.  Columns
-    come by length, so these paths take the last ones, from `start` on, and a
-    pivot row led there lies in their level: if each is a pivot, the rows span
-    the level; a path in W is led at its own column, a pivot (`RowSpace`).  So
-    the top level's pivots decide; past the walk's end no path is left."""
-    n = span.bound - 1
-    start = sum(map(len, span._levels[:n]))
-    pivots = span.space.pivot_columns()
-    return len(pivots) - bisect_left(pivots, start) == len(span.paths) - start
+    come by length, so these paths take the last ones, and a pivot row led
+    there lies in their level: if each is a pivot, the rows span the level
+    (`_fills_level`).  So the top level's pivots decide; past the walk's end
+    no path is left."""
+    return _fills_level(span.space, span._levels, span.bound - 1)
+
+
+def _fills_level(space: RowSpace, levels, n: int) -> bool:
+    """Whether every column of walk level n (none past the walk's end) is a
+    pivot of the space: necessary for the paths of length n to lie in it, as
+    a path in the span is led at its own column, a pivot (`RowSpace`)."""
+    start = sum(map(len, levels[:n]))
+    stop = start + sum(map(len, levels[n:n + 1]))
+    pivots = space.pivot_columns()
+    return bisect_left(pivots, stop) - bisect_left(pivots, start) == stop - start
 
 
 def find_admissibility_bound(q: GradedQuiver, relations, max_n: int = DEFAULT_MAX_N) -> int | None:
@@ -402,23 +325,26 @@ def generates_arrow_power(q: GradedQuiver, relations, n: int, max_expr_len: int)
     *exact* combination of products u * rho * v whose every term fits in
     length <= max_expr_len.  No truncation is involved, so a True answer is
     a proof; a False answer may just mean max_expr_len was too small.  n = 0
-    asks about the trivial paths, and n < 0 raises ValueError.  Only the
-    products in the blocks of the paths of length n are built (`_weights`).
+    asks about the trivial paths, and n < 0 raises ValueError.
+
+    The exact chain E_k (`TruncatedIdealSpan`) grows from k = n and stops at
+    the first k whose level n is all pivots (`_fills_level`, a cheap
+    necessary test) and all in E_k (`_holds_length`): E_k <= E_max_expr_len,
+    so stopping early gives the answer at max_expr_len.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if max_expr_len < n:
         raise ValueError("max_expr_len must be at least n")
-    relations = _check_relations(q, relations)
-    levels = list(q._walk(max_expr_len))
-    index = {_key(a, s): i for i, (a, s, _, _) in enumerate(t for level in levels for t in level)}
-    weights = _weights(q, relations, max_expr_len)
-    paths = [[(a, s, t, sum(map(weights.__getitem__, a))) for a, s, t, _ in lv] for lv in levels]
-    wanted = {(s, t, w) for level in paths[n:n + 1] for _, s, t, w in level}
-    rows = _two_sided_products(
-        relations, paths, paths, index, max_expr_len, truncate=False, blocks=(weights, wanted)
-    )
-    return _holds_length(RowSpace(rows), levels, n)
+    span = TruncatedIdealSpan(q, relations, 1)  # checks the relations
+    while span.bound <= n:
+        span._grow(exact=True)
+    while not (_fills_level(span.space, span._levels, n)
+               and _holds_length(span.space, span._levels, n)):
+        if span.bound > max_expr_len:
+            return False
+        span._grow(exact=True)
+    return True
 
 
 def algebra_dim(q: GradedQuiver, relations, n: int) -> int:

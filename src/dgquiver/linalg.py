@@ -29,8 +29,9 @@ def as_rational(x) -> Fraction:
 
 def _integral(row: Mapping) -> tuple[SparseRow, int]:
     """(s * row, s) for s the lcm of the denominators, in a new dict; int rows
-    keep s = 1.  An all-int row, as every row of `ideals._two_sided_products`
-    is, is scanned for types and zeros at C speed and copied whole if it has none."""
+    keep s = 1.  An all-int row, as every row an ideal span adds is (shifted
+    pivot rows and `ideals._integer_terms` relation rows), is scanned for types
+    and zeros at C speed and copied whole if it has none."""
     values = row.values()
     if set(map(type, values)) <= {int}:
         return (dict(row) if 0 not in values else {c: v for c, v in row.items() if v}), 1

@@ -62,6 +62,8 @@ def test_ideal_dim_quaternion():
 # to 5 on quaternion) and reads the searched span: `report` for dim, the
 # minimal system and Ext^2.  `vosnex` certifies the bound once more for
 # finiteness; the split-extension check and the homology build no span.
+# Apart from those, each command that asks for the minimal system grows one
+# exact span for the one generation proof that quaternion asks.
 @pytest.mark.parametrize("argv, spans", [
     (["report", "--m", "3"], 1),
     (["report", "--m", "2"], 1),
@@ -74,9 +76,23 @@ def test_ideal_dim_quaternion():
     (["admissibility"], 1),
 ])
 def test_cli_certifies_once(argv, spans, monkeypatch, capsys):
-    built, searches = [], []
+    built, proof_spans, proving = [], [], []
     init = TruncatedIdealSpan.__init__
-    monkeypatch.setattr(TruncatedIdealSpan, "__init__", lambda *a: built.append(1) or init(*a))
+    monkeypatch.setattr(
+        TruncatedIdealSpan, "__init__",
+        lambda *a: (proof_spans if proving else built).append(1) or init(*a),
+    )
+    prove = ideals.generates_arrow_power
+
+    def proof(*a):
+        proving.append(1)
+        try:
+            return prove(*a)
+        finally:
+            proving.pop()
+
+    monkeypatch.setattr(ideals, "generates_arrow_power", proof)
+    searches = []
     certify = ideals.certify
 
     def counted(q, relations, n=None, **k):
@@ -87,6 +103,7 @@ def test_cli_certifies_once(argv, spans, monkeypatch, capsys):
     monkeypatch.setattr(cli, "certify", counted)
     assert cli.main([argv[0], str(FIXTURES / "quaternion.quiver"), *argv[1:]]) == 0
     assert len(built) == spans
+    assert len(proof_spans) == (argv[0] in ("report", "system-of-relations"))
     assert searches.count(True) == 1
 
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import dgquiver
 from dgquiver import (
     Arrow,
     GradedQuiver,
@@ -36,12 +37,7 @@ from dgquiver import (
     system_of_relations,
 )
 from dgquiver.dg import validate_relations
-from dgquiver.ideals import (
-    _check_relations,
-    _holds_length,
-    _two_sided_products,
-    _weights,
-)
+from dgquiver.ideals import _check_relations, _holds_length, _integer_terms
 from dgquiver.linalg import RowSpace
 
 from conftest import (
@@ -659,6 +655,43 @@ def _consequence(q, rels, rng):
     return Relation("cons", *ends, body)
 
 
+def _two_sided_products(relations, us, vs, index, max_len: int, *, truncate: bool):
+    """Yield u * rho * v as an integer row {index[word]: coefficient} for each
+    relation rho, each u of the walk levels `us` ending where rho starts and
+    each v of the walk levels `vs` starting where rho ends, read off the walk
+    tuples (`q._walk`); the slow generator that the chains of `ideals` are
+    checked against.  `index` maps path keys (`Path.key`) to columns; a
+    product has positive length, so its key is its word.
+
+    Each body is read once as (arrow tuple, int) terms by ascending length
+    (`_integer_terms`), which leaves the span unchanged.  For fixed u and v
+    distinct terms t give distinct words u t v, so a row needs no
+    accumulation.  With `truncate`, a product is kept when its shortest term
+    has length <= max_len and is cut to length <= max_len; otherwise every
+    term must fit and nothing is cut.  The order is fixed by `relations`,
+    `us` and `vs`.  As the levels come by length, the loops stop at the first
+    u, and the first v for a given u, that leaves no room.
+    """
+    by_target, by_source = {}, {}  # vertex: the paths of `us` into it, of `vs` out of it
+    for path in itertools.chain.from_iterable(us):  # (arrows, source, target, degree)
+        by_target.setdefault(path[2], []).append(path)
+    for path in itertools.chain.from_iterable(vs):
+        by_source.setdefault(path[1], []).append(path)
+    for rel in relations:
+        terms = _integer_terms(rel.body)
+        if not terms:
+            continue  # zero relation spans nothing
+        room = max_len - len(terms[0 if truncate else -1][0])
+        for u, *_ in by_target.get(rel.source, ()):
+            if len(u) > room:
+                break
+            for v, *_ in by_source.get(rel.target, ()):
+                if len(u) + len(v) > room:
+                    break
+                cap = max_len - len(u) - len(v)
+                yield {index[u + t + v]: c for t, c in terms if len(t) <= cap}
+
+
 def _oracle_products(q, relations, paths, max_len, *, truncate, boundary_only=False, vs=None):
     """u * rho * v as `PathElement` products over all pairs (u, v) of paths
     (v of `vs` if given), each cut to length <= max_len with `truncate`; the
@@ -771,8 +804,8 @@ def _span(q, relations, max_len, *, truncate):
 
 
 def _all_rows_generates_arrow_power(q, relations, n, max_expr_len):
-    """`generates_arrow_power` over the span of every product in every block,
-    as it was before the block filter; the slow oracle for that filter."""
+    """`generates_arrow_power` over the span of every product that fits in
+    max_expr_len; the slow oracle for the exact chain."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if max_expr_len < n:
@@ -785,8 +818,7 @@ def _all_rows_generates_arrow_power(q, relations, n, max_expr_len):
 # Seed 2 draws the quaternion-type family with the third relation a*b.  Then
 # a a a = a * r1 + (a b) * (a b) up to scalars, an expression whose products
 # have terms of lengths 3 and 4; at n = 3 it needs a product with no term of
-# length 3 and a product whose shortest term is not in the block of a a a by
-# raw arrow counts.
+# length 3, which enters the exact chain only at bound 5.
 @given(st.integers(0, 2**32), st.sampled_from(FAMILIES), st.integers(0, 4), st.integers(0, 3))
 @example(2, "quaternion", 3, 1)
 @settings(max_examples=60, deadline=None)
@@ -796,36 +828,18 @@ def test_generates_arrow_power_matches_all_rows(seed, kind, n, extra):
     assert generates_arrow_power(q, rels, n, n + extra) == want
 
 
-def test_exact_generation_builds_only_the_length_n_blocks(monkeypatch):
-    # three commuting loops with squares generate r^4 with expressions of
-    # length <= 7.  D = 0, so the weight of a word is its arrow-count vector
-    # and the blocks of length 4 hold the products u * rho * v with
-    # |u| + |v| = 2: 6 relations times 9 + 9 + 9 pairs (u, v), 162 rows,
-    # where the span of every product has 12,030
-    q, rels = commuting_loops(3)
-    weights = _weights(q, rels, 7)
-    levels = list(q._walk(7))
-    index = {p.key: i for i, p in enumerate(q.enumerate_paths(7))}
-    rows = list(_two_sided_products(rels, levels, levels, index, 7, truncate=False))
-    assert len(rows) == 12_030
-    added = []
-    add = RowSpace.add
-    monkeypatch.setattr(RowSpace, "add", lambda self, row: added.append(row) or add(self, row))
-    assert generates_arrow_power(q, rels, 4, 7)
-    assert len(added) == 162
-
-    # every relation, and so every row, is homogeneous; on the grid D != 0
-    grid = family_ideal(random.Random(0), "grid")
-    for q, rels in ((q, rels), grid):
-        weights = _weights(q, rels, 5)
-        levels = list(q._walk(5))
-        keys = [p.key for p in q.enumerate_paths(5)]
-        index = {key: i for i, key in enumerate(keys)}
-        for rel in rels:
-            assert len({sum(map(weights.__getitem__, p.arrows)) for p in rel.body.terms}) == 1
-        for truncate in (False, True):
-            for row in _two_sided_products(rels, levels, levels, index, 5, truncate=truncate):
-                assert len({sum(map(weights.__getitem__, keys[c])) for c in row}) == 1
+# degree 0 of the truncated complex is KQ / ((R) + r^(L+1)), which is
+# KQ / ((R) + r^N) once L >= N - 1 (the homology_dims docstring)
+@given(st.integers(0, 2**32), st.sampled_from(FAMILIES))
+@settings(max_examples=12, deadline=None)
+def test_dim_h0_is_the_certified_dimension_on_family_draws(seed, kind):
+    q, rels = family_ideal(random.Random(seed), kind)
+    n = find_admissibility_bound(q, rels, max_n=5)
+    assume(n is not None)
+    gamma = ginzburg_from_relations(q, rels, 3)
+    dim = certify(q, rels, n).dim()
+    for cutoff in (n - 1, n):
+        assert homology_dims(gamma, 3, cutoff).dims[0] == dim, cutoff
 
 
 def test_span_construction_validates_relations(square):
@@ -897,9 +911,15 @@ def test_generates_arrow_power_length_checks(square):
         generates_arrow_power(q, [], -1, 3)
     # n = 0 asks about the trivial paths, which no relation in r^2 reaches
     assert not generates_arrow_power(q, rels, 0, 3)
+    assert not generates_arrow_power(q, rels, 0, 0)
     assert generates_arrow_power(q, rels, 2, 3)
-    # the walk on the square stops at length 2, so r^3 = 0 holds vacuously
+    # max_expr_len = n allows the relation a a itself, not a * (a a)
+    assert generates_arrow_power(q, rels, 2, 2)
+    assert not generates_arrow_power(q, [], 3, 3)
+    # the walk on the square stops at length 2, so r^3 = 0 and r^6 = 0 hold
+    # vacuously, the exact chain grown past the walk's end
     assert generates_arrow_power(square[0], [], 3, 4)
+    assert generates_arrow_power(square[0], [], 6, 6)
     assert not generates_arrow_power(square[0], [], 2, 4)
 
 
@@ -916,8 +936,9 @@ def test_certify_validates_once(quaternion, monkeypatch):
     assert len(calls) == 1
 
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 _WORKLOADS = importlib.util.spec_from_file_location(
-    "perfbench_workloads", pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
 )
 W = sys.modules[_WORKLOADS.name] = importlib.util.module_from_spec(_WORKLOADS)
 _WORKLOADS.loader.exec_module(W)
@@ -1006,21 +1027,32 @@ def test_certified_span_columns_serve_every_span_of_a_call(seed, kind):
 
 def test_ideal_call_walks_and_validates_once(quaternion, monkeypatch):
     # the boundary and candidate spans read the certified span's columns, so
-    # one call walks the quiver and checks the relations once
+    # one call walks the quiver and checks the relations once; the minimal
+    # system's one generation proof on quaternion does so once more, for the
+    # one exact span it grows
     from dgquiver import ideals
 
     q, rels = quaternion
-    calls = []
+    calls, proving = [], []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
-            calls.append(name)
+            calls.append("proof " + name if proving else name)
             return fn(*args, **kwargs)
         return wrapper
+
+    def proof(*args, _prove=ideals.generates_arrow_power):
+        calls.append("proof")
+        proving.append(1)
+        try:
+            return _prove(*args)
+        finally:
+            proving.pop()
 
     monkeypatch.setattr(ideals, "_check_relations", counted("check", ideals._check_relations))
     monkeypatch.setattr(GradedQuiver, "_walk", counted("walk", GradedQuiver._walk))
     monkeypatch.setattr(TruncatedIdealSpan, "__init__", counted("span", TruncatedIdealSpan.__init__))
+    monkeypatch.setattr(ideals, "generates_arrow_power", proof)
     for call in (
         lambda: ext2_dim(q, rels, 5),
         lambda: certify(q, rels, 5).boundary_image_vanishes(rels[0].body),
@@ -1031,7 +1063,9 @@ def test_ideal_call_walks_and_validates_once(quaternion, monkeypatch):
         assert sorted(calls) == ["check", "span", "walk"]
     calls.clear()
     system_of_relations(q, rels, 5)
-    assert calls.count("span") == 1
+    assert sorted(calls) == [
+        "check", "proof", "proof check", "proof span", "proof walk", "span", "walk"
+    ]
 
 
 def test_boundary_is_an_independent_span(quaternion):
@@ -1248,22 +1282,52 @@ def _spec_or_family(kind, rng):
 
 
 @pytest.mark.parametrize("kind", FAMILIES + ("comm4", "grid4"))
-def test_span_construction_calls_no_product_generator(kind, monkeypatch):
-    # the span grows from shifted pivot rows and the cut relations alone, so
-    # no construction at any bound and no bound search builds a product
-    # u * rho * v
-    from dgquiver import ideals
-
+def test_span_construction_calls_no_product_generator(kind):
+    # the exact chain grows, as the certified one, from shifted pivot rows
+    # and the relations alone, and builds no product u * rho * v; yet at
+    # every bound 1..N+1 it has the pivots and normal forms of the span of
+    # every product whose terms all fit below the bound
     q, rels, n = _spec_or_family(kind, random.Random(0))
-    calls = []
-    products = ideals._two_sided_products
+    rng = random.Random(1)
+    span = TruncatedIdealSpan(q, rels, 1)
+    while span.bound <= n + 1:
+        oracle = _span(q, rels, span.bound - 1, truncate=False)[2]
+        assert span.space.pivot_columns() == oracle.pivot_columns(), span.bound
+        for _ in range(4):
+            x = {rng.randrange(len(span.paths)): rng.choice(PQ_COEFFS) for _ in range(3)}
+            assert span.space.reduce(x) == oracle.reduce(x)
+        span._grow(exact=True)
+
+
+@pytest.mark.parametrize("kind", list(W.IDEAL_EXPECTED))
+def test_exact_proof_matches_all_rows_on_the_benchmark_ideals(kind):
+    # every leave-one-out candidate of the ideal pipeline's five ideals, at
+    # the bound and expression length that the minimal system asks
+    pf = {name: pf for name, pf, _ in W._ideal_inputs(dgquiver, ROOT, random.Random(0))}[kind]
+    q, rels, n = pf.quiver, pf.relations, W.IDEAL_EXPECTED[kind][0]
+    max_expr_len = n + max((r.body.max_length() or 1 for r in rels), default=1)
+    for k in range(len(rels)):
+        candidate = rels[:k] + rels[k + 1:]
+        want = _all_rows_generates_arrow_power(q, candidate, n, max_expr_len)
+        assert generates_arrow_power(q, candidate, n, max_expr_len) == want, rels[k].label
+
+
+def test_exact_proof_stops_at_the_first_level_that_holds(monkeypatch):
+    # comm3+red without `red` generates r^4 with products that fit in length
+    # 4, so the proof stops at bound 5 where max_expr_len = 7 allows bound 8;
+    # without c01 as well it answers False once it has grown to bound 8
+    q, rels, _ = _spec_or_family("comm3+red", random.Random(0))
+    assert [r.label for r in rels[:2]] == ["red", "c01"]
+    grown = []
+    grow = TruncatedIdealSpan._grow
     monkeypatch.setattr(
-        ideals, "_two_sided_products", lambda *a, **k: calls.append(1) or products(*a, **k)
+        TruncatedIdealSpan, "_grow", lambda self, **k: grown.append(self.bound + 1) or grow(self, **k)
     )
-    for bound in range(1, n + 2):
-        TruncatedIdealSpan(q, rels, bound)
-    find_admissibility_bound(q, rels, max_n=n)
-    assert calls == []
+    assert generates_arrow_power(q, rels[1:], 4, 7)
+    assert grown == [1, 2, 3, 4, 5]
+    grown.clear()
+    assert not generates_arrow_power(q, rels[2:], 4, 7)
+    assert grown == list(range(1, 9))
 
 
 @pytest.mark.parametrize(
@@ -1272,9 +1336,9 @@ def test_span_construction_calls_no_product_generator(kind, monkeypatch):
 def test_minimal_system_reads_the_recorded_boundary(kind, proofs, quaternion, monkeypatch):
     # each drop test reads the certified span's recorded I r + r I: where ext2
     # equals the number of relations no candidate spans I/(I r + r I), so no
-    # product u * rho * v is built (a span per candidate took 10 generator
-    # calls on comm4 and 9 on grid4); elsewhere each candidate that spans it
-    # asks for one exact generation proof, which is the only product builder
+    # span is built (a span per candidate took 10 product generator calls on
+    # comm4 and 9 on grid4); elsewhere each candidate that spans it asks for
+    # one exact generation proof, which grows the only span built
     from dgquiver import ideals
 
     if kind == "quaternion":
@@ -1285,13 +1349,11 @@ def test_minimal_system_reads_the_recorded_boundary(kind, proofs, quaternion, mo
     assert (span.ext2() == len(rels)) == (proofs == 0)
     want = _old_system_of_relations(q, rels, n)
     calls = Counter()
-    for name in ("_two_sided_products", "generates_arrow_power"):
-        fn = getattr(ideals, name)
-        monkeypatch.setattr(
-            ideals, name, lambda *a, _f=fn, _n=name, **k: calls.update([_n]) or _f(*a, **k)
-        )
+    prove, init = ideals.generates_arrow_power, TruncatedIdealSpan.__init__
+    monkeypatch.setattr(ideals, "generates_arrow_power", lambda *a: calls.update(["proof"]) or prove(*a))
+    monkeypatch.setattr(TruncatedIdealSpan, "__init__", lambda *a: calls.update(["span"]) or init(*a))
     assert span.minimal_system() == want
-    assert calls == Counter({"generates_arrow_power": proofs, "_two_sided_products": proofs})
+    assert calls == Counter({"proof": proofs, "span": proofs})
 
 
 @pytest.mark.parametrize(

@@ -52,8 +52,10 @@ def _load(name: str):
 
 
 def test_tiny_ideal_op_opens_the_search_spans():
-    # the ideal pipeline's per-layer metrics read these two spans; the
-    # harness's own self-check pins them, but tier-1 does not run it
+    # the ideal pipeline's per-layer metrics read these spans; the harness's
+    # own self-check pins them, but tier-1 does not run it.  Quaternion's
+    # minimal system asks one generation proof, so the proof's true_ratio
+    # metric has a call to read
     spans, workloads = _load("spans"), _load("workloads")
     lib = types.SimpleNamespace(**{
         m: importlib.import_module(f"dgquiver.{m}")
@@ -69,7 +71,9 @@ def test_tiny_ideal_op_opens_the_search_spans():
         tracer.remove()
     assert tracer.leftover_wrappers() == []
     opened = {s.name for s in tracer.spans}
-    assert {"ideals.find_admissibility_bound", "ideals.bound_is_valid"} <= opened
+    assert {
+        "ideals.find_admissibility_bound", "ideals.bound_is_valid", "ideals.generates_arrow_power"
+    } <= opened
 
 
 def test_rank_pass_ranks_the_l_plus_1_matrix(monkeypatch):
