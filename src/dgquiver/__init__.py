@@ -25,18 +25,15 @@ from .dg import (
     keller_comparison,
     loop_name,
     map_element,
-    normalize_arrow_degrees,
     relation_arrow_name,
     relation_dg_algebra,
     relation_sub_dg_correspondence,
-    replace_arrow,
     replace_arrow_isomorphism,
     reverse_arrow_name,
     sub_dg_algebra,
     sub_dg_completion,
     superpotential_extension,
     validate_relations,
-    verify_sub_dg,
 )
 from .dsl import ParseError, ProblemFile, parse, serialize
 from .homology import (
@@ -46,7 +43,6 @@ from .homology import (
     default_truncation_length,
     h0_presentation,
     homology_dims,
-    preprojective_presentation,
 )
 from .ideals import (
     NotAdmissibleError,

@@ -19,6 +19,12 @@ The differential extends to products as a degree +1 derivation with the
 usual Koszul prefix sign by one kernel, `_d_path`, which `apply_d` and
 `homology.build_truncated` share; `check_d_squared` verifies d^2 = 0 on
 the generators rather than assuming it, which proves it on products.
+
+`sub_dg_algebra` cuts out the sub-dg-algebra on a d-closed set of arrows.
+`replace_arrow_isomorphism`, `relation_sub_dg_correspondence`,
+`keller_comparison` and `sub_dg_completion` return their new data with an
+arrow -> (sign, arrow) mapping; none checks it, the caller passes it to
+`check_dg_isomorphism`.
 """
 
 from __future__ import annotations
@@ -321,10 +327,21 @@ def check_d_squared(dg: DgAlgebra) -> PathElement | None:
     return None
 
 
-def replace_arrow(q: GradedQuiver, w: Superpotential, arrow: str, m: int):
+def replace_arrow_isomorphism(q: GradedQuiver, w: Superpotential, arrow: str, m: int):
     """Replace an arrow a: i -> j that no term of w contains by its reversed
-    dual of degree 1-m-|a|; the superpotential is untouched and the Ginzburg
-    dg-algebras of the two data are isomorphic."""
+    dual a* of degree 1-m-|a|, and witness that the Ginzburg dg-algebra of
+    the data is unchanged.
+
+    Returns (new_q, new_w, mapping), w untouched.  The mapping runs from
+    `ginzburg_dg_algebra(new_q, new_w, m)` to `ginzburg_dg_algebra(q, w, m)`
+    and is for the caller to pass to `check_dg_isomorphism`.  It fixes every
+    untouched generator and sends a** back to a with the sign
+    (-1)^{|a| m + 1}, which is what the loop differentials force: swapping
+    the two slots of a supercommutator [x, y] costs -(-1)^{|x||y|}.
+
+    For m >= 2 and degrees in [1-m, 0], replacing each arrow of degree 1-m
+    in turn moves it to degree 0, so every degree lands in [2-m, 0].
+    """
     a = q.arrow(arrow)
     if arrow in w.arrows_used():
         raise ValueError(f"arrow {arrow!r} occurs in the superpotential")
@@ -333,72 +350,23 @@ def replace_arrow(q: GradedQuiver, w: Superpotential, arrow: str, m: int):
         raise ValueError(f"generated name {dual_name(arrow)!r} already in use")
     new_q = GradedQuiver(q.vertices, replaced)
     new_w = Superpotential(new_q, dict(w.terms), degree=w.degree)
-    return new_q, new_w
-
-
-def replace_arrow_isomorphism(q: GradedQuiver, w: Superpotential, arrow: str, m: int):
-    """Witness that replacing an arrow preserves the Ginzburg dg-algebra.
-
-    Returns (gamma_replaced, gamma_original, mapping) with the mapping
-    fixing every untouched generator, sending the dual of the new arrow
-    back to the old arrow with the sign (-1)^{d m + 1} (d the old degree),
-    which is what the loop differentials force: swapping the two slots of a
-    supercommutator [x, y] costs -(-1)^{|x||y|}.
-    """
-    a = q.arrow(arrow)
-    new_q, new_w = replace_arrow(q, w, arrow, m)
-    original = ginzburg_dg_algebra(q, w, m)
-    replaced = ginzburg_dg_algebra(new_q, new_w, m)
-    sign = _sign(a.degree * m + 1)
-    mapping = {}
-    for b in q.arrows:
-        if b.name == arrow:
-            continue
-        mapping[b.name] = (1, b.name)
-        mapping[dual_name(b.name)] = (1, dual_name(b.name))
-    mapping[dual_name(arrow)] = (1, dual_name(arrow))
-    mapping[dual_name(dual_name(arrow))] = (sign, arrow)
-    for v in q.vertices:
-        mapping[loop_name(v)] = (1, loop_name(v))
-    return replaced, original, mapping
-
-
-def normalize_arrow_degrees(q: GradedQuiver, w: Superpotential, m: int):
-    """Iterated arrow replacement moving every degree 1-m arrow to degree 0,
-    so that all arrow degrees land in [2-m, 0].  Requires m >= 2 and input
-    degrees within [1-m, 0]."""
-    if m < 2:
-        raise ValueError("m >= 2 required")
-    for a in q.arrows:
-        if not (1 - m <= a.degree <= 0):
-            raise ValueError(f"arrow {a.name!r} has degree outside [1-m, 0]")
-    for name in [a.name for a in q.arrows if a.degree == 1 - m]:
-        q, w = replace_arrow(q, w, name, m)
-    return q, w
-
-
-def verify_sub_dg(dg: DgAlgebra, sub_arrows) -> str | None:
-    """Check d maps the span of `sub_arrows` into itself; returns an arrow
-    whose differential escapes, or None."""
-    sub = set(sub_arrows)
-    unknown = sub - set(dg.arrow_names())
-    if unknown:
-        raise KeyError(f"unknown arrows {sorted(unknown)}")
-    for name in sorted(sub):
-        if not dg.d(name).arrows_used() <= sub:
-            return name
-    return None
+    fixed = [n for b in q.arrows if b.name != arrow for n in (b.name, dual_name(b.name))]
+    fixed += [dual_name(arrow)] + [loop_name(v) for v in q.vertices]
+    mapping = {n: (1, n) for n in fixed}
+    mapping[dual_name(dual_name(arrow))] = (_sign(a.degree * m + 1), arrow)
+    return new_q, new_w, mapping
 
 
 def sub_dg_algebra(dg: DgAlgebra, sub_arrows) -> DgAlgebra:
-    """The sub-dg-algebra on a d-closed set of arrows."""
-    bad = verify_sub_dg(dg, sub_arrows)
-    if bad is not None:
-        raise ValueError(f"d({bad}) leaves the chosen arrows")
+    """The sub-dg-algebra on a d-closed set of arrows.  An arrow that `dg`
+    lacks raises KeyError; else the first chosen arrow, in sorted order,
+    whose differential leaves the set raises ValueError."""
     small = dg.quiver.subquiver(sub_arrows)
-    return DgAlgebra(
-        small, {a.name: dg.d(a.name).rebind(small) for a in small.arrows}
-    )
+    sub = {a.name for a in small.arrows}
+    for name in sorted(sub):
+        if not dg.d(name).arrows_used() <= sub:
+            raise ValueError(f"d({name}) leaves the chosen arrows")
+    return DgAlgebra(small, {a.name: dg.d(a.name).rebind(small) for a in small.arrows})
 
 
 def map_element(mapping, x: PathElement, target: GradedQuiver) -> PathElement:

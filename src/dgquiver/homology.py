@@ -22,13 +22,7 @@ from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
 
-from .algebra import Superpotential
-from .dg import (
-    DgAlgebra,
-    _d_path,
-    _require_degree_zero,
-    ginzburg_dg_algebra,
-)
+from .dg import DgAlgebra, _d_path
 from .linalg import SparseMatrix, rank
 from .quiver import GradedQuiver, PathKey
 
@@ -87,15 +81,14 @@ class _Assembled(Mapping):
 
 @dataclass
 class TruncatedComplex:
-    """Per cohomological degree d: the keys of the basis paths of length
-    <= max_len (`components[d]`, whose length is their count), and the
-    dim(d) x dim(d + 1) matrix of d, made when it or `columns[d]` is first
-    read.  Row i is the i-th basis path; column j is `columns[d][j]`, columns
-    in first-hit order, and the unhit ones zero."""
+    """Per cohomological degree d of the window (the keys of `components`,
+    `matrices` and `columns`, ascending): the keys of the basis paths of
+    length <= max_len (`components[d]`, whose length is their count), and
+    the dim(d) x dim(d + 1) matrix of d, made when it or `columns[d]` is
+    first read.  Row i is the i-th basis path; column j is `columns[d][j]`,
+    columns in first-hit order, and the unhit ones zero."""
 
-    dg: DgAlgebra
     max_len: int
-    degrees: list[int]
     components: dict[int, Sequence[PathKey]]
     matrices: Mapping[int, SparseMatrix]
     columns: Mapping[int, list[PathKey]]
@@ -151,7 +144,7 @@ def build_truncated(dg: DgAlgebra, max_len: int, degrees) -> TruncatedComplex:
     components = {d: _Basis(q, max_len, d, dims[d]) for d in degrees}
     done = dict.fromkeys(degrees)
     matrices, columns = (_Assembled(done, assemble, i) for i in (0, 1))
-    return TruncatedComplex(dg, max_len, degrees, components, matrices, columns)
+    return TruncatedComplex(max_len, components, matrices, columns)
 
 
 @dataclass
@@ -220,15 +213,6 @@ def h0_presentation(dg: DgAlgebra):
         if a.degree == -1
     ]
     return zero_part, relations
-
-
-def preprojective_presentation(q: GradedQuiver):
-    """H^0 presentation of the Ginzburg dg-algebra with m = 1 and zero
-    superpotential: the doubled quiver modulo the mesh relations
-    e_i (sum over arrows of [a, a*]) e_i."""
-    _require_degree_zero(q)
-    dg = ginzburg_dg_algebra(q, Superpotential.zero(q), 1)
-    return h0_presentation(dg)
 
 
 def default_truncation_length(m: int, relations, bound: int | None = None) -> int:

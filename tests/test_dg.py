@@ -25,17 +25,15 @@ from dgquiver import (
     keller_comparison,
     loop_name,
     map_element,
-    normalize_arrow_degrees,
     relation_arrow_name,
     relation_dg_algebra,
     relation_sub_dg_correspondence,
-    replace_arrow,
+    replace_arrow_isomorphism,
     reverse_arrow_name,
     sub_dg_algebra,
     sub_dg_completion,
     supercommutator,
     superpotential_extension,
-    verify_sub_dg,
 )
 from dgquiver.dg import _d_path, _dual_arrow, _sign
 
@@ -330,7 +328,7 @@ def test_dg_algebra_validates_degree_and_endpoints():
 def test_replace_arrow_zero_superpotential():
     q = GradedQuiver(["1", "2"], [Arrow("a", "1", "2", 0)])
     w = Superpotential.zero(q)
-    q2, w2 = replace_arrow(q, w, "a", 4)
+    q2, w2, _ = replace_arrow_isomorphism(q, w, "a", 4)
     a2 = q2.arrow("a_star")
     assert (a2.source, a2.target, a2.degree) == ("2", "1", 1 - 4 - 0)
     assert w2.is_zero()
@@ -341,8 +339,8 @@ def test_replace_arrow_degree_involution():
         for deg in (0, -1, 2 - m):
             q = GradedQuiver(["1", "2"], [Arrow("a", "1", "2", deg)])
             w = Superpotential.zero(q)
-            q2, w2 = replace_arrow(q, w, "a", m)
-            q3, _ = replace_arrow(q2, w2, "a_star", m)
+            q2, w2, _ = replace_arrow_isomorphism(q, w, "a", m)
+            q3, _, _ = replace_arrow_isomorphism(q2, w2, "a_star", m)
             assert q3.arrow("a_star_star").degree == deg
 
 
@@ -354,18 +352,18 @@ def test_replace_arrow_rejects_used_arrow(one_vertex):
     )
     w = cyclic_reduce(PathElement.from_path(q, ("e", "a")))
     for used in ("a", "e"):
-        with pytest.raises(ValueError):
-            replace_arrow(q, w, used, m)
-    q2, w2 = replace_arrow(q, w, "f", m)  # f is free of w
+        with pytest.raises(ValueError, match="occurs in the superpotential"):
+            replace_arrow_isomorphism(q, w, used, m)
+    q2, w2, _ = replace_arrow_isomorphism(q, w, "f", m)  # f is free of w
     assert q2.arrow("f_star").degree == 0
     assert w2.terms == w.terms
+    with pytest.raises(ValueError, match="'f_star' already in use"):
+        replace_arrow_isomorphism(q2.with_extra_arrows([Arrow("f", "v", "v", 0)]), w2, "f", m)
 
 
 def test_replace_arrow_ginzburg_isomorphism():
     # the replaced data gives an isomorphic dg-algebra, for both parities
     # of m and of the replaced degree
-    from dgquiver import replace_arrow_isomorphism
-
     for m in (3, 4, 5):
         for d in (0, -1, -2, 1 - m):
             q = GradedQuiver(
@@ -378,20 +376,25 @@ def test_replace_arrow_ginzburg_isomorphism():
             )
             w = cyclic_reduce(PathElement.from_path(q, ("a", "c")))
             assert not w.is_zero()
-            replaced, original, mapping = replace_arrow_isomorphism(q, w, "b", m)
+            new_q, new_w, mapping = replace_arrow_isomorphism(q, w, "b", m)
+            replaced = ginzburg_dg_algebra(new_q, new_w, m)
+            original = ginzburg_dg_algebra(q, w, m)
             assert check_d_squared(replaced) is None
             assert check_dg_isomorphism(mapping, replaced, original) is None
 
 
 def test_normalize_arrow_degrees():
-    # degrees 1-m move to 0, everything ends in [2-m, 0]
+    # replacing each degree 1-m arrow in turn moves it to 0, so everything
+    # ends in [2-m, 0]
     m = 4
     q = GradedQuiver(
         ["1", "2"],
         [Arrow("a", "1", "2", 0), Arrow("b", "2", "1", 1 - m), Arrow("e", "2", "1", 2 - m)],
     )
     w = cyclic_reduce(PathElement.from_path(q, ("a", "e")))
-    q2, w2 = normalize_arrow_degrees(q, w, m)
+    q2, w2 = q, w
+    for name in [a.name for a in q.arrows if a.degree == 1 - m]:
+        q2, w2, _ = replace_arrow_isomorphism(q2, w2, name, m)
     degs = {a.name: a.degree for a in q2.arrows}
     assert degs == {"a": 0, "b_star": 0, "e": 2 - m}
     assert all(2 - m <= d <= 0 for d in degs.values())
@@ -401,15 +404,18 @@ def test_normalize_arrow_degrees():
 # ---------- sub-dg-algebras and isomorphisms ----------
 
 
-def test_verify_sub_dg_cases(square, one_vertex):
+def test_sub_dg_algebra_closure_cases(square, one_vertex):
     q, rels = square
     m = 3
     dg = ginzburg_from_relations(q, rels, m)
     good = {a.name for a in q.arrows} | {dual_name(reverse_arrow_name("r"))}
-    assert verify_sub_dg(dg, good) is None
-    assert verify_sub_dg(dg, set(dg.arrow_names())) is None
+    assert {a.name for a in sub_dg_algebra(dg, good).quiver.arrows} == good
+    assert sub_dg_algebra(dg, dg.arrow_names()) == dg
+    with pytest.raises(KeyError):
+        sub_dg_algebra(dg, good | {"nope"})
     dg2 = ginzburg_from_relations(one_vertex, [zero_relation(one_vertex, "r1")], 4)
-    assert verify_sub_dg(dg2, {"t_v"}) == "t_v"
+    with pytest.raises(ValueError, match=r"d\(t_v\)"):
+        sub_dg_algebra(dg2, {"t_v"})
 
 
 def test_check_dg_isomorphism_identity(square):

@@ -18,16 +18,17 @@ from dgquiver import (
     Path,
     PathElement,
     Relation,
+    Superpotential,
     algebra_dim,
     build_truncated,
     certify,
     find_admissibility_bound,
     format_element,
+    ginzburg_dg_algebra,
     ginzburg_from_relations,
     h0_presentation,
     homology_dims,
     parse,
-    preprojective_presentation,
     relation_dg_algebra,
     vosnex_equivalence_check,
 )
@@ -133,7 +134,7 @@ def test_build_truncated_skips_rows_zero_by_length(monkeypatch, quaternion):
     for cutoff in (5, 6):
         lengths.clear()
         cx = build_truncated(dg, cutoff, range(-3, 1))
-        for d in cx.degrees:
+        for d in cx.components:
             cx.matrices[d]
         assert max(lengths) == cutoff + 1 - lmin
 
@@ -208,7 +209,7 @@ def test_truncated_matrices_are_assembled_on_first_read(monkeypatch, quaternion)
     monkeypatch.setattr(homology, "_d_path", counting_d_path)
     cx = build_truncated(dg, 5, range(-3, 1))
     assert calls == 0
-    assert list(cx.matrices) == list(cx.columns) == cx.degrees == [-3, -2, -1, 0]
+    assert list(cx.matrices) == list(cx.columns) == list(cx.components) == [-3, -2, -1, 0]
     assert len(cx.matrices) == 4 and -3 in cx.matrices and 1 not in cx.matrices
     for degree in (1, -4):
         with pytest.raises(KeyError):
@@ -271,7 +272,7 @@ def test_truncated_matrices_compose_to_zero(square, quaternion):
     cases.append((ginzburg_from_relations(q, rels, 3), 3))
     for dg, m in cases:
         cx = build_truncated(dg, 5, range(-m, 1))
-        for d in cx.degrees:
+        for d in cx.components:
             if d + 1 in cx.matrices:
                 # column j of M_d is the path columns[d][j]; send it to that
                 # path's row of M_{d+1}, its basis position in degree d + 1
@@ -426,22 +427,22 @@ def test_h0_presentation_rejects_positive_degrees():
 # ---------- the m = 1 mesh presentation ----------
 
 
+def mesh_presentation(q):
+    """H^0 of the m = 1 Ginzburg dg-algebra with zero superpotential: the
+    doubled quiver modulo the mesh relations e_i (sum of [a, a*]) e_i."""
+    return h0_presentation(ginzburg_dg_algebra(q, Superpotential.zero(q), 1))
+
+
 def test_preprojective_no_arrows():
     q = GradedQuiver(["v"])
-    q0, rels = preprojective_presentation(q)
+    q0, rels = mesh_presentation(q)
     assert [a.name for a in q0.arrows] == []
     assert all(r.is_zero() for r in rels)
 
 
-def test_preprojective_requires_degree_zero_arrows():
-    q = GradedQuiver(["v"], [Arrow("a", "v", "v", -1)])
-    with pytest.raises(ValueError, match=r"requires all arrows in degree 0, got \['a'\]"):
-        preprojective_presentation(q)
-
-
 def test_preprojective_a2_mesh():
     q = GradedQuiver(["1", "2"], [Arrow("a", "1", "2", 0)])
-    q0, rels = preprojective_presentation(q)
+    q0, rels = mesh_presentation(q)
     assert {a.name for a in q0.arrows} == {"a", "a_star"}
     printed = [format_element(r) for r in rels]
     assert printed == ["a*a_star", "-a_star*a"]
@@ -449,7 +450,7 @@ def test_preprojective_a2_mesh():
 
 def test_preprojective_two_loops():
     q = GradedQuiver(["v"], [Arrow("a", "v", "v", 0), Arrow("b", "v", "v", 0)])
-    q0, rels = preprojective_presentation(q)
+    q0, rels = mesh_presentation(q)
     expect = element(
         q0,
         (1, ("a", "a_star")),
