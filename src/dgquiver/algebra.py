@@ -74,12 +74,6 @@ class PathElement:
             raise ValueError("use idempotent for trivial paths")
         return cls(quiver, {quiver.path(names): as_rational(coeff)})
 
-    @classmethod
-    def unit(cls, quiver: GradedQuiver) -> PathElement:
-        return cls(
-            quiver, {quiver.trivial_path(v): Fraction(1) for v in quiver.vertices}
-        )
-
     # ---------- ring structure ----------
 
     def is_zero(self) -> bool:
@@ -134,9 +128,6 @@ class PathElement:
         return f"PathElement({format_element(self)})"
 
     # ---------- structure queries ----------
-
-    def coefficient(self, p: Path) -> Fraction:
-        return self.terms.get(p, Fraction(0))
 
     def sorted_terms(self) -> list[tuple[Path, Fraction]]:
         return sorted(self.terms.items(), key=lambda t: self.quiver.path_sort_key(t[0]))

@@ -69,24 +69,15 @@ def _integer_terms(body: PathElement) -> list[tuple[tuple[str, ...], int]]:
     return [(p.arrows, c.numerator * (s // c.denominator)) for p, c in terms]
 
 
-def _holds_length(space: RowSpace, levels, n: int) -> bool:
-    """Whether every path of length n, eliminated alone, lies in the span over
-    the walk levels' columns (none past the walk's end).  `generates_arrow_power`
-    asks it: its span runs past length n, so pivots do not decide there."""
-    start = sum(map(len, levels[:n]))
-    stop = start + sum(map(len, levels[n:n + 1]))
-    return all(space.contains({i: 1}) for i in range(start, stop))
-
-
 class TruncatedIdealSpan:
     """Row space of the two-sided ideal (R) cut to paths of length < bound.
 
     Rows are the truncations of u * rho * v over the relations rho and the
     path pairs (u, v); when r^bound <= (R), their span is (R) restricted to
     the paths of length < bound.  The relations are checked with
-    `validate_relations` (ValueError).  `paths` holds the column keys
-    (`Path.key`) in walk order, by length and then by arrow names, `index`
-    maps each key to its column, and `_levels` keeps the walk's levels.
+    `validate_relations` (ValueError).  `index` maps the column keys
+    (`Path.key`) to their columns in walk order, by length and then by arrow
+    names, and walk level k takes the columns `_offsets[k]:_offsets[k + 1]`.
 
     Write S_k for the span of the products u rho v cut to length <= k (0 for
     k < 0), X_k = sum_a a S_{k-1} over the arrows a, and F_k for the rows
@@ -125,7 +116,7 @@ class TruncatedIdealSpan:
         self.relations = _check_relations(quiver, relations)
         self._bodies = [_integer_terms(r.body) for r in self.relations]
         self._walk = quiver._walk(sys.maxsize)  # lazy; its level k does not depend on the cap
-        self._levels, self.index, self.paths = [], {}, []
+        self.index, self._offsets = {}, [0]
         self.space, self._fresh = RowSpace(), []  # S_k and the rows that raised its rank
         self._shifts = {a.name: ({}, {}) for a in quiver.arrows}  # a: columns p -> a p, p -> p a
         self.bound = 0
@@ -140,14 +131,12 @@ class TruncatedIdealSpan:
         level = next(self._walk, None)
         if level is None:
             return
-        self._levels.append(level)
         for word, s, t, _ in level:
-            key = _key(word, s)
-            self.index[key] = col = len(self.paths)
-            self.paths.append(key)
+            self.index[_key(word, s)] = col = len(self.index)
             if word:
                 self._shifts[word[0]][0][self.index[_key(word[1:], t)]] = col
                 self._shifts[word[-1]][1][self.index[_key(word[:-1], s)]] = col
+        self._offsets.append(len(self.index))
         space = RowSpace()
         for left_image, _ in self._shifts.values():
             space.take_on(self.space, left_image)
@@ -186,7 +175,7 @@ class TruncatedIdealSpan:
     def dim(self) -> int:
         """dim KQ/(R) as (#paths of length < N) - rank of the span at bound N;
         the paths of length N add as many columns as rank here."""
-        return len(self.paths) - self.rank
+        return len(self.index) - self.rank
 
     def minimal_system(self) -> list[Relation]:
         """A subset of the relations generating the same ideal, from which no
@@ -263,23 +252,23 @@ class TruncatedIdealSpan:
 
 
 def bound_is_valid(span: TruncatedIdealSpan) -> bool:
-    """Operational admissibility test at n = bound - 1 on a span W, asked by
-    the bound search and `certify`: every path of length n lies in W.  Columns
-    come by length, so these paths take the last ones, and a pivot row led
-    there lies in their level: if each is a pivot, the rows span the level
-    (`_fills_level`).  So the top level's pivots decide; past the walk's end
-    no path is left."""
-    return _fills_level(span.space, span._levels, span.bound - 1)
+    """Operational admissibility test at n = bound - 1, asked by the bound
+    search and `certify`: every path of length n lies in the span (`_holds_level`)."""
+    return _holds_level(span, span.bound - 1)
 
 
-def _fills_level(space: RowSpace, levels, n: int) -> bool:
-    """Whether every column of walk level n (none past the walk's end) is a
-    pivot of the space: necessary for the paths of length n to lie in it, as
-    a path in the span is led at its own column, a pivot (`RowSpace`)."""
-    start = sum(map(len, levels[:n]))
-    stop = start + sum(map(len, levels[n:n + 1]))
-    pivots = space.pivot_columns()
-    return bisect_left(pivots, stop) - bisect_left(pivots, start) == stop - start
+def _holds_level(span: TruncatedIdealSpan, n: int) -> bool:
+    """Whether every path of length n (none past the walk's end) lies in the span.
+    Each column of level n must be a pivot, as a path in the span is led at
+    its own column (`RowSpace`).  On the top level, n = bound - 1, that
+    suffices: columns come by length, so a pivot row led there lies in the
+    level, and all of them span it.  Below it, each path is eliminated."""
+    offsets = span._offsets
+    start, stop = offsets[min(n, len(offsets) - 1)], offsets[min(n + 1, len(offsets) - 1)]
+    pivots = span.space.pivot_columns()
+    if bisect_left(pivots, stop) - bisect_left(pivots, start) != stop - start:
+        return False
+    return n == span.bound - 1 or all(span.space.contains({i: 1}) for i in range(start, stop))
 
 
 def find_admissibility_bound(q: GradedQuiver, relations, max_n: int = DEFAULT_MAX_N) -> int | None:
@@ -328,19 +317,15 @@ def generates_arrow_power(q: GradedQuiver, relations, n: int, max_expr_len: int)
     asks about the trivial paths, and n < 0 raises ValueError.
 
     The exact chain E_k (`TruncatedIdealSpan`) grows from k = n and stops at
-    the first k whose level n is all pivots (`_fills_level`, a cheap
-    necessary test) and all in E_k (`_holds_length`): E_k <= E_max_expr_len,
-    so stopping early gives the answer at max_expr_len.
+    the first k whose E_k holds every path of length n (`_holds_level`):
+    E_k <= E_max_expr_len, so stopping early gives the answer at max_expr_len.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if max_expr_len < n:
         raise ValueError("max_expr_len must be at least n")
     span = TruncatedIdealSpan(q, relations, 1)  # checks the relations
-    while span.bound <= n:
-        span._grow(exact=True)
-    while not (_fills_level(span.space, span._levels, n)
-               and _holds_length(span.space, span._levels, n)):
+    while span.bound <= n or not _holds_level(span, n):
         if span.bound > max_expr_len:
             return False
         span._grow(exact=True)

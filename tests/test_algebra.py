@@ -88,7 +88,7 @@ def test_unit_is_two_sided_identity():
     q = GradedQuiver(
         ["1", "2"], [Arrow("a", "1", "2", 0), Arrow("b", "2", "1", 0)]
     )
-    one = PathElement.unit(q)
+    one = PathElement(q, {q.trivial_path(v): 1 for v in q.vertices})
     x = element(q, (3, ("a", "b")), (1, ("a",)))
     assert one * x == x
     assert x * one == x

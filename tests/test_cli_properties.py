@@ -3,7 +3,9 @@ problem files, run in process through `cli.main`.
 
 Each command ends with exit code 0, 1 or 2 and no traceback, two runs give
 the same bytes, and the blocks that a single-purpose command shares with
-`report` are equal.
+`report` are equal.  The commands that read m only optionally, or not at
+all, also run without `--m`, and those that never read it answer the same.
+Once `report`'s L reaches N - 1, H^0 is the dimension of KQ/(R).
 """
 
 from __future__ import annotations
@@ -43,17 +45,26 @@ def test_every_command_exits_cleanly_and_agrees_with_report(tmp_path_factory, se
     path.write_text(serialize(pf), encoding="utf-8")
 
     results = {}
-    for command in cli.COMMANDS:
-        argv = [command, str(path), "--m", "3", "--max-n", str(max_n)]
-        first = _run(argv)
-        code, out, err = first
-        assert code in (0, 1, 2), (command, first)
-        assert "Traceback" not in err, (command, err)
-        assert _run(argv) == first, command
+    for command, spec in cli.COMMANDS.items():
+        runs = []
+        for m_flag in [["--m", "3"]] + ([] if spec.m == "required" else [[]]):
+            argv = [command, str(path), *m_flag, "--max-n", str(max_n)]
+            first = _run(argv)
+            code, _, err = first
+            assert code in (0, 1, 2), (command, first)
+            assert "Traceback" not in err, (command, err)
+            assert _run(argv) == first, command
+            runs.append(first)
+        if spec.m is None:
+            assert runs[0] == runs[1], command
+        code, out, _ = runs[0]
         results[command] = json.loads(out) if code == 0 else None
 
     report = results["report"]
     assert report is not None
+    n = report["ideal"]["admissible_N"]
+    if n is not None and report["homology"]["L"] >= n - 1:
+        assert report["homology"]["dims"]["0"] == report["ideal"]["dim"]
     assert results["homology"]["homology"] == report["homology"]
     assert results["admissibility"]["ideal"]["admissible_N"] == report["ideal"]["admissible_N"]
     for command, key in (("ideal-dim", "dim"), ("ext2", "ext2"),

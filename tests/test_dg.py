@@ -432,6 +432,52 @@ def test_check_dg_isomorphism_rejects_degree_change():
         check_dg_isomorphism({"a": (1, "a")}, DgAlgebra(qa), DgAlgebra(qb))
 
 
+def test_check_dg_isomorphism_refusals(square):
+    # a map that is not total, not a bijection, has a zero coefficient or
+    # moves endpoints is refused before any differential is compared
+    q, rels = square
+    dg = relation_dg_algebra(q, rels)
+    ident = {a.name: (1, a.name) for a in dg.quiver.arrows}
+    refusals = [
+        ({n: v for n, v in ident.items() if n != "alpha"}, "must assign every arrow"),
+        ({**ident, "gamma": (1, "alpha")}, "not a bijection"),
+        ({**ident, "alpha": (0, "alpha")}, "zero coefficient on 'alpha'"),
+        ({**ident, "alpha": (1, "gamma"), "gamma": (1, "alpha")},
+         "'alpha' -> 'gamma' changes endpoints"),
+    ]
+    for mapping, msg in refusals:
+        with pytest.raises(ValueError, match=msg):
+            check_dg_isomorphism(mapping, dg, dg)
+
+
+def _flip(mapping, name):
+    """The mapping with the sign on `name` flipped."""
+    cf, image = mapping[name]
+    return {**mapping, name: (-cf, image)}
+
+
+def test_witness_with_a_flipped_sign_names_the_generator_it_breaks(square):
+    # each witness map, with its one nontrivial sign flipped, fails the
+    # check at the generator whose differential the sign balances
+    q, rels = square
+    for m in (2, 3, 4):
+        big, w = superpotential_extension(q, rels, m)
+        std, kel, mapping = keller_comparison(big, w, m)
+        assert check_dg_isomorphism(_flip(mapping, "t_v2"), std, kel) == "t_v2"
+        sub, b, mapping = relation_sub_dg_correspondence(q, rels, m)
+        assert check_dg_isomorphism(_flip(mapping, "eps_r_star"), sub, b) == "eps_r_star"
+    for m in (3, 4, 5):
+        for d in (0, -1, 1 - m):
+            q = GradedQuiver(
+                ["1", "2"],
+                [Arrow("a", "1", "2", 0), Arrow("c", "2", "1", 2 - m), Arrow("b", "2", "2", d)],
+            )
+            w = cyclic_reduce(PathElement.from_path(q, ("a", "c")))
+            new_q, new_w, mapping = replace_arrow_isomorphism(q, w, "b", m)
+            replaced, original = ginzburg_dg_algebra(new_q, new_w, m), ginzburg_dg_algebra(q, w, m)
+            assert check_dg_isomorphism(_flip(mapping, "b_star_star"), replaced, original) == "t_2"
+
+
 def test_keller_sign_comparison(square, quaternion):
     # Keller's loop differentials are (-1)^{m-1} times the standard ones, and
     # every other differential is the standard one
@@ -465,6 +511,20 @@ def test_sub_dg_completion_round_trip(square):
         assert check_d_squared(pres) is None
         gamma = ginzburg_dg_algebra(big, w, m)
         assert check_dg_isomorphism(phi, pres, gamma) is None
+
+
+def test_sub_dg_completion_refusals(square):
+    # an unknown arrow in omega, an outside arrow of even degree at odd m,
+    # and a cycle with two arrows outside omega are each refused
+    q, rels = square
+    big, w = superpotential_extension(q, rels, 3)
+    with pytest.raises(KeyError, match="unknown arrows"):
+        sub_dg_completion(big, w, 3, ["alpha", "nope"])
+    with pytest.raises(ValueError, match="arrow 'alpha' has even degree while m is odd"):
+        sub_dg_completion(big, w, 3, [])
+    big, w = superpotential_extension(q, rels, 4)
+    with pytest.raises(ValueError, match="exactly one arrow outside omega"):
+        sub_dg_completion(big, w, 4, [])
 
 
 def test_sub_dg_completion_graded_input():

@@ -106,8 +106,8 @@ def test_parse_zero_relation_and_coefficients():
     pf = parse(text)
     z, w = pf.relations
     assert z.body.is_zero()
-    assert w.body.coefficient(pf.quiver.path(("a", "a"))) == Fraction(3, 2)
-    assert w.body.coefficient(pf.quiver.path(("a", "a", "a"))) == Fraction(-1)
+    assert w.body.terms[pf.quiver.path(("a", "a"))] == Fraction(3, 2)
+    assert w.body.terms[pf.quiver.path(("a", "a", "a"))] == Fraction(-1)
 
 
 def test_parse_rejects_constant_term():

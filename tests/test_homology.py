@@ -92,6 +92,11 @@ def test_build_truncated_rejects_an_empty_degree_window():
         build_truncated(one_vertex_zero_dg(3), 4, [])
 
 
+def test_homology_dims_rejects_m_below_one():
+    with pytest.raises(ValueError, match="m >= 1 required"):
+        homology_dims(one_vertex_zero_dg(3), 0, 4)
+
+
 def test_build_truncated_constructs_no_path(monkeypatch, quaternion):
     # the walk hands build_truncated path keys; only enumerate_paths builds
     # Path objects, one per path it returns

@@ -37,7 +37,7 @@ from dgquiver import (
     system_of_relations,
 )
 from dgquiver.dg import validate_relations
-from dgquiver.ideals import _check_relations, _holds_length, _integer_terms
+from dgquiver.ideals import _check_relations, _integer_terms
 from dgquiver.linalg import RowSpace
 
 from conftest import (
@@ -228,6 +228,18 @@ def test_membership_needs_room(quaternion):
         certify(q, rels, 5).contains(too_long)
 
 
+def test_ideal_questions_refuse_bad_arguments(quaternion):
+    # an element outside the ideal has no image in I/(I r + r I), a span
+    # needs bound >= 1, and the exact proof needs room for length n
+    q, rels = quaternion
+    with pytest.raises(ValueError, match="does not lie in the ideal"):
+        certify(q, rels, 5).boundary_image_vanishes(element(q, (1, ("a", "b"))))
+    with pytest.raises(ValueError, match="bound must be >= 1"):
+        TruncatedIdealSpan(q, rels, 0)
+    with pytest.raises(ValueError, match="max_expr_len must be at least n"):
+        generates_arrow_power(q, rels, 5, 4)
+
+
 def test_contains_names_an_unknown_arrow():
     # an element over another quiver whose arrow the span's quiver lacks is
     # the quiver's error, even far below the bound; "beyond the bound" is kept
@@ -290,6 +302,27 @@ def test_witness_names_a_missing_matrix_or_dimension(quaternion):
         evaluate_in_representation(q, {}, {"a": [[1]], "b": [[1]]}, ab)
     with pytest.raises(ValueError, match="no dimension given for vertex 'v'"):
         evaluate_in_representation(q, {}, {}, PathElement.idempotent(q, "v"))
+
+
+def test_witness_refuses_mixed_endpoints_and_zero(square):
+    # an element without one source and one target, or with no term, has no
+    # matrix size to evaluate to
+    q, _ = square
+    dims = {v: 1 for v in q.vertices}
+    mats = {a.name: [[1]] for a in q.arrows}
+    with pytest.raises(ValueError, match="uniform source and target"):
+        evaluate_in_representation(q, dims, mats, element(q, (1, ("alpha",)), (1, ("gamma",))))
+    with pytest.raises(ValueError, match="zero element"):
+        evaluate_in_representation(q, dims, mats, PathElement.zero(q))
+
+
+def test_witness_skips_zero_relations(quaternion):
+    # a zero relation is never evaluated (its evaluation has no size), so it
+    # neither refutes the witness nor raises
+    q, rels = quaternion
+    aab = element(q, (1, ("a", "a", "b")))
+    sub = [zero_relation(q, "z")] + rels[:2]
+    assert certifies_non_membership(q, sub, {"v": 1}, {"a": [[1]], "b": [[1]]}, aab)
 
 
 def test_witness_never_separates_zero():
@@ -387,6 +420,32 @@ def test_split_extension_a2():
     assert split_extension_check(a2, [], 2) is None
 
 
+def test_split_extension_names_each_failed_condition(square, monkeypatch):
+    # a presentation that lost the input relation fails (i), and one with an
+    # extra relation whose term avoids the reversed arrow fails (ii)
+    from dgquiver import ideals
+
+    q, rels = square
+    h0 = ideals.h0_presentation
+
+    def dropped(dg):
+        big, h0_rels = h0(dg)
+        return big, [rel for rel in h0_rels if "eps_r" in rel.arrows_used()]
+
+    def added(dg):
+        big, h0_rels = h0(dg)
+        return big, h0_rels + [PathElement.from_path(big, ("alpha", "beta"))]
+
+    monkeypatch.setattr(ideals, "h0_presentation", dropped)
+    assert split_extension_check(q, rels, 3) == (
+        "input relations missing from the degree-0 presentation: ['alpha*beta - gamma*delta']"
+    )
+    monkeypatch.setattr(ideals, "h0_presentation", added)
+    assert split_extension_check(q, rels, 3) == (
+        "extra relation alpha*beta has a term with no reversed arrow"
+    )
+
+
 def test_split_extension_reads_no_bound(quaternion, monkeypatch):
     # the proof of (i) and (ii) uses no admissibility: at n = 3, which is not
     # a bound for the quaternion-type ideal, the check answers and builds no span
@@ -406,17 +465,18 @@ def _path(key):
 
 def _normal_form(span, x):
     """Canonical normal form of x modulo the span, x cut below the bound,
-    read off `span.space` on the columns `span.paths`."""
+    read off `span.space` on the columns of `span.index`."""
     x = x.truncate(span.bound - 1)
     res = span.space.reduce({span.index[p.key]: c for p, c in x.terms.items()})
-    return PathElement(span.quiver, {_path(span.paths[i]): c for i, c in res.items()})
+    keys = list(span.index)
+    return PathElement(span.quiver, {_path(keys[i]): c for i, c in res.items()})
 
 
 def _complement_basis(span):
     """The paths whose classes form a basis of the quotient by the span: the
-    columns of `span.paths` that are not pivots of `span.space`."""
+    columns of `span.index` that are not pivots of `span.space`."""
     pivots = set(span.space.pivot_columns())
-    return [_path(key) for i, key in enumerate(span.paths) if i not in pivots]
+    return [_path(key) for i, key in enumerate(span.index) if i not in pivots]
 
 
 def _split_condition_iii(q, relations, n, cap):
@@ -772,7 +832,7 @@ def test_span_matches_path_element_oracle(seed, bound, boundary_only, quiver):
     oracle = _oracle_space(
         q, rels, paths, bound - 1, truncate=True, boundary_only=boundary_only
     )
-    assert span.paths == [p.key for p in paths]
+    assert list(span.index) == [p.key for p in paths]
     assert span.rank == oracle.rank
     assert span.space.pivot_columns() == oracle.pivot_columns()
     pivots = set(oracle.pivot_columns())
@@ -801,6 +861,15 @@ def _span(q, relations, max_len, *, truncate):
     index = {p.key: i for i, p in enumerate(q.enumerate_paths(max_len))}
     rows = _two_sided_products(relations, levels, levels, index, max_len, truncate=truncate)
     return levels, index, RowSpace(rows)
+
+
+def _holds_length(space, levels, n):
+    """Whether every path of length n, eliminated alone, lies in the space
+    over the columns of the walk levels (none past the walk's end); the
+    slow oracle for the level test."""
+    start = sum(map(len, levels[:n]))
+    stop = start + sum(map(len, levels[n:n + 1]))
+    return all(space.contains({i: 1}) for i in range(start, stop))
 
 
 def _all_rows_generates_arrow_power(q, relations, n, max_expr_len):
@@ -1004,7 +1073,7 @@ def test_certified_span_columns_serve_every_span_of_a_call(seed, kind):
 
     rank_n = TruncatedIdealSpan(q, rels, n).rank
     max_expr_len = n + max((r.body.max_length() or 1 for r in rels), default=1)
-    levels = span._levels
+    levels = list(q._walk(span.bound - 1))
     for k in range(len(rels)):
         candidate = rels[:k] + rels[k + 1:]
         rows = _two_sided_products(candidate, levels, levels, span.index, n - 1, truncate=True)
@@ -1109,7 +1178,8 @@ def _old_boundary(span):
     """I r + r I rebuilt from its rows on the span's columns, as the span's
     boundary was built before the span recorded its boundary pivots: the products with u
     trivial and v nontrivial, then those with u nontrivial and any v."""
-    levels, n = span._levels, span.bound - 1
+    n = span.bound - 1
+    levels = list(span.quiver._walk(n))
     return RowSpace(itertools.chain(
         _two_sided_products(span.relations, levels[:1], levels[1:], span.index, n, truncate=True),
         _two_sided_products(span.relations, levels[1:], levels, span.index, n, truncate=True),
@@ -1197,7 +1267,7 @@ def test_level_by_level_span_matches_the_one_pass_span(seed, kind):
     assert span.space.pivot_columns() == one_pass.pivot_columns()
     assert span._boundary_space.pivot_columns() == _old_boundary(span).pivot_columns()
     for _ in range(10):
-        x = {rng.randrange(len(span.paths)): rng.choice(PQ_COEFFS) for _ in range(4)}
+        x = {rng.randrange(len(span.index)): rng.choice(PQ_COEFFS) for _ in range(4)}
         assert span.space.reduce(x) == one_pass.reduce(x)
     for bound in range(1, n + 1):
         lower = TruncatedIdealSpan(q, rels, bound)
@@ -1240,7 +1310,8 @@ def test_one_chain_holds_the_products_rho_v(seed, kind):
     top = (find_admissibility_bound(q, rels, max_n=cap) or cap) + 1
     for bound in range(1, top + 1):
         span = TruncatedIdealSpan(q, rels, bound)
-        levels, n = span._levels, bound - 1
+        n = bound - 1
+        levels = list(q._walk(n))
         held = copy(span._boundary_space)
         for row in _two_sided_products(rels, levels[:1], levels[:1], span.index, n, truncate=True):
             held.add(row)
@@ -1253,7 +1324,7 @@ def test_one_chain_holds_the_products_rho_v(seed, kind):
         for got, oracle in oracles:
             assert got.pivot_columns() == oracle.pivot_columns(), bound
             for _ in range(4):
-                x = {rng.randrange(len(span.paths)): rng.choice(PQ_COEFFS) for _ in range(3)}
+                x = {rng.randrange(len(span.index)): rng.choice(PQ_COEFFS) for _ in range(3)}
                 assert got.reduce(x) == oracle.reduce(x)
 
 
@@ -1294,7 +1365,7 @@ def test_span_construction_calls_no_product_generator(kind):
         oracle = _span(q, rels, span.bound - 1, truncate=False)[2]
         assert span.space.pivot_columns() == oracle.pivot_columns(), span.bound
         for _ in range(4):
-            x = {rng.randrange(len(span.paths)): rng.choice(PQ_COEFFS) for _ in range(3)}
+            x = {rng.randrange(len(span.index)): rng.choice(PQ_COEFFS) for _ in range(3)}
             assert span.space.reduce(x) == oracle.reduce(x)
         span._grow(exact=True)
 
@@ -1430,12 +1501,12 @@ def test_grown_search_matches_the_per_n_search(seed, kind):
             certify(q, rels, max_n=max_n)
         return
     span = certify(q, rels, max_n=max_n)
-    assert (span.bound, span.paths) == (old.bound, old.paths)
+    assert (span.bound, list(span.index)) == (old.bound, list(old.index))
     assert span.space.pivot_columns() == old.space.pivot_columns()
     assert span._boundary_space.pivot_columns() == old._boundary_space.pivot_columns()
     assert (span.dim(), span.ext2()) == (old.dim(), old.ext2())
     for _ in range(10):
-        x = {rng.randrange(len(span.paths)): rng.choice(PQ_COEFFS) for _ in range(4)}
+        x = {rng.randrange(len(span.index)): rng.choice(PQ_COEFFS) for _ in range(4)}
         assert span.space.reduce(x) == old.space.reduce(x)
 
 
@@ -1523,7 +1594,7 @@ def test_bound_test_agrees_with_the_per_path_test(seed, kind):
     top = (find_admissibility_bound(q, rels, max_n=cap) or cap) + 2
     for n in range(top + 1):
         span = TruncatedIdealSpan(q, rels, n + 1)
-        assert bound_is_valid(span) == _holds_length(span.space, span._levels, n), n
+        assert bound_is_valid(span) == _holds_length(span.space, list(q._walk(n)), n), n
 
 
 def test_bound_test_eliminates_no_path(monkeypatch):

@@ -4,16 +4,23 @@ Every import of a `dgquiver` module sits at module level, and the module
 level graph has no cycle: a module can then be loaded on its own, and two
 loaded copies of the package do not reach into each other through an
 import that runs at call time.  The echelon basis of `RowSpace` is read
-and written by `linalg` alone, which keeps its invariants.
+and written by `linalg` alone, which keeps its invariants.  The `test` extra
+of `pyproject.toml` names every third-party module that the tests import.
 """
 
 from __future__ import annotations
 
 import ast
+import re
+import sys
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "dgquiver"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "dgquiver"
+TESTS = ROOT / "tests"
 
 
 def _package_imports(node: ast.AST) -> list[str]:
@@ -67,3 +74,18 @@ def test_only_linalg_touches_the_pivot_rows():
         or isinstance(node, ast.Constant) and node.value == "_pivots"
     )
     assert touching == []
+
+
+def test_test_extra_names_every_third_party_import():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    named = {re.match(r"[\w.-]+", req).group() for req in project["optional-dependencies"]["test"]}
+    local = {path.stem for path in TESTS.glob("*.py")} | {"dgquiver"}
+    imported = set()
+    for path in TESTS.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported - sys.stdlib_module_names - local - named == set()
