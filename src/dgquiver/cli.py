@@ -160,7 +160,7 @@ def _h0(job: _Job) -> dict:
 
 def _vosnex(job: _Job) -> dict:
     pf, m = job.pf, job.m
-    verdict = vosnex_equivalence_check(pf.quiver, pf.relations, m, job.max_len(m), job.bound)
+    verdict = vosnex_equivalence_check(pf.quiver, pf.relations, m, job.max_len(m), job.ideal)
     return {"vosnex": {**asdict(verdict), "all_equal": verdict.all_equal()}}
 
 

@@ -43,7 +43,7 @@ from .dg import (
     reverse_arrow_name,
 )
 from .homology import _dims_from_complex, build_truncated, h0_presentation
-from .linalg import RowSpace, SparseMatrix, as_rational
+from .linalg import RowSpace, as_rational
 from .quiver import GradedQuiver, _key
 
 DEFAULT_MAX_N = 12  # the bound search's cap when the caller names none
@@ -370,9 +370,7 @@ def evaluate_in_representation(q: GradedQuiver, dims, matrices, x: PathElement):
         mat = [[as_rational(v) for v in row] for row in mat]
         if len(mat) != rows or any(len(row) != cols for row in mat):
             raise ValueError(f"matrix for {name!r} is not {rows} x {cols}")
-        mats[name] = SparseMatrix(
-            rows, cols, {(i, j): v for i, row in enumerate(mat) for j, v in enumerate(row)}
-        )
+        mats[name] = mat, cols
     x = x.rebind(q)
     sources = {q.source_of(p) for p in x.terms}
     targets = {q.target_of(p) for p in x.terms}
@@ -384,15 +382,15 @@ def evaluate_in_representation(q: GradedQuiver, dims, matrices, x: PathElement):
     if missing:
         raise ValueError(f"no matrix given for arrow {missing[0]!r}")
     src, tgt = dim(sources.pop()), dim(targets.pop())
-    unit = SparseMatrix(src, src, {(i, i): 1 for i in range(src)})
-    total: dict[tuple[int, int], Fraction] = {}
+    total = [[Fraction(0)] * tgt for _ in range(src)]
     for p, c in x.terms.items():
-        acc = unit
-        for name in p.arrows:
-            acc = acc.matmul(mats[name])
-        for ij, v in acc.entries.items():
-            total[ij] = total.get(ij, 0) + c * v
-    return [[total.get((i, j), Fraction(0)) for j in range(tgt)] for i in range(src)]
+        acc = [[Fraction(i == j) for j in range(src)] for i in range(src)]
+        for name in p.arrows:  # widths from dims: a source of dimension 0 leaves no rows
+            mat, cols = mats[name]
+            acc = [[sum((v * row[j] for v, row in zip(r, mat)), Fraction(0))
+                    for j in range(cols)] for r in acc]
+        total = [[t + c * v for t, v in zip(out, r)] for out, r in zip(total, acc)]
+    return total
 
 
 def certifies_non_membership(q: GradedQuiver, relations, dims, matrices, x: PathElement) -> bool:
@@ -466,23 +464,24 @@ class VosnexVerdict:
 
 
 def vosnex_equivalence_check(
-    q: GradedQuiver, relations, m: int, max_len: int, n: int | None
+    q: GradedQuiver, relations, m: int, max_len: int, span: TruncatedIdealSpan | None
 ) -> VosnexVerdict:
     """Evaluate the four equivalent conditions for the vanishing of the small
     negative homology of the Ginzburg dg-algebra of (q, relations, m).
 
-    n is the caller's admissibility bound (`find_admissibility_bound`), None
-    when there is none.  Preconditions, in this order, each raising with its
-    own message: m > 2; every relation body inside r^2; KQ/(relations)
-    finite-dimensional, which n = None cannot certify and `certify` at n
-    proves or raises on.  The homology is read at max_len alone, no L+1 pass.
+    span is the caller's certified span (`certify`), None when there is none.
+    Preconditions, in this order, each raising with its own message: m > 2;
+    every relation body inside r^2; KQ/(relations) finite-dimensional, which
+    span = None cannot certify, nor a span of another quiver or relations.
+    The homology is read at max_len alone, no L+1 pass.
     """
     if m <= 2:
         raise ValueError("m > 2 required")
     relations = _require_r2(_check_relations(q, relations))
-    if n is None:
+    if span is None:
         raise NotAdmissibleError("could not certify the quotient algebra finite-dimensional")
-    certify(q, relations, n)
+    if span.quiver != q or span.relations != relations:
+        raise ValueError("the span was certified for another quiver or other relations")
     # read off the relation dg-algebra itself: concentrated in degree 0 when
     # it has no arrow of nonzero degree, finite-dimensional when acyclic
     b = relation_dg_algebra(q, relations).quiver

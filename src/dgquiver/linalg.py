@@ -4,8 +4,8 @@ Everything downstream (ideal dimensions, homology ranks, membership tests,
 normal forms) reduces to one kernel, the echelon row span `RowSpace`.
 It eliminates fraction-free, in integers (Bareiss, Math. Comp. 22, 1968),
 and reports exact rationals: no floating point anywhere, no modular
-shortcuts.  Matrices are row-major semantic objects and "span" always
-means row span.
+shortcuts; "span" always means row span.  `SparseMatrix` only stores the
+rows of a truncated complex's differential (`build_truncated`) for `rank`.
 """
 
 from __future__ import annotations
@@ -162,8 +162,8 @@ class SparseMatrix:
     """Immutable sparse matrix over Q; zero entries are never stored.
 
     `int` entries are stored as given, any other exact entry as `Fraction`,
-    row-major: row -> {column: value}, nonzero rows only.  `rank` and
-    `matmul` read the rows; `entries`, (i, j) -> value, is derived on read.
+    row-major: row -> {column: value}, nonzero rows only.  `rank` reads the
+    rows; `entries`, (i, j) -> value, is derived on read.
     """
 
     __slots__ = ("rows", "cols", "_by_row")
@@ -194,33 +194,9 @@ class SparseMatrix:
     def entries(self) -> dict[tuple[int, int], int | Fraction]:
         return {(i, j): v for i, r in self._by_row.items() for j, v in r.items()}
 
-    def matmul(self, other: SparseMatrix) -> SparseMatrix:
-        if self.cols != other.rows:
-            raise ValueError("incompatible shapes for product")
-        by_row: dict[int, SparseRow] = {}
-        for i, r in self._by_row.items():
-            acc: SparseRow = {}
-            for k, v in r.items():
-                for j, w in other._by_row.get(k, {}).items():
-                    acc[j] = acc.get(j, 0) + v * w
-            acc = {j: v for j, v in acc.items() if v}
-            if acc:
-                by_row[i] = acc
-        return SparseMatrix._of_rows(self.rows, other.cols, by_row)
-
-    def is_zero(self) -> bool:
-        return not self._by_row
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SparseMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self._by_row == other._by_row
-        )
-
     def __repr__(self) -> str:
-        return f"SparseMatrix({self.rows}x{self.cols}, {len(self.entries)} entries)"
+        nnz = sum(map(len, self._by_row.values()))
+        return f"SparseMatrix({self.rows}x{self.cols}, {nnz} entries)"
 
 
 def rank(m: SparseMatrix) -> int:

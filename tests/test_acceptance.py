@@ -76,9 +76,9 @@ def test_criterion_2_acyclic_vanishing_equivalence():
     rng = random.Random(20250801)
     for k in range(5):
         q = random_acyclic_quiver(rng)
-        bound = find_admissibility_bound(q, [])
+        span = certify(q, [])
         for m in (3, 4):
-            verdict = vosnex_equivalence_check(q, [], m, m + 2, bound)
+            verdict = vosnex_equivalence_check(q, [], m, m + 2, span)
             assert astuple(verdict) == (True, True, True, True), (k, m)
             rep = homology_dims(ginzburg_from_relations(q, [], m), m, m + 2)
             assert rep.vosnex

@@ -5,7 +5,10 @@ Each command ends with exit code 0, 1 or 2 and no traceback, two runs give
 the same bytes, and the blocks that a single-purpose command shares with
 `report` are equal.  The commands that read m only optionally, or not at
 all, also run without `--m`, and those that never read it answer the same.
-Once `report`'s L reaches N - 1, H^0 is the dimension of KQ/(R).
+Once `report`'s L reaches N - 1, H^0 is the dimension of KQ/(R).  Fresh
+names for the vertices, arrows and relations, with each arrow and each
+relation scaled by a nonzero integer, change no exit code and no number or
+name of any report once the names are mapped back.
 """
 
 from __future__ import annotations
@@ -13,13 +16,26 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import random
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgquiver import ProblemFile, cli, serialize
+from dgquiver import (
+    Arrow,
+    GradedQuiver,
+    PathElement,
+    ProblemFile,
+    Relation,
+    cli,
+    dual_name,
+    loop_name,
+    relation_arrow_name,
+    reverse_arrow_name,
+    serialize,
+)
 
 from conftest import random_quiver, random_relations
 
@@ -74,3 +90,73 @@ def test_every_command_exits_cleanly_and_agrees_with_report(tmp_path_factory, se
         else:
             ideal = results[command]["ideal"]
             assert ideal == {k: report["ideal"][k] for k in ("admissible_N", key)}
+
+
+def _renamed(rng: random.Random, pf: ProblemFile) -> tuple[ProblemFile, dict[str, str]]:
+    """pf under fresh names, drawn so that their order changes, with every
+    arrow a sent to lambda_a a and every relation scaled by its own mu, all
+    nonzero integers; and the map from each new name, derived names
+    included, back to the old one."""
+    q = pf.quiver
+
+    def fresh(prefix: str, names: list[str]) -> dict[str, str]:
+        numbers = rng.sample(range(len(names)), len(names))
+        return {old: f"{prefix}{k}" for old, k in zip(names, numbers)}
+
+    vertex = fresh("w", list(q.vertices))
+    arrow = fresh("c", [a.name for a in q.arrows])
+    label = fresh("s", [r.label for r in pf.relations])
+    scale = {a.name: rng.choice((1, -1, 2, -3)) for a in q.arrows}
+    new_q = GradedQuiver(
+        [vertex[v] for v in q.vertices],
+        [Arrow(arrow[a.name], vertex[a.source], vertex[a.target], a.degree) for a in q.arrows],
+    )
+    relations = []
+    for r in pf.relations:
+        mu = rng.choice((1, -1, 2, -3))
+        body = PathElement(new_q, {
+            new_q.path([arrow[n] for n in p.arrows]): mu * c * math.prod(map(scale.get, p.arrows))
+            for p, c in r.body.terms.items()
+        })
+        relations.append(Relation(label[r.label], vertex[r.source], vertex[r.target], body))
+    arrows = dict(arrow)  # each name that the Ginzburg construction dualizes
+    for f in (reverse_arrow_name, relation_arrow_name):
+        arrows.update((f(old), f(new)) for old, new in label.items())
+    back = {new: old for names in (vertex, label, arrows) for old, new in names.items()}
+    back.update((loop_name(new), loop_name(old)) for old, new in vertex.items())
+    back.update((dual_name(new), dual_name(old)) for old, new in arrows.items())
+    return ProblemFile(new_q, relations, options=pf.options), back
+
+
+def _read_back(value, names: dict[str, str]):
+    """The report with every name read through `names`; a string that is
+    no name, such as a formatted element, which rescaling changes, reads as "~"."""
+    if isinstance(value, dict):
+        return {names.get(k, k): _read_back(v, names) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_read_back(v, names) for v in value]
+    if isinstance(value, str):
+        return names.get(value, "~")
+    return value
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 3))
+def test_renaming_and_rescaling_change_no_report(tmp_path_factory, seed, max_len):
+    rng = random.Random(seed)
+    q = random_quiver(rng)
+    pf = ProblemFile(q, random_relations(rng, q, max_count=3, coeffs=COEFFS),
+                     options={"max_len": max_len})
+    renamed, back = _renamed(rng, pf)
+    same = {name: name for name in back.values()}
+    folder = tmp_path_factory.mktemp("renamed")
+    reports = []
+    for problem, names in ((pf, same), (renamed, back)):
+        path = folder / f"{len(reports)}.quiver"
+        path.write_text(serialize(problem), encoding="utf-8")
+        runs = {}
+        for command in cli.COMMANDS:
+            code, out, _ = _run([command, str(path), "--m", "3", "--max-n", "5"])
+            runs[command] = code, _read_back(json.loads(out), names) if code == 0 else None
+        reports.append(runs)
+    assert reports[0] == reports[1]

@@ -33,7 +33,7 @@ from dgquiver import (
     vosnex_equivalence_check,
 )
 from dgquiver.homology import TruncationError, default_truncation_length
-from dgquiver.linalg import RowSpace, SparseMatrix, rank
+from dgquiver.linalg import RowSpace, rank
 
 from conftest import (
     element,
@@ -282,13 +282,14 @@ def test_truncated_matrices_compose_to_zero(square, quaternion):
                 # column j of M_d is the path columns[d][j]; send it to that
                 # path's row of M_{d+1}, its basis position in degree d + 1
                 row_of = {key: i for i, key in enumerate(cx.components[d + 1])}
-                mx = cx.matrices[d]
-                by_rows = SparseMatrix(
-                    mx.rows,
-                    mx.cols,
-                    {(i, row_of[cx.columns[d][j]]): c for (i, j), c in mx.entries.items()},
-                )
-                assert by_rows.matmul(cx.matrices[d + 1]).is_zero()
+                right: dict[int, dict[int, int]] = {}
+                for (k, j), c in cx.matrices[d + 1].entries.items():
+                    right.setdefault(k, {})[j] = c
+                product: dict[tuple[int, int], int] = {}
+                for (i, j), c in cx.matrices[d].entries.items():
+                    for col, v in right.get(row_of[cx.columns[d][j]], {}).items():
+                        product[i, col] = product.get((i, col), 0) + c * v
+                assert not any(product.values())
 
 
 @pytest.mark.parametrize("name", ["quaternion", "square_d4"])
@@ -496,14 +497,14 @@ def test_snex_table_zero_relation_all_nonzero():
 
 def test_vosnex_equivalence_acyclic_empty():
     q = random_acyclic_quiver(random.Random(9))
-    v = vosnex_equivalence_check(q, [], 3, 6, find_admissibility_bound(q, []))
+    v = vosnex_equivalence_check(q, [], 3, 6, certify(q, []))
     assert astuple(v) == (True, True, True, True)
     assert v.all_equal()
 
 
 def test_vosnex_equivalence_square_m4(square):
     q, rels = square
-    v = vosnex_equivalence_check(q, rels, 4, 8, find_admissibility_bound(q, rels))
+    v = vosnex_equivalence_check(q, rels, 4, 8, certify(q, rels))
     assert astuple(v) == (False, False, False, False)
     assert v.all_equal()
 
@@ -511,7 +512,7 @@ def test_vosnex_equivalence_square_m4(square):
 def test_vosnex_equivalence_loop_square_relation():
     loop = GradedQuiver(["v"], [Arrow("a", "v", "v", 0)])
     rels = [Relation("r", "v", "v", element(loop, (1, ("a", "a"))))]
-    v = vosnex_equivalence_check(loop, rels, 3, 6, find_admissibility_bound(loop, rels))
+    v = vosnex_equivalence_check(loop, rels, 3, 6, certify(loop, rels))
     assert astuple(v) == (False, False, False, False)
 
 
@@ -521,26 +522,30 @@ def test_vosnex_equivalence_acyclic_zero_relation():
     q = GradedQuiver(["1", "2", "3"], [Arrow("a", "1", "2", 0), Arrow("b", "2", "3", 0)])
     rels = [zero_relation(q, "z", "1", "3")]
     assert [a.degree for a in relation_dg_algebra(q, rels).quiver.arrows] == [0, 0, -1]
-    v = vosnex_equivalence_check(q, rels, 3, 6, find_admissibility_bound(q, rels))
+    v = vosnex_equivalence_check(q, rels, 3, 6, certify(q, rels))
     assert astuple(v) == (False, False, False, False)
 
 
 def test_vosnex_equivalence_preconditions(square, quaternion):
-    # the bound is passed explicitly: a search would raise on the short
-    # relation before the check's own r^2 test is reached
+    # no span is passed: `certify` would raise on the short relation before
+    # the check's own r^2 test is reached, and each check precedes the span's
     q, rels = square
     with pytest.raises(ValueError, match="m > 2"):
-        vosnex_equivalence_check(q, rels, 2, 6, 3)
+        vosnex_equivalence_check(q, rels, 2, 6, None)
     short = [Relation("s", "v1", "v2", element(q, (1, ("alpha",))))]
     with pytest.raises(ValueError, match=r"relations not inside r\^2: \['s'\]"):
-        vosnex_equivalence_check(q, short, 3, 6, 3)
+        vosnex_equivalence_check(q, short, 3, 6, None)
     with pytest.raises(NotAdmissibleError, match="could not certify"):
         vosnex_equivalence_check(q, rels, 3, 6, None)
-    # a bound that is not valid raises rather than giving a verdict
+    # a span certified for another input gives no verdict
+    for other in (certify(q, []), certify(*quaternion)):
+        with pytest.raises(ValueError, match="another quiver or other relations"):
+            vosnex_equivalence_check(q, rels, 3, 6, other)
+    # a bound that is not valid raises before any span reaches the check
     q, rels = quaternion
     assert find_admissibility_bound(q, rels) == 5
     with pytest.raises(NotAdmissibleError, match="3 is not a valid admissibility bound"):
-        vosnex_equivalence_check(q, rels, 3, 6, 3)
+        certify(q, rels, 3)
 
 
 def test_vosnex_equivalence_matches_homology_dims():
@@ -556,7 +561,7 @@ def test_vosnex_equivalence_matches_homology_dims():
             continue
         m = rng.choice([3, 4])
         max_len = default_truncation_length(m, rels, bound)
-        v = vosnex_equivalence_check(q, rels, m, max_len, bound)
+        v = vosnex_equivalence_check(q, rels, m, max_len, certify(q, rels, bound))
         rep = homology_dims(ginzburg_from_relations(q, rels, m), m, max_len)
         assert v.small_negative_vanishing == rep.vosnex
         assert v.top_small_negative_zero == (rep.dims[m - 2] == 0)
@@ -567,10 +572,11 @@ def test_vosnex_equivalence_builds_one_complex(monkeypatch, quaternion):
     from dgquiver import ideals
 
     q, rels = quaternion
+    span = certify(q, rels, 5)
     built = []
     build = ideals.build_truncated
     monkeypatch.setattr(ideals, "build_truncated", lambda *a: built.append(1) or build(*a))
-    vosnex_equivalence_check(q, rels, 3, 5, 5)
+    vosnex_equivalence_check(q, rels, 3, 5, span)
     assert len(built) == 1
 
 

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from sympy import Matrix, Rational, eye
 
 import dgquiver
 from dgquiver import (
@@ -335,6 +336,70 @@ def test_witness_never_separates_zero():
     assert not certifies_non_membership(q, [], {"v": 1}, {}, zero)
     with pytest.raises(ValueError, match=re.escape("matrix for 'a' is not 1 x 1")):
         certifies_non_membership(q, rels, {"v": 1}, {"a": [[0, 0]]}, zero)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_witness_matches_sympy_products(data):
+    # differential oracle: sympy's products summed over the terms, on quivers
+    # with dimension-0 vertices, p/q and string entries, trivial-path terms
+    # and terms of mixed length; then each refusal, with its message
+    vertices = [f"v{i}" for i in range(data.draw(st.integers(1, 3)))]
+    ends = st.tuples(st.sampled_from(vertices), st.sampled_from(vertices))
+    q = GradedQuiver(vertices, [
+        Arrow(f"a{i}", s, t, 0)
+        for i, (s, t) in enumerate(data.draw(st.lists(ends, min_size=1, max_size=4)))
+    ])
+    dims = {v: data.draw(st.integers(0, 2)) for v in vertices}
+    entry = st.sampled_from([0, 1, -2, Fraction(1, 3), "2/5", "-1"])
+    mats = {
+        a.name: [[data.draw(entry) for _ in range(dims[a.target])] for _ in range(dims[a.source])]
+        for a in q.arrows
+    }
+    start = data.draw(st.sampled_from(vertices))
+    walks = frontier = [((), start)]
+    for _ in range(3):
+        frontier = [
+            (w + (a.name,), a.target) for w, v in frontier for a in q.arrows if a.source == v
+        ]
+        walks = walks + frontier
+    end = data.draw(st.sampled_from(sorted({v for _, v in walks})))
+    words = data.draw(st.lists(st.sampled_from([w for w, v in walks if v == end]),
+                               min_size=1, max_size=4, unique=True))
+    coeffs = [data.draw(st.sampled_from([1, -1, 2, Fraction(-3, 2)])) for _ in words]
+    x = PathElement.zero(q)
+    for c, w in zip(coeffs, words):
+        x = x + c * (PathElement.from_path(q, w) if w else PathElement.idempotent(q, start))
+
+    def matrix(name):
+        a = q.arrow(name)
+        flat = [Rational(str(v)) for row in mats[name] for v in row]
+        return Matrix(dims[a.source], dims[a.target], flat)
+
+    want = Matrix.zeros(dims[start], dims[end])
+    for c, w in zip(coeffs, words):
+        product = eye(dims[start])
+        for name in w:
+            product = product * matrix(name)
+        want += Rational(str(c)) * product
+    got = evaluate_in_representation(q, dims, mats, x)
+    assert len(got) == dims[start] and all(len(row) == dims[end] for row in got)
+    assert all(type(v) is Fraction for row in got for v in row)
+    assert Matrix(dims[start], dims[end], [Rational(str(v)) for row in got for v in row]) == want
+
+    used = sorted({name for w in words for name in w})
+    if used:
+        without = {k: v for k, v in mats.items() if k != used[0]}
+        with pytest.raises(ValueError, match=f"no matrix given for arrow '{used[0]}'"):
+            evaluate_in_representation(q, dims, without, x)
+        a = q.arrow(used[0])
+        taller = {**mats, a.name: mats[a.name] + [[0] * dims[a.target]]}
+        shape = f"matrix for '{a.name}' is not {dims[a.source]} x {dims[a.target]}"
+        with pytest.raises(ValueError, match=shape):
+            evaluate_in_representation(q, dims, taller, x)
+    unsized = {v: d for v, d in dims.items() if v != start}
+    with pytest.raises(ValueError, match=f"no dimension given for vertex '{start}'"):
+        evaluate_in_representation(q, unsized, mats, x)
 
 
 # ---------- systems of relations ----------

@@ -4,8 +4,10 @@ Every import of a `dgquiver` module sits at module level, and the module
 level graph has no cycle: a module can then be loaded on its own, and two
 loaded copies of the package do not reach into each other through an
 import that runs at call time.  The echelon basis of `RowSpace` is read
-and written by `linalg` alone, which keeps its invariants.  The `test` extra
-of `pyproject.toml` names every third-party module that the tests import.
+and written by `linalg` alone, which keeps its invariants.  The package
+imports the standard library alone, as `pyproject.toml` declares no
+dependencies, and its `test` extra names every third-party module that the
+tests import.
 """
 
 from __future__ import annotations
@@ -37,6 +39,17 @@ def _package_imports(node: ast.AST) -> list[str]:
             for alias in node.names if alias.name.split(".")[0] == "dgquiver"
         ]
     return []
+
+
+def _absolute_imports(tree: ast.AST) -> set[str]:
+    """The top-level module names that the absolute imports in `tree` name."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
 
 
 def _trees() -> dict[str, ast.Module]:
@@ -81,11 +94,16 @@ def test_test_extra_names_every_third_party_import():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
     named = {re.match(r"[\w.-]+", req).group() for req in project["optional-dependencies"]["test"]}
     local = {path.stem for path in TESTS.glob("*.py")} | {"dgquiver"}
-    imported = set()
-    for path in TESTS.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                imported.update(alias.name.split(".")[0] for alias in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                imported.add(node.module.split(".")[0])
+    imported = set().union(
+        *(_absolute_imports(ast.parse(path.read_text(encoding="utf-8")))
+          for path in TESTS.glob("*.py"))
+    )
     assert imported - sys.stdlib_module_names - local - named == set()
+
+
+def test_package_imports_only_the_standard_library():
+    outside = {
+        name: sorted(_absolute_imports(tree) - sys.stdlib_module_names - {"dgquiver"})
+        for name, tree in _trees().items()
+    }
+    assert {name: names for name, names in outside.items() if names} == {}
