@@ -40,7 +40,7 @@ for name, deg, diff in describe_generators(relation_dg_algebra(q, relations)):
 
 for m in (2, 3, 4):
     big, w = superpotential_extension(q, relations, m)
-    print(f"\nm = {m}: superpotential {format_element(w.as_element())} of degree {w.degree}")
+    print(f"\nm = {m}: superpotential {format_element(w)} of degree {w.degree()}")
     gamma = ginzburg_from_relations(q, relations, m)
     for name, deg, diff in describe_generators(gamma):
         print(f"  {name:12s} deg {deg:3d}   d = {diff}")

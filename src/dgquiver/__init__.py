@@ -6,7 +6,6 @@ from .algebra import (
     NotHomogeneousError,
     PathElement,
     QuiverMismatchError,
-    Superpotential,
     cyclic_derivative,
     cyclic_reduce,
     format_element,

@@ -4,7 +4,9 @@
 algebra this module implements the super-structure used by superpotentials:
 the supercommutator [x,y] = xy - (-1)^{|x||y|} yx, reduction modulo the span
 of supercommutators (cycles up to rotation with signs), and the signed
-cyclic derivative with respect to an arrow.
+cyclic derivative with respect to an arrow.  A superpotential is the
+`PathElement` that `cyclic_reduce` returns: a homogeneous combination of
+cycles, each stored by its canonical rotation.
 
 Sign conventions.  Rotating a cycle uv to vu multiplies the coefficient by
 (-1)^{|u||v|}.  The cyclic derivative of a cycle p = a_1...a_n of degree w
@@ -198,49 +200,6 @@ def is_relation_body(x: PathElement, source: str, target: str) -> list[str]:
 # ---------- the superpotential space KQ/[KQ,KQ] ----------
 
 
-class Superpotential:
-    """A homogeneous element of KQ/[KQ,KQ], stored by canonical cycles.
-
-    Each stored path is a cycle whose arrow sequence is the lexicographically
-    smallest among its rotations; the rotation signs are absorbed into the
-    coefficients.  `degree` is None exactly for the zero superpotential.
-    """
-
-    __slots__ = ("quiver", "terms", "degree")
-
-    def __init__(self, quiver: GradedQuiver, terms=None, degree: int | None = None):
-        self.quiver = quiver
-        self.terms = PathElement(quiver, terms).terms  # exact coefficients, zeros dropped
-        self.degree = degree if self.terms else None
-
-    @classmethod
-    def zero(cls, quiver: GradedQuiver) -> Superpotential:
-        return cls(quiver)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def as_element(self) -> PathElement:
-        """The canonical representative as an element of KQ."""
-        return PathElement(self.quiver, dict(self.terms))
-
-    def arrows_used(self) -> set[str]:
-        return {n for p in self.terms for n in p.arrows}
-
-    def matches_degree(self, d: int) -> bool:
-        return self.degree is None or self.degree == d
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Superpotential)
-            and self.quiver == other.quiver
-            and self.terms == other.terms
-        )
-
-    def __repr__(self) -> str:
-        return f"Superpotential({format_element(self.as_element())})"
-
-
 def _canonical_rotation(q: GradedQuiver, arrows: tuple[str, ...]):
     """Canonical rotation of a cycle and the sign picked up reaching it.
 
@@ -269,11 +228,12 @@ def _canonical_rotation(q: GradedQuiver, arrows: tuple[str, ...]):
     return best, signs.pop()
 
 
-def cyclic_reduce(x: PathElement) -> Superpotential:
-    """Project x (a homogeneous combination of cycles) to KQ/[KQ,KQ]."""
+def cyclic_reduce(x: PathElement) -> PathElement:
+    """Project x (a homogeneous combination of cycles) to KQ/[KQ,KQ], each
+    cycle stored by its smallest rotation with the rotation sign absorbed."""
     q = x.quiver
     try:
-        deg = x.degree()
+        x.degree()
     except NotHomogeneousError:
         raise NotHomogeneousError("superpotentials must be homogeneous") from None
     terms: dict[Path, Fraction] = {}
@@ -288,14 +248,14 @@ def cyclic_reduce(x: PathElement) -> Superpotential:
                 continue  # self-negating periodic cycle: zero in the quotient
             canon = Path(arrows=rot)
         terms[canon] = terms.get(canon, 0) + sign * c
-    return Superpotential(q, terms, degree=deg)
+    return PathElement(q, terms)
 
 
-def cyclic_derivative(w: Superpotential, arrow: str) -> PathElement:
+def cyclic_derivative(w: PathElement, arrow: str) -> PathElement:
     """The signed cyclic derivative of w with respect to `arrow`.
 
     Homogeneous of degree |w| - |arrow|; independent of which rotations of
-    the cycles were stored.
+    the cycles w stores.
     """
     q = w.quiver
     a = q.arrow(arrow)

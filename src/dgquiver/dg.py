@@ -10,10 +10,11 @@ Three constructions are provided.
   of degree 2-m, together with the superpotential that pairs each new
   arrow with its relation.
 * `ginzburg_dg_algebra(Q, W, m)`: the Ginzburg dg-algebra of a graded
-  quiver with homogeneous superpotential of degree 2-m.  The doubled
-  quiver keeps the arrows of Q, adds a reversed dual of degree 1-m-|a| per
-  arrow a, and a loop of degree -m per vertex whose differential is the
-  sum of supercommutators [a, a*] projected to that vertex.
+  quiver with superpotential W, any homogeneous combination of cycles of
+  degree 2-m (`cyclic_reduce` reduces it).  The doubled quiver keeps the
+  arrows of Q, adds a reversed dual of degree 1-m-|a| per arrow a, and a
+  loop of degree -m per vertex whose differential is the sum of
+  supercommutators [a, a*] projected to that vertex.
 
 The differential extends to products as a degree +1 derivation with the
 usual Koszul prefix sign by one kernel, `_d_path`, which `apply_d` and
@@ -35,7 +36,6 @@ from fractions import Fraction
 
 from .algebra import (
     PathElement,
-    Superpotential,
     cyclic_derivative,
     cyclic_reduce,
     format_element,
@@ -119,8 +119,8 @@ def _relation_problems(q: GradedQuiver, relations):
         else:
             try:
                 body = r.body.rebind(q)
-            except (KeyError, ValueError) as exc:
-                yield i, f"relation {r.label!r}: {exc}"
+            except (KeyError, ValueError) as exc:  # str(KeyError) adds quotes
+                yield i, f"relation {r.label!r}: {exc.args[0]}"
                 continue
             for msg in is_relation_body(body, r.source, r.target):
                 yield i, f"relation {r.label!r}: {msg}"
@@ -279,15 +279,18 @@ def superpotential_extension(q: GradedQuiver, relations, m: int):
     return big, cyclic_reduce(PathElement(big, terms))
 
 
-def ginzburg_dg_algebra(q: GradedQuiver, w: Superpotential, m: int) -> DgAlgebra:
+def ginzburg_dg_algebra(q: GradedQuiver, w: PathElement, m: int) -> DgAlgebra:
     """The Ginzburg dg-algebra of (q, w) with parameter m, in the standard
     sign convention: d(t_v) is the mesh element at v (`_mesh`); Keller's
-    scales it by (-1)^{m-1} (`keller_comparison`).  `w` must be homogeneous
-    of degree 2-m over q."""
+    scales it by (-1)^{m-1} (`keller_comparison`).  `w` is a homogeneous
+    combination of cycles of degree 2-m over q, in any rotation; it is
+    reduced (`cyclic_reduce`) and refused otherwise."""
     if w.quiver != q:
         raise ValueError("superpotential lives over a different quiver")
-    if not w.matches_degree(2 - m):
-        raise ValueError(f"superpotential degree {w.degree} != 2 - m = {2 - m}")
+    w = cyclic_reduce(w)
+    d = w.degree()
+    if d is not None and d != 2 - m:
+        raise ValueError(f"superpotential degree {d} != 2 - m = {2 - m}")
     loops = [Arrow(loop_name(v), v, v, -m) for v in q.vertices]
     big = q.with_extra_arrows([_dual_arrow(a, m) for a in q.arrows] + loops)
 
@@ -327,7 +330,7 @@ def check_d_squared(dg: DgAlgebra) -> PathElement | None:
     return None
 
 
-def replace_arrow_isomorphism(q: GradedQuiver, w: Superpotential, arrow: str, m: int):
+def replace_arrow_isomorphism(q: GradedQuiver, w: PathElement, arrow: str, m: int):
     """Replace an arrow a: i -> j that no term of w contains by its reversed
     dual a* of degree 1-m-|a|, and witness that the Ginzburg dg-algebra of
     the data is unchanged.
@@ -349,7 +352,7 @@ def replace_arrow_isomorphism(q: GradedQuiver, w: Superpotential, arrow: str, m:
     if len({b.name for b in replaced}) != len(replaced):
         raise ValueError(f"generated name {dual_name(arrow)!r} already in use")
     new_q = GradedQuiver(q.vertices, replaced)
-    new_w = Superpotential(new_q, dict(w.terms), degree=w.degree)
+    new_w = PathElement(new_q, w.terms)
     fixed = [n for b in q.arrows if b.name != arrow for n in (b.name, dual_name(b.name))]
     fixed += [dual_name(arrow)] + [loop_name(v) for v in q.vertices]
     mapping = {n: (1, n) for n in fixed}
@@ -440,7 +443,7 @@ def relation_sub_dg_correspondence(q: GradedQuiver, relations, m: int):
     return sub, b, mapping
 
 
-def keller_comparison(q: GradedQuiver, w: Superpotential, m: int):
+def keller_comparison(q: GradedQuiver, w: PathElement, m: int):
     """The standard Ginzburg dg-algebra, Keller's (arXiv:0908.3499), whose
     loop differentials d(t_v) carry a factor (-1)^{m-1}, and the witness
     isomorphism t_v -> (-1)^{m-1} t_v between them, fixing the other arrows."""
@@ -453,7 +456,7 @@ def keller_comparison(q: GradedQuiver, w: Superpotential, m: int):
     return std, kel, mapping
 
 
-def sub_dg_completion(q: GradedQuiver, w: Superpotential, m: int, omega):
+def sub_dg_completion(q: GradedQuiver, w: PathElement, m: int, omega):
     """Rebuild the Ginzburg dg-algebra of (q, w) by doubling the triangular
     sub-dg-algebra determined by `omega`.
 
@@ -492,7 +495,7 @@ def sub_dg_completion(q: GradedQuiver, w: Superpotential, m: int, omega):
         q.vertices, tuple(inner + b_duals + inner_duals + bstar_duals + loops)
     )
 
-    # Superpotential of the doubled presentation: each cycle of w with its
+    # The superpotential of the doubled presentation: each cycle of w with its
     # unique outside arrow renamed in place to the double dual, which has
     # the same degree, and the coefficient scaled by (-1)^{m-1};
     # cyclic_reduce picks the canonical rotation and its sign.

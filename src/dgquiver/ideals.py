@@ -471,17 +471,18 @@ def vosnex_equivalence_check(
 
     span is the caller's certified span (`certify`), None when there is none.
     Preconditions, in this order, each raising with its own message: m > 2;
-    every relation body inside r^2; KQ/(relations) finite-dimensional, which
-    span = None cannot certify, nor a span of another quiver or relations.
+    every relation body inside r^2; a span of this quiver and relations;
+    KQ/(relations) finite-dimensional, which span = None cannot certify, nor
+    a span that fails `certify`'s test.
     The homology is read at max_len alone, no L+1 pass.
     """
     if m <= 2:
         raise ValueError("m > 2 required")
     relations = _require_r2(_check_relations(q, relations))
-    if span is None:
-        raise NotAdmissibleError("could not certify the quotient algebra finite-dimensional")
-    if span.quiver != q or span.relations != relations:
+    if span is not None and (span.quiver != q or span.relations != relations):
         raise ValueError("the span was certified for another quiver or other relations")
+    if span is None or span.bound < 3 or not bound_is_valid(span):  # `certify`'s test
+        raise NotAdmissibleError("could not certify the quotient algebra finite-dimensional")
     # read off the relation dg-algebra itself: concentrated in degree 0 when
     # it has no arrow of nonzero degree, finite-dimensional when acyclic
     b = relation_dg_algebra(q, relations).quiver

@@ -205,7 +205,7 @@ def test_criterion_6_structural_suites():
             for a in big.arrows:
                 der = cyclic_derivative(w, a.name)
                 if not der.is_zero():
-                    assert der.degree() == w.degree - a.degree
+                    assert der.degree() == w.degree() - a.degree
 
         # graded Leibniz identity on sampled homogeneous pairs
         paths = [p for p in gamma.quiver.enumerate_paths(3) if not p.is_trivial]

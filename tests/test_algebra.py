@@ -11,7 +11,6 @@ from dgquiver import (
     NotHomogeneousError,
     PathElement,
     QuiverMismatchError,
-    Superpotential,
     cyclic_derivative,
     cyclic_reduce,
     format_element,
@@ -147,6 +146,14 @@ def test_supercommutator_odd_times_odd():
     q = loops(("e", 2 - m), ("s", -1))
     e, s = PathElement.from_arrow(q, "e"), PathElement.from_arrow(q, "s")
     assert supercommutator(e, s) == e * s + s * e
+
+
+def test_integer_scalars_act_from_either_side_and_zero_commutes():
+    q = loops(("a", 0), ("s", -1))
+    x = element(q, (1, ("a", "s")), (Fraction(-1, 2), ("s", "a")))
+    assert x * 2 == 2 * x == x.scale(2)
+    assert supercommutator(x, PathElement.zero(q)).is_zero()
+    assert supercommutator(PathElement.zero(q), x).is_zero()
 
 
 def test_supercommutator_requires_homogeneous():
@@ -285,14 +292,8 @@ def test_cyclic_derivative_rotation_invariance(names, arrow, k):
     du = sum(q.arrow(n).degree for n in names[:k])
     dv = sum(q.arrow(n).degree for n in names[k:])
     sigma = -1 if (du * dv) % 2 else 1
-    w1 = Superpotential(
-        q, {q.path(names): Fraction(1)},
-        degree=sum(q.arrow(n).degree for n in names),
-    )
-    w2 = Superpotential(
-        q, {q.path(rotated): Fraction(1)},
-        degree=sum(q.arrow(n).degree for n in names),
-    )
+    w1 = PathElement(q, {q.path(names): Fraction(1)})
+    w2 = PathElement(q, {q.path(rotated): Fraction(1)})
     assert cyclic_derivative(w1, arrow) == sigma * cyclic_derivative(w2, arrow)
 
 

@@ -12,8 +12,8 @@ from dgquiver import (
     Path,
     PathElement,
     Relation,
-    Superpotential,
     apply_d,
+    certify,
     check_d_squared,
     check_dg_isomorphism,
     cyclic_derivative,
@@ -34,6 +34,7 @@ from dgquiver import (
     sub_dg_completion,
     supercommutator,
     superpotential_extension,
+    validate_relations,
 )
 from dgquiver.dg import _d_path, _dual_arrow, _sign
 
@@ -86,6 +87,18 @@ def test_relation_dg_rejects_bad_endpoints(square):
         relation_dg_algebra(q, [bad])
 
 
+def test_relation_over_another_quiver_names_the_arrow_once(square):
+    q, _ = square
+    other = GradedQuiver(["v1", "v4"], [Arrow("z", "v1", "v4", 0)])
+    bad = Relation("r", "v1", "v4", PathElement.from_arrow(other, "z"))
+    message = "relation 'r': unknown arrow 'z'"
+    assert validate_relations(q, [bad]) == [message]
+    for call in (lambda: certify(q, [bad]), lambda: ginzburg_from_relations(q, [bad], 3)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+
+
 # ---------- superpotential extension ----------
 
 
@@ -106,7 +119,7 @@ def test_extension_square(square):
             PathElement.from_arrow(big, eps.name) * rels[0].body.rebind(big)
         )
         assert w == expect
-        assert w.degree == 2 - m
+        assert w.degree() == 2 - m
 
 
 def test_extension_zero_relation(one_vertex):
@@ -126,7 +139,7 @@ def test_extension_rejects_small_m(square):
 
 def test_ginzburg_no_arrows_m0():
     q = GradedQuiver(["x", "y"])
-    dg = ginzburg_dg_algebra(q, Superpotential.zero(q), 0)
+    dg = ginzburg_dg_algebra(q, PathElement.zero(q), 0)
     assert {a.name for a in dg.quiver.arrows} == {"t_x", "t_y"}
     assert all(a.degree == 0 for a in dg.quiver.arrows)
     assert dg.d("t_x").is_zero() and dg.d("t_y").is_zero()
@@ -188,6 +201,43 @@ def test_ginzburg_degree_mismatch_rejected(one_vertex):
     with pytest.raises(ValueError):
         ginzburg_dg_algebra(q, w, 3)  # needs degree 2 - 3 = -1
     ginzburg_dg_algebra(q, w, 4)  # -2 = 2 - 4 is fine
+
+
+def test_ginzburg_refuses_a_malformed_superpotential():
+    q = GradedQuiver(
+        ["u", "v"],
+        [Arrow("a", "v", "v", 0), Arrow("s", "v", "v", -1), Arrow("c", "v", "u", 0)],
+    )
+    other = GradedQuiver(["v"], [Arrow("a", "v", "v", 0)])
+    bad = [
+        (PathElement.from_path(other, ("a", "a", "a")), "different quiver"),
+        (PathElement.from_arrow(q, "c"), "term is not a cycle: c"),
+        (element(q, (1, ("a", "a")), (1, ("s",))), "superpotentials must be homogeneous"),
+        (PathElement.from_path(q, ("a", "a", "a")), r"superpotential degree 0 != 2 - m = -5"),
+    ]
+    for w, message in bad:
+        with pytest.raises(ValueError, match=message):
+            ginzburg_dg_algebra(q, w, 7)
+
+
+@given(
+    st.lists(st.sampled_from(["a", "s", "t"]), min_size=1, max_size=4),
+    st.lists(
+        st.tuples(st.integers(0, 3), st.sampled_from((1, -1, 2, Fraction(1, 2)))),
+        min_size=1, max_size=3,
+    ),
+)
+@settings(max_examples=80, deadline=None)
+def test_ginzburg_reads_any_rotation_of_w(word, rotations):
+    # a sum of rotations of one cycle, each with its own coefficient: the
+    # unreduced element builds the same dg-algebra as its reduction
+    q = GradedQuiver(
+        ["v"], [Arrow("a", "v", "v", 0), Arrow("s", "v", "v", -1), Arrow("t", "v", "v", -2)]
+    )
+    m = 2 - sum(q.arrow(n).degree for n in word)
+    cycles = [(c, tuple(word[k % len(word):] + word[:k % len(word)])) for k, c in rotations]
+    w = element(q, *cycles)
+    assert ginzburg_dg_algebra(q, w, m) == ginzburg_dg_algebra(q, cyclic_reduce(w), m)
 
 
 # ---------- apply_d ----------
@@ -320,6 +370,8 @@ def test_dg_algebra_validates_degree_and_endpoints():
     )
     with pytest.raises(ValueError):
         DgAlgebra(q2, {"s": PathElement.from_arrow(q2, "a")})  # endpoints flip
+    with pytest.raises(ValueError, match=r"differential given for unknown arrows \['ghost'\]"):
+        DgAlgebra(q, {"ghost": PathElement.zero(q)})
 
 
 # ---------- arrow replacement ----------
@@ -327,7 +379,7 @@ def test_dg_algebra_validates_degree_and_endpoints():
 
 def test_replace_arrow_zero_superpotential():
     q = GradedQuiver(["1", "2"], [Arrow("a", "1", "2", 0)])
-    w = Superpotential.zero(q)
+    w = PathElement.zero(q)
     q2, w2, _ = replace_arrow_isomorphism(q, w, "a", 4)
     a2 = q2.arrow("a_star")
     assert (a2.source, a2.target, a2.degree) == ("2", "1", 1 - 4 - 0)
@@ -338,7 +390,7 @@ def test_replace_arrow_degree_involution():
     for m in (2, 3, 5):
         for deg in (0, -1, 2 - m):
             q = GradedQuiver(["1", "2"], [Arrow("a", "1", "2", deg)])
-            w = Superpotential.zero(q)
+            w = PathElement.zero(q)
             q2, w2, _ = replace_arrow_isomorphism(q, w, "a", m)
             q3, _, _ = replace_arrow_isomorphism(q2, w2, "a_star", m)
             assert q3.arrow("a_star_star").degree == deg
@@ -560,7 +612,7 @@ def test_doubled_degrees_nonpositive_iff_window():
         q = GradedQuiver(
             ["v"], [Arrow(f"a{i}", "v", "v", d) for i, d in enumerate(degs)]
         )
-        dg = ginzburg_dg_algebra(q, Superpotential.zero(q), m)
+        dg = ginzburg_dg_algebra(q, PathElement.zero(q), m)
         all_nonpos = all(a.degree <= 0 for a in dg.quiver.arrows)
         window = m >= 0 and all(1 - m <= d <= 0 for d in degs)
         assert all_nonpos == window, (m, degs)
@@ -754,7 +806,7 @@ def test_relation_constructions_match_term_by_term_oracle(seed, m):
     rels = random_relations(rng, q, max_count=3, coeffs=PQ_COEFFS)
     big, w = superpotential_extension(q, rels, m)
     old_big, old_w = _oracle_superpotential_extension(q, rels, m)
-    assert big == old_big and w == old_w and w.degree == old_w.degree
+    assert big == old_big and w == old_w and w.degree() == old_w.degree()
     gamma = ginzburg_from_relations(q, rels, m)
     _assert_same_dg(gamma, _oracle_ginzburg(old_big, old_w, m))
     _assert_constructions_match_oracle(big, w, m, [a.name for a in q.arrows])

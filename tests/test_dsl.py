@@ -193,6 +193,23 @@ def test_round_trip_randomized():
         assert parse(serialize(pf)) == pf, f"trial {trial}"
 
 
+@pytest.mark.parametrize(
+    "line, column, message",
+    [
+        ("relation r : v -> v =", 22, "expected an expression"),
+        ("relation r : v -> v = + a*a", 23, "unexpected leading '+'"),
+        ("relation r : v -> v = a*a b*b", 27, "expected '+' or '-' between terms"),
+        ("relation r : v -> v = a*a + -", 29, "expected a term"),
+        ("arrow c : v -> v deg 1 x", 24, "trailing tokens"),
+    ],
+)
+def test_parse_names_each_malformed_statement(line, column, message):
+    text = f"vertex v\narrow a : v -> v\narrow b : v -> v\n{line}\n"
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert exc.value.diagnostics == [Diagnostic(4, column, message)]
+
+
 def test_diagnostic_str():
     assert str(Diagnostic(3, 7, "boom")) == "line 3, column 7: boom"
 

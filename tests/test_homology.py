@@ -18,8 +18,9 @@ from dgquiver import (
     Path,
     PathElement,
     Relation,
-    Superpotential,
+    TruncatedIdealSpan,
     algebra_dim,
+    bound_is_valid,
     build_truncated,
     certify,
     find_admissibility_bound,
@@ -436,7 +437,7 @@ def test_h0_presentation_rejects_positive_degrees():
 def mesh_presentation(q):
     """H^0 of the m = 1 Ginzburg dg-algebra with zero superpotential: the
     doubled quiver modulo the mesh relations e_i (sum of [a, a*]) e_i."""
-    return h0_presentation(ginzburg_dg_algebra(q, Superpotential.zero(q), 1))
+    return h0_presentation(ginzburg_dg_algebra(q, PathElement.zero(q), 1))
 
 
 def test_preprojective_no_arrows():
@@ -541,6 +542,15 @@ def test_vosnex_equivalence_preconditions(square, quaternion):
     for other in (certify(q, []), certify(*quaternion)):
         with pytest.raises(ValueError, match="another quiver or other relations"):
             vosnex_equivalence_check(q, rels, 3, 6, other)
+    # a span that `certify` would not return gives no verdict: KQ of one
+    # loop is infinite-dimensional, and a bound-2 span fails n >= 2 although
+    # its empty level 1 passes `bound_is_valid`
+    loop = GradedQuiver(["v"], [Arrow("a", "v", "v", 0)])
+    point = TruncatedIdealSpan(GradedQuiver(["v"]), [], 2)
+    assert bound_is_valid(point)
+    for span in (TruncatedIdealSpan(loop, [], 3), point):
+        with pytest.raises(NotAdmissibleError, match="could not certify"):
+            vosnex_equivalence_check(span.quiver, span.relations, 3, 5, span)
     # a bound that is not valid raises before any span reaches the check
     q, rels = quaternion
     assert find_admissibility_bound(q, rels) == 5

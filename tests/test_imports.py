@@ -7,7 +7,8 @@ import that runs at call time.  The echelon basis of `RowSpace` is read
 and written by `linalg` alone, which keeps its invariants.  The package
 imports the standard library alone, as `pyproject.toml` declares no
 dependencies, and its `test` extra names every third-party module that the
-tests import.
+tests import.  Every name the package exports has a reader outside the
+tests, or a reason to stay in `KEPT`.
 """
 
 from __future__ import annotations
@@ -15,14 +16,25 @@ from __future__ import annotations
 import ast
 import re
 import sys
+import types
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import pytest
 
+import dgquiver
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "dgquiver"
 TESTS = ROOT / "tests"
+
+# Exports with no reader in src/, demos/ or perfbench/, each with its reason.
+KEPT = {
+    "keller_comparison": "ROADMAP item 8: the CLI wiring of the dg witnesses",
+    "replace_arrow_isomorphism": "ROADMAP item 8: the CLI wiring of the dg witnesses",
+    "sub_dg_completion": "ROADMAP item 8: the CLI wiring of the dg witnesses",
+    "serialize": "the inverse of parse, read by ROADMAP item 11's property net",
+}
 
 
 def _package_imports(node: ast.AST) -> list[str]:
@@ -107,3 +119,40 @@ def test_package_imports_only_the_standard_library():
         for name, tree in _trees().items()
     }
     assert {name: names for name, names in outside.items() if names} == {}
+
+
+def _reads(tree: ast.AST) -> set[str]:
+    """The names and attributes that `tree` loads, leaving out those inside
+    the definition of a function or class of the same name."""
+    out = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        else:
+            name = None
+        if name is not None and name not in inside:
+            out.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return out
+
+
+def test_every_export_has_a_reader_or_a_reason():
+    # the submodules sit in __all__ as the package's layout, not as API
+    exports = {
+        name for name in dgquiver.__all__
+        if not isinstance(getattr(dgquiver, name), types.ModuleType)
+    }
+    files = [path for path in SRC.glob("*.py") if path.name != "__init__.py"]
+    files += [*(ROOT / "demos").rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")]
+    read = set().union(*(_reads(ast.parse(path.read_text(encoding="utf-8"))) for path in files))
+    assert sorted(exports - read - KEPT.keys()) == []
+    assert sorted(KEPT.keys() & read) == []
+    assert sorted(KEPT.keys() - exports) == []

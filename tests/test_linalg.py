@@ -12,6 +12,15 @@ from dgquiver import RowSpace, SparseMatrix, rank
 from dgquiver.linalg import _integral, as_rational
 
 
+def test_refusals_of_inexact_and_misplaced_entries():
+    with pytest.raises(TypeError, match="not an exact rational: 1.5"):
+        as_rational(1.5)
+    with pytest.raises(ValueError, match="negative matrix dimensions"):
+        SparseMatrix(-1, 2)
+    with pytest.raises(IndexError, match=r"entry \(2,0\) outside 2x2"):
+        SparseMatrix(2, 2, {(2, 0): 1})
+
+
 def test_rank_empty_matrix():
     assert rank(SparseMatrix(0, 0)) == 0
 

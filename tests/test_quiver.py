@@ -168,3 +168,13 @@ def test_paths_by_degree_matches_filter(q, max_len, lo, width):
     for d, got in buckets.items():
         assert got == [p.key for p in paths if q.degree_of(p) == d]
     assert q.path_counts(max_len, lo, lo + width) == {d: len(b) for d, b in buckets.items()}
+
+
+def test_lookups_and_extensions_refuse_what_the_quiver_lacks():
+    q = loops_quiver(("a", 0))
+    with pytest.raises(KeyError, match="unknown vertex 'ghost'"):
+        q.vertex_index("ghost")
+    with pytest.raises(ValueError, match="use trivial_path for length-0 paths"):
+        q.path([])
+    with pytest.raises(ValueError, match="generated arrow name 'a' already in use"):
+        q.with_extra_arrows([Arrow("a", "v", "v", -1)])
