@@ -2,6 +2,8 @@
 Ginzburg dg-algebras, length-truncated homology, and admissible-ideal
 linear algebra, all over the rationals."""
 
+from types import ModuleType as _ModuleType
+
 from .algebra import (
     NotHomogeneousError,
     PathElement,
@@ -62,4 +64,8 @@ from .ideals import (
 from .linalg import RowSpace, SparseMatrix, rank
 from .quiver import Arrow, GradedQuiver, Path
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above, not the submodules that importing them binds
+__all__ = sorted(
+    name for name, value in list(globals().items())
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

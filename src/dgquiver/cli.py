@@ -5,6 +5,12 @@ bound, failed precondition) or an unreadable input or output file, 2 on a
 parse error.  Diagnostics go to stderr, the JSON report to stdout or to
 --output.  Reports are byte-identical across runs: no check draws samples
 and all enumeration orders are deterministic.
+
+One range check runs first, before any work, for every command: --max-len
+or `option max_len` must be >= 0 and --max-n or `option max_n` >= 2, read
+or not, and a file option must be an integer even under its flag.  --m is
+checked there (>= 2) only where the command does not read m; a command that
+reads it refuses a bad m as its construction does (vosnex: m > 2).
 """
 
 from __future__ import annotations
@@ -22,7 +28,6 @@ from .dsl import ParseError, ProblemFile, parse
 from .homology import default_truncation_length, h0_presentation, homology_dims
 from .ideals import (
     DEFAULT_MAX_N,
-    NotAdmissibleError,
     TruncatedIdealSpan,
     certify,
     find_admissibility_bound,
@@ -93,8 +98,8 @@ class _Job:
     def bound(self) -> int | None:
         return None if self.ideal is None else self.ideal.bound - 1
 
-    def max_len(self, m: int) -> int:
-        default = default_truncation_length(m, self.pf.relations, self.bound)
+    def max_len(self) -> int:
+        default = default_truncation_length(self.m, self.pf.relations, self.bound)
         return _opt_int(self.pf, "max_len", self.args.max_len, default)
 
     def gamma(self):
@@ -159,8 +164,8 @@ def _h0(job: _Job) -> dict:
 
 
 def _vosnex(job: _Job) -> dict:
-    pf, m = job.pf, job.m
-    verdict = vosnex_equivalence_check(pf.quiver, pf.relations, m, job.max_len(m), job.ideal)
+    pf = job.pf
+    verdict = vosnex_equivalence_check(pf.quiver, pf.relations, job.m, job.max_len(), job.ideal)
     return {"vosnex": {**asdict(verdict), "all_equal": verdict.all_equal()}}
 
 
@@ -175,7 +180,7 @@ def _admissibility(job: _Job) -> dict:
 
 
 def _report(job: _Job) -> dict:
-    max_len = job.max_len(job.m)
+    max_len = job.max_len()
     dg = job.gamma()
     out = {"gamma": _dg_block(dg), "homology": _homology_block(dg, job.m, max_len)}
     out["ideal"] = {"admissible_N": job.bound}
@@ -207,7 +212,7 @@ COMMANDS = {
     "check-d2": _Command("optional", True, None, _check_d2),
     "homology": _Command(
         "required", True, "try",
-        lambda job: {"homology": _homology_block(job.gamma(), job.m, job.max_len(job.m))},
+        lambda job: {"homology": _homology_block(job.gamma(), job.m, job.max_len())},
     ),
     "h0": _Command("required", True, None, _h0),
     "vosnex": _Command("required", True, "try", _vosnex),
@@ -228,17 +233,12 @@ def run(command: str, pf: ProblemFile, args) -> dict:
     spec = COMMANDS.get(command)
     if spec is None:
         raise CommandError(f"unknown command {command!r}")
-    # a flag or file option the command does not read is range-checked as its readers do
-    for flag, least, message, read in (
-        ("m", 2, "the construction needs m >= 2", spec.m),
-        ("max_len", 0, "max_len must be >= 0", command in ("homology", "vosnex", "report")),
-        ("max_n", 2, "max_n must be >= 2", spec.bound or command == "admissibility"),
-    ):
-        value = getattr(args, flag)
-        if not read and flag != "m":
-            value = _opt_int(pf, flag, value, least)
-        if not read and value is not None and value < least:
-            raise CommandError(message)
+    # the one range check, before any work (see the module docstring)
+    if spec.m is None and args.m is not None and args.m < 2:
+        raise CommandError("the construction needs m >= 2")
+    for flag, least in (("max_len", 0), ("max_n", 2)):
+        if _opt_int(pf, flag, getattr(args, flag), least) < least:
+            raise CommandError(f"{flag} must be >= {least}")
     out = {"input": _input_block(pf)}
     max_n = _opt_int(pf, "max_n", args.max_n, DEFAULT_MAX_N)
     m = ideal = None
@@ -255,9 +255,7 @@ def run(command: str, pf: ProblemFile, args) -> dict:
     if spec.bound == "find":
         ideal = certify(pf.quiver, pf.relations, max_n=max_n)
     elif spec.bound == "try":
-        if max_n < 2:  # a bad cap is the caller's error, not "no bound found"
-            raise CommandError("max_n must be >= 2")
-        with contextlib.suppress(ValueError):  # NotAdmissibleError included
+        with contextlib.suppress(ValueError):  # NotAdmissibleError is one
             ideal = certify(pf.quiver, pf.relations, max_n=max_n)
     if m is not None:
         out["m"] = m
@@ -299,7 +297,7 @@ def main(argv=None) -> int:
 
     try:
         results = run(args.command, pf, args)
-    except (CommandError, NotAdmissibleError, ValueError, KeyError) as exc:
+    except (CommandError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (RecursionError, MemoryError) as exc:

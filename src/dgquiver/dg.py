@@ -14,7 +14,8 @@ Three constructions are provided.
   degree 2-m (`cyclic_reduce` reduces it).  The doubled quiver keeps the
   arrows of Q, adds a reversed dual of degree 1-m-|a| per arrow a, and a
   loop of degree -m per vertex whose differential is the sum of
-  supercommutators [a, a*] projected to that vertex.
+  supercommutators [a, a*] projected to that vertex.  `_doubled` is the one
+  doubling; `sub_dg_completion` doubles its base quiver with it too.
 
 The differential extends to products as a degree +1 derivation with the
 usual Koszul prefix sign by one kernel, `_d_path`, which `apply_d` and
@@ -71,6 +72,14 @@ def reverse_arrow_name(label: str) -> str:
 def _dual_arrow(a: Arrow, m: int) -> Arrow:
     """The reversed dual of `a`, of degree 1-m-|a|."""
     return Arrow(dual_name(a.name), a.target, a.source, 1 - m - a.degree)
+
+
+def _doubled(q: GradedQuiver, m: int) -> GradedQuiver:
+    """The doubled quiver: q, then the reversed dual of each arrow
+    (`_dual_arrow`), then a loop of degree -m at each vertex.  A generated
+    name that q already uses raises ValueError."""
+    loops = [Arrow(loop_name(v), v, v, -m) for v in q.vertices]
+    return q.with_extra_arrows([_dual_arrow(a, m) for a in q.arrows] + loops)
 
 
 def _mesh(big: GradedQuiver, generators) -> dict[str, PathElement]:
@@ -291,12 +300,8 @@ def ginzburg_dg_algebra(q: GradedQuiver, w: PathElement, m: int) -> DgAlgebra:
     d = w.degree()
     if d is not None and d != 2 - m:
         raise ValueError(f"superpotential degree {d} != 2 - m = {2 - m}")
-    loops = [Arrow(loop_name(v), v, v, -m) for v in q.vertices]
-    big = q.with_extra_arrows([_dual_arrow(a, m) for a in q.arrows] + loops)
-
-    diff: dict[str, PathElement] = {}
-    for a in q.arrows:
-        diff[dual_name(a.name)] = cyclic_derivative(w, a.name).rebind(big)
+    big = _doubled(q, m)
+    diff = {dual_name(a.name): cyclic_derivative(w, a.name).rebind(big) for a in q.arrows}
     mesh = _mesh(big, q.arrows)
     for v in q.vertices:
         diff[loop_name(v)] = mesh[v]
@@ -467,12 +472,13 @@ def sub_dg_completion(q: GradedQuiver, w: PathElement, m: int, omega):
     differentials carry the (-1)^{m+1} convention.  Returns the presentation
     and a sign assignment phi with
     ``check_dg_isomorphism(phi, presentation, ginzburg_dg_algebra(q, w, m))``
-    passing; the caller is expected to run that check.
+    passing; the caller is expected to run that check.  The presentation's
+    quiver is `_doubled` of the base quiver, omega and then the dual b* of
+    each outside arrow b; a generated name already in use raises ValueError,
+    as in `ginzburg_dg_algebra`.
     """
     omega = set(omega)
-    unknown = omega - {a.name for a in q.arrows}
-    if unknown:
-        raise KeyError(f"unknown arrows {sorted(unknown)}")
+    inner = q.subquiver(omega)  # an unknown arrow raises KeyError
     betas = [a for a in q.arrows if a.name not in omega]
     for b in betas:
         if m % 2 == 0 or b.degree % 2 == 1:
@@ -483,17 +489,10 @@ def sub_dg_completion(q: GradedQuiver, w: PathElement, m: int, omega):
             f"degree while m is odd"
         )
 
-    inner = [a for a in q.arrows if a.name in omega]
-    b_duals = [_dual_arrow(b, m) for b in betas]
-    inner_duals = [_dual_arrow(a, m) for a in inner]
-    bstar_duals = [
-        Arrow(dual_name(dual_name(b.name)), b.source, b.target, b.degree)
-        for b in betas
-    ]
-    loops = [Arrow(loop_name(v), v, v, -m) for v in q.vertices]
-    big = GradedQuiver(
-        q.vertices, tuple(inner + b_duals + inner_duals + bstar_duals + loops)
-    )
+    # the base arrows are omega and the duals b* of the outside arrows; the
+    # dual of b* is b** = (b.source, b.target, |b|), so phi sends it to b
+    base = inner.with_extra_arrows(_dual_arrow(b, m) for b in betas)
+    big = _doubled(base, m)
 
     # The superpotential of the doubled presentation: each cycle of w with its
     # unique outside arrow renamed in place to the double dual, which has
@@ -516,20 +515,16 @@ def sub_dg_completion(q: GradedQuiver, w: PathElement, m: int, omega):
     diff: dict[str, PathElement] = {}
     for b in betas:  # the sub-dg-algebra differential, d(b*) = del_b w
         diff[dual_name(b.name)] = cyclic_derivative(w, b.name).rebind(big)
-    for a in inner:
+    for a in base.arrows:
         diff[dual_name(a.name)] = cyclic_derivative(w_prime, a.name)
-    for b in betas:
-        diff[dual_name(dual_name(b.name))] = cyclic_derivative(
-            w_prime, dual_name(b.name)
-        )
-    mesh = _mesh(big, inner + b_duals)
+    mesh = _mesh(big, base.arrows)
     for v in q.vertices:
         diff[loop_name(v)] = _sign(m + 1) * mesh[v]
     presentation = DgAlgebra(big, diff)
 
-    phi = {a.name: (1, a.name) for a in inner}
+    phi = {a.name: (1, a.name) for a in inner.arrows}
     phi.update({dual_name(b.name): (1, dual_name(b.name)) for b in betas})
-    phi.update({dual_name(a.name): (_sign(m - 1), dual_name(a.name)) for a in inner})
+    phi.update({dual_name(a.name): (_sign(m - 1), dual_name(a.name)) for a in inner.arrows})
     phi.update({dual_name(dual_name(b.name)): (1, b.name) for b in betas})
     phi.update({loop_name(v): (1, loop_name(v)) for v in q.vertices})
     return presentation, phi

@@ -5,7 +5,8 @@ normal forms) reduces to one kernel, the echelon row span `RowSpace`.
 It eliminates fraction-free, in integers (Bareiss, Math. Comp. 22, 1968),
 and reports exact rationals: no floating point anywhere, no modular
 shortcuts; "span" always means row span.  `SparseMatrix` only stores the
-rows of a truncated complex's differential (`build_truncated`) for `rank`.
+rows of a truncated complex's differential for `rank`; `build_truncated` is
+its one maker.
 """
 
 from __future__ import annotations
@@ -161,27 +162,12 @@ class RowSpace:
 class SparseMatrix:
     """Immutable sparse matrix over Q; zero entries are never stored.
 
-    `int` entries are stored as given, any other exact entry as `Fraction`,
-    row-major: row -> {column: value}, nonzero rows only.  `rank` reads the
-    rows; `entries`, (i, j) -> value, is derived on read.
+    `build_truncated` alone makes one, through `_of_rows`: row-major, row ->
+    {column: nonzero int or `Fraction`}, nonempty rows only.  `rank` reads
+    the rows; `entries`, (i, j) -> value, is derived on read.
     """
 
     __slots__ = ("rows", "cols", "_by_row")
-
-    def __init__(self, rows: int, cols: int, entries: Mapping | None = None):
-        if rows < 0 or cols < 0:
-            raise ValueError("negative matrix dimensions")
-        self.rows = rows
-        self.cols = cols
-        by_row: dict[int, SparseRow] = {}
-        for (i, j), v in (entries or {}).items():
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise IndexError(f"entry ({i},{j}) outside {rows}x{cols}")
-            if type(v) is not int:
-                v = as_rational(v)
-            if v:
-                by_row.setdefault(i, {})[j] = v
-        self._by_row = by_row
 
     @classmethod
     def _of_rows(cls, rows: int, cols: int, by_row: dict[int, SparseRow]) -> SparseMatrix:

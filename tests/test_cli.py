@@ -348,6 +348,27 @@ def test_unread_flags_are_range_checked(capsys, argv, message):
     assert out == "" and err == f"error: {message}\n"
 
 
+_GRADED = "arrow g : v1 -> v1 deg -1\n"
+
+
+@pytest.mark.parametrize("argv, extra, message", [
+    # each input has a second error, which the comment names; the range
+    # check runs first, so it is the one reported
+    (["homology", "--m", "1", "--max-len", "-1"], "", "max_len must be >= 0"),  # m >= 2
+    (["vosnex", "--m", "2", "--max-len", "-1"], "", "max_len must be >= 0"),  # m > 2
+    (["homology", "--max-len", "-1"], "", "max_len must be >= 0"),  # no m
+    # max_n below 2 as well
+    (["report", "--m", "3", "--max-len", "-1", "--max-n", "1"], "", "max_len must be >= 0"),
+    (["ideal-dim", "--max-n", "1"], _GRADED, "max_n must be >= 2"),  # nonzero degree
+])
+def test_range_check_comes_before_any_other_error(tmp_path, capsys, argv, extra, message):
+    f = tmp_path / "square.quiver"
+    f.write_text((FIXTURES / "square_d4.quiver").read_text() + extra)
+    assert cli.main([argv[0], str(f), *argv[1:]]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("option, message", [
     ("max_len = -3", "max_len must be >= 0"),
     ("max_n = 1", "max_n must be >= 2"),

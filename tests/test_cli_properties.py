@@ -5,7 +5,8 @@ Each command ends with exit code 0, 1 or 2 and no traceback, two runs give
 the same bytes, and the blocks that a single-purpose command shares with
 `report` are equal.  The commands that read m only optionally, or not at
 all, also run without `--m`, and those that never read it answer the same.
-Once `report`'s L reaches N - 1, H^0 is the dimension of KQ/(R).  Fresh
+Once `report`'s L reaches N - 1, H^0 is the dimension of KQ/(R).  An
+out-of-range max_len or max_n is refused first, whatever else is wrong.  Fresh
 names for the vertices, arrows and relations, with each arrow and each
 relation scaled by a nonzero integer, change no exit code and no number or
 name of any report once the names are mapped back.
@@ -90,6 +91,37 @@ def test_every_command_exits_cleanly_and_agrees_with_report(tmp_path_factory, se
         else:
             ideal = results[command]["ideal"]
             assert ideal == {k: report["ideal"][k] for k in ("admissible_N", key)}
+
+
+# an out-of-range flag or file option, and the message that refuses it
+_OUT_OF_RANGE = [
+    (["--max-len", "-1"], {}, "max_len must be >= 0"),
+    ([], {"max_len": -2}, "max_len must be >= 0"),
+    (["--max-n", "1"], {}, "max_n must be >= 2"),
+    ([], {"max_n": 0}, "max_n must be >= 2"),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from(sorted(cli.COMMANDS)),
+       st.sampled_from(_OUT_OF_RANGE), st.sampled_from([None, 1, 2, 3]), st.booleans())
+def test_out_of_range_settings_are_refused_first(tmp_path_factory, seed, command, bad, m, graded):
+    # every command refuses an out-of-range max_len or max_n before any work
+    # and before any other error: a missing or bad m that the command reads,
+    # or an arrow of nonzero degree.  Only a bad m that it does not read
+    # comes first
+    rng = random.Random(seed)
+    q = random_quiver(rng)
+    rels = random_relations(rng, q, max_count=3, coeffs=COEFFS)
+    if graded:
+        q = q.with_extra_arrows([Arrow("g", q.vertices[0], q.vertices[0], -1)])
+    flags, options, message = bad
+    path = tmp_path_factory.mktemp("range") / "problem.quiver"
+    path.write_text(serialize(ProblemFile(q, rels, options=options)), encoding="utf-8")
+    m_flag = [] if m is None else ["--m", str(m)]
+    if m == 1 and cli.COMMANDS[command].m is None:
+        message = "the construction needs m >= 2"
+    assert _run([command, str(path), *m_flag, *flags]) == (1, "", f"error: {message}\n")
 
 
 def _renamed(rng: random.Random, pf: ProblemFile) -> tuple[ProblemFile, dict[str, str]]:

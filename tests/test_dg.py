@@ -592,6 +592,21 @@ def test_sub_dg_completion_graded_input():
         assert check_dg_isomorphism(phi, pres, gamma) is None
 
 
+@pytest.mark.parametrize("taken", ["b_star", "a_star", "t_1"])
+def test_sub_dg_completion_refuses_a_taken_generated_name(taken):
+    # an arrow of omega named as the dual of an outside arrow (b_star), of a
+    # base arrow (a_star) or as a vertex loop (t_1): both doublings refuse it
+    q = GradedQuiver(
+        ["1", "2"], [Arrow("a", "1", "2", 0), Arrow("b", "2", "1", -1), Arrow(taken, "1", "1", 0)]
+    )
+    w = cyclic_reduce(PathElement.from_path(q, ("b", "a")))
+    message = f"generated arrow name '{taken}' already in use"
+    with pytest.raises(ValueError, match=message):
+        ginzburg_dg_algebra(q, w, 3)
+    with pytest.raises(ValueError, match=message):
+        sub_dg_completion(q, w, 3, ["a", taken])
+
+
 def test_sub_dg_algebra_extraction(square):
     q, rels = square
     dg = ginzburg_from_relations(q, rels, 3)

@@ -8,7 +8,7 @@ and written by `linalg` alone, which keeps its invariants.  The package
 imports the standard library alone, as `pyproject.toml` declares no
 dependencies, and its `test` extra names every third-party module that the
 tests import.  Every name the package exports has a reader outside the
-tests, or a reason to stay in `KEPT`.
+tests, or a reason to stay in `KEPT`; no submodule is exported.
 """
 
 from __future__ import annotations
@@ -144,12 +144,17 @@ def _reads(tree: ast.AST) -> set[str]:
     return out
 
 
+def test_star_import_binds_no_module():
+    # the submodules are the package's layout, not API: a star import binds
+    # none of them over a caller's own `dg` or `quiver`
+    ns = {}
+    exec("from dgquiver import *", ns)
+    assert [n for n, v in ns.items() if isinstance(v, types.ModuleType)] == []
+    assert sorted(n for n in ns if n != "__builtins__") == sorted(dgquiver.__all__)
+
+
 def test_every_export_has_a_reader_or_a_reason():
-    # the submodules sit in __all__ as the package's layout, not as API
-    exports = {
-        name for name in dgquiver.__all__
-        if not isinstance(getattr(dgquiver, name), types.ModuleType)
-    }
+    exports = set(dgquiver.__all__)
     files = [path for path in SRC.glob("*.py") if path.name != "__init__.py"]
     files += [*(ROOT / "demos").rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")]
     read = set().union(*(_reads(ast.parse(path.read_text(encoding="utf-8"))) for path in files))

@@ -8,29 +8,48 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgquiver import RowSpace, SparseMatrix, rank
+from dgquiver import (
+    GradedQuiver,
+    Relation,
+    RowSpace,
+    SparseMatrix,
+    build_truncated,
+    rank,
+    relation_dg_algebra,
+)
 from dgquiver.linalg import _integral, as_rational
+
+from conftest import element
+
+
+def _matrix(rows: int, cols: int, entries=()) -> SparseMatrix:
+    """The rows x cols matrix of {(i, j): value}, made as `build_truncated`
+    makes one: its nonzero entries, by row, nonempty rows only."""
+    by_row = {}
+    for (i, j), v in dict(entries).items():
+        if v:
+            by_row.setdefault(i, {})[j] = v
+    return SparseMatrix._of_rows(rows, cols, by_row)
 
 
 def test_refusals_of_inexact_and_misplaced_entries():
     with pytest.raises(TypeError, match="not an exact rational: 1.5"):
         as_rational(1.5)
-    with pytest.raises(ValueError, match="negative matrix dimensions"):
-        SparseMatrix(-1, 2)
-    with pytest.raises(IndexError, match=r"entry \(2,0\) outside 2x2"):
-        SparseMatrix(2, 2, {(2, 0): 1})
+    # `build_truncated` is the one maker: there is no public constructor
+    with pytest.raises(TypeError):
+        SparseMatrix(2, 2, {(0, 0): 1})
 
 
 def test_rank_empty_matrix():
-    assert rank(SparseMatrix(0, 0)) == 0
+    assert rank(_matrix(0, 0)) == 0
 
 
 def test_rank_identity():
-    assert rank(SparseMatrix(3, 3, {(i, i): 1 for i in range(3)})) == 3
+    assert rank(_matrix(3, 3, {(i, i): 1 for i in range(3)})) == 3
 
 
 def test_rank_proportional_rows():
-    m = SparseMatrix(2, 2, {(0, 0): 1, (0, 1): 2, (1, 0): 2, (1, 1): 4})
+    m = _matrix(2, 2, {(0, 0): 1, (0, 1): 2, (1, 0): 2, (1, 1): 4})
     assert rank(m) == 1
 
 
@@ -57,9 +76,9 @@ def test_quotient_dim_examples():
     def quotient_dim(m):
         return m.cols - rank(m)
 
-    assert quotient_dim(SparseMatrix(0, 5)) == 5
-    assert quotient_dim(SparseMatrix(3, 3, {(i, i): 1 for i in range(3)})) == 0
-    assert quotient_dim(SparseMatrix(1, 2, {(0, 0): 1, (0, 1): 1})) == 1
+    assert quotient_dim(_matrix(0, 5)) == 5
+    assert quotient_dim(_matrix(3, 3, {(i, i): 1 for i in range(3)})) == 0
+    assert quotient_dim(_matrix(1, 2, {(0, 0): 1, (0, 1): 1})) == 1
 
 
 def test_rowspace_normal_form_is_canonical():
@@ -90,7 +109,7 @@ def small_matrix(draw):
             max_size=rows,
         )
     )
-    return SparseMatrix(
+    return _matrix(
         rows, cols, {(i, j): v for i, row in enumerate(data) for j, v in enumerate(row)}
     )
 
@@ -99,7 +118,7 @@ def small_matrix(draw):
 @settings(max_examples=60, deadline=None)
 def test_rank_equals_rank_of_transpose(m):
     transposed = {(j, i): v for (i, j), v in m.entries.items()}
-    assert rank(m) == rank(SparseMatrix(m.cols, m.rows, transposed))
+    assert rank(m) == rank(_matrix(m.cols, m.rows, transposed))
 
 
 @given(small_matrix(), st.randoms(use_true_random=False))
@@ -110,7 +129,7 @@ def test_rank_invariant_under_scaling_and_permutation(m, rnd):
     rnd.shuffle(perm)
     scale = [Fraction(rnd.randint(1, 7), rnd.randint(1, 7)) for _ in range(m.rows)]
     moved = {(perm[i], j): v * scale[i] for (i, j), v in m.entries.items()}
-    assert rank(SparseMatrix(m.rows, m.cols, moved)) == r
+    assert rank(_matrix(m.rows, m.cols, moved)) == r
 
 
 @st.composite
@@ -172,7 +191,7 @@ def test_huge_entry_hilbert_block_has_full_rank(n):
     # point; scaled by 2^256 the entries are astronomically large integers
     # divided by small ones, and the exact rank must still be n.
     scale = Fraction(2) ** 256
-    m = SparseMatrix(
+    m = _matrix(
         n, n,
         {(i, j): scale / (i + j + 1) for i in range(n) for j in range(n)},
     )
@@ -187,7 +206,7 @@ def test_huge_entry_singular_matrix_detected():
     combo = [sum(rows[k][j] * (k + 1) for k in range(3)) for j in range(4)]
     entries = {(i, j): v for i, row in enumerate(rows + [combo]) for j, v in enumerate(row)}
     top = {(i, j): v for (i, j), v in entries.items() if i < 3}
-    assert rank(SparseMatrix(4, 4, entries)) == rank(SparseMatrix(3, 4, top))
+    assert rank(_matrix(4, 4, entries)) == rank(_matrix(3, 4, top))
 
 
 def test_huge_entry_dense_singular_matrix_matches_sympy_rank():
@@ -200,7 +219,7 @@ def test_huge_entry_dense_singular_matrix_matches_sympy_rank():
     rows = [[rng.randint(-2**64, 2**64) for _ in range(n)] for _ in range(n - 1)]
     weights = [rng.randint(-9, 9) for _ in rows]
     rows.append([sum(w * r[j] for w, r in zip(weights, rows)) for j in range(n)])
-    m = SparseMatrix(n, n, {(i, j): v for i, r in enumerate(rows) for j, v in enumerate(r)})
+    m = _matrix(n, n, {(i, j): v for i, r in enumerate(rows) for j, v in enumerate(r)})
     assert rank(m) == sympy.Matrix(rows).to_DM().rank() == n - 1
 
 
@@ -302,18 +321,23 @@ def test_rowspace_matches_fraction_oracle_after_every_add(data):
 
 
 def test_sparse_matrix_entry_types():
-    m = SparseMatrix(2, 3, {
-        (0, 0): 3, (0, 1): Fraction(1, 2), (0, 2): "2/3",
-        (1, 0): 0, (1, 1): Fraction(0), (1, 2): "-4",
-    })
+    m = SparseMatrix._of_rows(2, 3, {0: {0: 3, 1: Fraction(1, 2), 2: Fraction(2, 3)}, 1: {2: -4}})
     assert m.entries == {(0, 0): 3, (0, 1): Fraction(1, 2), (0, 2): Fraction(2, 3), (1, 2): -4}
-    assert type(m.entries[(0, 0)]) is int
-    assert all(type(m.entries[ij]) is Fraction for ij in [(0, 1), (0, 2), (1, 2)])
-
-    as_int = SparseMatrix(1, 2, {(0, 0): 3})
-    as_frac = SparseMatrix(1, 2, {(0, 0): Fraction(3)})
-    assert as_int.entries == as_frac.entries
+    assert [type(m.entries[ij]) for ij in [(0, 0), (0, 1), (0, 2), (1, 2)]] == [
+        int, Fraction, Fraction, int
+    ]
     assert repr(m) == "SparseMatrix(2x3, 4 entries)"
+
+    # a differential with a 1/2 coefficient, as `build_truncated` stores it:
+    # nonzero int and Fraction entries in range, repr counting them
+    q = GradedQuiver(["v"], [("a", "v", "v", 0), ("b", "v", "v", 0)])
+    body = element(q, (1, ("a", "b")), (Fraction(1, 2), ("b", "a")))
+    dg = relation_dg_algebra(q, [Relation("r", "v", "v", body)])
+    mx = build_truncated(dg, 3, [-1]).matrices[-1]
+    entries = mx.entries
+    assert {type(v) for v in entries.values()} == {int, Fraction} and all(entries.values())
+    assert all(0 <= i < mx.rows and 0 <= j < mx.cols for i, j in entries)
+    assert repr(mx) == f"SparseMatrix({mx.rows}x{mx.cols}, {len(entries)} entries)"
 
 
 # rows as callers pass them: all-int rows, the fast path of `_integral`, and
@@ -339,7 +363,8 @@ def test_kernel_leaves_its_input_rows_unchanged(rows, probe):
     space.add(probe)
     space.reduce(probe)
     assert [_snapshot(r) for r in rows + [probe]] == before
-    m = SparseMatrix(len(rows), 6, {(i, c): v for i, r in enumerate(rows) for c, v in r.items()})
+    m = _matrix(len(rows), 6, {(i, c): int(v) if type(v) is bool else v
+                               for i, r in enumerate(rows) for c, v in r.items()})
     entries = _snapshot(m.entries)
     assert rank(m) == rank(m)
     assert _snapshot(m.entries) == entries

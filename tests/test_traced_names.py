@@ -51,17 +51,15 @@ def _load(name: str):
     return sys.modules[key]
 
 
-def test_tiny_ideal_op_opens_the_search_spans():
-    # the ideal pipeline's per-layer metrics read these spans; the harness's
-    # own self-check pins them, but tier-1 does not run it.  Quaternion's
-    # minimal system asks one generation proof, so the proof's true_ratio
-    # metric has a call to read
+def _traced_tiny(name: str):
+    """The tracer after one traced op of the TINY workload `name`, whose
+    answer is checked, with every wrapper removed again."""
     spans, workloads = _load("spans"), _load("workloads")
     lib = types.SimpleNamespace(**{
         m: importlib.import_module(f"dgquiver.{m}")
         for m in ("quiver", "dg", "homology", "linalg", "ideals", "dsl")
     })
-    w = workloads.TINY["ideal-pipeline"]
+    w = workloads.TINY[name]
     inputs = w.make_inputs(lib, ROOT, random.Random(1))
     tracer = spans.Tracer(lib)
     tracer.install()
@@ -70,10 +68,28 @@ def test_tiny_ideal_op_opens_the_search_spans():
     finally:
         tracer.remove()
     assert tracer.leftover_wrappers() == []
-    opened = {s.name for s in tracer.spans}
+    return tracer
+
+
+def test_tiny_ideal_op_opens_the_search_spans():
+    # the ideal pipeline's per-layer metrics read these spans; the harness's
+    # own self-check pins them, but tier-1 does not run it.  Quaternion's
+    # minimal system asks one generation proof, so the proof's true_ratio
+    # metric has a call to read
+    opened = {s.name for s in _traced_tiny("ideal-pipeline").spans}
     assert {
         "ideals.find_admissibility_bound", "ideals.bound_is_valid", "ideals.generates_arrow_power"
     } <= opened
+
+
+def test_tiny_hom_op_counts_the_truncated_complexes():
+    # the hom workloads' per-layer basis and nnz metrics read these counters,
+    # and the tracer computes nnz from `SparseMatrix.entries`
+    tracer = _traced_tiny("hom-quaternion")
+    built = [s for s in tracer.spans if s.name == "homology.build_truncated"]
+    assert built
+    for span in built:
+        assert span.counters["basis"] > 0 and span.counters["nnz"] > 0
 
 
 def test_rank_pass_ranks_the_l_plus_1_matrix(monkeypatch):
