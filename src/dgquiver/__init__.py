@@ -23,13 +23,11 @@ from .dg import (
     dual_name,
     ginzburg_dg_algebra,
     ginzburg_from_relations,
-    keller_comparison,
     loop_name,
     map_element,
     relation_arrow_name,
     relation_dg_algebra,
     relation_sub_dg_correspondence,
-    replace_arrow_isomorphism,
     reverse_arrow_name,
     sub_dg_algebra,
     sub_dg_completion,

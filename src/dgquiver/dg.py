@@ -23,9 +23,10 @@ usual Koszul prefix sign by one kernel, `_d_path`, which `apply_d` and
 the generators rather than assuming it, which proves it on products.
 
 `sub_dg_algebra` cuts out the sub-dg-algebra on a d-closed set of arrows.
-`replace_arrow_isomorphism`, `relation_sub_dg_correspondence`,
-`keller_comparison` and `sub_dg_completion` return their new data with an
-arrow -> (sign, arrow) mapping; none checks it, the caller passes it to
+`relation_sub_dg_correspondence` finds the relation dg-algebra B inside the
+Ginzburg dg-algebra, and `sub_dg_completion` rebuilds the latter as Keller's
+deformed m-Calabi-Yau completion of B (arXiv:0908.3499).  Each returns an
+arrow -> (sign, arrow) mapping, which the caller passes to
 `check_dg_isomorphism`.
 """
 
@@ -290,10 +291,11 @@ def superpotential_extension(q: GradedQuiver, relations, m: int):
 
 def ginzburg_dg_algebra(q: GradedQuiver, w: PathElement, m: int) -> DgAlgebra:
     """The Ginzburg dg-algebra of (q, w) with parameter m, in the standard
-    sign convention: d(t_v) is the mesh element at v (`_mesh`); Keller's
-    scales it by (-1)^{m-1} (`keller_comparison`).  `w` is a homogeneous
-    combination of cycles of degree 2-m over q, in any rotation; it is
-    reduced (`cyclic_reduce`) and refused otherwise."""
+    sign convention: d(t_v) is the mesh element at v (`_mesh`).  Keller's
+    scales it by (-1)^{m-1}; `sub_dg_completion` builds its presentation in
+    Keller's sign, and its witness maps that presentation onto this one.
+    `w` is a homogeneous combination of cycles of degree 2-m over q, in any
+    rotation; it is reduced (`cyclic_reduce`) and refused otherwise."""
     if w.quiver != q:
         raise ValueError("superpotential lives over a different quiver")
     w = cyclic_reduce(w)
@@ -333,36 +335,6 @@ def check_d_squared(dg: DgAlgebra) -> PathElement | None:
         if not apply_d(dg, apply_d(dg, x)).is_zero():
             return x
     return None
-
-
-def replace_arrow_isomorphism(q: GradedQuiver, w: PathElement, arrow: str, m: int):
-    """Replace an arrow a: i -> j that no term of w contains by its reversed
-    dual a* of degree 1-m-|a|, and witness that the Ginzburg dg-algebra of
-    the data is unchanged.
-
-    Returns (new_q, new_w, mapping), w untouched.  The mapping runs from
-    `ginzburg_dg_algebra(new_q, new_w, m)` to `ginzburg_dg_algebra(q, w, m)`
-    and is for the caller to pass to `check_dg_isomorphism`.  It fixes every
-    untouched generator and sends a** back to a with the sign
-    (-1)^{|a| m + 1}, which is what the loop differentials force: swapping
-    the two slots of a supercommutator [x, y] costs -(-1)^{|x||y|}.
-
-    For m >= 2 and degrees in [1-m, 0], replacing each arrow of degree 1-m
-    in turn moves it to degree 0, so every degree lands in [2-m, 0].
-    """
-    a = q.arrow(arrow)
-    if arrow in w.arrows_used():
-        raise ValueError(f"arrow {arrow!r} occurs in the superpotential")
-    replaced = tuple(_dual_arrow(a, m) if b.name == arrow else b for b in q.arrows)
-    if len({b.name for b in replaced}) != len(replaced):
-        raise ValueError(f"generated name {dual_name(arrow)!r} already in use")
-    new_q = GradedQuiver(q.vertices, replaced)
-    new_w = PathElement(new_q, w.terms)
-    fixed = [n for b in q.arrows if b.name != arrow for n in (b.name, dual_name(b.name))]
-    fixed += [dual_name(arrow)] + [loop_name(v) for v in q.vertices]
-    mapping = {n: (1, n) for n in fixed}
-    mapping[dual_name(dual_name(arrow))] = (_sign(a.degree * m + 1), arrow)
-    return new_q, new_w, mapping
 
 
 def sub_dg_algebra(dg: DgAlgebra, sub_arrows) -> DgAlgebra:
@@ -446,19 +418,6 @@ def relation_sub_dg_correspondence(q: GradedQuiver, relations, m: int):
             relation_arrow_name(r.label),
         )
     return sub, b, mapping
-
-
-def keller_comparison(q: GradedQuiver, w: PathElement, m: int):
-    """The standard Ginzburg dg-algebra, Keller's (arXiv:0908.3499), whose
-    loop differentials d(t_v) carry a factor (-1)^{m-1}, and the witness
-    isomorphism t_v -> (-1)^{m-1} t_v between them, fixing the other arrows."""
-    std = ginzburg_dg_algebra(q, w, m)
-    loops, sign = {loop_name(v) for v in q.vertices}, _sign(m - 1)
-    kel = DgAlgebra(
-        std.quiver, {a: sign * d if a in loops else d for a, d in std.differential.items()}
-    )
-    mapping = {a: (sign if a in loops else 1, a) for a in std.arrow_names()}
-    return std, kel, mapping
 
 
 def sub_dg_completion(q: GradedQuiver, w: PathElement, m: int, omega):

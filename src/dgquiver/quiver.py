@@ -276,9 +276,11 @@ class GradedQuiver:
 
     def with_extra_arrows(self, extra) -> GradedQuiver:
         extra = tuple(extra)
+        taken = set(self._arrow_by_name)
         for a in extra:
-            if a.name in self._arrow_by_name:
+            if a.name in taken:
                 raise ValueError(f"generated arrow name {a.name!r} already in use")
+            taken.add(a.name)
         return GradedQuiver(self.vertices, self.arrows + extra)
 
     def degree_part(self, degree: int) -> GradedQuiver:

@@ -369,6 +369,16 @@ def test_range_check_comes_before_any_other_error(tmp_path, capsys, argv, extra,
     assert out == "" and err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["build-gamma", "homology", "report"])
+def test_clashing_generated_names_are_refused(tmp_path, capsys, command):
+    # the dual of t_u and the loop of u_star would both be t_u_star
+    f = tmp_path / "clash.quiver"
+    f.write_text("vertex u_star\narrow t_u : u_star -> u_star\nrelation r : u_star -> u_star = t_u*t_u\n")
+    assert cli.main([command, str(f), "--m", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: generated arrow name 't_u_star' already in use\n"
+
+
 @pytest.mark.parametrize("option, message", [
     ("max_len = -3", "max_len must be >= 0"),
     ("max_n = 1", "max_n must be >= 2"),

@@ -9,7 +9,9 @@ Once `report`'s L reaches N - 1, H^0 is the dimension of KQ/(R).  An
 out-of-range max_len or max_n is refused first, whatever else is wrong.  Fresh
 names for the vertices, arrows and relations, with each arrow and each
 relation scaled by a nonzero integer, change no exit code and no number or
-name of any report once the names are mapped back.
+name of any report once the names are mapped back.  Names that meet the
+generated ones change no exit code and no message, unless the clash is
+refused as such.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import io
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -124,14 +127,17 @@ def test_out_of_range_settings_are_refused_first(tmp_path_factory, seed, command
     assert _run([command, str(path), *m_flag, *flags]) == (1, "", f"error: {message}\n")
 
 
-def _renamed(rng: random.Random, pf: ProblemFile) -> tuple[ProblemFile, dict[str, str]]:
+def _renamed(rng: random.Random, pf: ProblemFile, pools=None) -> tuple[ProblemFile, dict[str, str]]:
     """pf under fresh names, drawn so that their order changes, with every
     arrow a sent to lambda_a a and every relation scaled by its own mu, all
     nonzero integers; and the map from each new name, derived names
-    included, back to the old one."""
+    included, back to the old one.  With `pools`, the vertex, arrow and
+    relation names are drawn from pools["w"], ["c"] and ["s"]."""
     q = pf.quiver
 
     def fresh(prefix: str, names: list[str]) -> dict[str, str]:
+        if pools:
+            return dict(zip(names, rng.sample(pools[prefix], len(names))))
         numbers = rng.sample(range(len(names)), len(names))
         return {old: f"{prefix}{k}" for old, k in zip(names, numbers)}
 
@@ -192,3 +198,36 @@ def test_renaming_and_rescaling_change_no_report(tmp_path_factory, seed, max_len
             runs[command] = code, _read_back(json.loads(out), names) if code == 0 else None
         reports.append(runs)
     assert reports[0] == reports[1]
+
+
+# vertex, arrow and relation names that meet the generated ones: the loop
+# t_u of vertex u, the dual t_u_star of arrow t_u and the loop of vertex
+# u_star, and the relation arrows eps_u and eta_x of relations u and x
+_CLASH_PRONE = {
+    "w": ["u", "x", "u_star", "x_star"],
+    "c": ["t_u", "t_x", "t_u_star", "eps_u", "eta_x", "a"],
+    "s": ["u", "x", "r"],
+}
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32))
+def test_clashing_names_are_refused_or_change_nothing(tmp_path_factory, seed):
+    # under names that can meet the generated ones, each command gives the
+    # exit code and message of the same file under clash-free names, or
+    # refuses the clash; it never fails late, in a degree or endpoint check
+    rng = random.Random(seed)
+    q = random_quiver(rng)
+    pf = ProblemFile(q, random_relations(rng, q, max_count=3, coeffs=COEFFS),
+                     options={"max_len": 2})
+    clashing, _ = _renamed(rng, pf, _CLASH_PRONE)
+    folder = tmp_path_factory.mktemp("clash")
+    paths = [folder / "plain.quiver", folder / "clashing.quiver"]
+    for path, problem in zip(paths, (pf, clashing)):
+        path.write_text(serialize(problem), encoding="utf-8")
+    for command in cli.COMMANDS:
+        (code, _, err), (clash_code, _, clash_err) = (
+            _run([command, str(path), "--m", "3", "--max-n", "5"]) for path in paths
+        )
+        if not re.fullmatch(r"error: generated arrow name '\w+' already in use\n", clash_err):
+            assert (clash_code, clash_err) == (code, err), command

@@ -22,13 +22,11 @@ from dgquiver import (
     dual_name,
     ginzburg_dg_algebra,
     ginzburg_from_relations,
-    keller_comparison,
     loop_name,
     map_element,
     relation_arrow_name,
     relation_dg_algebra,
     relation_sub_dg_correspondence,
-    replace_arrow_isomorphism,
     reverse_arrow_name,
     sub_dg_algebra,
     sub_dg_completion,
@@ -374,85 +372,6 @@ def test_dg_algebra_validates_degree_and_endpoints():
         DgAlgebra(q, {"ghost": PathElement.zero(q)})
 
 
-# ---------- arrow replacement ----------
-
-
-def test_replace_arrow_zero_superpotential():
-    q = GradedQuiver(["1", "2"], [Arrow("a", "1", "2", 0)])
-    w = PathElement.zero(q)
-    q2, w2, _ = replace_arrow_isomorphism(q, w, "a", 4)
-    a2 = q2.arrow("a_star")
-    assert (a2.source, a2.target, a2.degree) == ("2", "1", 1 - 4 - 0)
-    assert w2.is_zero()
-
-
-def test_replace_arrow_degree_involution():
-    for m in (2, 3, 5):
-        for deg in (0, -1, 2 - m):
-            q = GradedQuiver(["1", "2"], [Arrow("a", "1", "2", deg)])
-            w = PathElement.zero(q)
-            q2, w2, _ = replace_arrow_isomorphism(q, w, "a", m)
-            q3, _, _ = replace_arrow_isomorphism(q2, w2, "a_star", m)
-            assert q3.arrow("a_star_star").degree == deg
-
-
-def test_replace_arrow_rejects_used_arrow(one_vertex):
-    m = 4
-    q = GradedQuiver(
-        ["v"],
-        [Arrow("a", "v", "v", 0), Arrow("e", "v", "v", 2 - m), Arrow("f", "v", "v", 1 - m)],
-    )
-    w = cyclic_reduce(PathElement.from_path(q, ("e", "a")))
-    for used in ("a", "e"):
-        with pytest.raises(ValueError, match="occurs in the superpotential"):
-            replace_arrow_isomorphism(q, w, used, m)
-    q2, w2, _ = replace_arrow_isomorphism(q, w, "f", m)  # f is free of w
-    assert q2.arrow("f_star").degree == 0
-    assert w2.terms == w.terms
-    with pytest.raises(ValueError, match="'f_star' already in use"):
-        replace_arrow_isomorphism(q2.with_extra_arrows([Arrow("f", "v", "v", 0)]), w2, "f", m)
-
-
-def test_replace_arrow_ginzburg_isomorphism():
-    # the replaced data gives an isomorphic dg-algebra, for both parities
-    # of m and of the replaced degree
-    for m in (3, 4, 5):
-        for d in (0, -1, -2, 1 - m):
-            q = GradedQuiver(
-                ["1", "2"],
-                [
-                    Arrow("a", "1", "2", 0),
-                    Arrow("c", "2", "1", 2 - m),
-                    Arrow("b", "2", "2", d),
-                ],
-            )
-            w = cyclic_reduce(PathElement.from_path(q, ("a", "c")))
-            assert not w.is_zero()
-            new_q, new_w, mapping = replace_arrow_isomorphism(q, w, "b", m)
-            replaced = ginzburg_dg_algebra(new_q, new_w, m)
-            original = ginzburg_dg_algebra(q, w, m)
-            assert check_d_squared(replaced) is None
-            assert check_dg_isomorphism(mapping, replaced, original) is None
-
-
-def test_normalize_arrow_degrees():
-    # replacing each degree 1-m arrow in turn moves it to 0, so everything
-    # ends in [2-m, 0]
-    m = 4
-    q = GradedQuiver(
-        ["1", "2"],
-        [Arrow("a", "1", "2", 0), Arrow("b", "2", "1", 1 - m), Arrow("e", "2", "1", 2 - m)],
-    )
-    w = cyclic_reduce(PathElement.from_path(q, ("a", "e")))
-    q2, w2 = q, w
-    for name in [a.name for a in q.arrows if a.degree == 1 - m]:
-        q2, w2, _ = replace_arrow_isomorphism(q2, w2, name, m)
-    degs = {a.name: a.degree for a in q2.arrows}
-    assert degs == {"a": 0, "b_star": 0, "e": 2 - m}
-    assert all(2 - m <= d <= 0 for d in degs.values())
-    assert w2.terms == {p: c for p, c in w.terms.items()}
-
-
 # ---------- sub-dg-algebras and isomorphisms ----------
 
 
@@ -512,40 +431,13 @@ def test_witness_with_a_flipped_sign_names_the_generator_it_breaks(square):
     # each witness map, with its one nontrivial sign flipped, fails the
     # check at the generator whose differential the sign balances
     q, rels = square
-    for m in (2, 3, 4):
-        big, w = superpotential_extension(q, rels, m)
-        std, kel, mapping = keller_comparison(big, w, m)
-        assert check_dg_isomorphism(_flip(mapping, "t_v2"), std, kel) == "t_v2"
+    for m in (2, 3, 4, 5):
         sub, b, mapping = relation_sub_dg_correspondence(q, rels, m)
         assert check_dg_isomorphism(_flip(mapping, "eps_r_star"), sub, b) == "eps_r_star"
-    for m in (3, 4, 5):
-        for d in (0, -1, 1 - m):
-            q = GradedQuiver(
-                ["1", "2"],
-                [Arrow("a", "1", "2", 0), Arrow("c", "2", "1", 2 - m), Arrow("b", "2", "2", d)],
-            )
-            w = cyclic_reduce(PathElement.from_path(q, ("a", "c")))
-            new_q, new_w, mapping = replace_arrow_isomorphism(q, w, "b", m)
-            replaced, original = ginzburg_dg_algebra(new_q, new_w, m), ginzburg_dg_algebra(q, w, m)
-            assert check_dg_isomorphism(_flip(mapping, "b_star_star"), replaced, original) == "t_2"
-
-
-def test_keller_sign_comparison(square, quaternion):
-    # Keller's loop differentials are (-1)^{m-1} times the standard ones, and
-    # every other differential is the standard one
-    for q, rels in (square, quaternion):
-        for m in (2, 3, 4, 5):
-            big, w = superpotential_extension(q, rels, m)
-            std, kel, mapping = keller_comparison(big, w, m)
-            assert check_dg_isomorphism(mapping, std, kel) is None
-            assert kel.quiver == std.quiver
-            loops = {loop_name(v) for v in big.vertices}
-            for a in std.arrow_names():
-                sign = _sign(m - 1) if a in loops else 1
-                assert kel.d(a) == sign * std.d(a)
-            assert all(not std.d(t).is_zero() for t in loops)
-            if m % 2 == 1:
-                assert std == kel
+        big, w = superpotential_extension(q, rels, m)
+        pres, phi = sub_dg_completion(big, w, m, [a.name for a in q.arrows])
+        gamma = ginzburg_dg_algebra(big, w, m)
+        assert check_dg_isomorphism(_flip(phi, "alpha_star"), pres, gamma) == "alpha_star"
 
 
 def test_relation_sub_dg_correspondence(square, quaternion):
@@ -605,6 +497,14 @@ def test_sub_dg_completion_refuses_a_taken_generated_name(taken):
         ginzburg_dg_algebra(q, w, 3)
     with pytest.raises(ValueError, match=message):
         sub_dg_completion(q, w, 3, ["a", taken])
+
+
+def test_ginzburg_refuses_a_dual_named_as_a_loop():
+    # the dual of the loop t_u and the loop of the vertex u_star are both
+    # named t_u_star: the clash between two generated names is refused
+    q = GradedQuiver(["u_star"], [Arrow("t_u", "u_star", "u_star", 0)])
+    with pytest.raises(ValueError, match="generated arrow name 't_u_star' already in use"):
+        ginzburg_dg_algebra(q, PathElement.zero(q), 3)
 
 
 def test_sub_dg_algebra_extraction(square):

@@ -8,7 +8,8 @@ and written by `linalg` alone, which keeps its invariants.  The package
 imports the standard library alone, as `pyproject.toml` declares no
 dependencies, and its `test` extra names every third-party module that the
 tests import.  Every name the package exports has a reader outside the
-tests, or a reason to stay in `KEPT`; no submodule is exported.
+tests, or a reason to stay in `KEPT` and a test file that reads it; no
+submodule is exported.
 """
 
 from __future__ import annotations
@@ -28,12 +29,18 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "dgquiver"
 TESTS = ROOT / "tests"
 
-# Exports with no reader in src/, demos/ or perfbench/, each with its reason.
+# Exports with no reader in src/, demos/ or perfbench/: the test file that
+# reads each, and the reason it stays.
 KEPT = {
-    "keller_comparison": "ROADMAP item 8: the CLI wiring of the dg witnesses",
-    "replace_arrow_isomorphism": "ROADMAP item 8: the CLI wiring of the dg witnesses",
-    "sub_dg_completion": "ROADMAP item 8: the CLI wiring of the dg witnesses",
-    "serialize": "the inverse of parse, read by ROADMAP item 11's property net",
+    "serialize": (
+        "test_cli_properties.py",
+        "the inverse of parse, round-tripped by the CLI property tests",
+    ),
+    "sub_dg_completion": (
+        "test_dg.py",
+        "Keller's identification of the Ginzburg dg-algebra with the deformed "
+        "m-Calabi-Yau completion of the relation dg-algebra",
+    ),
 }
 
 
@@ -161,3 +168,8 @@ def test_every_export_has_a_reader_or_a_reason():
     assert sorted(exports - read - KEPT.keys()) == []
     assert sorted(KEPT.keys() & read) == []
     assert sorted(KEPT.keys() - exports) == []
+    unread = [
+        name for name, (test_file, _) in KEPT.items()
+        if name not in _reads(ast.parse((TESTS / test_file).read_text(encoding="utf-8")))
+    ]
+    assert unread == []
