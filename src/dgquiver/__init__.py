@@ -32,7 +32,6 @@ from .dg import (
     sub_dg_algebra,
     sub_dg_completion,
     superpotential_extension,
-    validate_relations,
 )
 from .dsl import ParseError, ProblemFile, parse, serialize
 from .homology import (

@@ -61,20 +61,13 @@ class PathElement:
         return cls(quiver)
 
     @classmethod
-    def idempotent(cls, quiver: GradedQuiver, vertex: str) -> PathElement:
-        return cls(quiver, {quiver.trivial_path(vertex): Fraction(1)})
-
-    @classmethod
     def from_arrow(cls, quiver: GradedQuiver, name: str) -> PathElement:
         quiver.arrow(name)
         return cls(quiver, {Path(arrows=(name,)): Fraction(1)})
 
     @classmethod
     def from_path(cls, quiver: GradedQuiver, arrow_names, coeff=1) -> PathElement:
-        names = tuple(arrow_names)
-        if not names:
-            raise ValueError("use idempotent for trivial paths")
-        return cls(quiver, {quiver.path(names): as_rational(coeff)})
+        return cls(quiver, {quiver.path(arrow_names): as_rational(coeff)})
 
     # ---------- ring structure ----------
 
@@ -179,22 +172,6 @@ def supercommutator(x: PathElement, y: PathElement) -> PathElement:
         return PathElement.zero(x.quiver)
     sign = -1 if (dx * dy) % 2 else 1
     return x * y - sign * (y * x)
-
-
-def is_relation_body(x: PathElement, source: str, target: str) -> list[str]:
-    """Violations of "linear combination of positive-length paths from
-    source to target"; the zero element is always acceptable."""
-    problems = []
-    q = x.quiver
-    for p in x.terms:
-        if len(p) == 0:
-            problems.append("relation contains a length-0 term")
-            continue
-        if q.source_of(p) != source:
-            problems.append(f"term starts at {q.source_of(p)!r}, expected {source!r}")
-        if q.target_of(p) != target:
-            problems.append(f"term ends at {q.target_of(p)!r}, expected {target!r}")
-    return problems
 
 
 # ---------- the superpotential space KQ/[KQ,KQ] ----------

@@ -41,7 +41,6 @@ from .algebra import (
     cyclic_derivative,
     cyclic_reduce,
     format_element,
-    is_relation_body,
     supercommutator,
 )
 from .linalg import as_rational
@@ -116,33 +115,37 @@ class Relation:
 
 def _relation_problems(q: GradedQuiver, relations):
     """Yield (i, message) for each problem of relations[i]; a duplicate label
-    is reported at its later occurrence."""
+    is reported at its later occurrence.  A body must be a combination of
+    positive-length paths from r.source to r.target; zero always is."""
     seen = set()
     for i, r in enumerate(relations):
         if r.label in seen:
             yield i, f"duplicate relation label {r.label!r}"
         seen.add(r.label)
-        for v in (r.source, r.target):
-            if v not in q.vertices:
-                yield i, f"relation {r.label!r} uses undeclared vertex {v!r}"
-                break
-        else:
-            try:
-                body = r.body.rebind(q)
-            except (KeyError, ValueError) as exc:  # str(KeyError) adds quotes
-                yield i, f"relation {r.label!r}: {exc.args[0]}"
+        at = f"relation {r.label!r}"
+        undeclared = [v for v in (r.source, r.target) if v not in q.vertices]
+        if undeclared:
+            yield i, f"{at} uses undeclared vertex {undeclared[0]!r}"
+            continue
+        try:
+            body = r.body.rebind(q)
+        except (KeyError, ValueError) as exc:  # str(KeyError) adds quotes
+            yield i, f"{at}: {exc.args[0]}"
+            continue
+        for p in body.terms:
+            if not p.arrows:
+                yield i, f"{at}: relation contains a length-0 term"
                 continue
-            for msg in is_relation_body(body, r.source, r.target):
-                yield i, f"relation {r.label!r}: {msg}"
-
-
-def validate_relations(q: GradedQuiver, relations) -> list[str]:
-    return [msg for _, msg in _relation_problems(q, relations)]
+            s, t = q.source_of(p), q.target_of(p)
+            if s != r.source:
+                yield i, f"{at}: term starts at {s!r}, expected {r.source!r}"
+            if t != r.target:
+                yield i, f"{at}: term ends at {t!r}, expected {r.target!r}"
 
 
 def _check_relations(q: GradedQuiver, relations) -> list[Relation]:
     relations = list(relations)
-    problems = validate_relations(q, relations)
+    problems = [msg for _, msg in _relation_problems(q, relations)]
     if problems:
         raise ValueError("; ".join(problems))
     return relations

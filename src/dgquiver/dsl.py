@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .algebra import PathElement, format_element
 from .dg import Relation, _relation_problems
-from .quiver import Arrow, GradedQuiver, Path
+from .quiver import Arrow, GradedQuiver, Path, _problems
 
 
 @dataclass(frozen=True)
@@ -258,11 +258,11 @@ def parse(text: str) -> ProblemFile:
         except _LineError as exc:
             diags.append(exc.diagnostic)
 
-    quiver = GradedQuiver(vertices, arrows)
-    for key, i, msg in quiver._problems():
+    for key, i, msg in _problems(vertices, arrows):
         diags.append(Diagnostic(*where[key][i], msg))
     if diags:
         raise ParseError(diags)
+    quiver = GradedQuiver(vertices, arrows)
 
     relations: list[Relation] = []
     for lineno, _, label, src, dst, raw_terms in raw_relations:

@@ -54,7 +54,7 @@ class NotAdmissibleError(ValueError):
 
 
 def _require_r2(relations: list[Relation]) -> list[Relation]:
-    """The relations, already checked (`validate_relations`); ValueError
+    """The relations, already checked (`_check_relations`); ValueError
     names those with a term of length < 2, which violate R <= r^2."""
     bad = [r.label for r in relations if not r.body.is_zero() and r.body.min_length() < 2]
     if bad:
@@ -75,7 +75,7 @@ class TruncatedIdealSpan:
     Rows are the truncations of u * rho * v over the relations rho and the
     path pairs (u, v); when r^bound <= (R), their span is (R) restricted to
     the paths of length < bound.  The relations are checked with
-    `validate_relations` (ValueError).  `index` maps the column keys
+    `_check_relations` (ValueError).  `index` maps the column keys
     (`Path.key`) to their columns in walk order, by length and then by arrow
     names, and walk level k takes the columns `_offsets[k]:_offsets[k + 1]`.
 
@@ -412,7 +412,7 @@ def certifies_non_membership(q: GradedQuiver, relations, dims, matrices, x: Path
 def split_extension_check(q: GradedQuiver, relations, n: int) -> str | None:
     """Mechanical verification that H^0 of the Ginzburg dg-algebra at m = 2
     is a split extension of A = KQ/(R).  The proof uses no admissibility, so
-    n is not read; only the relations are checked (`validate_relations`).
+    n is not read; only the relations are checked (`_check_relations`).
 
     H^0 = KQ'/J, where Q' is Q with a reversed arrow added per relation and J
     is generated by the degree-0 presentation relations (`h0_presentation`).

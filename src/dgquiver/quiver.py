@@ -1,5 +1,8 @@
 """Graded quivers, paths, and basic path combinatorics.
 
+A `GradedQuiver` is well formed once built: its constructor refuses duplicate
+names and undeclared endpoints with the messages `dsl.parse` reports.
+
 Composition convention: the product ``pq`` means "first p, then q", i.e.
 ``pq`` is the concatenation when the target of ``p`` equals the source of
 ``q``.  Many libraries use the opposite convention; every module here uses
@@ -65,50 +68,46 @@ class Path:
         return _key(self.arrows, self.base)
 
 
+def _problems(vertices, arrows):
+    """Yield (field, i, message) for each violation: field "vertex" names
+    vertices[i], and "name", "source" or "target" that field of arrows[i]."""
+    seen_v = set()
+    for i, v in enumerate(vertices):
+        if v in seen_v:
+            yield "vertex", i, f"duplicate vertex id {v!r}"
+        seen_v.add(v)
+    seen_a = set()
+    for i, a in enumerate(arrows):
+        if a.name in seen_a:
+            yield "name", i, f"duplicate arrow id {a.name!r}"
+        seen_a.add(a.name)
+        if a.source not in seen_v:
+            yield "source", i, f"arrow {a.name!r} has undeclared source {a.source!r}"
+        if a.target not in seen_v:
+            yield "target", i, f"arrow {a.name!r} has undeclared target {a.target!r}"
+
+
 class GradedQuiver:
     """Finite directed multigraph with integer degrees on arrows.
 
     Vertex and arrow names are caller-supplied strings.  The constructor
-    stores data as given; `validate` reports invariant violations (duplicate
-    names, undeclared endpoints) without raising, so that malformed input can
-    be diagnosed.  All other operations assume a valid quiver.
+    raises ValueError naming each duplicate vertex or arrow name and each
+    undeclared endpoint, so a built quiver's names identify its parts.
     """
 
     def __init__(self, vertices, arrows=()):
         self.vertices: tuple[str, ...] = tuple(vertices)
         self.arrows = tuple(a if isinstance(a, Arrow) else Arrow(*a) for a in arrows)
+        problems = [msg for _, _, msg in _problems(self.vertices, self.arrows)]
+        if problems:
+            raise ValueError("; ".join(problems))
         self._vertex_index = {v: i for i, v in enumerate(self.vertices)}
-        self._arrow_by_name: dict[str, Arrow] = {}
-        for a in self.arrows:
-            self._arrow_by_name.setdefault(a.name, a)
+        self._arrow_by_name = {a.name: a for a in self.arrows}
         self._out: dict[str, list[Arrow]] = {v: [] for v in self.vertices}
         for a in self.arrows:
-            if a.source in self._out and a.target in self._out:
-                self._out[a.source].append(a)
+            self._out[a.source].append(a)
 
     # ---------- structure ----------
-
-    def validate(self) -> list[str]:
-        """List of violations; empty means the quiver is well formed."""
-        return [msg for _, _, msg in self._problems()]
-
-    def _problems(self):
-        """Yield (field, i, message) for each violation: field "vertex" names
-        vertices[i], and "name", "source" or "target" that field of arrows[i]."""
-        seen_v = set()
-        for i, v in enumerate(self.vertices):
-            if v in seen_v:
-                yield "vertex", i, f"duplicate vertex id {v!r}"
-            seen_v.add(v)
-        seen_a = set()
-        for i, a in enumerate(self.arrows):
-            if a.name in seen_a:
-                yield "name", i, f"duplicate arrow id {a.name!r}"
-            seen_a.add(a.name)
-            if a.source not in self._vertex_index:
-                yield "source", i, f"arrow {a.name!r} has undeclared source {a.source!r}"
-            if a.target not in self._vertex_index:
-                yield "target", i, f"arrow {a.name!r} has undeclared target {a.target!r}"
 
     def arrow(self, name: str) -> Arrow:
         try:

@@ -65,8 +65,8 @@ def test_add_quiver_mismatch():
 def test_multiply_idempotent_action():
     q = GradedQuiver(["1", "2"], [Arrow("a", "1", "2", 0)])
     a = PathElement.from_arrow(q, "a")
-    assert PathElement.idempotent(q, "1") * a == a
-    assert (PathElement.idempotent(q, "2") * a).is_zero()
+    assert PathElement(q, {q.trivial_path("1"): 1}) * a == a
+    assert (PathElement(q, {q.trivial_path("2"): 1}) * a).is_zero()
 
 
 def test_multiply_concatenates_arrows():
@@ -116,7 +116,7 @@ def test_multiply_associative_and_distributive(x, y, z):
 def test_homogeneous_degree_cases():
     q = loops(("a", -1), ("e", -2))
     assert PathElement.from_arrow(q, "a").degree() == -1
-    assert PathElement.idempotent(q, "v").degree() == 0
+    assert PathElement(q, {q.trivial_path("v"): 1}).degree() == 0
     mixed = element(q, (1, ("a",)), (1, ("e",)))
     with pytest.raises(NotHomogeneousError):
         mixed.degree()
@@ -168,7 +168,7 @@ def test_supercommutator_requires_homogeneous():
 
 def test_cyclic_reduce_trivial_cycle():
     q = loops(("a", 0))
-    w = cyclic_reduce(PathElement.idempotent(q, "v"))
+    w = cyclic_reduce(PathElement(q, {q.trivial_path("v"): 1}))
     assert w.terms == {q.trivial_path("v"): Fraction(1)}
 
 
@@ -224,7 +224,7 @@ def test_cyclic_reduce_supercommutators_die(quaternion):
 
 def test_cyclic_derivative_no_occurrence():
     q = loops(("a", 0))
-    w = cyclic_reduce(PathElement.idempotent(q, "v"))
+    w = cyclic_reduce(PathElement(q, {q.trivial_path("v"): 1}))
     assert cyclic_derivative(w, "a").is_zero()
 
 
@@ -307,4 +307,4 @@ def test_format_element_readable():
     x = element(TWO_LOOPS, (1, ("a", "b")), (-2, ("b",)))
     assert format_element(x) == "-2 b + a*b"
     assert format_element(PathElement.zero(TWO_LOOPS)) == "0"
-    assert format_element(PathElement.idempotent(TWO_LOOPS, "v")) == "e_v"
+    assert format_element(PathElement(TWO_LOOPS, {TWO_LOOPS.trivial_path("v"): 1})) == "e_v"

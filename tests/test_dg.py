@@ -32,7 +32,6 @@ from dgquiver import (
     sub_dg_completion,
     supercommutator,
     superpotential_extension,
-    validate_relations,
 )
 from dgquiver.dg import _d_path, _dual_arrow, _sign
 
@@ -90,7 +89,6 @@ def test_relation_over_another_quiver_names_the_arrow_once(square):
     other = GradedQuiver(["v1", "v4"], [Arrow("z", "v1", "v4", 0)])
     bad = Relation("r", "v1", "v4", PathElement.from_arrow(other, "z"))
     message = "relation 'r': unknown arrow 'z'"
-    assert validate_relations(q, [bad]) == [message]
     for call in (lambda: certify(q, [bad]), lambda: ginzburg_from_relations(q, [bad], 3)):
         with pytest.raises(ValueError) as info:
             call()
@@ -255,7 +253,7 @@ def test_apply_d_degree_zero_frame(square):
     big = dg.quiver
     # u = e_{v1}, v = path out of v4: none, so use a loop-free check with
     # u = alpha side: build u eta where eta: v1 -> v4; precompose with e_v1
-    u = PathElement.idempotent(big, "v1")
+    u = PathElement(big, {big.trivial_path("v1"): 1})
     x = u * PathElement.from_arrow(big, "eta_r")
     assert apply_d(dg, x) == rels[0].body.rebind(big)
 
@@ -565,7 +563,7 @@ def _oracle_mesh(big, generators):
         xs = PathElement.from_arrow(big, dual_name(g.name))
         comm = supercommutator(x, xs)
         for v in big.vertices:
-            e = PathElement.idempotent(big, v)
+            e = PathElement(big, {big.trivial_path(v): 1})
             mesh[v] = mesh[v] + e * comm * e
     return mesh
 

@@ -37,7 +37,6 @@ from dgquiver import (
     split_extension_check,
     system_of_relations,
 )
-from dgquiver.dg import validate_relations
 from dgquiver.ideals import _check_relations, _integer_terms
 from dgquiver.linalg import RowSpace
 
@@ -280,7 +279,7 @@ def test_witness_certifies_non_membership(quaternion):
 
 def test_witness_identity_and_zero_representation(quaternion):
     q, rels = quaternion
-    e = PathElement.idempotent(q, "v")
+    e = PathElement(q, {q.trivial_path("v"): 1})
     assert evaluate_in_representation(q, {"v": 2}, {"a": [[0, 0], [0, 0]], "b": [[0, 0], [0, 0]]}, e) == [
         [Fraction(1), Fraction(0)],
         [Fraction(0), Fraction(1)],
@@ -302,7 +301,7 @@ def test_witness_names_a_missing_matrix_or_dimension(quaternion):
     with pytest.raises(ValueError, match="no dimension given for vertex 'v'"):
         evaluate_in_representation(q, {}, {"a": [[1]], "b": [[1]]}, ab)
     with pytest.raises(ValueError, match="no dimension given for vertex 'v'"):
-        evaluate_in_representation(q, {}, {}, PathElement.idempotent(q, "v"))
+        evaluate_in_representation(q, {}, {}, PathElement(q, {q.trivial_path("v"): 1}))
 
 
 def test_witness_refuses_mixed_endpoints_and_zero(square):
@@ -369,7 +368,7 @@ def test_witness_matches_sympy_products(data):
     coeffs = [data.draw(st.sampled_from([1, -1, 2, Fraction(-3, 2)])) for _ in words]
     x = PathElement.zero(q)
     for c, w in zip(coeffs, words):
-        x = x + c * (PathElement.from_path(q, w) if w else PathElement.idempotent(q, start))
+        x = x + PathElement(q, {q.path(w) if w else q.trivial_path(start): c})
 
     def matrix(name):
         a = q.arrow(name)
@@ -982,13 +981,18 @@ def test_span_construction_validates_relations(square):
     # rather than lose the terms that do not compose
     q, (rel,) = square
     rho = rel.body
-    for rels in (
-        [Relation("wrong_source", "v2", "v4", rho)],
-        [Relation("wrong_target", "v1", "v3", rho)],
-        [Relation("trivial", "v1", "v1", PathElement.idempotent(q, "v1"))],
-        [rel, rel],
+    starts = "relation 'wrong_source': term starts at 'v1', expected 'v2'"
+    ends = "relation 'wrong_target': term ends at 'v4', expected 'v3'"
+    for rels, message in (
+        ([Relation("wrong_source", "v2", "v4", rho)], f"{starts}; {starts}"),
+        ([Relation("wrong_target", "v1", "v3", rho)], f"{ends}; {ends}"),
+        (
+            [Relation("trivial", "v1", "v1", PathElement(q, {q.trivial_path("v1"): 1}))],
+            "relation 'trivial': relation contains a length-0 term",
+        ),
+        ([rel, rel], "duplicate relation label 'r'"),
     ):
-        msg = re.escape("; ".join(validate_relations(q, rels)))
+        msg = f"^{re.escape(message)}$"
         with pytest.raises(ValueError, match=msg):
             TruncatedIdealSpan(q, rels, 4)
         with pytest.raises(ValueError, match=msg):

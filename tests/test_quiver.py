@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dgquiver import Arrow, GradedQuiver, Path
+from dgquiver import Arrow, GradedQuiver, ParseError, Path, parse
 
 
 def loops_quiver(*degree_pairs):
@@ -11,23 +11,49 @@ def loops_quiver(*degree_pairs):
     )
 
 
-def test_validate_empty_quiver():
-    assert GradedQuiver([]).validate() == []
+def test_empty_quiver_constructs():
+    assert GradedQuiver([]).enumerate_paths(3) == []
 
 
-def test_validate_undeclared_target():
-    q = GradedQuiver(["v"], [Arrow("a", "v", "w", 0)])
-    msgs = q.validate()
-    assert any("a" in m and "w" in m for m in msgs)
+@pytest.mark.parametrize("vertices, arrows, message", [
+    pytest.param(["v"], [Arrow("a", "v", "w", 0)], "arrow 'a' has undeclared target 'w'",
+                 id="undeclared-target"),
+    # kept as two arrows, this loop made certify answer N = 3 for the
+    # relation a*a, whose bound is 2
+    pytest.param(["v"], [Arrow("a", "v", "v", 0), Arrow("a", "v", "v", 0)],
+                 "duplicate arrow id 'a'", id="doubled-loop"),
+    # kept twice, v made path_counts(0, 0, 0) answer {0: 2}
+    pytest.param(["v", "v"], [], "duplicate vertex id 'v'", id="doubled-vertex"),
+])
+def test_a_malformed_quiver_is_refused(vertices, arrows, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        GradedQuiver(vertices, arrows)
 
 
-def test_validate_duplicate_arrow():
-    q = GradedQuiver(["v"], [Arrow("a", "v", "v", 0), Arrow("a", "v", "v", 0)])
-    assert any("duplicate arrow" in m for m in q.validate())
+_VERTICES = st.sampled_from(["u", "v", "w"])
+_ENDS = st.sampled_from(["u", "v"])
+_ARROWS = st.builds(Arrow, st.sampled_from(["a", "b", "c"]), _ENDS, _ENDS, st.integers(-1, 1))
 
 
-def test_validate_duplicate_vertex():
-    assert any("duplicate vertex" in m for m in GradedQuiver(["v", "v"]).validate())
+@settings(max_examples=200, deadline=None)
+@given(
+    vertices=st.lists(_VERTICES, max_size=4) | st.lists(_VERTICES, max_size=3, unique=True),
+    arrows=st.lists(_ARROWS, max_size=4) | st.lists(_ARROWS, max_size=3, unique_by=lambda a: a.name),
+)
+def test_the_constructor_refuses_what_the_parser_diagnoses(vertices, arrows):
+    # repeated names and undeclared endpoints, one statement per line: the
+    # library raises iff the parser does, with its messages in its order
+    text = "".join(f"vertex {v}\n" for v in vertices) + "".join(
+        f"arrow {a.name} : {a.source} -> {a.target} deg {a.degree}\n" for a in arrows
+    )
+    try:
+        pf = parse(text)
+    except ParseError as exc:
+        with pytest.raises(ValueError) as info:
+            GradedQuiver(vertices, arrows)
+        assert str(info.value) == "; ".join(d.message for d in exc.diagnostics)
+    else:
+        assert GradedQuiver(vertices, arrows) == pf.quiver
 
 
 def test_enumerate_no_arrows():
