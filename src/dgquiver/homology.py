@@ -4,13 +4,13 @@ The differential of every generator produced by the constructions lies in
 the ideal generated by the arrows, so d never shortens paths.  Paths longer
 than a cutoff L therefore span a dg-ideal and the quotient is an honest
 finite complex; its homology is the computable window used throughout.
-`build_truncated` computes each matrix row with the derivation kernel of
-`dg` at the cutoff, so a term longer than L, which is zero in that
-quotient, is never formed at all; nor is a row that must be zero: if every
-term of every d(a) has length >= lmin, a path longer than L + 1 - lmin has d
-of length > L, a zero row at cutoff L.  So only paths of length <= L + 1 -
-lmin are walked: dimensions are path counts, rows are indexed by basis
-position, and columns in first-hit order, which `columns` names.
+`build_truncated` holds its path counts, and a matrix made on every read:
+each row comes from the derivation kernel of `dg` at the cutoff, so a term
+longer than L, which is zero in that quotient, is never formed at all; nor
+is a row that must be zero: if every term of every d(a) has length >= lmin,
+a path longer than L + 1 - lmin has d of length > L, a zero row at cutoff
+L.  So only paths of length <= L + 1 - lmin are walked: rows are indexed by
+basis position, and columns in first-hit order, which `columns` names.
 Dimensions are computed at L; a `stabilized` flag says whether they agree
 at L+1, compared from H^0 down to the first that differs -- a convergence
 heuristic, not a theorem, and the reports say which cutoff they used.
@@ -18,13 +18,13 @@ heuristic, not a theorem, and the reports say which cutoff they used.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 from .dg import DgAlgebra, _d_path
 from .linalg import SparseMatrix, rank
-from .quiver import GradedQuiver, PathKey
+from .quiver import PathKey
 
 
 class TruncationError(ValueError):
@@ -32,64 +32,39 @@ class TruncationError(ValueError):
     case killing long paths is not a dg-quotient."""
 
 
-class _Basis(Sequence):
-    """The keys of the paths of length <= max_len in one degree, in
-    `paths_by_degree` order: its length is their count, and the keys are
-    enumerated on the first index or iteration."""
-
-    def __init__(self, q: GradedQuiver, max_len: int, degree: int, count: int):
-        self._q, self._max_len, self._degree, self._count = q, max_len, degree, count
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __getitem__(self, i):
-        return self._keys[i]
-
-    @cached_property
-    def _keys(self) -> list[PathKey]:
-        d = self._degree
-        return self._q.paths_by_degree(self._max_len, d, d)[d]
-
-
 class _Assembled(Mapping):
-    """Read-only degree -> part i (0: matrix, 1: columns) of `assemble(d)`,
-    made on the first read of either part and kept in `done`, keyed by the
-    degree window and shared by the two parts."""
+    """Read-only degree -> part (0: matrix, 1: columns) of `assemble(d)` over
+    the keys of `degrees`, made afresh on every read and never kept."""
 
-    def __init__(self, done: dict, assemble, i: int):
-        self._done, self._assemble, self._i = done, assemble, i
+    def __init__(self, degrees, assemble, part: int):
+        self._degrees, self._assemble, self._part = degrees, assemble, part
 
     def __getitem__(self, d: int):
-        if self._done[d] is None:
-            self._done[d] = self._assemble(d)
-        return self._done[d][self._i]
+        if d not in self._degrees:
+            raise KeyError(d)
+        return self._assemble(d)[self._part]
 
-    def _read(self, d: int):
-        """`self[d]`, but made afresh and not kept if it was never read."""
-        return (self._done[d] or self._assemble(d))[self._i]
-
-    def __contains__(self, d) -> bool:
-        return d in self._done
+    def __contains__(self, d) -> bool:  # Mapping's would assemble
+        return d in self._degrees
 
     def __iter__(self):
-        return iter(self._done)
+        return iter(self._degrees)
 
     def __len__(self) -> int:
-        return len(self._done)
+        return len(self._degrees)
 
 
 @dataclass
 class TruncatedComplex:
-    """Per cohomological degree d of the window (the keys of `components`,
-    `matrices` and `columns`, ascending): the keys of the basis paths of
-    length <= max_len (`components[d]`, whose length is their count), and
-    the dim(d) x dim(d + 1) matrix of d, made when it or `columns[d]` is
-    first read.  Row i is the i-th basis path; column j is `columns[d][j]`,
-    columns in first-hit order, and the unhit ones zero."""
+    """Path counts, and a matrix made on every read, per cohomological
+    degree d of the window (the keys of `components`, `matrices` and
+    `columns`, ascending): `components[d] = range(dim(d))` indexes the basis
+    paths of length <= max_len, as `paths_by_degree(max_len, d, d)[d]` lists
+    them; the dim(d) x dim(d + 1) matrix of d is made afresh on each read of
+    it or of `columns[d]`; column j is `columns[d][j]`, the unhit ones zero."""
 
     max_len: int
-    components: dict[int, Sequence[PathKey]]
+    components: dict[int, range]
     matrices: Mapping[int, SparseMatrix]
     columns: Mapping[int, list[PathKey]]
 
@@ -98,7 +73,7 @@ class TruncatedComplex:
 
 
 def build_truncated(dg: DgAlgebra, max_len: int, degrees) -> TruncatedComplex:
-    """Set up the truncated complex on the requested degree window.
+    """The truncated complex on a degree window: counts, and a matrix made on every read.
 
     The dimensions are `path_counts`.  Row i of the matrix in degree d is
     `_d_path` of the i-th basis path at the cutoff max_len: a term longer
@@ -107,7 +82,7 @@ def build_truncated(dg: DgAlgebra, max_len: int, degrees) -> TruncatedComplex:
     name) has d = 0 and an empty row.  A column is indexed on its first
     nonzero entry (`columns[d]`); one that no row hits adds 1 to the
     dimension and 0 to the rank.  The rows are walked here, but a degree's
-    matrix is made only when it or its columns are first read.
+    matrix is made, afresh, on each read of it or of its columns.
 
     Rows zero by length are not computed.  With lmin the least length of a
     term of any d(a), a path a_1...a_n with n > max_len + 1 - lmin has a zero
@@ -116,14 +91,15 @@ def build_truncated(dg: DgAlgebra, max_len: int, degrees) -> TruncatedComplex:
     walked; in (length, arrow names) order they are a prefix of the basis.
     """
     q = dg.quiver
+    lmin = max_len + 2  # with every d zero, only trivial paths are walked
     for a in q.arrows:
-        if dg.d(a.name).min_length() == 0:
+        least = dg.d(a.name).min_length()  # None where d(a) = 0
+        if least == 0:
             raise TruncationError(
                 f"d({a.name}) has a length-0 term; length truncation is not "
                 f"a dg-quotient here"
             )
-    # with every d zero, lmin = max_len + 2: only trivial paths are walked
-    lmin = min(filter(None, (dg.d(a.name).min_length() for a in q.arrows)), default=max_len + 2)
+        lmin = min(lmin, least or lmin)
     degrees = sorted(set(degrees))
     if not degrees:
         raise ValueError("the degree window is empty")
@@ -141,9 +117,8 @@ def build_truncated(dg: DgAlgebra, max_len: int, degrees) -> TruncatedComplex:
                     rows[i] = row
         return SparseMatrix._of_rows(dims[d], dims[d + 1], rows), list(column)
 
-    components = {d: _Basis(q, max_len, d, dims[d]) for d in degrees}
-    done = dict.fromkeys(degrees)
-    matrices, columns = (_Assembled(done, assemble, i) for i in (0, 1))
+    components = {d: range(dims[d]) for d in degrees}
+    matrices, columns = (_Assembled(components, assemble, i) for i in (0, 1))
     return TruncatedComplex(max_len, components, matrices, columns)
 
 
@@ -166,7 +141,7 @@ def _dims_from_complex(cx: TruncatedComplex, m: int) -> Iterator[int]:
     """dim H^{-i} = dim C^{-i} - rank(d on C^{-i}) - rank(d into C^{-i}) for
     i = 0, 1, ..., m-1, yielded in turn: each matrix is made and ranked once,
     when the first dimension that needs it is asked for, and not kept."""
-    rank_of = cache(lambda d: rank(cx.matrices._read(d)) if d in cx.matrices else 0)
+    rank_of = cache(lambda d: rank(cx.matrices[d]) if d in cx.matrices else 0)
     for i in range(m):
         yield cx.dim(-i) - rank_of(-i) - rank_of(-i - 1)
 

@@ -356,11 +356,14 @@ def evaluate_in_representation(q: GradedQuiver, dims, matrices, x: PathElement):
 
     Only makes sense for x with uniform source and target; returns the
     resulting matrix, rows indexed by the source space.  A vertex without a
-    dimension or an arrow of x without a matrix raises ValueError.
+    dimension, a dimension that is not an int >= 0, or an arrow of x without
+    a matrix raises ValueError.
     """
     def dim(v: str) -> int:
         if v not in dims:
             raise ValueError(f"no dimension given for vertex {v!r}")
+        if type(dims[v]) is not int or dims[v] < 0:
+            raise ValueError(f"dimension of vertex {v!r} is not an int >= 0: {dims[v]!r}")
         return dims[v]
 
     mats = {}

@@ -1,6 +1,7 @@
 import gc
 import random
 import weakref
+from collections import Counter
 from dataclasses import astuple
 from pathlib import Path as FilePath
 
@@ -58,6 +59,14 @@ def one_vertex_zero_dg(m):
     return ginzburg_from_relations(q, [zero_relation(q, "r1")], m)
 
 
+def basis_keys(dg, cx, d):
+    """The keys of the basis paths of `cx` in degree d, read from the walk;
+    their count is the complex's, whose row indices `components[d]` are."""
+    keys = dg.quiver.paths_by_degree(cx.max_len, d, d)[d]
+    assert cx.components[d] == range(len(keys)) and cx.dim(d) == len(keys)
+    return keys
+
+
 # ---------- truncated complex ----------
 
 
@@ -66,21 +75,21 @@ def test_truncated_components_empty_without_relations():
     for m in (3, 5):
         dg = ginzburg_from_relations(q, [], m)
         cx = build_truncated(dg, 6, range(-(m - 1), 1))
-        assert list(cx.components[0]) == ["v"]  # the trivial path, keyed by its vertex
+        assert basis_keys(dg, cx, 0) == ["v"]  # the trivial path, keyed by its vertex
         for i in range(1, m - 1):
-            assert list(cx.components[-i]) == []
+            assert basis_keys(dg, cx, -i) == []
 
 
 def test_truncated_basis_one_vertex_zero_relation_m4():
     dg = one_vertex_zero_dg(4)
     cx = build_truncated(dg, 6, range(-3, 1))
-    assert set(cx.components[-2]) == {("eps_r1",), ("eps_r1_star", "eps_r1_star")}
+    assert set(basis_keys(dg, cx, -2)) == {("eps_r1",), ("eps_r1_star", "eps_r1_star")}
 
 
 def test_truncated_basis_one_vertex_zero_relation_m3():
     dg = one_vertex_zero_dg(3)
     cx = build_truncated(dg, 6, range(-2, 1))
-    assert set(cx.components[-2]) == {
+    assert set(basis_keys(dg, cx, -2)) == {
         ("eps_r1_star", "eps_r1_star"),
         ("eps_r1", "eps_r1_star"),
         ("eps_r1_star", "eps_r1"),
@@ -121,7 +130,7 @@ def test_build_truncated_constructs_no_path(monkeypatch, quaternion):
 def test_build_truncated_skips_rows_zero_by_length(monkeypatch, quaternion):
     # every term of every d has length >= lmin, so a path longer than
     # L + 1 - lmin has a zero row and is never passed to _d_path; the
-    # matrices are assembled on first read, so every one is read
+    # matrices are assembled on read, so every one is read
     from dgquiver import homology
 
     q, rels = quaternion
@@ -195,68 +204,79 @@ def test_stabilization_pass_stops_at_the_first_differing_degree(monkeypatch, qua
         assert rep.stabilized is (at_l1 == rep.dims) is False
 
 
-def test_truncated_matrices_are_assembled_on_first_read(monkeypatch, quaternion):
-    # the walk is eager; a degree's matrix and columns are made together on
-    # the first read of either, then kept, and the window bounds the keys;
-    # what is made does not depend on the order of the reads
+def test_truncated_matrices_are_assembled_on_every_read(monkeypatch, quaternion):
+    # the walk is eager; a degree's matrix and columns are made afresh on
+    # every read of either and never kept, so every read makes an equal
+    # matrix, while `in`, `len` and iteration make none; the window bounds
+    # the keys, and what is made does not depend on the order of the reads
     from dgquiver import homology
 
     dg = ginzburg_from_relations(*quaternion, 3)
     other = build_truncated(dg, 5, range(-3, 1))
     in_order = [(d, mx.entries, other.columns[d]) for d, mx in other.matrices.items()]
-    calls = 0
+    walked = []
     d_path = homology._d_path
 
-    def counting_d_path(*args):
-        nonlocal calls
-        calls += 1
-        return d_path(*args)
+    def recording_d_path(dg, arrows, max_len):
+        walked.append(sum(dg.quiver.arrow(a).degree for a in arrows))
+        return d_path(dg, arrows, max_len)
 
-    monkeypatch.setattr(homology, "_d_path", counting_d_path)
+    monkeypatch.setattr(homology, "_d_path", recording_d_path)
     cx = build_truncated(dg, 5, range(-3, 1))
-    assert calls == 0
     assert list(cx.matrices) == list(cx.columns) == list(cx.components) == [-3, -2, -1, 0]
-    assert len(cx.matrices) == 4 and -3 in cx.matrices and 1 not in cx.matrices
+    assert len(cx.matrices) == len(cx.columns) == 4
+    assert -3 in cx.matrices and -3 in cx.columns
+    assert 1 not in cx.matrices and 1 not in cx.columns
     for degree in (1, -4):
         with pytest.raises(KeyError):
             cx.matrices[degree]
         with pytest.raises(KeyError):
             cx.columns[degree]
-    assert calls == 0
-    columns = cx.columns[-2]
-    assert calls > 0
-    walked = calls
-    assert cx.matrices[-2] is cx.matrices[-2] and cx.columns[-2] is columns
-    assert calls == walked
+    assert walked == []
+    first, columns = cx.matrices[-2], cx.columns[-2]
+    per_read = len(walked) // 2
+    assert per_read > 0 and walked == [-2] * (2 * per_read)
+    again = cx.matrices[-2]
+    assert again is not first and cx.columns[-2] is not columns
+    assert (again.rows, again.cols, again.entries) == (first.rows, first.cols, first.entries)
+    assert cx.columns[-2] == columns and len(walked) == 5 * per_read
     assert [(d, cx.matrices[d].entries, cx.columns[d]) for d in (-3, -2, -1, 0)] == in_order
     assert [mx.entries for mx in cx.matrices.values()] == [e for _, e, _ in in_order]
 
 
 def test_homology_pass_keeps_no_matrix_it_makes(monkeypatch, quaternion):
-    # the rank pass reads a matrix already made as it is, and makes any
-    # other afresh without keeping it, so a complex that only the pass
-    # reads never holds more than the matrix being ranked
+    # homology_dims walks each row of each degree it ranks once per cutoff,
+    # one walk per rank; a complex keeps no matrix the rank pass made, so a
+    # later read walks its degree again
     from dgquiver import homology
 
     dg = ginzburg_from_relations(*quaternion, 3)
-    degrees_walked = []
-    d_path = homology._d_path
+    lmin = min(
+        dg.d(name).min_length() for name in dg.arrow_names() if not dg.d(name).is_zero()
+    )
+    walked, ranked = [], []
+    d_path, rank_ = homology._d_path, homology.rank
 
     def recording_d_path(dg, arrows, max_len):
-        degrees_walked.append(sum(dg.quiver.arrow(a).degree for a in arrows))
+        walked.append((max_len, sum(dg.quiver.arrow(a).degree for a in arrows)))
         return d_path(dg, arrows, max_len)
 
     monkeypatch.setattr(homology, "_d_path", recording_d_path)
+    monkeypatch.setattr(homology, "rank", lambda mx: ranked.append(mx.rows) or rank_(mx))
+    rep = homology_dims(dg, 3, 5)
+    counts = Counter(walked)
+    assert len(counts) == len(ranked) == 7  # 4 degrees at L, 3 at L + 1 (H^{-1} differs)
+    for (cutoff, d), n in counts.items():
+        rows = dg.quiver.paths_by_degree(cutoff + 1 - lmin, d, d)[d]
+        assert n == sum(type(key) is tuple for key in rows), (cutoff, d)
+
     cx = build_truncated(dg, 5, range(-3, 1))
-    kept = cx.matrices[-2]
-    degrees_walked.clear()
-    dims = list(homology._dims_from_complex(cx, 3))
-    assert -2 not in degrees_walked and {-3, -1} <= set(degrees_walked)
-    assert dims == list(homology_dims(dg, 3, 5).dims.values())
-    degrees_walked.clear()
-    assert cx.matrices[-2] is kept and not degrees_walked
-    cx.matrices[-3]
-    assert set(degrees_walked) == {-3}
+    walked.clear()
+    assert list(homology._dims_from_complex(cx, 3)) == list(rep.dims.values())
+    assert Counter(walked) == {k: n for k, n in counts.items() if k[0] == 5}
+    walked.clear()
+    cx.matrices[-2]
+    assert Counter(walked) == {(5, -2): counts[5, -2]}
 
 
 def test_truncated_complex_needs_no_cycle_collector(quaternion):
@@ -282,13 +302,14 @@ def test_truncated_matrices_compose_to_zero(square, quaternion):
             if d + 1 in cx.matrices:
                 # column j of M_d is the path columns[d][j]; send it to that
                 # path's row of M_{d+1}, its basis position in degree d + 1
-                row_of = {key: i for i, key in enumerate(cx.components[d + 1])}
+                row_of = {key: i for i, key in enumerate(basis_keys(dg, cx, d + 1))}
                 right: dict[int, dict[int, int]] = {}
                 for (k, j), c in cx.matrices[d + 1].entries.items():
                     right.setdefault(k, {})[j] = c
                 product: dict[tuple[int, int], int] = {}
+                columns = cx.columns[d]
                 for (i, j), c in cx.matrices[d].entries.items():
-                    for col, v in right.get(row_of[cx.columns[d][j]], {}).items():
+                    for col, v in right.get(row_of[columns[j]], {}).items():
                         product[i, col] = product.get((i, col), 0) + c * v
                 assert not any(product.values())
 
@@ -819,12 +840,14 @@ def test_build_truncated_matrices_match_naive_d(dg):
         cx = build_truncated(dg, cutoff, degrees)
         words = naive_words(q, cutoff)
         for d in degrees:
+            basis = q.paths_by_degree(cutoff, d, d)[d]
             target = q.paths_by_degree(cutoff, d + 1, d + 1)[d + 1]
-            mx = cx.matrices[d]
+            # the counts are `path_counts`, the keys the walk's: they agree
+            assert len(cx.components[d]) == len(basis)
+            mx, columns = cx.matrices[d], cx.columns[d]
             assert (mx.rows, mx.cols) == (cx.dim(d), len(target))
-            assert len(cx.components[d]) == len(list(cx.components[d]))
-            assert len(set(cx.columns[d])) == len(cx.columns[d])
-            for keys, e in ((cx.components[d], d), (target, d + 1)):
+            assert len(set(columns)) == len(columns)
+            for keys, e in ((basis, d), (target, d + 1)):
                 # trivial paths are keyed by their vertex names, in degree 0
                 assert [k for k in keys if type(k) is str] == (
                     list(q.vertices) if e == 0 else []
@@ -834,7 +857,7 @@ def test_build_truncated_matrices_match_naive_d(dg):
                 }
             got = {}
             for (i, j), c in mx.entries.items():
-                got.setdefault(cx.components[d][i], {})[cx.columns[d][j]] = c
+                got.setdefault(basis[i], {})[columns[j]] = c
             want = {}
             for w in words:
                 if deg(w) == d:

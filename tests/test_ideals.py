@@ -304,6 +304,25 @@ def test_witness_names_a_missing_matrix_or_dimension(quaternion):
         evaluate_in_representation(q, {}, {}, PathElement(q, {q.trivial_path("v"): 1}))
 
 
+@pytest.mark.parametrize("bad", [-1, 1.0, True, "1", None])
+def test_witness_refuses_a_dimension_that_is_not_a_natural_number(quaternion, bad):
+    # a negative dimension would size the identity of e_v as [], which reads
+    # as zero; every read dimension must be an int >= 0, and the message
+    # names the vertex, also when the representation is asked to certify
+    q, rels = quaternion
+    e = PathElement(q, {q.trivial_path("v"): 1})
+    aab = element(q, (1, ("a", "a", "b")))
+    message = re.escape(f"dimension of vertex 'v' is not an int >= 0: {bad!r}")
+    with pytest.raises(ValueError, match=message):
+        evaluate_in_representation(q, {"v": bad}, {}, e)
+    with pytest.raises(ValueError, match=message):
+        evaluate_in_representation(q, {"v": bad}, {"a": [[1]], "b": [[1]]}, aab)
+    with pytest.raises(ValueError, match=message):
+        certifies_non_membership(q, rels[:2], {"v": bad}, {"a": [[1]], "b": [[1]]}, aab)
+    with pytest.raises(ValueError, match=message):
+        certifies_non_membership(q, [], {"v": bad}, {}, e)
+
+
 def test_witness_refuses_mixed_endpoints_and_zero(square):
     # an element without one source and one target, or with no term, has no
     # matrix size to evaluate to

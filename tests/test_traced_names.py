@@ -52,8 +52,9 @@ def _load(name: str):
 
 
 def _traced_tiny(name: str):
-    """The tracer after one traced op of the TINY workload `name`, whose
-    answer is checked, with every wrapper removed again."""
+    """(tracer, lib, inputs): the tracer after one traced op of the TINY
+    workload `name` on `inputs`, whose answer is checked, with every wrapper
+    removed again."""
     spans, workloads = _load("spans"), _load("workloads")
     lib = types.SimpleNamespace(**{
         m: importlib.import_module(f"dgquiver.{m}")
@@ -68,7 +69,7 @@ def _traced_tiny(name: str):
     finally:
         tracer.remove()
     assert tracer.leftover_wrappers() == []
-    return tracer
+    return tracer, lib, inputs
 
 
 def test_tiny_ideal_op_opens_the_search_spans():
@@ -76,7 +77,7 @@ def test_tiny_ideal_op_opens_the_search_spans():
     # own self-check pins them, but tier-1 does not run it.  Quaternion's
     # minimal system asks one generation proof, so the proof's true_ratio
     # metric has a call to read
-    opened = {s.name for s in _traced_tiny("ideal-pipeline").spans}
+    opened = {s.name for s in _traced_tiny("ideal-pipeline")[0].spans}
     assert {
         "ideals.find_admissibility_bound", "ideals.bound_is_valid", "ideals.generates_arrow_power"
     } <= opened
@@ -84,12 +85,19 @@ def test_tiny_ideal_op_opens_the_search_spans():
 
 def test_tiny_hom_op_counts_the_truncated_complexes():
     # the hom workloads' per-layer basis and nnz metrics read these counters,
-    # and the tracer computes nnz from `SparseMatrix.entries`
-    tracer = _traced_tiny("hom-quaternion")
+    # and the tracer computes nnz from `SparseMatrix.entries`: basis is the
+    # window's path count, and nnz the entries of every matrix of an untraced
+    # build at the same cutoff
+    tracer, lib, inputs = _traced_tiny("hom-quaternion")
+    m = _load("workloads").M
+    gamma = lib.dg.ginzburg_from_relations(inputs.quiver, inputs.relations, m)
     built = [s for s in tracer.spans if s.name == "homology.build_truncated"]
     assert built
     for span in built:
-        assert span.counters["basis"] > 0 and span.counters["nnz"] > 0
+        max_len = span.counters["max_len"]
+        cx = lib.homology.build_truncated(gamma, max_len, range(-m, 1))
+        assert span.counters["basis"] == sum(gamma.quiver.path_counts(max_len, -m, 0).values()) > 0
+        assert span.counters["nnz"] == sum(len(mx.entries) for mx in cx.matrices.values()) > 0
 
 
 def test_rank_pass_ranks_the_l_plus_1_matrix(monkeypatch):
