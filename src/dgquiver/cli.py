@@ -16,10 +16,10 @@ reads it refuses a bad m as its construction does (vosnex: m > 2).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 from .algebra import format_element
@@ -85,22 +85,40 @@ def _opt_int(pf: ProblemFile, key: str, flag_value, fallback: int) -> int:
 
 @dataclass(frozen=True)
 class _Job:
-    """One command's input once the preconditions in its table row hold;
-    `ideal` is the searched span, None when not searched or not found."""
+    """One command's input once the preconditions in its table row hold.
+    The bound search runs once, on the first read of `ideal` (None when it
+    finds no bound), `bound` or `certified()` (which raises its error then),
+    and not at all for a command that reads none of them."""
 
     pf: ProblemFile
     args: argparse.Namespace
     max_n: int
     m: int | None
-    ideal: TruncatedIdealSpan | None
+
+    @cached_property
+    def _search(self) -> TruncatedIdealSpan | ValueError:
+        try:
+            return certify(self.pf.quiver, self.pf.relations, max_n=self.max_n)
+        except ValueError as exc:  # NotAdmissibleError is one
+            return exc
+
+    def certified(self) -> TruncatedIdealSpan:
+        if self.ideal is None:
+            raise self._search
+        return self.ideal
+
+    @property
+    def ideal(self) -> TruncatedIdealSpan | None:
+        return None if isinstance(self._search, ValueError) else self._search
 
     @property
     def bound(self) -> int | None:
         return None if self.ideal is None else self.ideal.bound - 1
 
     def max_len(self) -> int:
-        default = default_truncation_length(self.m, self.pf.relations, self.bound)
-        return _opt_int(self.pf, "max_len", self.args.max_len, default)
+        if self.args.max_len is None and "max_len" not in self.pf.options:  # the default searches
+            return default_truncation_length(self.m, self.pf.relations, self.bound)
+        return _opt_int(self.pf, "max_len", self.args.max_len, 0)
 
     def gamma(self):
         return ginzburg_from_relations(self.pf.quiver, self.pf.relations, self.m)
@@ -109,7 +127,7 @@ class _Job:
 # ---------- report sections: each shared by its command and `report` ----------
 
 
-def _homology_block(dg, m: int, max_len: int) -> dict:
+def _homology_block(max_len: int, dg, m: int) -> dict:
     rep = homology_dims(dg, m, max_len)
     return {
         "L": rep.max_len,
@@ -134,7 +152,7 @@ def _d2_verdict(dg) -> str:
 
 
 def _split_verdict(job: _Job) -> str:
-    verdict = split_extension_check(job.pf.quiver, job.pf.relations, job.bound)
+    verdict = split_extension_check(job.pf.quiver, job.pf.relations, job.certified().bound - 1)
     return "ok" if verdict is None else verdict
 
 
@@ -171,7 +189,7 @@ def _vosnex(job: _Job) -> dict:
 
 def _ideal_command(key: str) -> Callable[[_Job], dict]:
     entry = _IDEAL_ENTRIES[key]
-    return lambda job: {"ideal": {"admissible_N": job.bound, key: entry(job.ideal)}}
+    return lambda job: {"ideal": {"admissible_N": job.certified().bound - 1, key: entry(job.ideal)}}
 
 
 def _admissibility(job: _Job) -> dict:
@@ -180,51 +198,49 @@ def _admissibility(job: _Job) -> dict:
 
 
 def _report(job: _Job) -> dict:
+    ideal = job.ideal  # the search before the construction
     max_len = job.max_len()
     dg = job.gamma()
-    out = {"gamma": _dg_block(dg), "homology": _homology_block(dg, job.m, max_len)}
+    out = {"gamma": _dg_block(dg), "homology": _homology_block(max_len, dg, job.m)}
     out["ideal"] = {"admissible_N": job.bound}
-    if job.ideal is not None:
-        out["ideal"].update((key, entry(job.ideal)) for key, entry in _IDEAL_ENTRIES.items())
+    if ideal is not None:
+        out["ideal"].update((key, entry(ideal)) for key, entry in _IDEAL_ENTRIES.items())
     out["checks"] = checks = {"d_squared": _d2_verdict(dg)}
-    if job.m == 2 and job.ideal is not None:
+    if job.m == 2 and ideal is not None:
         checks["split_extension"] = _split_verdict(job)
     return out
 
 
 class _Command(NamedTuple):
-    """`m`: "required", "optional" or None (not read); `bound`: "find" (exit 1
-    when there is none up to max_n), "try" (None when there is none) or None."""
+    """`m`: "required", "optional" or None (not read)."""
 
     m: str | None
     degree_zero: bool
-    bound: str | None
     body: Callable[[_Job], dict]
 
 
 COMMANDS = {
-    "validate": _Command(None, False, None, lambda job: {"checks": {"validate": "ok"}}),
+    "validate": _Command(None, False, lambda job: {"checks": {"validate": "ok"}}),
     "build-b": _Command(
-        None, True, None,
+        None, True,
         lambda job: {"b": _dg_block(relation_dg_algebra(job.pf.quiver, job.pf.relations))},
     ),
-    "build-gamma": _Command("required", True, None, lambda job: {"gamma": _dg_block(job.gamma())}),
-    "check-d2": _Command("optional", True, None, _check_d2),
+    "build-gamma": _Command("required", True, lambda job: {"gamma": _dg_block(job.gamma())}),
+    "check-d2": _Command("optional", True, _check_d2),
     "homology": _Command(
-        "required", True, "try",
-        lambda job: {"homology": _homology_block(job.gamma(), job.m, job.max_len())},
+        "required", True,  # the cutoff, and any search it needs, before the construction
+        lambda job: {"homology": _homology_block(job.max_len(), job.gamma(), job.m)},
     ),
-    "h0": _Command("required", True, None, _h0),
-    "vosnex": _Command("required", True, "try", _vosnex),
-    "ideal-dim": _Command(None, True, "find", _ideal_command("dim")),
-    "admissibility": _Command(None, True, None, _admissibility),
-    "system-of-relations": _Command(None, True, "find", _ideal_command("system_of_relations")),
-    "ext2": _Command(None, True, "find", _ideal_command("ext2")),
+    "h0": _Command("required", True, _h0),
+    "vosnex": _Command("required", True, _vosnex),
+    "ideal-dim": _Command(None, True, _ideal_command("dim")),
+    "admissibility": _Command(None, True, _admissibility),
+    "system-of-relations": _Command(None, True, _ideal_command("system_of_relations")),
+    "ext2": _Command(None, True, _ideal_command("ext2")),
     "split-ext-2": _Command(
-        None, True, "find",
-        lambda job: {"m": 2, "checks": {"split_extension": _split_verdict(job)}},
+        None, True, lambda job: {"m": 2, "checks": {"split_extension": _split_verdict(job)}},
     ),
-    "report": _Command("required", True, "try", _report),
+    "report": _Command("required", True, _report),
 }
 
 
@@ -241,7 +257,7 @@ def run(command: str, pf: ProblemFile, args) -> dict:
             raise CommandError(f"{flag} must be >= {least}")
     out = {"input": _input_block(pf)}
     max_n = _opt_int(pf, "max_n", args.max_n, DEFAULT_MAX_N)
-    m = ideal = None
+    m = None
     if spec.m is not None:
         m = args.m if args.m is not None else pf.m
         if m is None and spec.m == "required":
@@ -252,14 +268,9 @@ def run(command: str, pf: ProblemFile, args) -> dict:
             raise CommandError(
                 f"this command needs all arrows in degree 0, got nonzero degrees on {bad}"
             )
-    if spec.bound == "find":
-        ideal = certify(pf.quiver, pf.relations, max_n=max_n)
-    elif spec.bound == "try":
-        with contextlib.suppress(ValueError):  # NotAdmissibleError is one
-            ideal = certify(pf.quiver, pf.relations, max_n=max_n)
     if m is not None:
         out["m"] = m
-    out.update(spec.body(_Job(pf, args, max_n, m, ideal)))
+    out.update(spec.body(_Job(pf, args, max_n, m)))
     return out
 
 

@@ -1,12 +1,12 @@
 """Exact sparse linear algebra over the rationals.
 
-Everything downstream (ideal dimensions, homology ranks, membership tests,
-normal forms) reduces to one kernel, the echelon row span `RowSpace`.
-It eliminates fraction-free, in integers (Bareiss, Math. Comp. 22, 1968),
-and reports exact rationals: no floating point anywhere, no modular
-shortcuts; "span" always means row span.  `SparseMatrix` only stores the
-rows of a truncated complex's differential for `rank`; `build_truncated` is
-its one maker.
+Everything downstream (ideal dimensions, homology ranks, membership tests)
+reduces to one kernel, the echelon row span `RowSpace`, which answers rank,
+pivots and membership.  It eliminates fraction-free, in integers (Bareiss,
+Math. Comp. 22, 1968), and answers exactly: no floating point anywhere, no
+modular shortcuts; "span" always means row span.  `SparseMatrix` only
+stores the rows of a truncated complex's differential for `rank`;
+`build_truncated` is its one maker.
 """
 
 from __future__ import annotations
@@ -28,17 +28,17 @@ def as_rational(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-def _integral(row: Mapping) -> tuple[SparseRow, int]:
-    """(s * row, s) for s the lcm of the denominators, in a new dict; int rows
-    keep s = 1.  An all-int row, as every row an ideal span adds is (shifted
-    pivot rows and `ideals._integer_terms` relation rows), is scanned for types
-    and zeros at C speed and copied whole if it has none."""
+def _integral(row: Mapping) -> SparseRow:
+    """s * row for s the lcm of the denominators, in a new dict; an int row
+    is copied with s = 1.  An all-int row, as every row an ideal span adds is
+    (shifted pivot rows and `ideals._integer_terms` relation rows), is
+    scanned for types and zeros at C speed and copied whole if it has none."""
     values = row.values()
     if set(map(type, values)) <= {int}:
-        return (dict(row) if 0 not in values else {c: v for c, v in row.items() if v}), 1
+        return dict(row) if 0 not in values else {c: v for c, v in row.items() if v}
     out = {c: as_rational(v).as_integer_ratio() for c, v in row.items()}
     s = lcm(*(d for _, d in out.values()))
-    return {c: n * (s // d) for c, (n, d) in out.items() if n}, s
+    return {c: n * (s // d) for c, (n, d) in out.items() if n}
 
 
 class RowSpace:
@@ -53,16 +53,15 @@ class RowSpace:
     * the pivot set P is the set of leading columns of the nonzero vectors
       of W, so it depends on W alone, not on the basis or insertion order;
     * a nonzero w in W leads in a column of P, so v + W holds exactly one
-      vector with no entry on P, and that vector is what `reduce` returns.
+      vector with no entry on P.
 
-    Elimination never divides: a remainder r of v carries a scalar s > 0
-    with r - s*v in W, and the step r := a*r - b*p, with a*r[c] = b*p[c]
-    and gcd(a, b) = 1, sets s := a*s.  The final r has no entry on P, so it
-    is s times that vector, and `reduce` returns r / s.
+    Elimination never divides: the remainder r of v starts as a positive
+    multiple of v, and a step r := a*r - b*p, with a*r[c] = b*p[c] and
+    gcd(a, b) = 1, has a > 0 as p[c] > 0.  So the final r, free of P, is a
+    positive multiple of that one vector, which `add` stores primitive.
 
-    Hence `rank`, `pivot_columns`, `contains` and `reduce` are functions of
-    W alone, and so are the normal forms and complement bases read from
-    them.
+    Hence `rank`, `pivot_columns` and `contains` are functions of W alone,
+    and so are the complement bases read from them.
     """
 
     def __init__(self, rows=()) -> None:
@@ -83,9 +82,10 @@ class RowSpace:
     def pivot_columns(self) -> list[int]:
         return sorted(self._pivots)
 
-    def _eliminate(self, row: Mapping) -> tuple[SparseRow, int]:
-        """Integer remainder r of `row`, free of P, and s with r - s*row in W."""
-        r, s = _integral(row)
+    def _eliminate(self, row: Mapping) -> SparseRow:
+        """Integer remainder of `row`: free of P, a positive multiple of the
+        one vector in row + W with no entry on P."""
+        r = _integral(row)
         pivots = self._pivots
         # A pivot row has no entry left of its pivot, so eliminating a pivot
         # column only introduces columns to its right, and sweeping
@@ -96,7 +96,7 @@ class RowSpace:
                 if c in pivots and (hit is None or c < hit):
                     hit = c
             if hit is None:
-                return r, s
+                return r
             p = pivots[hit]
             x, y = r.pop(hit), p[hit]
             g = gcd(x, y)
@@ -104,7 +104,6 @@ class RowSpace:
             if a != 1:
                 for c in r:
                     r[c] *= a
-                s *= a
             for c, v in p.items():
                 if c == hit:
                     continue
@@ -113,24 +112,13 @@ class RowSpace:
                     r[c] = new
                 else:
                     r.pop(c, None)
-            if a != 1:
-                # cancel the part of s that the whole remainder shares
-                g = gcd(s, *r.values())
-                if g != 1:
-                    r = {c: v // g for c, v in r.items()}
-                    s //= g
-
-    def reduce(self, row: Mapping) -> dict[int, Fraction]:
-        """Normal form of `row` modulo the span (empty dict iff contained)."""
-        r, s = self._eliminate(row)
-        return {c: Fraction(v, s) for c, v in r.items()}
 
     def contains(self, row: Mapping) -> bool:
-        return not self._eliminate(row)[0]
+        return not self._eliminate(row)
 
     def add(self, row: Mapping) -> bool:
         """Insert `row`; True iff the rank increased."""
-        r, _ = self._eliminate(row)
+        r = self._eliminate(row)
         if not r:
             return False
         lead = min(r)

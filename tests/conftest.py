@@ -29,6 +29,14 @@ def element(q, *weighted_paths):
     return acc
 
 
+def assert_same_span(a, b):
+    """Exact span equality of two `RowSpace`s: the same pivot columns, and
+    each contains the other's pivot rows."""
+    assert a.pivot_columns() == b.pivot_columns()
+    assert all(b.contains(row) for row in a._pivots.values())
+    assert all(a.contains(row) for row in b._pivots.values())
+
+
 @pytest.fixture
 def square():
     """Two directed paths v1 -> v4 identified by one relation."""

@@ -61,14 +61,15 @@ def test_ideal_dim_quaternion():
 # Every command that searches grows one span through its bound search (n = 2
 # to 5 on quaternion) and reads the searched span: `report` for dim, the
 # minimal system and Ext^2, `vosnex` for finiteness.  The split-extension
-# check and the homology build no span.  Apart from those, each command that
-# asks for the minimal system grows one exact span for the one generation
-# proof that quaternion asks.
+# check builds no other span; the homology, under quaternion's `option
+# max_len = 3`, needs no bound and searches not at all.  Apart from those,
+# each command that asks for the minimal system grows one exact span for the
+# one generation proof that quaternion asks.
 @pytest.mark.parametrize("argv, spans", [
     (["report", "--m", "3"], 1),
     (["report", "--m", "2"], 1),
     (["split-ext-2"], 1),
-    (["homology", "--m", "3"], 1),
+    (["homology", "--m", "3"], 0),
     (["vosnex", "--m", "3"], 1),
     (["ideal-dim"], 1),
     (["system-of-relations"], 1),
@@ -104,7 +105,58 @@ def test_cli_certifies_once(argv, spans, monkeypatch, capsys):
     assert cli.main([argv[0], str(FIXTURES / "quaternion.quiver"), *argv[1:]]) == 0
     assert len(built) == spans
     assert len(proof_spans) == (argv[0] in ("report", "system-of-relations"))
-    assert searches == [True]
+    assert searches == [True] * spans
+
+
+def test_homology_under_a_given_cutoff_searches_no_bound(tmp_path, monkeypatch, capsys):
+    # three commuting loops have no admissibility bound, and the search that
+    # says so costs seconds and hundreds of MiB; under --max-len or `option
+    # max_len` the homology reads no bound, so it builds no span
+    text = "vertex v\n" + "".join(f"arrow x{i} : v -> v\n" for i in range(3)) + "".join(
+        f"relation c{i}{j} : v -> v = x{i}*x{j} - x{j}*x{i}\n" for i, j in ((0, 1), (0, 2), (1, 2))
+    )
+    flag, option = tmp_path / "flag.quiver", tmp_path / "option.quiver"
+    flag.write_text(text)
+    option.write_text(text + "option max_len = 3\n")
+    built = []
+    init = TruncatedIdealSpan.__init__
+    monkeypatch.setattr(TruncatedIdealSpan, "__init__", lambda *a: built.append(1) or init(*a))
+    homology = []
+    for f, argv in ((flag, ["--max-len", "3"]), (option, [])):
+        assert cli.main(["homology", str(f), "--m", "3", *argv]) == 0
+        homology.append(json.loads(capsys.readouterr().out)["homology"])
+    assert built == []
+    assert homology[0] == homology[1] and homology[0]["L"] == 3
+
+
+def test_a_relation_the_others_generate_is_dropped(tmp_path, monkeypatch, capsys):
+    # r1 = x*y - y*x is half of r4, so the minimal system drops it: without
+    # r1 the relations still span the boundary quotient, and the exact proof
+    # that they generate r^3 answers True; `report` keeps the same system
+    f = tmp_path / "dropped.quiver"
+    f.write_text(
+        "vertex v\narrow x : v -> v\narrow y : v -> v\n"
+        "relation r1 : v -> v = x*y - y*x\nrelation r2 : v -> v = x*x\n"
+        "relation r3 : v -> v = y*y\nrelation r4 : v -> v = 2 x*y - 2 y*x\n"
+    )
+    proofs = []
+    prove = ideals.generates_arrow_power
+    monkeypatch.setattr(
+        ideals, "generates_arrow_power", lambda *a: proofs.append(prove(*a)) or proofs[-1]
+    )
+    kept = [
+        {"label": "r2", "body": "x*x"},
+        {"label": "r3", "body": "y*y"},
+        {"label": "r4", "body": "2 x*y - 2 y*x"},
+    ]
+    assert cli.main(["system-of-relations", str(f)]) == 0
+    assert json.loads(capsys.readouterr().out)["ideal"] == {
+        "admissible_N": 3, "system_of_relations": kept
+    }
+    assert True in proofs
+    assert cli.main(["report", str(f), "--m", "3"]) == 0
+    ideal = json.loads(capsys.readouterr().out)["ideal"]
+    assert (ideal["admissible_N"], ideal["system_of_relations"]) == (3, kept)
 
 
 def test_vosnex_respects_max_n(capsys):
@@ -297,10 +349,11 @@ def test_negative_max_len_option_is_an_error(tmp_path, capsys):
     assert out == "" and err == "error: max_len must be >= 0\n"
 
 
-_MAX_N_COMMANDS = sorted(
-    name for name, spec in cli.COMMANDS.items()
-    if spec.bound is not None or name == "admissibility"
-)
+# the commands that search for a bound, up to --max-n or `option max_n`
+_MAX_N_COMMANDS = sorted([
+    "admissibility", "ext2", "homology", "ideal-dim", "report", "split-ext-2",
+    "system-of-relations", "vosnex",
+])
 
 
 @pytest.mark.parametrize("command", _MAX_N_COMMANDS)

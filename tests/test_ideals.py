@@ -41,6 +41,7 @@ from dgquiver.ideals import _check_relations, _integer_terms
 from dgquiver.linalg import RowSpace
 
 from conftest import (
+    assert_same_span,
     element,
     random_acyclic_quiver,
     random_quiver,
@@ -547,10 +548,17 @@ def _path(key):
 
 
 def _normal_form(span, x):
-    """Canonical normal form of x modulo the span, x cut below the bound,
-    read off `span.space` on the columns of `span.index`."""
+    """Canonical normal form of x modulo the span, x cut below the bound: the
+    one element of x + span with no term on a pivot of `span.space`, found by
+    `Fraction` elimination against its pivot rows on the columns of `span.index`."""
     x = x.truncate(span.bound - 1)
-    res = span.space.reduce({span.index[p.key]: c for p, c in x.terms.items()})
+    res = {span.index[p.key]: Fraction(c) for p, c in x.terms.items()}
+    pivots = span.space._pivots
+    while (hit := min(res.keys() & pivots.keys(), default=None)) is not None:
+        coef = res[hit] / pivots[hit][hit]
+        for c, v in pivots[hit].items():
+            res[c] = res.get(c, 0) - coef * v
+        res = {c: v for c, v in res.items() if v}
     keys = list(span.index)
     return PathElement(span.quiver, {_path(keys[i]): c for i, c in res.items()})
 
@@ -589,7 +597,7 @@ def _split_condition_iii(q, relations, n, cap):
         x = PathElement(q, {p: Fraction(1)})
         nf_big = _normal_form(big_span, x.rebind(big)).terms.items()
         projected = PathElement(q, {pp: c for pp, c in nf_big if not set(pp.arrows) & eps_names})
-        if _normal_form(span, projected) != _normal_form(span, x):
+        if not span.contains((projected - x).truncate(span.bound - 1)):
             return False
     return True
 
@@ -917,15 +925,13 @@ def test_span_matches_path_element_oracle(seed, bound, boundary_only, quiver):
     )
     assert list(span.index) == [p.key for p in paths]
     assert span.rank == oracle.rank
-    assert span.space.pivot_columns() == oracle.pivot_columns()
+    assert_same_span(span.space, oracle)
     pivots = set(oracle.pivot_columns())
     assert _complement_basis(span) == [p for i, p in enumerate(paths) if i not in pivots]
     for _ in range(5):
         support = rng.sample(paths, rng.randint(1, min(4, len(paths))))
         x = PathElement(q, {p: rng.choice(PQ_COEFFS) for p in support})
-        nf = oracle.reduce({index[p]: c for p, c in x.terms.items()})
-        assert _normal_form(span, x) == PathElement(q, {paths[i]: c for i, c in nf.items()})
-        assert span.contains(x) == (not nf)
+        assert span.contains(x) == oracle.contains({index[p]: c for p, c in x.terms.items()})
 
     n = rng.randint(1, 3)
     max_expr_len = min(4, n + rng.randint(0, 2))
@@ -1180,6 +1186,8 @@ def test_certified_span_columns_serve_every_span_of_a_call(seed, kind):
         other = TruncatedIdealSpan(q, rels, b)
         assert _complement_basis(span) == _complement_basis(other)
         assert [_normal_form(span, x) for x in xs] == [_normal_form(other, x) for x in xs]
+        if b == span.bound:
+            assert_same_span(span.space, other.space)
 
 
 def test_ideal_call_walks_and_validates_once(quaternion, monkeypatch):
@@ -1352,11 +1360,8 @@ def test_level_by_level_span_matches_the_one_pass_span(seed, kind):
     else:
         span = certify(q, rels, n)
     one_pass = _span(q, rels, n, truncate=True)[2]
-    assert span.space.pivot_columns() == one_pass.pivot_columns()
+    assert_same_span(span.space, one_pass)
     assert span._boundary_space.pivot_columns() == _old_boundary(span).pivot_columns()
-    for _ in range(10):
-        x = {rng.randrange(len(span.index)): rng.choice(PQ_COEFFS) for _ in range(4)}
-        assert span.space.reduce(x) == one_pass.reduce(x)
     for bound in range(1, n + 1):
         lower = TruncatedIdealSpan(q, rels, bound)
         assert lower.space.pivot_columns() == _span(q, rels, bound - 1, truncate=True)[2].pivot_columns()
@@ -1410,10 +1415,7 @@ def test_one_chain_holds_the_products_rho_v(seed, kind):
             (span._boundary_space, _old_boundary(span)),
         ]
         for got, oracle in oracles:
-            assert got.pivot_columns() == oracle.pivot_columns(), bound
-            for _ in range(4):
-                x = {rng.randrange(len(span.index)): rng.choice(PQ_COEFFS) for _ in range(3)}
-                assert got.reduce(x) == oracle.reduce(x)
+            assert_same_span(got, oracle)
 
 
 def test_certify_refuses_relations_outside_r2():
@@ -1447,14 +1449,9 @@ def test_span_construction_calls_no_product_generator(kind):
     # every bound 1..N+1 it has the pivots and normal forms of the span of
     # every product whose terms all fit below the bound
     q, rels, n = _spec_or_family(kind, random.Random(0))
-    rng = random.Random(1)
     span = TruncatedIdealSpan(q, rels, 1)
     while span.bound <= n + 1:
-        oracle = _span(q, rels, span.bound - 1, truncate=False)[2]
-        assert span.space.pivot_columns() == oracle.pivot_columns(), span.bound
-        for _ in range(4):
-            x = {rng.randrange(len(span.index)): rng.choice(PQ_COEFFS) for _ in range(3)}
-            assert span.space.reduce(x) == oracle.reduce(x)
+        assert_same_span(span.space, _span(q, rels, span.bound - 1, truncate=False)[2])
         span._grow(exact=True)
 
 
@@ -1590,12 +1587,9 @@ def test_grown_search_matches_the_per_n_search(seed, kind):
         return
     span = certify(q, rels, max_n=max_n)
     assert (span.bound, list(span.index)) == (old.bound, list(old.index))
-    assert span.space.pivot_columns() == old.space.pivot_columns()
+    assert_same_span(span.space, old.space)
     assert span._boundary_space.pivot_columns() == old._boundary_space.pivot_columns()
     assert (span.dim(), span.ext2()) == (old.dim(), old.ext2())
-    for _ in range(10):
-        x = {rng.randrange(len(span.index)): rng.choice(PQ_COEFFS) for _ in range(4)}
-        assert span.space.reduce(x) == old.space.reduce(x)
 
 
 def test_search_stops_at_its_cap(quaternion, square):
