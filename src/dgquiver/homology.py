@@ -4,13 +4,14 @@ The differential of every generator produced by the constructions lies in
 the ideal generated by the arrows, so d never shortens paths.  Paths longer
 than a cutoff L therefore span a dg-ideal and the quotient is an honest
 finite complex; its homology is the computable window used throughout.
-`build_truncated` holds its path counts, and a matrix made on every read:
-each row comes from the derivation kernel of `dg` at the cutoff, so a term
-longer than L, which is zero in that quotient, is never formed at all; nor
-is a row that must be zero: if every term of every d(a) has length >= lmin,
-a path longer than L + 1 - lmin has d of length > L, a zero row at cutoff
-L.  So only paths of length <= L + 1 - lmin are walked: rows are indexed by
-basis position, and columns in first-hit order, which `columns` names.
+`build_truncated` holds its path counts, and the matrix of d in the path
+bases, made on every read.  Each row comes from the derivation kernel of
+`dg` at the cutoff, so a term longer than L, zero in that quotient, is never
+formed; nor is a row that must be zero: if every term of every d(a) has
+length >= lmin, a path longer than L + 1 - lmin has d of length > L.  So a
+read walks that one degree, to length L + 1 - lmin.  Columns are in basis
+order, by length first, so the cutoff-L matrix is the cutoff-(L+1) one cut
+to a prefix of its columns, and `homology_dims` eliminates each degree once.
 Dimensions are computed at L; a `stabilized` flag says whether they agree
 at L+1, compared from H^0 down to the first that differs -- a convergence
 heuristic, not a theorem, and the reports say which cutoff they used.
@@ -18,13 +19,13 @@ heuristic, not a theorem, and the reports say which cutoff they used.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import cache
 
 from .dg import DgAlgebra, _d_path
-from .linalg import SparseMatrix, rank
-from .quiver import PathKey
+from .linalg import RowSpace, SparseMatrix, rank
 
 
 class TruncationError(ValueError):
@@ -33,16 +34,16 @@ class TruncationError(ValueError):
 
 
 class _Assembled(Mapping):
-    """Read-only degree -> part (0: matrix, 1: columns) of `assemble(d)` over
-    the keys of `degrees`, made afresh on every read and never kept."""
+    """Read-only degree -> `assemble(d)` over the keys of `degrees`, made
+    afresh on every read and never kept."""
 
-    def __init__(self, degrees, assemble, part: int):
-        self._degrees, self._assemble, self._part = degrees, assemble, part
+    def __init__(self, degrees, assemble):
+        self._degrees, self._assemble = degrees, assemble
 
-    def __getitem__(self, d: int):
+    def __getitem__(self, d: int) -> SparseMatrix:
         if d not in self._degrees:
             raise KeyError(d)
-        return self._assemble(d)[self._part]
+        return self._assemble(d)
 
     def __contains__(self, d) -> bool:  # Mapping's would assemble
         return d in self._degrees
@@ -57,16 +58,15 @@ class _Assembled(Mapping):
 @dataclass
 class TruncatedComplex:
     """Path counts, and a matrix made on every read, per cohomological
-    degree d of the window (the keys of `components`, `matrices` and
-    `columns`, ascending): `components[d] = range(dim(d))` indexes the basis
-    paths of length <= max_len, as `paths_by_degree(max_len, d, d)[d]` lists
-    them; the dim(d) x dim(d + 1) matrix of d is made afresh on each read of
-    it or of `columns[d]`; column j is `columns[d][j]`, the unhit ones zero."""
+    degree d of the window (the keys of `components` and `matrices`,
+    ascending): `components[d] = range(dim(d))` indexes the basis paths of
+    length <= max_len, `paths_by_degree(max_len, d, d)[d]`; the matrix of d,
+    dim(d) x dim(d + 1) in these bases (columns in basis order, by length
+    first), is made afresh on each read, which walks degree d alone."""
 
     max_len: int
     components: dict[int, range]
     matrices: Mapping[int, SparseMatrix]
-    columns: Mapping[int, list[PathKey]]
 
     def dim(self, degree: int) -> int:
         return len(self.components.get(degree, ()))
@@ -79,10 +79,9 @@ def build_truncated(dg: DgAlgebra, max_len: int, degrees) -> TruncatedComplex:
     `_d_path` of the i-th basis path at the cutoff max_len: a term longer
     than max_len lies in the dg-ideal of long paths, which is zero in the
     quotient, so it is never formed.  A trivial path (keyed by its vertex
-    name) has d = 0 and an empty row.  A column is indexed on its first
-    nonzero entry (`columns[d]`); one that no row hits adds 1 to the
-    dimension and 0 to the rank.  The rows are walked here, but a degree's
-    matrix is made, afresh, on each read of it or of its columns.
+    name) has d = 0 and an empty row.  Column j is the j-th basis path of
+    degree d + 1 (`path_positions`).  Nothing is walked here: a read of a
+    matrix walks that degree's rows, afresh.
 
     Rows zero by length are not computed.  With lmin the least length of a
     term of any d(a), a path a_1...a_n with n > max_len + 1 - lmin has a zero
@@ -104,22 +103,19 @@ def build_truncated(dg: DgAlgebra, max_len: int, degrees) -> TruncatedComplex:
     if not degrees:
         raise ValueError("the degree window is empty")
     dims = q.path_counts(max_len, degrees[0], degrees[-1] + 1)
-    walked = q.paths_by_degree(max(0, max_len + 1 - lmin), degrees[0], degrees[-1])
 
-    def assemble(d: int) -> tuple[SparseMatrix, list[PathKey]]:
+    def assemble(d: int) -> SparseMatrix:
         # after the check above every image has positive length
-        column = {}
-        rows = {}
-        for i, key in enumerate(walked[d]):
+        column, rows = q.path_positions(d + 1), {}
+        for i, key in enumerate(q.paths_by_degree(max(0, max_len + 1 - lmin), d, d)[d]):
             if type(key) is tuple:
                 image = _d_path(dg, key, max_len)
-                if row := {column.setdefault(w, len(column)): c for w, c in image.items() if c}:
+                if row := {column(w): c for w, c in image.items() if c}:
                     rows[i] = row
-        return SparseMatrix._of_rows(dims[d], dims[d + 1], rows), list(column)
+        return SparseMatrix._of_rows(dims[d], dims[d + 1], rows)
 
     components = {d: range(dims[d]) for d in degrees}
-    matrices, columns = (_Assembled(components, assemble, i) for i in (0, 1))
-    return TruncatedComplex(max_len, components, matrices, columns)
+    return TruncatedComplex(max_len, components, _Assembled(components, assemble))
 
 
 @dataclass
@@ -148,8 +144,13 @@ def _dims_from_complex(cx: TruncatedComplex, m: int) -> Iterator[int]:
 
 def homology_dims(dg: DgAlgebra, m: int, max_len: int) -> HomologyReport:
     """dim H^{-i} for 0 <= i <= m-1 at cutoff max_len; `stabilized` records
-    whether the dimensions at max_len + 1 agree, compared from H^0 down: the
-    pass stops at the first that differs and ranks no matrix below it.
+    whether the dimensions at max_len + 1 agree, compared from H^0 down.
+
+    Each degree is eliminated once: while the comparison agrees, at max_len
+    + 1, its rank at max_len read as the count of pivots among the columns of
+    length <= max_len, a prefix (`RowSpace` leads each pivot at its least
+    column, so that count is the rank of the cut); after the first H^{-i}
+    that differs, at max_len alone.
 
     For `ginzburg_from_relations(q, R, m)`, m >= 3, degree 0 is KQ / ((R) +
     r^(max_len + 1)): its arrows are q's (the added ones have negative degree),
@@ -158,17 +159,24 @@ def homology_dims(dg: DgAlgebra, m: int, max_len: int) -> HomologyReport:
     """
     if m < 1:
         raise ValueError("m >= 1 required")
-    degrees = range(-m, 1)
-    at_l = dict(enumerate(_dims_from_complex(build_truncated(dg, max_len, degrees), m)))
-    at_l1 = _dims_from_complex(build_truncated(dg, max_len + 1, degrees), m)
-    vosnex = all(at_l[i] == 0 for i in range(1, m - 1))
-    return HomologyReport(
-        m=m,
-        max_len=max_len,
-        dims=at_l,
-        stabilized=all(a == b for a, b in zip(at_l.values(), at_l1)),
-        vosnex=vosnex,
-    )
+    at_l, at_l1 = (build_truncated(dg, n, range(-m, 1)) for n in (max_len, max_len + 1))
+    dims, stabilized = {}, True
+
+    @cache
+    def ranks(d: int) -> tuple[int, int | None]:  # at max_len, and at max_len + 1 while compared
+        if not stabilized:
+            return rank(at_l.matrices[d]), None
+        space = RowSpace(reversed(at_l1.matrices[d]._by_row.values()))  # as `rank` feeds them
+        # the columns of length <= max_len; degree 1 is outside the window
+        short = at_l.dim(d + 1) if d else dg.quiver.path_counts(max_len, 1, 1)[1]
+        return bisect_left(space.pivot_columns(), short), space.rank
+
+    for i in range(m):
+        (r, r1), (s, s1) = ranks(-i), ranks(-i - 1)
+        dims[i] = at_l.dim(-i) - r - s
+        stabilized = stabilized and at_l1.dim(-i) - r1 - s1 == dims[i]
+    vosnex = all(dims[i] == 0 for i in range(1, m - 1))
+    return HomologyReport(m=m, max_len=max_len, dims=dims, stabilized=stabilized, vosnex=vosnex)
 
 
 def h0_presentation(dg: DgAlgebra):

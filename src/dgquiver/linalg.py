@@ -4,9 +4,11 @@ Everything downstream (ideal dimensions, homology ranks, membership tests)
 reduces to one kernel, the echelon row span `RowSpace`, which answers rank,
 pivots and membership.  It eliminates fraction-free, in integers (Bareiss,
 Math. Comp. 22, 1968), and answers exactly: no floating point anywhere, no
-modular shortcuts; "span" always means row span.  `SparseMatrix` only
-stores the rows of a truncated complex's differential for `rank`;
-`build_truncated` is its one maker.
+modular shortcuts; "span" always means row span.  As each pivot leads at its
+least column, the pivots below column k count the rank of the span cut to
+the columns < k, which lets `homology_dims` eliminate each degree once.
+`SparseMatrix` only stores the rows of a truncated complex's differential,
+columns in basis order; `build_truncated` is its one maker.
 """
 
 from __future__ import annotations

@@ -15,14 +15,17 @@ vertex order), so matrix constructions and reports are reproducible.
 Row and column indices key a path by its arrow tuple and a trivial path by
 its vertex name, a `str` (`Path.key`, `paths_by_degree`), so the two never
 collide.  The path walk yields tuples, and only `enumerate_paths` builds
-`Path`s from them.  `path_counts` counts the paths of each degree, walking none.
+`Path`s from them.  `path_counts` counts the paths of each degree, and
+`path_positions` finds a path's place among them, walking none.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cache, partial
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,6 +88,22 @@ def _problems(vertices, arrows):
             yield "source", i, f"arrow {a.name!r} has undeclared source {a.source!r}"
         if a.target not in seen_v:
             yield "target", i, f"arrow {a.name!r} has undeclared target {a.target!r}"
+
+
+def _lesser(out, steps, tables: dict, v: str | None, d: int, n: int) -> tuple[dict, int]:
+    """The paths from v (any vertex if None) of degree d and length n, which
+    out[v] lists by first arrow: (arrow a -> (those led by a lesser name, the
+    same after a), their count), kept in `tables`; none outside n * steps."""
+    up, down = steps
+    if not n * down <= d <= n * up:
+        return {}, 0
+    if (v, d, n) not in tables:
+        after, total = {}, int(not n)
+        for a in out[v] if n else ():
+            rest, count = _lesser(out, steps, tables, a.target, d - a.degree, n - 1)
+            after[a.name], total = (total, rest), total + count
+        tables[v, d, n] = after, total
+    return tables[v, d, n]
 
 
 class GradedQuiver:
@@ -270,6 +289,31 @@ class GradedQuiver:
                 if d in counts:
                     counts[d] += n
         return counts
+
+    def path_positions(self, degree: int) -> Callable[[tuple[str, ...]], int]:
+        """arrows -> the position of that nontrivial path of the given degree
+        in `paths_by_degree(n, degree, degree)[degree]`, any n >= its length;
+        counted, not walked.  Before it come the shorter paths, then for each
+        i those that agree with it before arrow i and have there an arrow of
+        a lesser name (`_lesser`, from any vertex if i = 0)."""
+        out = {v: sorted(arrows, key=lambda a: a.name) for v, arrows in self._out.items()}
+        out[None] = sorted(self.arrows, key=lambda a: a.name)
+        root = partial(_lesser, out, self._degree_steps(0), {}, None, degree)
+
+        @cache
+        def start(n: int) -> tuple[int, dict]:  # the shorter paths, and the table at length n
+            shorter = sum(root(k)[1] for k in range(1, n)) + len(self.vertices) * (not degree)
+            return shorter, root(n)[0]
+
+        @cache
+        def position(arrows: tuple[str, ...]) -> int:
+            at, after = start(len(arrows))
+            for name in arrows:
+                lesser, after = after[name]
+                at += lesser
+            return at
+
+        return position
 
     # ---------- derived quivers ----------
 

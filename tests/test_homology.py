@@ -1,6 +1,7 @@
 import gc
 import random
 import weakref
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import astuple
 from pathlib import Path as FilePath
@@ -154,50 +155,74 @@ def test_build_truncated_skips_rows_zero_by_length(monkeypatch, quaternion):
         assert max(lengths) == cutoff + 1 - lmin
 
 
-def test_homology_dims_walks_only_the_rows(monkeypatch, quaternion):
-    # the dims are path counts, so the only walks are the two row walks,
-    # each no longer than cutoff + 1 - lmin, and no basis key is enumerated
-    q, rels = quaternion
-    dg = ginzburg_from_relations(q, rels, 3)
-    lmin = min(
+def _lmin(dg):
+    return min(
         dg.d(name).min_length() for name in dg.arrow_names() if not dg.d(name).is_zero()
     )
-    walks = []
-    paths_by_degree = GradedQuiver.paths_by_degree
-
-    def recording_paths_by_degree(self, max_len, min_degree, max_degree):
-        walks.append(max_len)
-        return paths_by_degree(self, max_len, min_degree, max_degree)
-
-    monkeypatch.setattr(GradedQuiver, "paths_by_degree", recording_paths_by_degree)
-    homology_dims(dg, 3, 5)
-    assert walks == [5 + 1 - lmin, 6 + 1 - lmin]
 
 
-def test_stabilization_pass_stops_at_the_first_differing_degree(monkeypatch, quaternion):
-    # at L + 1 the dims are compared from H^0 down and each matrix is ranked
-    # when a comparison first needs it: H^{-i} needs degrees -i and -i - 1.
-    # Quaternion's H^{-1} already differs, so degree -3 is never walked at
-    # L + 1; on the 4 x 4 grid only H^{-2} differs, so it is walked and ranked
+def test_homology_dims_walks_only_the_rows(monkeypatch, quaternion):
+    # the dims are path counts and the columns are counted, so the only walks
+    # are the row walks: one degree each, no longer than cutoff + 1 - lmin,
+    # and no degree twice in one call; each degree is eliminated once
     from dgquiver import homology
 
-    walked, ranked = [], []
-    d_path, rank_ = homology._d_path, homology.rank
+    for (q, rels), cutoff in ((quaternion, 5), (grid(4), 6)):
+        dg = ginzburg_from_relations(q, rels, 3)
+        walks, eliminated = [], []
+        paths_by_degree = GradedQuiver.paths_by_degree
+        row_space, rank_ = homology.RowSpace, homology.rank
+
+        def recording_paths_by_degree(self, max_len, min_degree, max_degree):
+            walks.append((max_len, min_degree, max_degree))
+            return paths_by_degree(self, max_len, min_degree, max_degree)
+
+        def recording_row_space(rows):
+            eliminated.append(cutoff + 1)
+            return row_space(rows)
+
+        monkeypatch.setattr(GradedQuiver, "paths_by_degree", recording_paths_by_degree)
+        monkeypatch.setattr(homology, "RowSpace", recording_row_space)
+        monkeypatch.setattr(homology, "rank", lambda mx: eliminated.append(cutoff) or rank_(mx))
+        homology_dims(dg, 3, cutoff)
+        monkeypatch.undo()
+        walked = [d for _, d, top in walks if d == top]
+        assert len(walked) == len(walks) == len(set(walked)) == len(eliminated) == 4
+        assert sorted(walked) == [-3, -2, -1, 0]
+        assert {n for n, _, _ in walks} <= {cutoff + 1 - _lmin(dg), cutoff + 2 - _lmin(dg)}
+
+
+def _record_rows(monkeypatch):
+    """(cutoff, degree) per row made by `_d_path`, recorded into a list."""
+    from dgquiver import homology
+
+    made = []
+    d_path = homology._d_path
 
     def recording_d_path(dg, arrows, max_len):
-        walked.append((max_len, sum(dg.quiver.arrow(a).degree for a in arrows)))
+        made.append((max_len, sum(dg.quiver.arrow(a).degree for a in arrows)))
         return d_path(dg, arrows, max_len)
 
     monkeypatch.setattr(homology, "_d_path", recording_d_path)
-    monkeypatch.setattr(homology, "rank", lambda mx: ranked.append(mx) or rank_(mx))
+    return made
+
+
+def test_stabilization_pass_stops_at_the_first_differing_degree(monkeypatch, quaternion):
+    # the dims at L + 1 are compared from H^0 down, H^{-i} needing degrees -i
+    # and -i - 1; a degree is eliminated at L + 1 while they agree, and at L
+    # alone after.  Quaternion's H^{-1} already differs, so degree -3 is walked
+    # at L and never at L + 1; on the 4 x 4 grid only H^{-2} differs, so every
+    # degree is walked at L + 1 and none at L
+    from dgquiver import homology
+
+    walked = _record_rows(monkeypatch)
     for (q, rels), cutoff, first_differing in ((quaternion, 5, 1), (grid(4), 6, 2)):
         dg = ginzburg_from_relations(q, rels, 3)
         walked.clear()
-        ranked.clear()
         rep = homology_dims(dg, 3, cutoff)
-        assert (cutoff, -3) in walked
-        assert ((cutoff + 1, -3) in walked) == (first_differing == 2)
-        assert len(ranked) == 4 + first_differing + 2
+        at_l = {d for n, d in walked if n == cutoff}
+        assert at_l == ({-3} if first_differing == 1 else set())
+        assert {d for n, d in walked if n == cutoff + 1} == {0, -1, -2, -3} - at_l
         cx = build_truncated(dg, cutoff + 1, range(-3, 1))
         at_l1 = dict(enumerate(homology._dims_from_complex(cx, 3)))
         assert [i for i in range(3) if at_l1[i] != rep.dims[i]][0] == first_differing
@@ -205,78 +230,64 @@ def test_stabilization_pass_stops_at_the_first_differing_degree(monkeypatch, qua
 
 
 def test_truncated_matrices_are_assembled_on_every_read(monkeypatch, quaternion):
-    # the walk is eager; a degree's matrix and columns are made afresh on
-    # every read of either and never kept, so every read makes an equal
-    # matrix, while `in`, `len` and iteration make none; the window bounds
-    # the keys, and what is made does not depend on the order of the reads
-    from dgquiver import homology
-
+    # nothing is walked at build time; a degree's matrix is made afresh on
+    # every read, walking that degree alone, and never kept, so every read
+    # makes an equal matrix, while `in`, `len` and iteration make none; the
+    # window bounds the keys, and what is made does not depend on the order
+    # of the reads
     dg = ginzburg_from_relations(*quaternion, 3)
     other = build_truncated(dg, 5, range(-3, 1))
-    in_order = [(d, mx.entries, other.columns[d]) for d, mx in other.matrices.items()]
-    walked = []
-    d_path = homology._d_path
+    in_order = [(d, mx.entries) for d, mx in other.matrices.items()]
+    walked = _record_rows(monkeypatch)
+    walks = []
+    paths_by_degree = GradedQuiver.paths_by_degree
 
-    def recording_d_path(dg, arrows, max_len):
-        walked.append(sum(dg.quiver.arrow(a).degree for a in arrows))
-        return d_path(dg, arrows, max_len)
+    def recording_paths_by_degree(self, max_len, min_degree, max_degree):
+        walks.append((min_degree, max_degree))
+        return paths_by_degree(self, max_len, min_degree, max_degree)
 
-    monkeypatch.setattr(homology, "_d_path", recording_d_path)
+    monkeypatch.setattr(GradedQuiver, "paths_by_degree", recording_paths_by_degree)
     cx = build_truncated(dg, 5, range(-3, 1))
-    assert list(cx.matrices) == list(cx.columns) == list(cx.components) == [-3, -2, -1, 0]
-    assert len(cx.matrices) == len(cx.columns) == 4
-    assert -3 in cx.matrices and -3 in cx.columns
-    assert 1 not in cx.matrices and 1 not in cx.columns
+    assert list(cx.matrices) == list(cx.components) == [-3, -2, -1, 0]
+    assert len(cx.matrices) == 4 and -3 in cx.matrices and 1 not in cx.matrices
     for degree in (1, -4):
         with pytest.raises(KeyError):
             cx.matrices[degree]
-        with pytest.raises(KeyError):
-            cx.columns[degree]
-    assert walked == []
-    first, columns = cx.matrices[-2], cx.columns[-2]
-    per_read = len(walked) // 2
-    assert per_read > 0 and walked == [-2] * (2 * per_read)
+    assert walked == walks == []
+    first = cx.matrices[-2]
+    per_read = len(walked)
+    assert per_read > 0 and walked == [(5, -2)] * per_read and walks == [(-2, -2)]
     again = cx.matrices[-2]
-    assert again is not first and cx.columns[-2] is not columns
+    assert again is not first
     assert (again.rows, again.cols, again.entries) == (first.rows, first.cols, first.entries)
-    assert cx.columns[-2] == columns and len(walked) == 5 * per_read
-    assert [(d, cx.matrices[d].entries, cx.columns[d]) for d in (-3, -2, -1, 0)] == in_order
-    assert [mx.entries for mx in cx.matrices.values()] == [e for _, e, _ in in_order]
+    assert len(walked) == 2 * per_read and walks == [(-2, -2)] * 2
+    assert [(d, cx.matrices[d].entries) for d in (-3, -2, -1, 0)] == in_order
+    assert [mx.entries for mx in cx.matrices.values()] == [e for _, e in in_order]
 
 
 def test_homology_pass_keeps_no_matrix_it_makes(monkeypatch, quaternion):
-    # homology_dims walks each row of each degree it ranks once per cutoff,
-    # one walk per rank; a complex keeps no matrix the rank pass made, so a
-    # later read walks its degree again
+    # homology_dims makes each row of each degree once, at the one cutoff it
+    # eliminates that degree at, walking only the rows that can be nonzero;
+    # a complex keeps no matrix the pass made, so a later read walks again
     from dgquiver import homology
 
     dg = ginzburg_from_relations(*quaternion, 3)
-    lmin = min(
-        dg.d(name).min_length() for name in dg.arrow_names() if not dg.d(name).is_zero()
-    )
-    walked, ranked = [], []
-    d_path, rank_ = homology._d_path, homology.rank
-
-    def recording_d_path(dg, arrows, max_len):
-        walked.append((max_len, sum(dg.quiver.arrow(a).degree for a in arrows)))
-        return d_path(dg, arrows, max_len)
-
-    monkeypatch.setattr(homology, "_d_path", recording_d_path)
-    monkeypatch.setattr(homology, "rank", lambda mx: ranked.append(mx.rows) or rank_(mx))
+    walked = _record_rows(monkeypatch)
     rep = homology_dims(dg, 3, 5)
     counts = Counter(walked)
-    assert len(counts) == len(ranked) == 7  # 4 degrees at L, 3 at L + 1 (H^{-1} differs)
+    assert set(counts) == {(6, 0), (6, -1), (6, -2), (5, -3)}  # H^{-1} differs
     for (cutoff, d), n in counts.items():
-        rows = dg.quiver.paths_by_degree(cutoff + 1 - lmin, d, d)[d]
+        rows = dg.quiver.paths_by_degree(cutoff + 1 - _lmin(dg), d, d)[d]
         assert n == sum(type(key) is tuple for key in rows), (cutoff, d)
 
     cx = build_truncated(dg, 5, range(-3, 1))
     walked.clear()
     assert list(homology._dims_from_complex(cx, 3)) == list(rep.dims.values())
-    assert Counter(walked) == {k: n for k, n in counts.items() if k[0] == 5}
+    assert set(Counter(walked)) == {(5, d) for d in range(-3, 1)}
+    assert Counter(walked)[5, -3] == counts[5, -3]
     walked.clear()
     cx.matrices[-2]
-    assert Counter(walked) == {(5, -2): counts[5, -2]}
+    assert Counter(walked) == {(5, -2): len(walked)} and walked
 
 
 def test_truncated_complex_needs_no_cycle_collector(quaternion):
@@ -293,6 +304,8 @@ def test_truncated_complex_needs_no_cycle_collector(quaternion):
 
 
 def test_truncated_matrices_compose_to_zero(square, quaternion):
+    # column j of M_d is the j-th basis path of degree d + 1, as row j of
+    # M_{d+1} is, so the product is the plain matrix product
     cases = [(ginzburg_from_relations(*square, 3), 3)]
     q, rels = quaternion
     cases.append((ginzburg_from_relations(q, rels, 3), 3))
@@ -300,16 +313,14 @@ def test_truncated_matrices_compose_to_zero(square, quaternion):
         cx = build_truncated(dg, 5, range(-m, 1))
         for d in cx.components:
             if d + 1 in cx.matrices:
-                # column j of M_d is the path columns[d][j]; send it to that
-                # path's row of M_{d+1}, its basis position in degree d + 1
-                row_of = {key: i for i, key in enumerate(basis_keys(dg, cx, d + 1))}
-                right: dict[int, dict[int, int]] = {}
-                for (k, j), c in cx.matrices[d + 1].entries.items():
-                    right.setdefault(k, {})[j] = c
+                left, right = cx.matrices[d], cx.matrices[d + 1]
+                assert left.cols == right.rows == len(basis_keys(dg, cx, d + 1))
+                by_row: dict[int, dict[int, int]] = {}
+                for (k, j), c in right.entries.items():
+                    by_row.setdefault(k, {})[j] = c
                 product: dict[tuple[int, int], int] = {}
-                columns = cx.columns[d]
-                for (i, j), c in cx.matrices[d].entries.items():
-                    for col, v in right.get(row_of[columns[j]], {}).items():
+                for (i, j), c in left.entries.items():
+                    for col, v in by_row.get(j, {}).items():
                         product[i, col] = product.get((i, col), 0) + c * v
                 assert not any(product.values())
 
@@ -844,9 +855,8 @@ def test_build_truncated_matrices_match_naive_d(dg):
             target = q.paths_by_degree(cutoff, d + 1, d + 1)[d + 1]
             # the counts are `path_counts`, the keys the walk's: they agree
             assert len(cx.components[d]) == len(basis)
-            mx, columns = cx.matrices[d], cx.columns[d]
+            mx = cx.matrices[d]
             assert (mx.rows, mx.cols) == (cx.dim(d), len(target))
-            assert len(set(columns)) == len(columns)
             for keys, e in ((basis, d), (target, d + 1)):
                 # trivial paths are keyed by their vertex names, in degree 0
                 assert [k for k in keys if type(k) is str] == (
@@ -857,7 +867,7 @@ def test_build_truncated_matrices_match_naive_d(dg):
                 }
             got = {}
             for (i, j), c in mx.entries.items():
-                got.setdefault(basis[i], {})[columns[j]] = c
+                got.setdefault(basis[i], {})[target[j]] = c  # columns in basis order
             want = {}
             for w in words:
                 if deg(w) == d:
@@ -865,6 +875,29 @@ def test_build_truncated_matrices_match_naive_d(dg):
                     if row:
                         want[w] = row
             assert got == want, (cutoff, d)
+
+
+@given(small_dg_algebras(), st.integers(1, 4), st.integers(0, 5))
+@example(_vertex_named_like_an_arrow_dg(), 1, 2)  # d is nonzero on degree 0
+@example(_cancelling_dg(), 3, 3)
+@settings(max_examples=60, deadline=None)
+def test_homology_dims_is_two_separate_passes(dg, m, cutoff):
+    # one elimination per degree gives what a pass at L and one at L + 1 give
+    from dgquiver import homology
+
+    at = {n: build_truncated(dg, n, range(-m, 1)) for n in (cutoff, cutoff + 1)}
+    passes = {n: dict(enumerate(homology._dims_from_complex(cx, m))) for n, cx in at.items()}
+    rep = homology_dims(dg, m, cutoff)
+    assert rep.dims == passes[cutoff]
+    assert rep.stabilized is (passes[cutoff] == passes[cutoff + 1])
+    for d in range(-m, 1):
+        # the cutoff-L rank is the pivot count on the columns of length <= L,
+        # counted by the degree d + 1 paths: for d = 0 those lie outside the
+        # window, so `components` does not hold them and `path_counts` must
+        short = dg.quiver.path_counts(cutoff, d + 1, d + 1)[d + 1]
+        assert short == at[cutoff].matrices[d].cols
+        space = RowSpace(at[cutoff + 1].matrices[d]._by_row.values())
+        assert bisect_left(space.pivot_columns(), short) == rank(at[cutoff].matrices[d]), d
 
 
 # ---------- randomized consistency ----------

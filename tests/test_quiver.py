@@ -193,6 +193,11 @@ def test_paths_by_degree_matches_filter(q, max_len, lo, width):
     assert set(buckets) == set(range(lo, lo + width + 1))
     for d, got in buckets.items():
         assert got == [p.key for p in paths if q.degree_of(p) == d]
+        # counted, a nontrivial path's position is the walk's
+        position = q.path_positions(d)
+        assert {i: position(k) for i, k in enumerate(got) if type(k) is tuple} == {
+            i: i for i, k in enumerate(got) if type(k) is tuple
+        }
     assert q.path_counts(max_len, lo, lo + width) == {d: len(b) for d, b in buckets.items()}
 
 
