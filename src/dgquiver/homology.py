@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .dg import DgAlgebra, _d_path
-from .linalg import RowSpace, SparseMatrix, rank
+from .linalg import SparseMatrix, _row_space, rank
 
 
 class TruncationError(ValueError):
@@ -166,7 +166,7 @@ def homology_dims(dg: DgAlgebra, m: int, max_len: int) -> HomologyReport:
     def ranks(d: int) -> tuple[int, int | None]:  # at max_len, and at max_len + 1 while compared
         if not stabilized:
             return rank(at_l.matrices[d]), None
-        space = RowSpace(reversed(at_l1.matrices[d]._by_row.values()))  # as `rank` feeds them
+        space = _row_space(at_l1.matrices[d])
         # the columns of length <= max_len; degree 1 is outside the window
         short = at_l.dim(d + 1) if d else dg.quiver.path_counts(max_len, 1, 1)[1]
         return bisect_left(space.pivot_columns(), short), space.rank

@@ -6,11 +6,12 @@ about (R) asked of elements supported in length < N reduces to finite linear
 algebra: the span of the truncations of u*rho*v to length < N equals
 (R) intersected with the paths of length < N, because any discarded tail
 lies in r^N and hence in the ideal.  No Groebner machinery is used or
-needed.  Columns are path keys in walk order.  One chain grows every span
-level by level from the left shifts of its last level and the right shifts
-of the rows that raised its rank there (`TruncatedIdealSpan`): the
-certified span holds the products u*rho*v cut to its length, the proof of
-`generates_arrow_power` those whose every term fits.
+needed.  Columns are path keys in walk order, the quiver's, shared by all
+its spans.  One chain grows every span level by level from the left shifts
+of its last level and the right shifts of the rows that raised its rank
+there (`TruncatedIdealSpan`): the certified span holds the products u*rho*v
+cut to its length, the proof of `generates_arrow_power` those whose every
+term fits.
 
 The bound search is the operational test "every path of length N lies in the
 truncated span at bound N+1" (`bound_is_valid(span)`, which counts the pivots
@@ -27,7 +28,6 @@ N omitted it searches N on one span grown level by level (`TruncatedIdealSpan`).
 
 from __future__ import annotations
 
-import sys
 from bisect import bisect_left
 from copy import copy
 from dataclasses import astuple, dataclass
@@ -44,7 +44,7 @@ from .dg import (
 )
 from .homology import _dims_from_complex, build_truncated, h0_presentation
 from .linalg import RowSpace, as_rational
-from .quiver import GradedQuiver, _key
+from .quiver import GradedQuiver
 
 DEFAULT_MAX_N = 12  # the bound search's cap when the caller names none
 
@@ -75,9 +75,9 @@ class TruncatedIdealSpan:
     Rows are the truncations of u * rho * v over the relations rho and the
     path pairs (u, v); when r^bound <= (R), their span is (R) restricted to
     the paths of length < bound.  The relations are checked with
-    `_check_relations` (ValueError).  `index` maps the column keys
-    (`Path.key`) to their columns in walk order, by length and then by arrow
-    names, and walk level k takes the columns `_offsets[k]:_offsets[k + 1]`.
+    `_check_relations` (ValueError).  `index`, the level offsets and shift
+    maps belong to the quiver (`GradedQuiver._frame`), by length, then arrow
+    names; the span reads those of length < bound, another span longer ones.
 
     Write S_k for the span of the products u rho v cut to length <= k (0 for
     k < 0), X_k = sum_a a S_{k-1} over the arrows a, and F_k for the rows
@@ -115,10 +115,8 @@ class TruncatedIdealSpan:
         self.quiver = quiver
         self.relations = _check_relations(quiver, relations)
         self._bodies = [_integer_terms(r.body) for r in self.relations]
-        self._walk = quiver._walk(sys.maxsize)  # lazy; its level k does not depend on the cap
-        self.index, self._offsets = {}, [0]
+        self.index = quiver._frame.index  # shared by every span of the quiver
         self.space, self._fresh = RowSpace(), []  # S_k and the rows that raised its rank
-        self._shifts = {a.name: ({}, {}) for a in quiver.arrows}  # a: columns p -> a p, p -> p a
         self.bound = 0
         while self.bound < bound:
             self._grow()
@@ -128,19 +126,13 @@ class TruncatedIdealSpan:
         relations, and the rows that raised the rank as F_k; past the walk's end, none.
         With `exact`, a relation enters only once every term fits (the exact chain)."""
         self.bound += 1
-        level = next(self._walk, None)
-        if level is None:
+        frame = self.quiver._frame
+        if not frame.reaches(self.bound - 1):
             return
-        for word, s, t, _ in level:
-            self.index[_key(word, s)] = col = len(self.index)
-            if word:
-                self._shifts[word[0]][0][self.index[_key(word[1:], t)]] = col
-                self._shifts[word[-1]][1][self.index[_key(word[:-1], s)]] = col
-        self._offsets.append(len(self.index))
         space = RowSpace()
-        for left_image, _ in self._shifts.values():
+        for left_image, _ in frame.shifts.values():
             space.take_on(self.space, left_image)
-        shifted = [(b.target, {self._shifts[b.name][1][c]: v for c, v in f.items()})
+        shifted = [(b.target, {frame.shifts[b.name][1][c]: v for c, v in f.items()})
                    for t, f in self._fresh for b in self.quiver._out[t]]
         fresh = [(t, row) for t, row in shifted if space.add(row)]
         self._boundary_space = copy(space)
@@ -152,10 +144,7 @@ class TruncatedIdealSpan:
 
     def _vector(self, x: PathElement) -> dict[int, Fraction]:
         x = x.rebind(self.quiver)  # an arrow the quiver lacks raises here, not as a bound
-        try:
-            return {self.index[p.key]: c for p, c in x.terms.items()}
-        except KeyError:
-            raise ValueError("element supported beyond the bound") from None
+        return {self.index[p.key]: c for p, c in x.terms.items()}
 
     @property
     def rank(self) -> int:
@@ -166,16 +155,14 @@ class TruncatedIdealSpan:
         span as r^N <= (R); x of length >= bound raises ValueError."""
         ml = x.max_length()
         if ml is not None and ml >= self.bound:
-            raise ValueError(
-                f"element of length {ml} tested against bound {self.bound}; "
-                f"raise the bound"
-            )
+            raise ValueError(f"element of length {ml} tested against bound {self.bound}; "
+                             "raise the bound")
         return self.space.contains(self._vector(x))
 
     def dim(self) -> int:
         """dim KQ/(R) as (#paths of length < N) - rank of the span at bound N;
         the paths of length N add as many columns as rank here."""
-        return len(self.index) - self.rank
+        return self.quiver._frame.columns(self.bound) - self.rank
 
     def minimal_system(self) -> list[Relation]:
         """A subset of the relations generating the same ideal, from which no
@@ -263,8 +250,7 @@ def _holds_level(span: TruncatedIdealSpan, n: int) -> bool:
     its own column (`RowSpace`).  On the top level, n = bound - 1, that
     suffices: columns come by length, so a pivot row led there lies in the
     level, and all of them span it.  Below it, each path is eliminated."""
-    offsets = span._offsets
-    start, stop = offsets[min(n, len(offsets) - 1)], offsets[min(n + 1, len(offsets) - 1)]
+    start, stop = span.quiver._frame.columns(n), span.quiver._frame.columns(n + 1)
     pivots = span.space.pivot_columns()
     if bisect_left(pivots, stop) - bisect_left(pivots, start) != stop - start:
         return False

@@ -175,8 +175,11 @@ class SparseMatrix:
         return f"SparseMatrix({self.rows}x{self.cols}, {nnz} entries)"
 
 
+def _row_space(m: SparseMatrix) -> RowSpace:
+    """Row span of `m`, fed last row first (longest paths first): fewer pivot-row entries."""
+    return RowSpace(reversed(m._by_row.values()))
+
+
 def rank(m: SparseMatrix) -> int:
-    """Rank of `m` over Q, exact.  Rows go in last stored first (descending row
-    index, longest paths first, for `build_truncated`): fewer pivot-row entries.
-    The rank is a function of the span (`RowSpace`), so order changes no answer."""
-    return RowSpace(reversed(m._by_row.values())).rank
+    """Rank of `m` over Q, exact; a function of the span, not of the row order."""
+    return _row_space(m).rank

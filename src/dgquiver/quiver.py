@@ -15,17 +15,18 @@ vertex order), so matrix constructions and reports are reproducible.
 Row and column indices key a path by its arrow tuple and a trivial path by
 its vertex name, a `str` (`Path.key`, `paths_by_degree`), so the two never
 collide.  The path walk yields tuples, and only `enumerate_paths` builds
-`Path`s from them.  `path_counts` counts the paths of each degree, and
-`path_positions` finds a path's place among them, walking none.
+`Path`s from them.  A quiver has no mutator, so it keeps one set of count
+tables (`_lesser`), by which `path_counts` and `path_positions` count and
+place paths, walking none, and one column frame (`_Frame`) for its spans.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, cached_property, partial
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,10 +38,6 @@ class Arrow:
 
 
 PathKey = tuple[str, ...] | str
-
-
-def _key(arrows: tuple[str, ...], vertex: str) -> PathKey:
-    return arrows or vertex
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,7 +65,7 @@ class Path:
     @property
     def key(self) -> PathKey:
         """The arrow tuple, or the base vertex name of a trivial path."""
-        return _key(self.arrows, self.base)
+        return self.arrows or self.base
 
 
 def _problems(vertices, arrows):
@@ -106,6 +103,32 @@ def _lesser(out, steps, tables: dict, v: str | None, d: int, n: int) -> tuple[di
     return tables[v, d, n]
 
 
+class _Frame:
+    """A quiver's paths as columns, grown a level at a time from one lazy walk:
+    `index` maps each key (`Path.key`) to its column, level k takes the columns
+    `offsets[k]:offsets[k + 1]`, and `shifts[a]` maps p -> a p and p -> p a."""
+
+    def __init__(self, quiver: GradedQuiver):
+        self._walk = quiver._walk(sys.maxsize)  # its level k does not depend on the cap
+        self.index, self.offsets, self.shifts = {}, [0], {a.name: ({}, {}) for a in quiver.arrows}
+
+    def reaches(self, length: int) -> bool:
+        """Whether a path of that length exists; its level is held once True."""
+        index, shifts = self.index, self.shifts
+        while len(self.offsets) <= length + 1 and (level := next(self._walk, None)) is not None:
+            for word, s, t, _ in level:
+                index[word or s] = col = len(index)
+                if word:
+                    shifts[word[0]][0][index[word[1:] or t]] = col
+                    shifts[word[-1]][1][index[word[:-1] or s]] = col
+            self.offsets.append(len(index))
+        return len(self.offsets) > length + 1
+
+    def columns(self, length: int) -> int:
+        """The number of held paths of length < `length`."""
+        return self.offsets[min(length, len(self.offsets) - 1)]
+
+
 class GradedQuiver:
     """Finite directed multigraph with integer degrees on arrows.
 
@@ -122,9 +145,13 @@ class GradedQuiver:
             raise ValueError("; ".join(problems))
         self._vertex_index = {v: i for i, v in enumerate(self.vertices)}
         self._arrow_by_name = {a.name: a for a in self.arrows}
-        self._out: dict[str, list[Arrow]] = {v: [] for v in self.vertices}
-        for a in self.arrows:
+        self._out: dict[str | None, list[Arrow]] = {v: [] for v in (*self.vertices, None)}
+        for a in sorted(self.arrows, key=lambda a: a.name):  # by source, and all under None
             self._out[a.source].append(a)
+            self._out[None].append(a)
+        self._tables: dict = {}  # the one `_lesser` table set, filled by `path_counts`
+        degrees = [0, *(a.degree for a in self.arrows)]
+        self._steps = max(degrees), min(degrees)  # (up, down): most one arrow raises, lowers
 
     # ---------- structure ----------
 
@@ -143,16 +170,12 @@ class GradedQuiver:
         except KeyError:
             raise KeyError(f"unknown vertex {v!r}") from None
 
-    def degrees(self) -> list[int]:
-        return [a.degree for a in self.arrows]
-
     def is_acyclic(self) -> bool:
         """True iff there is no cycle of positive length: removing the
         vertices with no incoming arrow, one at a time, removes them all."""
         incoming = {v: 0 for v in self.vertices}
-        for arrows in self._out.values():
-            for a in arrows:
-                incoming[a.target] += 1
+        for a in self.arrows:
+            incoming[a.target] += 1
         removed = [v for v, k in incoming.items() if not k]
         for v in removed:  # grows as the loop removes vertices
             for a in self._out[v]:
@@ -160,6 +183,8 @@ class GradedQuiver:
                 if not incoming[a.target]:
                     removed.append(a.target)
         return len(removed) == len(incoming)
+
+    _frame = cached_property(_Frame)  # the column frame of the quiver's ideal spans
 
     # ---------- paths ----------
 
@@ -208,22 +233,13 @@ class GradedQuiver:
         base_ix = self._vertex_index[p.base] if p.is_trivial else -1
         return (len(p.arrows), p.arrows, base_ix)
 
-    def _degree_steps(self, max_len: int) -> tuple[int, int]:
-        """(up, down): the most one arrow raises and lowers a degree.  The walk
-        and `path_counts` drop a path of degree d and length n when d + (max_len
-        - n) * up < min_degree or d + (max_len - n) * down > max_degree."""
-        if max_len < 0:
-            raise ValueError("max_len must be >= 0")
-        degs = self.degrees()
-        return max(0, max(degs, default=0)), min(0, min(degs, default=0))
-
     def _walk(self, max_len: int, min_degree=-math.inf, max_degree=math.inf):
         """Yield the paths of length 0, 1, ..., max_len as lists of
         (arrows, source, target, degree) tuples, each list in
         `path_sort_key` order.
 
-        Branches whose degree cannot re-enter [min_degree, max_degree] are
-        pruned; with all arrow degrees <= 0 this makes deep windows cheap.
+        Branches whose degree cannot re-enter [min_degree, max_degree] in the
+        steps left (`_steps`) are pruned; arrow degrees <= 0 make deep windows cheap.
         The walk stops at the first empty level, so it yields no level for
         a length that no path has.
 
@@ -231,8 +247,9 @@ class GradedQuiver:
         its target in name order, so extending a sorted level gives a sorted
         level.
         """
-        up, down = self._degree_steps(max_len)
-        out = {v: sorted(arrows, key=lambda a: a.name) for v, arrows in self._out.items()}
+        if max_len < 0:
+            raise ValueError("max_len must be >= 0")
+        (up, down), out = self._steps, self._out
         level = [((), v, v, 0) for v in self.vertices]
         yield level
         for length in range(1, max_len + 1):
@@ -266,39 +283,32 @@ class GradedQuiver:
         for level in self._walk(max_len, min_degree, max_degree):
             for arrows, s, _, d in level:
                 if d in buckets:
-                    buckets[d].append(_key(arrows, s))
+                    buckets[d].append(arrows or s)
         return buckets
 
     def path_counts(self, max_len: int, min_degree: int, max_degree: int) -> dict[int, int]:
-        """The sizes of the `paths_by_degree` groups, by a transfer-matrix
-        recursion over (target vertex, degree) states, pruned as the walk is."""
-        up, down = self._degree_steps(max_len)
-        counts = dict.fromkeys(range(min_degree, max_degree + 1), 0)
-        level = Counter((v, 0) for v in self.vertices)
-        for length in range(max_len + 1):
-            if length:
-                rem = max_len - length
-                nxt = Counter()
-                for (t, d), n in level.items():
-                    for a in self._out[t]:
-                        nd = d + a.degree
-                        if nd + rem * up >= min_degree and nd + rem * down <= max_degree:
-                            nxt[a.target, nd] += n
-                level = nxt
-            for (_, d), n in level.items():
-                if d in counts:
-                    counts[d] += n
-        return counts
+        """The sizes of the `paths_by_degree` groups, counted.  The states (v, d,
+        n) whose degree can still reach the window fill by ascending length n,
+        so `_lesser` finds those one arrow shorter filled: one level deep."""
+        if max_len < 0:
+            raise ValueError("max_len must be >= 0")
+        (up, down), count = self._steps, partial(_lesser, self._out, self._steps, self._tables)
+        for n in range(1, max_len):
+            low, high = min_degree - (max_len - n) * up, max_degree - (max_len - n) * down
+            for d in range(max(n * down, low), min(n * up, high) + 1):
+                for v in self.vertices:
+                    count(v, d, n)
+        lengths = range(1, max_len + 1)
+        return {d: len(self.vertices) * (not d) + sum(count(None, d, n)[1] for n in lengths)
+                for d in range(min_degree, max_degree + 1)}
 
     def path_positions(self, degree: int) -> Callable[[tuple[str, ...]], int]:
         """arrows -> the position of that nontrivial path of the given degree
         in `paths_by_degree(n, degree, degree)[degree]`, any n >= its length;
         counted, not walked.  Before it come the shorter paths, then for each
         i those that agree with it before arrow i and have there an arrow of
-        a lesser name (`_lesser`, from any vertex if i = 0)."""
-        out = {v: sorted(arrows, key=lambda a: a.name) for v, arrows in self._out.items()}
-        out[None] = sorted(self.arrows, key=lambda a: a.name)
-        root = partial(_lesser, out, self._degree_steps(0), {}, None, degree)
+        a lesser name (`_lesser`, from any vertex if i = 0; `path_counts` fills it)."""
+        root = partial(_lesser, self._out, self._steps, self._tables, None, degree)
 
         @cache
         def start(n: int) -> tuple[int, dict]:  # the shorter paths, and the table at length n

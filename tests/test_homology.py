@@ -103,6 +103,17 @@ def test_build_truncated_rejects_an_empty_degree_window():
         build_truncated(one_vertex_zero_dg(3), 4, [])
 
 
+def test_deep_cutoff_counts_without_deep_recursion():
+    # the count tables fill by ascending length, so a state reads the states
+    # one arrow shorter from the table: 1,501 paths on one degree-0 loop, far
+    # past the recursion limit, are counted and placed with no RecursionError
+    loop = GradedQuiver(["v"], [Arrow("a", "v", "v", 0)])
+    assert loop.path_counts(1500, 0, 0) == {0: 1501}
+    assert loop.path_positions(0)(("a",) * 1500) == 1500
+    cx = build_truncated(DgAlgebra(GradedQuiver(loop.vertices, loop.arrows)), 1500, [0])
+    assert cx.dim(0) == 1501
+
+
 def test_homology_dims_rejects_m_below_one():
     with pytest.raises(ValueError, match="m >= 1 required"):
         homology_dims(one_vertex_zero_dg(3), 0, 4)
@@ -171,18 +182,18 @@ def test_homology_dims_walks_only_the_rows(monkeypatch, quaternion):
         dg = ginzburg_from_relations(q, rels, 3)
         walks, eliminated = [], []
         paths_by_degree = GradedQuiver.paths_by_degree
-        row_space, rank_ = homology.RowSpace, homology.rank
+        row_space, rank_ = homology._row_space, homology.rank
 
         def recording_paths_by_degree(self, max_len, min_degree, max_degree):
             walks.append((max_len, min_degree, max_degree))
             return paths_by_degree(self, max_len, min_degree, max_degree)
 
-        def recording_row_space(rows):
+        def recording_row_space(mx):
             eliminated.append(cutoff + 1)
-            return row_space(rows)
+            return row_space(mx)
 
         monkeypatch.setattr(GradedQuiver, "paths_by_degree", recording_paths_by_degree)
-        monkeypatch.setattr(homology, "RowSpace", recording_row_space)
+        monkeypatch.setattr(homology, "_row_space", recording_row_space)
         monkeypatch.setattr(homology, "rank", lambda mx: eliminated.append(cutoff) or rank_(mx))
         homology_dims(dg, 3, cutoff)
         monkeypatch.undo()

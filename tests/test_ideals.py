@@ -243,16 +243,21 @@ def test_ideal_questions_refuse_bad_arguments(quaternion):
 
 def test_contains_names_an_unknown_arrow():
     # an element over another quiver whose arrow the span's quiver lacks is
-    # the quiver's error, even far below the bound; "beyond the bound" is kept
-    # for paths of the quiver that the span does not reach
+    # the quiver's error, even far below the bound; a path of the quiver at
+    # or past the bound is refused by its length, though the quiver's column
+    # frame, grown by a longer span, already holds it
     q = GradedQuiver(["v"], [Arrow("a", "v", "v", 0), Arrow("b", "v", "v", 0)])
-    span = TruncatedIdealSpan(q, [Relation("r", "v", "v", element(q, (1, ("a", "a"))))], 4)
+    rels = [Relation("r", "v", "v", element(q, (1, ("a", "a"))))]
+    TruncatedIdealSpan(q, rels, 7)
+    span = TruncatedIdealSpan(q, rels, 4)
     other = GradedQuiver(["v"], [Arrow("a", "v", "v", 0), Arrow("c", "v", "v", 0)])
     assert span.contains(element(other, (1, ("a", "a"))))
     with pytest.raises(KeyError, match="unknown arrow 'c'"):
         span.contains(element(other, (1, ("c",))))
-    with pytest.raises(ValueError, match="beyond the bound"):
-        span._vector(element(q, (1, ("a",) * 4)))
+    assert ("a",) * 5 in span.index
+    for x in (element(q, (1, ("a",) * 4)), element(q, (1, ("b",)), (2, ("a", "b") * 3))):
+        with pytest.raises(ValueError, match="raise the bound"):
+            span.contains(x)
 
 
 # ---------- the two-generator subideal and the witness ----------
@@ -547,10 +552,16 @@ def _path(key):
     return Path(key) if type(key) is tuple else Path(base=key)
 
 
+def _span_keys(span):
+    """The keys of the span's own columns, the paths of length < bound, in
+    column order; the quiver's frame may hold longer paths after them."""
+    return list(itertools.islice(span.index, span.quiver._frame.columns(span.bound)))
+
+
 def _normal_form(span, x):
     """Canonical normal form of x modulo the span, x cut below the bound: the
     one element of x + span with no term on a pivot of `span.space`, found by
-    `Fraction` elimination against its pivot rows on the columns of `span.index`."""
+    `Fraction` elimination against its pivot rows on the span's columns."""
     x = x.truncate(span.bound - 1)
     res = {span.index[p.key]: Fraction(c) for p, c in x.terms.items()}
     pivots = span.space._pivots
@@ -559,15 +570,15 @@ def _normal_form(span, x):
         for c, v in pivots[hit].items():
             res[c] = res.get(c, 0) - coef * v
         res = {c: v for c, v in res.items() if v}
-    keys = list(span.index)
+    keys = _span_keys(span)
     return PathElement(span.quiver, {_path(keys[i]): c for i, c in res.items()})
 
 
 def _complement_basis(span):
     """The paths whose classes form a basis of the quotient by the span: the
-    columns of `span.index` that are not pivots of `span.space`."""
+    span's columns that are not pivots of `span.space`."""
     pivots = set(span.space.pivot_columns())
-    return [_path(key) for i, key in enumerate(span.index) if i not in pivots]
+    return [_path(key) for i, key in enumerate(_span_keys(span)) if i not in pivots]
 
 
 def _split_condition_iii(q, relations, n, cap):
@@ -923,7 +934,7 @@ def test_span_matches_path_element_oracle(seed, bound, boundary_only, quiver):
     oracle = _oracle_space(
         q, rels, paths, bound - 1, truncate=True, boundary_only=boundary_only
     )
-    assert list(span.index) == [p.key for p in paths]
+    assert _span_keys(span) == [p.key for p in paths]
     assert span.rank == oracle.rank
     assert_same_span(span.space, oracle)
     pivots = set(oracle.pivot_columns())
@@ -1191,14 +1202,14 @@ def test_certified_span_columns_serve_every_span_of_a_call(seed, kind):
 
 
 def test_ideal_call_walks_and_validates_once(quaternion, monkeypatch):
-    # the boundary and candidate spans read the certified span's columns, so
-    # one call walks the quiver and checks the relations once; the minimal
-    # system's one generation proof on quaternion does so once more, for the
-    # one exact span it grows
+    # every span of a quiver, certified, boundary, candidate or proof, reads
+    # the quiver's one column frame, so the first call walks the quiver and
+    # no later one walks it again; each span checks its relations once, and
+    # the minimal system's one generation proof on quaternion builds one span
     from dgquiver import ideals
 
     q, rels = quaternion
-    calls, proving = [], []
+    calls, proving, walked = [], [], []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -1214,23 +1225,62 @@ def test_ideal_call_walks_and_validates_once(quaternion, monkeypatch):
         finally:
             proving.pop()
 
+    def walk(self, *args, _walk=GradedQuiver._walk):
+        walked.append(len(calls))
+        return _walk(self, *args)
+
     monkeypatch.setattr(ideals, "_check_relations", counted("check", ideals._check_relations))
-    monkeypatch.setattr(GradedQuiver, "_walk", counted("walk", GradedQuiver._walk))
+    monkeypatch.setattr(GradedQuiver, "_walk", walk)
     monkeypatch.setattr(TruncatedIdealSpan, "__init__", counted("span", TruncatedIdealSpan.__init__))
     monkeypatch.setattr(ideals, "generates_arrow_power", proof)
     for call in (
         lambda: ext2_dim(q, rels, 5),
         lambda: certify(q, rels, 5).boundary_image_vanishes(rels[0].body),
         lambda: certify(q, rels, 5).spans_boundary_quotient(rels),
+        lambda: system_of_relations(q, rels, 5),
+        lambda: generates_arrow_power(q, rels, 5, 8),
+        lambda: certify(q, rels, 7).dim(),
     ):
         calls.clear()
         call()
-        assert sorted(calls) == ["check", "span", "walk"]
-    calls.clear()
-    system_of_relations(q, rels, 5)
-    assert sorted(calls) == [
-        "check", "proof", "proof check", "proof span", "proof walk", "span", "walk"
-    ]
+        if "proof" in calls:
+            assert sorted(calls) == ["check", "proof", "proof check", "proof span", "span"]
+        else:
+            assert sorted(calls) == ["check", "span"]
+    assert walked == [2]  # in the first call, once its span has checked the relations
+    assert GradedQuiver(q.vertices, q.arrows)._frame is not q._frame
+
+
+def _ideal_answers(q, rels, n):
+    """What the spans of (q, rels) answer at bound n: the certified span's
+    dim, rank, pivots, ext2 and minimal system, a shorter span's rank and
+    pivots, and a generation proof."""
+    span = certify(q, rels, n)
+    shorter = TruncatedIdealSpan(q, rels, n)
+    return (
+        span.dim(), span.rank, span.space.pivot_columns(), span.ext2(),
+        [r.label for r in span.minimal_system()],
+        shorter.rank, shorter.space.pivot_columns(), shorter.dim(),
+        generates_arrow_power(q, rels, n, n + 1),
+    )
+
+
+@given(st.integers(0, 2**32), st.sampled_from(FAMILIES), st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_spans_answer_alike_after_longer_spans_of_the_quiver(seed, kind, exact_first):
+    # the spans of a quiver share its column frame, which a longer span or an
+    # exact proof grew first past their bounds; they answer as on a fresh
+    # copy of the quiver, whose frame holds only their own columns
+    rng = random.Random(seed)
+    q, rels = family_ideal(rng, kind)
+    n = find_admissibility_bound(GradedQuiver(q.vertices, q.arrows), rels, max_n=4)
+    assume(n is not None)
+    if exact_first:
+        generates_arrow_power(q, rels, 1, n + 3)
+    else:
+        TruncatedIdealSpan(q, rels, n + 4)
+    assert len(q._frame.offsets) - 1 == len(list(q._walk(n + 3)))  # levels 0..n+3, or all
+    assert _ideal_answers(q, rels, n) == _ideal_answers(GradedQuiver(q.vertices, q.arrows), rels, n)
 
 
 def test_boundary_is_an_independent_span(quaternion):
@@ -1586,7 +1636,7 @@ def test_grown_search_matches_the_per_n_search(seed, kind):
             certify(q, rels, max_n=max_n)
         return
     span = certify(q, rels, max_n=max_n)
-    assert (span.bound, list(span.index)) == (old.bound, list(old.index))
+    assert (span.bound, _span_keys(span)) == (old.bound, _span_keys(old))
     assert_same_span(span.space, old.space)
     assert span._boundary_space.pivot_columns() == old._boundary_space.pivot_columns()
     assert (span.dim(), span.ext2()) == (old.dim(), old.ext2())

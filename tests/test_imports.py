@@ -4,7 +4,8 @@ Every import of a `dgquiver` module sits at module level, and the module
 level graph has no cycle: a module can then be loaded on its own, and two
 loaded copies of the package do not reach into each other through an
 import that runs at call time.  The echelon basis of `RowSpace` is read
-and written by `linalg` alone, which keeps its invariants.  The package
+and written by `linalg` alone, which keeps its invariants, and so are the
+stored rows of `SparseMatrix`, whose order it decides.  The package
 imports the standard library alone, as `pyproject.toml` declares no
 dependencies, and its `test` extra names every third-party module that the
 tests import.  Every name the package exports has a reader outside the
@@ -98,12 +99,14 @@ def test_module_level_import_graph_is_acyclic():
 
 
 def test_only_linalg_touches_the_pivot_rows():
+    # `RowSpace._pivots` and `SparseMatrix._by_row`, whose order `_row_space`
+    # decides for every rank
     touching = sorted(
         f"{name}:{node.lineno}"
         for name, tree in _trees().items() if name != "linalg"
         for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr == "_pivots"
-        or isinstance(node, ast.Constant) and node.value == "_pivots"
+        if isinstance(node, ast.Attribute) and node.attr in ("_pivots", "_by_row")
+        or isinstance(node, ast.Constant) and node.value in ("_pivots", "_by_row")
     )
     assert touching == []
 

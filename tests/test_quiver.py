@@ -174,31 +174,50 @@ def small_quivers(draw):
     )
 
 
-@given(small_quivers(), st.integers(0, 4), st.integers(-5, 1), st.integers(0, 4))
-@example(GradedQuiver(["a"], [("a", "a", "a", 0)]), 2, 0, 0)  # vertex named like its arrow
+@given(
+    small_quivers(), st.integers(0, 4), st.integers(-5, 1), st.integers(0, 4),
+    st.lists(st.tuples(st.integers(0, 6), st.integers(-6, 2), st.integers(0, 4)), max_size=3),
+)
+@example(GradedQuiver(["a"], [("a", "a", "a", 0)]), 2, 0, 0, [])  # vertex named like its arrow
 # declared in reverse name order: only a walk in name order sorts level 2
 @example(
     GradedQuiver(["0", "1"], [("b", "0", "0", 0), ("a", "0", "0", 0), ("c", "1", "0", 0)]),
-    3, 0, 0,
+    3, 0, 0, [],
 )
-@example(GradedQuiver(["0", "1"]), 3, -1, 2)  # no arrows: the trivial paths only
-@example(GradedQuiver(["0"], [("a", "0", "0", -1), ("b", "0", "0", 2)]), 0, -1, 2)  # max_len 0
+@example(GradedQuiver(["0", "1"]), 3, -1, 2, [])  # no arrows: the trivial paths only
+@example(GradedQuiver(["0"], [("a", "0", "0", -1), ("b", "0", "0", 2)]), 0, -1, 2, [])  # max_len 0
 # every path has degree <= 0, so no path reaches the window
-@example(GradedQuiver(["0"], [("a", "0", "0", -1), ("b", "0", "0", 0)]), 4, 1, 3)
+@example(GradedQuiver(["0"], [("a", "0", "0", -1), ("b", "0", "0", 0)]), 4, 1, 3, [])
+# the warm quiver first filled a wider window, deeper, and a disjoint one
+@example(
+    GradedQuiver(["0", "1"], [("a", "0", "1", -1), ("b", "1", "0", 2), ("c", "0", "0", 0)]),
+    4, -2, 3, [(6, -6, 4), (1, 2, 0)],
+)
 @settings(max_examples=80, deadline=None)
-def test_paths_by_degree_matches_filter(q, max_len, lo, width):
+def test_paths_by_degree_matches_filter(q, max_len, lo, width, warmups):
+    # the quiver's one table set answers alike whatever it filled first: a
+    # warm copy, which first counted other windows at other cutoffs and
+    # placed paths of other degrees, answers as the fresh quiver and the walk
+    warm = GradedQuiver(q.vertices, q.arrows)
+    for n, wlo, wwidth in warmups:
+        warm.path_counts(n, wlo, wlo + wwidth)
+        position = warm.path_positions(wlo + wwidth)
+        for key in warm.paths_by_degree(n, wlo + wwidth, wlo + wwidth)[wlo + wwidth]:
+            if type(key) is tuple:
+                position(key)
     paths = q.enumerate_paths(max_len)
     assert paths == sorted(paths, key=q.path_sort_key)
     buckets = q.paths_by_degree(max_len, lo, lo + width)
     assert set(buckets) == set(range(lo, lo + width + 1))
-    for d, got in buckets.items():
-        assert got == [p.key for p in paths if q.degree_of(p) == d]
-        # counted, a nontrivial path's position is the walk's
-        position = q.path_positions(d)
-        assert {i: position(k) for i, k in enumerate(got) if type(k) is tuple} == {
-            i: i for i, k in enumerate(got) if type(k) is tuple
-        }
-    assert q.path_counts(max_len, lo, lo + width) == {d: len(b) for d, b in buckets.items()}
+    for quiver in (q, warm):
+        for d, got in buckets.items():
+            assert got == [p.key for p in paths if q.degree_of(p) == d]
+            # counted, a nontrivial path's position is the walk's
+            position = quiver.path_positions(d)
+            assert {i: position(k) for i, k in enumerate(got) if type(k) is tuple} == {
+                i: i for i, k in enumerate(got) if type(k) is tuple
+            }
+        assert quiver.path_counts(max_len, lo, lo + width) == {d: len(b) for d, b in buckets.items()}
 
 
 def test_lookups_and_extensions_refuse_what_the_quiver_lacks():
