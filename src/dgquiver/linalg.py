@@ -7,8 +7,9 @@ Math. Comp. 22, 1968), and answers exactly: no floating point anywhere, no
 modular shortcuts; "span" always means row span.  As each pivot leads at its
 least column, the pivots below column k count the rank of the span cut to
 the columns < k, which lets `homology_dims` eliminate each degree once.
-`SparseMatrix` only stores the rows of a truncated complex's differential,
-columns in basis order; `build_truncated` is its one maker.
+The homology drivers add each row of a truncated complex's differential as
+it is made; `SparseMatrix` holds those rows only for a caller that reads a
+whole matrix, columns in basis order (`TruncatedComplex.matrices`).
 """
 
 from __future__ import annotations
@@ -127,7 +128,8 @@ class RowSpace:
         g = gcd(*r.values())
         if r[lead] < 0:
             g = -g
-        self._pivots[lead] = {c: v // g for c, v in r.items()}
+        # r is a fresh dict (`_integral`), never the caller's, so it is kept as it is when primitive
+        self._pivots[lead] = r if g == 1 else {c: v // g for c, v in r.items()}
         return True
 
     def take_on(self, other: RowSpace, image: Mapping[int, int]) -> None:
@@ -152,9 +154,9 @@ class RowSpace:
 class SparseMatrix:
     """Immutable sparse matrix over Q; zero entries are never stored.
 
-    `build_truncated` alone makes one, through `_of_rows`: row-major, row ->
-    {column: nonzero int or `Fraction`}, nonempty rows only.  `rank` reads
-    the rows; `entries`, (i, j) -> value, is derived on read.
+    `TruncatedComplex.matrices` alone makes one, through `_of_rows`: row-major,
+    row -> {column: nonzero int or `Fraction`}, nonempty rows only, ascending.
+    `rank` reads the rows; `entries`, (i, j) -> value, is derived on read.
     """
 
     __slots__ = ("rows", "cols", "_by_row")
@@ -175,11 +177,6 @@ class SparseMatrix:
         return f"SparseMatrix({self.rows}x{self.cols}, {nnz} entries)"
 
 
-def _row_space(m: SparseMatrix) -> RowSpace:
-    """Row span of `m`, fed last row first (longest paths first): fewer pivot-row entries."""
-    return RowSpace(reversed(m._by_row.values()))
-
-
 def rank(m: SparseMatrix) -> int:
-    """Rank of `m` over Q, exact; a function of the span, not of the row order."""
-    return _row_space(m).rank
+    """Rank of `m` over Q, exact; fed last row first, as the row makers hand them."""
+    return RowSpace(reversed(m._by_row.values())).rank

@@ -90,14 +90,14 @@ def _problems(vertices, arrows):
 def _lesser(out, steps, tables: dict, v: str | None, d: int, n: int) -> tuple[dict, int]:
     """The paths from v (any vertex if None) of degree d and length n, which
     out[v] lists by first arrow: (arrow a -> (those led by a lesser name, the
-    same after a), their count), kept in `tables`; none outside n * steps."""
+    same after a), their count), kept in `tables`; none outside n * steps,
+    where the state is kept too, so each state is made by one call."""
     up, down = steps
-    if not n * down <= d <= n * up:
-        return {}, 0
     if (v, d, n) not in tables:
-        after, total = {}, int(not n)
-        for a in out[v] if n else ():
-            rest, count = _lesser(out, steps, tables, a.target, d - a.degree, n - 1)
+        after, total = {}, int(not n and not d)
+        for a in out[v] if n and n * down <= d <= n * up else ():
+            state = a.target, d - a.degree, n - 1
+            rest, count = tables.get(state) or _lesser(out, steps, tables, *state)
             after[a.name], total = (total, rest), total + count
         tables[v, d, n] = after, total
     return tables[v, d, n]
@@ -288,18 +288,20 @@ class GradedQuiver:
 
     def path_counts(self, max_len: int, min_degree: int, max_degree: int) -> dict[int, int]:
         """The sizes of the `paths_by_degree` groups, counted.  The states (v, d,
-        n) whose degree can still reach the window fill by ascending length n,
-        so `_lesser` finds those one arrow shorter filled: one level deep."""
+        n) that can reach the window, from any vertex if in it, fill by ascending
+        n, each by a `_lesser` call if not yet kept: one level deep."""
         if max_len < 0:
             raise ValueError("max_len must be >= 0")
-        (up, down), count = self._steps, partial(_lesser, self._out, self._steps, self._tables)
-        for n in range(1, max_len):
+        (up, down), tables = self._steps, self._tables
+        lengths, count = range(1, max_len + 1), partial(_lesser, self._out, self._steps, tables)
+        for n in lengths:
             low, high = min_degree - (max_len - n) * up, max_degree - (max_len - n) * down
             for d in range(max(n * down, low), min(n * up, high) + 1):
-                for v in self.vertices:
-                    count(v, d, n)
-        lengths = range(1, max_len + 1)
-        return {d: len(self.vertices) * (not d) + sum(count(None, d, n)[1] for n in lengths)
+                for v in (*self.vertices, None) if min_degree <= d <= max_degree else self.vertices:
+                    if (v, d, n) not in tables:
+                        count(v, d, n)
+        return {d: len(self.vertices) * (not d) + sum(tables.get((None, d, n), (0, 0))[1]
+                                                      for n in lengths)
                 for d in range(min_degree, max_degree + 1)}
 
     def path_positions(self, degree: int) -> Callable[[tuple[str, ...]], int]:

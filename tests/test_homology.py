@@ -1,5 +1,6 @@
 import gc
 import random
+import tracemalloc
 import weakref
 from bisect import bisect_left
 from collections import Counter
@@ -175,32 +176,39 @@ def _lmin(dg):
 def test_homology_dims_walks_only_the_rows(monkeypatch, quaternion):
     # the dims are path counts and the columns are counted, so the only walks
     # are the row walks: one degree each, no longer than cutoff + 1 - lmin,
-    # and no degree twice in one call; each degree is eliminated once
+    # and no degree twice in one call; each degree is eliminated once, from
+    # the rows its walk hands over
     from dgquiver import homology
 
     for (q, rels), cutoff in ((quaternion, 5), (grid(4), 6)):
         dg = ginzburg_from_relations(q, rels, 3)
         walks, eliminated = [], []
         paths_by_degree = GradedQuiver.paths_by_degree
-        row_space, rank_ = homology._row_space, homology.rank
+        row_space = homology.TruncatedComplex.row_space
 
         def recording_paths_by_degree(self, max_len, min_degree, max_degree):
             walks.append((max_len, min_degree, max_degree))
             return paths_by_degree(self, max_len, min_degree, max_degree)
 
-        def recording_row_space(mx):
-            eliminated.append(cutoff + 1)
-            return row_space(mx)
+        def recording_row_space(cx, d):
+            eliminated.append(d)
+            return row_space(cx, d)
 
         monkeypatch.setattr(GradedQuiver, "paths_by_degree", recording_paths_by_degree)
-        monkeypatch.setattr(homology, "_row_space", recording_row_space)
-        monkeypatch.setattr(homology, "rank", lambda mx: eliminated.append(cutoff) or rank_(mx))
+        monkeypatch.setattr(homology.TruncatedComplex, "row_space", recording_row_space)
         homology_dims(dg, 3, cutoff)
         monkeypatch.undo()
         walked = [d for _, d, top in walks if d == top]
-        assert len(walked) == len(walks) == len(set(walked)) == len(eliminated) == 4
-        assert sorted(walked) == [-3, -2, -1, 0]
+        assert len(walked) == len(walks) == len(set(walked)) == 4
+        assert sorted(walked) == sorted(eliminated) == [-3, -2, -1, 0]
         assert {n for n, _, _ in walks} <= {cutoff + 1 - _lmin(dg), cutoff + 2 - _lmin(dg)}
+
+
+def _nonzero_rows(dg, cutoff, d):
+    """The basis paths of degree d whose rows at `cutoff` can be nonzero: of
+    length <= cutoff + 1 - lmin, with an arrow whose d is nonzero."""
+    keys = dg.quiver.paths_by_degree(cutoff + 1 - _lmin(dg), d, d)[d]
+    return [k for k in keys if type(k) is tuple and any(not dg.d(a).is_zero() for a in k)]
 
 
 def _record_rows(monkeypatch):
@@ -221,19 +229,21 @@ def _record_rows(monkeypatch):
 def test_stabilization_pass_stops_at_the_first_differing_degree(monkeypatch, quaternion):
     # the dims at L + 1 are compared from H^0 down, H^{-i} needing degrees -i
     # and -i - 1; a degree is eliminated at L + 1 while they agree, and at L
-    # alone after.  Quaternion's H^{-1} already differs, so degree -3 is walked
-    # at L and never at L + 1; on the 4 x 4 grid only H^{-2} differs, so every
-    # degree is walked at L + 1 and none at L
+    # alone after.  Quaternion's H^{-1} already differs, so degree -3 has its
+    # rows made at L and never at L + 1; on the 4 x 4 grid only H^{-2}
+    # differs, so every degree has its rows made at L + 1 and none at L.
+    # Degree 0 has no row to make: its paths are of q's arrows, whose d is 0
     from dgquiver import homology
 
     walked = _record_rows(monkeypatch)
     for (q, rels), cutoff, first_differing in ((quaternion, 5, 1), (grid(4), 6, 2)):
         dg = ginzburg_from_relations(q, rels, 3)
+        assert _nonzero_rows(dg, cutoff + 1, 0) == []
         walked.clear()
         rep = homology_dims(dg, 3, cutoff)
         at_l = {d for n, d in walked if n == cutoff}
         assert at_l == ({-3} if first_differing == 1 else set())
-        assert {d for n, d in walked if n == cutoff + 1} == {0, -1, -2, -3} - at_l
+        assert {d for n, d in walked if n == cutoff + 1} == {-1, -2, -3} - at_l
         cx = build_truncated(dg, cutoff + 1, range(-3, 1))
         at_l1 = dict(enumerate(homology._dims_from_complex(cx, 3)))
         assert [i for i in range(3) if at_l1[i] != rep.dims[i]][0] == first_differing
@@ -277,28 +287,62 @@ def test_truncated_matrices_are_assembled_on_every_read(monkeypatch, quaternion)
 
 
 def test_homology_pass_keeps_no_matrix_it_makes(monkeypatch, quaternion):
-    # homology_dims makes each row of each degree once, at the one cutoff it
-    # eliminates that degree at, walking only the rows that can be nonzero;
-    # a complex keeps no matrix the pass made, so a later read walks again
+    # homology_dims makes each row that can be nonzero once, at the one
+    # cutoff it eliminates that degree at, and no other; a complex keeps no
+    # matrix or row the pass made, so a later pass makes them again
     from dgquiver import homology
 
     dg = ginzburg_from_relations(*quaternion, 3)
     walked = _record_rows(monkeypatch)
     rep = homology_dims(dg, 3, 5)
     counts = Counter(walked)
-    assert set(counts) == {(6, 0), (6, -1), (6, -2), (5, -3)}  # H^{-1} differs
-    for (cutoff, d), n in counts.items():
-        rows = dg.quiver.paths_by_degree(cutoff + 1 - _lmin(dg), d, d)[d]
-        assert n == sum(type(key) is tuple for key in rows), (cutoff, d)
+    assert set(counts) == {(6, -1), (6, -2), (5, -3)}  # H^{-1} differs; degree 0 has no row
+    for cutoff, d in [(6, 0), *counts]:
+        assert counts[cutoff, d] == len(_nonzero_rows(dg, cutoff, d)), (cutoff, d)
 
     cx = build_truncated(dg, 5, range(-3, 1))
     walked.clear()
     assert list(homology._dims_from_complex(cx, 3)) == list(rep.dims.values())
-    assert set(Counter(walked)) == {(5, d) for d in range(-3, 1)}
+    assert set(Counter(walked)) == {(5, d) for d in range(-3, 0)}
     assert Counter(walked)[5, -3] == counts[5, -3]
     walked.clear()
     cx.matrices[-2]
     assert Counter(walked) == {(5, -2): len(walked)} and walked
+
+
+def test_rank_passes_make_no_matrix(monkeypatch, quaternion):
+    # the rank drivers fill a `RowSpace` straight from the row makers: with
+    # `SparseMatrix` unmakeable, every homology number is still made
+    from dgquiver.linalg import SparseMatrix
+
+    q, rels = quaternion
+    dg, span = ginzburg_from_relations(q, rels, 3), certify(q, rels)
+    want = homology_dims(dg, 3, 5), vosnex_equivalence_check(q, rels, 3, 5, span)
+
+    def refuse(cls, *args):
+        raise AssertionError("a rank pass made a matrix")
+
+    monkeypatch.setattr(SparseMatrix, "_of_rows", classmethod(refuse))
+    assert (homology_dims(dg, 3, 5), vosnex_equivalence_check(q, rels, 3, 5, span)) == want
+    with pytest.raises(AssertionError, match="made a matrix"):
+        build_truncated(dg, 5, range(-3, 1)).matrices[-2]
+
+
+def test_homology_pass_holds_no_degree_matrix():
+    # traced peak of one pass on the 4 x 4 grid at L = 7 (Python 3.11): 14.2
+    # MiB when a degree's row dict was assembled before its elimination, 9.7
+    # MiB when each row goes straight to the elimination and only its pivots
+    # are kept.  The bound sits between the two, so holding a degree's rows
+    # again fails it, with room for allocator and version drift
+    dg = ginzburg_from_relations(*grid(4), 3)
+    tracemalloc.start()
+    try:
+        rep = homology_dims(dg, 3, 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.dims == {0: 100, 1: 36, 2: 557} and not rep.stabilized
+    assert peak < 12 * 2**20, peak / 2**20
 
 
 def test_truncated_complex_needs_no_cycle_collector(quaternion):
@@ -886,6 +930,25 @@ def test_build_truncated_matrices_match_naive_d(dg):
                     if row:
                         want[w] = row
             assert got == want, (cutoff, d)
+
+
+@given(small_dg_algebras(), st.integers(0, 5))
+@example(_vertex_named_like_an_arrow_dg(), 2)  # d is nonzero on degree 0
+@example(_cancelling_dg(), 3)
+@settings(max_examples=60, deadline=None)
+def test_row_maker_hands_the_matrix_rows_last_first(dg, cutoff):
+    # a degree's maker hands its sink exactly the rows of the matrix of d,
+    # last basis path first, and the span filled from it has sympy's rank
+    cx = build_truncated(dg, cutoff, range(-3, 2))
+    for d in cx.components:
+        got = []
+        cx.rows(d, got.append)
+        mx = cx.matrices[d]
+        assert list(mx._by_row) == sorted(mx._by_row)
+        assert got == list(reversed(mx._by_row.values())), d
+        by_row = {i: {j: QQ(v) for j, v in row.items()} for i, row in mx._by_row.items()}
+        oracle = DomainMatrix(by_row, (mx.rows, mx.cols), QQ).rank()
+        assert cx.row_space(d).rank == oracle, d
 
 
 @given(small_dg_algebras(), st.integers(1, 4), st.integers(0, 5))

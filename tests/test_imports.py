@@ -99,8 +99,8 @@ def test_module_level_import_graph_is_acyclic():
 
 
 def test_only_linalg_touches_the_pivot_rows():
-    # `RowSpace._pivots` and `SparseMatrix._by_row`, whose order `_row_space`
-    # decides for every rank
+    # `RowSpace._pivots` and `SparseMatrix._by_row`, whose order `rank`
+    # decides for a matrix
     touching = sorted(
         f"{name}:{node.lineno}"
         for name, tree in _trees().items() if name != "linalg"

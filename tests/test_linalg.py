@@ -367,6 +367,26 @@ def test_kernel_leaves_its_input_rows_unchanged(rows, probe):
     assert _snapshot(m.entries) == entries
 
 
+@given(st.lists(_row, max_size=6), _row)
+@settings(max_examples=150, deadline=None)
+def test_pivot_rows_never_alias_a_callers_row(rows, probe):
+    # `add` may keep as a pivot row the remainder it made itself, never a
+    # row it was given: changing the rows after `RowSpace(rows)` and `add`
+    # changes no answer
+    rows, probe = [dict(r) for r in rows], dict(probe)
+    space = RowSpace(rows)
+    space.add(probe)
+    fresh = RowSpace([dict(r) for r in rows])
+    fresh.add(dict(probe))
+    for r in rows + [probe]:
+        r.update({c: 5 for c in r})
+        r[9] = 1
+    assert space._pivots == fresh._pivots
+    assert (space.rank, space.pivot_columns()) == (fresh.rank, fresh.pivot_columns())
+    changed = rows + [probe]
+    assert [space.contains(r) for r in changed] == [fresh.contains(r) for r in changed]
+
+
 def _old_integral(row):
     """`_integral` before its all-int path scanned at C speed: the reference."""
     if all(type(v) is int for v in row.values()):

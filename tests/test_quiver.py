@@ -220,6 +220,26 @@ def test_paths_by_degree_matches_filter(q, max_len, lo, width, warmups):
         assert quiver.path_counts(max_len, lo, lo + width) == {d: len(b) for d, b in buckets.items()}
 
 
+def test_a_repeated_count_makes_no_count_table_call(monkeypatch):
+    # `path_counts` and `_lesser` call `_lesser` only for a state not yet in
+    # the tables, which keep the states outside the steps too: each call of a
+    # first count builds a state, and counting again, or a narrower window at
+    # the same cutoff, makes no call
+    from dgquiver import quiver
+
+    q = loops_quiver(("a", 0), ("b", -1), ("c", -2), ("d", 1))
+    calls = []  # per call, whether its state (v, d, n) was kept already
+    lesser = quiver._lesser
+    monkeypatch.setattr(quiver, "_lesser", lambda *args: calls.append(args[3:] in args[2])
+                        or lesser(*args))
+    first = q.path_counts(6, -3, 0)
+    assert len(calls) == len(q._tables) > 0 and not any(calls)
+    calls.clear()
+    assert q.path_counts(6, -3, 0) == first
+    assert q.path_counts(6, -2, -1) == {d: first[d] for d in (-2, -1)}
+    assert calls == []
+
+
 def test_lookups_and_extensions_refuse_what_the_quiver_lacks():
     q = loops_quiver(("a", 0))
     with pytest.raises(KeyError, match="unknown vertex 'ghost'"):
